@@ -18,7 +18,8 @@ class NotInterior(ScbfError):
 
 
 class StabilityViolation(ScbfError):
-    """The explicit scheme cannot honor both the stability bound and the step floor."""
+    """The explicit scheme cannot honor both the stability bound and the step
+    floor, or its stencil has a negative (non-monotone) weight."""
 
 
 class Collapse(ScbfError):

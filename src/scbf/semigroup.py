@@ -22,16 +22,26 @@ the operator facts the rest of the toolkit leans on: positivity
 preservation, non-expansiveness in the sup norm, and exact linearity for a
 fixed policy.
 
-Mixed-derivative monotonicity additionally requires the noise Gram matrix
-to be diagonally dominant in the scaled sense ``a_ii/h_i >= sum |a_ij|/h_j``;
-all built-in benchmarks have diagonal ``a``.
+Each step is the Markov chain of Kushner & Dupuis (2001),
+``P(x) <- W_0 P(x) + sum_o W_o P(x + o)``, ``W_o = dt q_o``,
+``W_0 = 1 - dt sum_o q_o``: ``q_o`` is the stencil's rate to the neighbor at
+offset ``o`` (``+-e_d`` and the four diagonals of each cross pair with a
+nonzero ``a_ij``), and the kill mask zeroes all weights off the interior.
+Monotonicity means no negative weight.  For mixed derivatives that needs
+noise diagonally dominant in the scaled sense ``a_ii/h_i >= sum_j |a_ij|/h_j``
+(all built-in benchmarks have diagonal ``a``); ``W_0 >= 0`` is the CFL cap.
+Both are checked whenever a stencil is built: a violation raises
+:class:`StabilityViolation` naming the node and the offset.
 
 The optimal-control variant integrates ``db/dtau = max_u A^u b`` by scoring
 a finite candidate-input set against the discrete upwind generator at every
 node and step: box corners when the drift is input-affine with
 input-independent noise, corners plus the clamped critical point for a
 scalar input with quadratic-in-input noise Gram, and a Cartesian candidate
-grid otherwise.  Ties resolve to the lowest candidate index.
+grid otherwise.  Rates that no candidate changes form one shared base
+stencil; each candidate keeps rates only on the offsets it changes, so it
+is scored with a few multiply-adds against the differences
+``P(x + o) - P(x)``.  Ties resolve to the lowest candidate index.
 """
 
 from __future__ import annotations
@@ -121,150 +131,227 @@ class PropagationConfig:
             raise ValueError("dt must be positive")
 
 
-# --- stencil workspace -------------------------------------------------------
+# --- the stencil -----------------------------------------------------------------
+
+# Weights are probabilities summing to at most one; a weight above -_WEIGHT_TOL
+# is roundoff around zero (e.g. exactly dominant noise, or dt at the bound).
+_WEIGHT_TOL = 1e-10
 
 
-class _Workspace:
-    """Ghost-padded buffer with shifted views over the core window."""
+def _offset(n: int, *moves) -> tuple:
+    """Neighbor offset from ``(dimension, step)`` moves."""
+    steps = dict(moves)
+    return tuple(steps.get(d, 0) for d in range(n))
 
-    def __init__(self, spec: GridSpec, interior: np.ndarray):
-        self.spec = spec
-        self.n = spec.dims
-        self.shape = spec.shape
-        self.h = spec.spacing
-        self.interior = interior.reshape(spec.shape)
-        self.P = np.zeros(tuple(c + 2 for c in spec.shape))
-        self.core = tuple(slice(1, -1) for _ in range(self.n))
-        self._periodic_dims = [d for d in range(self.n) if spec.periodic[d]]
+
+def _diffusion_load(gram: np.ndarray, h: np.ndarray, pairs) -> np.ndarray:
+    """Per-node diffusion part of the CFL load."""
+    load = np.einsum("kii->ki", gram) @ (1.0 / h**2)
+    for i, j in pairs:
+        load += np.abs(gram[:, i, j]) / (h[i] * h[j])
+    return load
+
+
+def _drift_rates(f, h: np.ndarray, dims) -> dict:
+    """Backward-Kolmogorov upwind rates (the expectation reads values where
+    the state flows to); ``f(d)`` returns the per-node drift component ``d``."""
+    return {_offset(len(h), (d, s)): np.maximum(s * f(d), 0.0) / h[d]
+            for d in dims for s in (1, -1)}
+
+
+def _diffusion_rates(a, h: np.ndarray, pairs) -> dict:
+    """Central rates for ``a_ii`` and sign-split 7-point rates for ``a_ij``;
+    ``a(i, j)`` returns the per-node Gram entry.  A rate comes out negative
+    where the noise is not diagonally dominant; the stencil check reports it."""
+    n = len(h)
+    rates = {}
+    for d in range(n):
+        r = 0.5 * a(d, d) / h[d] ** 2
+        for i, j in pairs:
+            if d in (i, j):
+                r = r - np.abs(a(i, j)) / (2.0 * h[i] * h[j])
+        rates[_offset(n, (d, 1))] = rates[_offset(n, (d, -1))] = r
+    for i, j in pairs:
+        for si in (1, -1):
+            for sj in (1, -1):
+                rates[_offset(n, (i, si), (j, sj))] = (
+                    np.maximum(si * sj * a(i, j), 0.0) / (2.0 * h[i] * h[j]))
+    return rates
+
+
+class _Stencil:
+    """``P <- W_0 P + sum_o W_o P[o] + dt mask max_k sum_j C[j,k] (P[o_j] - P)``.
+
+    ``base`` holds the rates no candidate input changes; ``fold_step`` makes
+    them weights with ``dt`` and the kill mask folded in.  ``cand[j, k]`` is
+    candidate ``k``'s rate towards ``offsets[j]``, unmasked so the argmax
+    policy is defined on boundary nodes too; ``dynamic`` rewrites the last
+    candidate's rates at every evaluation.  Per-node arrays live on the flat
+    span of the ghost-padded grid from its first to its last node (``pos``
+    maps nodes into it), so every shift is a contiguous slice; ghost
+    positions inside the span carry zero weight.
+    """
+
+    def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict,
+                 offsets, n_cand: int):
+        n, shape = spec.dims, spec.shape
+        self.shape, self.padded = shape, tuple(c + 2 for c in shape)
+        strides = [int(np.prod(self.padded[d + 1:])) for d in range(n)]
+        lo = sum(strides)
+        self.span = sum((c - 1) * s for c, s in zip(shape, strides)) + 1
+        self.pos = np.ravel_multi_index(
+            tuple(np.indices(shape).reshape(n, -1) + 1), self.padded) - lo
+        self._interior_nodes, self.interior = interior, self.pad(interior)
+        self.base = {o: self.pad(r) for o, r in base.items() if np.any(r[interior] != 0.0)}
+        self.offsets = list(offsets)
+        self.cand = np.zeros((len(self.offsets), n_cand, self.span))
+        self.dynamic = self.W = None
+        self._centre = (0,) * n
+        self._periodic = [d for d in range(n) if spec.periodic[d]]
+        self._bufs, self._cur = [np.zeros(int(np.prod(self.padded))) for _ in range(2)], 0
+        self._views = [{o: buf[lo + int(np.dot(o, strides)):][:self.span]
+                        for o in {self._centre, *self.base, *self.offsets}}
+                       for buf in self._bufs]
+        self._tmp, self._diffs = np.empty(self.span), np.empty((len(self.offsets), self.span))
+        self._scores = np.empty((n_cand, self.span))
+
+    def pad(self, node_values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.span, dtype=node_values.dtype)
+        out[self.pos] = node_values
+        return out
 
     def load(self, flat_values: np.ndarray):
-        self.P[self.core] = np.where(
-            self.interior, flat_values.reshape(self.shape), 0.0
-        )
+        self._views[self._cur][self._centre][self.pos] = np.where(
+            self._interior_nodes, flat_values, 0.0)
 
     def values(self) -> np.ndarray:
-        return self.P[self.core].copy()
+        return self._views[self._cur][self._centre][self.pos]
 
-    def refresh_ghosts(self):
+    def _refresh_ghosts(self):
         # Slab copies over the full padded extent of the other axes, in
         # dimension order, so corner ghosts wrap correctly too.
-        for d in self._periodic_dims:
-            idx_dst = [slice(None)] * self.n
-            idx_src = [slice(None)] * self.n
-            idx_dst[d], idx_src[d] = 0, self.P.shape[d] - 2
-            self.P[tuple(idx_dst)] = self.P[tuple(idx_src)]
-            idx_dst[d], idx_src[d] = self.P.shape[d] - 1, 1
-            self.P[tuple(idx_dst)] = self.P[tuple(idx_src)]
+        P = self._bufs[self._cur].reshape(self.padded)
+        for d in self._periodic:
+            Q = np.moveaxis(P, d, 0)
+            Q[0], Q[-1] = Q[-2], Q[1]
 
-    def shifted(self, offsets: dict) -> np.ndarray:
-        idx = [slice(1, -1)] * self.n
-        for d, off in offsets.items():
-            idx[d] = slice(1 + off, self.P.shape[d] - 1 + off)
-        return self.P[tuple(idx)]
+    def fold_step(self, dt: float):
+        """Fold ``dt`` and the kill mask into the weights and check that the
+        stencil is monotone under every fixed candidate."""
+        self.dt_mask = np.where(self.interior, dt, 0.0)
+        total = sum(self.base.values(), np.zeros(self.span))
+        self.W0 = np.where(self.interior, 1.0 - dt * total, 0.0)
+        self.W = {o: r * self.dt_mask for o, r in self.base.items()}
+        self.base = None
+        self._check(None)
+        for k in range(self.cand.shape[1] - (self.dynamic is not None) if self.offsets else 0):
+            self._check(k)
 
-    def diffs(self, pairs):
-        """Per-dimension one-sided/central differences and cross stencils."""
-        v0 = self.P[self.core]
-        back, fwd, second = [], [], []
-        vp_list, vm_list = [], []
-        for d in range(self.n):
-            vp = self.shifted({d: +1})
-            vm = self.shifted({d: -1})
-            vp_list.append(vp)
-            vm_list.append(vm)
-            back.append((v0 - vm) / self.h[d])
-            fwd.append((vp - v0) / self.h[d])
-            second.append((vp - 2.0 * v0 + vm) / self.h[d] ** 2)
-        cross = {}
-        for (i, j) in pairs:
-            vpp = self.shifted({i: +1, j: +1})
-            vmm = self.shifted({i: -1, j: -1})
-            vpm = self.shifted({i: +1, j: -1})
-            vmp = self.shifted({i: -1, j: +1})
-            faces = vp_list[i] + vm_list[i] + vp_list[j] + vm_list[j]
-            denom = 2.0 * self.h[i] * self.h[j]
-            cross[(i, j)] = (
-                (2.0 * v0 + vpp + vmm - faces) / denom,
-                -(2.0 * v0 + vpm + vmp - faces) / denom,
-            )
-        return _Diffs(v0, back, fwd, second, cross)
+    def _check(self, k):
+        """Raise on a negative weight at an interior node: of the base for
+        ``k = None``, else of candidate ``k``'s centre and own offsets."""
+        centre, weights = self.W0, (self.W if k is None else {})
+        for j, o in enumerate(self.offsets if k is not None else ()):
+            w = self.dt_mask * self.cand[j, k]
+            centre = centre - w
+            weights[o] = self.W[o] + w if o in self.W else w
+        for o, w in [(self._centre, centre), *weights.items()]:
+            at = int(np.argmin(w))
+            if w[at] < -_WEIGHT_TOL:
+                node = int(np.searchsorted(self.pos, at))
+                index = tuple(int(i) for i in np.unravel_index(node, self.shape))
+                raise StabilityViolation(
+                    f"non-monotone stencil{'' if k is None else f' under candidate {k}'}: "
+                    f"weight {w[at]:.3e} at node {node} {index} "
+                    f"on offset {o}; " + ("the step exceeds the stability bound" if not any(o)
+                    else "the noise Gram matrix is not diagonally dominant "
+                         "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
+
+    def _score(self, src: dict) -> np.ndarray:
+        centre = src[self._centre]
+        for j, o in enumerate(self.offsets):
+            np.subtract(src[o], centre, out=self._diffs[j])
+        if self.dynamic is not None:
+            self.dynamic.update(src, self.cand[:, -1])
+            # Its centre weight is covered by the CFL load and drift rates
+            # are nonnegative, so only a negative rate needs the full check.
+            if self.W is not None and np.min(self.cand[:, -1]) < 0.0:
+                self._check(self.cand.shape[1] - 1)
+        return np.einsum("jkl,jl->kl", self.cand, self._diffs, out=self._scores)
+
+    def step(self):
+        self._refresh_ghosts()
+        src = self._views[self._cur]
+        self._cur ^= 1
+        out = self._views[self._cur][self._centre]
+        np.multiply(self.W0, src[self._centre], out=out)
+        for o, w in self.W.items():
+            np.multiply(w, src[o], out=self._tmp)
+            out += self._tmp
+        if self.offsets:
+            best = np.max(self._score(src), axis=0, out=self._tmp)
+            best *= self.dt_mask
+            out += best
+
+    def argmax(self) -> np.ndarray:
+        """Index of the best candidate per node against the current field."""
+        if not self.offsets:
+            return np.zeros(self.pos.size, dtype=np.int64)
+        self._refresh_ghosts()
+        return np.argmax(self._score(self._views[self._cur]), axis=0)[self.pos]
 
 
-class _Diffs:
-    __slots__ = ("v0", "back", "fwd", "second", "cross")
+def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
+    """CFL load, stencil and critical-input candidate (``dynamic``) for the
+    candidate input arrays ``inputs``, each (nodes, n_u); ``shared`` when the
+    noise does not depend on the input.  Rates no candidate changes go to the
+    base.  Callback arrays are dropped as soon as they are used, to keep the
+    peak memory near the stencil's own."""
+    spec, interior = sys.grid, sys.interior_mask()
+    n, N, h, nodes = spec.dims, spec.size, spec.spacing, spec.nodes()
+    Fs = [sys.drift(nodes, U).reshape((N, n)) for U in inputs]
+    grams = [sys.gram(nodes, U).reshape((N, n, n)) for U in (inputs[:1] if shared else inputs)]
+    quad = _QuadraticInput(sys, nodes, Fs[0], Fs[-1]) if dynamic else None
+    del nodes
+    quad_terms = [] if quad is None else [quad.c0, quad.c1, quad.c2]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if any(np.any(g[:, i, j] != 0.0) for g in grams + quad_terms)]
+    diff_loads = [_diffusion_load(g, h, pairs) for g in grams]
+    node_load = 0.0
+    for k, F in enumerate(Fs):
+        node_load = np.maximum(node_load, np.abs(F) @ (1.0 / h) + diff_loads[k % len(grams)])
+    if quad is not None:
+        # Affine drift peaks at a box corner, so only the critical
+        # candidate's noise needs its own (interval max) bound.
+        drift_peak = np.maximum.reduce([np.abs(F) @ (1.0 / h) for F in Fs])
+        node_load = np.maximum(node_load, drift_peak + _diffusion_load(quad.gram_bound(), h, pairs))
+    load = float(np.max(node_load[interior])) if np.any(interior) else 0.0
+    diff = [_diffusion_rates(lambda i, j, g=g: g[:, i, j], h, pairs) for g in grams]
+    del grams, diff_loads, node_load
 
-    def __init__(self, v0, back, fwd, second, cross):
-        self.v0 = v0
-        self.back = back
-        self.fwd = fwd
-        self.second = second
-        self.cross = cross
-
-
-class _Coeffs:
-    """Shaped PDE coefficients for one (policy or candidate) input field."""
-
-    __slots__ = ("fpos", "fneg", "adiag", "cross", "node_load_drift",
-                 "node_load_diff", "_interior")
-
-    def __init__(self, spec: GridSpec, F: np.ndarray, gram: np.ndarray,
-                 interior: np.ndarray, drift_only=False, diffusion_only=False):
-        n = spec.dims
-        shape = spec.shape
-        h = spec.spacing
-        self._interior = interior
-        self.node_load_drift = np.zeros(spec.size)
-        self.node_load_diff = np.zeros(spec.size)
-        if diffusion_only:
-            self.fpos = self.fneg = None
-        else:
-            Fr = F.reshape((spec.size, n))
-            self.fpos = np.maximum(Fr, 0.0).T.reshape((n,) + shape)
-            self.fneg = np.minimum(Fr, 0.0).T.reshape((n,) + shape)
-            self.node_load_drift = np.abs(Fr) @ (1.0 / h)
-        if drift_only:
-            self.adiag = None
-            self.cross = {}
-        else:
-            load = np.zeros(spec.size)
-            g = gram.reshape((spec.size, n, n))
-            diag = np.einsum("kii->ki", g)
-            self.adiag = diag.T.reshape((n,) + shape)
-            load += diag @ (1.0 / h**2)
-            self.cross = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    aij = g[:, i, j]
-                    if np.any(aij != 0.0):
-                        apos = np.maximum(aij, 0.0).reshape(shape)
-                        aneg = np.minimum(aij, 0.0).reshape(shape)
-                        self.cross[(i, j)] = (apos, aneg)
-                        load += np.abs(aij) / (h[i] * h[j])
-            self.node_load_diff = load
-
-    @property
-    def load(self) -> float:
-        """Peak nodal CFL load (interior nodes only)."""
-        total = self.node_load_drift + self.node_load_diff
-        return float(np.max(total[self._interior])) if np.any(self._interior) else 0.0
-
-    def rate(self, d: _Diffs, out=None) -> np.ndarray:
-        # Backward-Kolmogorov upwinding: the expectation reads values where
-        # the state flows to, so positive drift consumes the forward
-        # difference (monotone: b_new is a convex combination of neighbors).
-        acc = np.zeros_like(d.v0) if out is None else out
-        if self.fpos is not None:
-            for i in range(len(d.back)):
-                acc += self.fpos[i] * d.fwd[i]
-                acc += self.fneg[i] * d.back[i]
-        if self.adiag is not None:
-            for i in range(len(d.second)):
-                acc += 0.5 * self.adiag[i] * d.second[i]
-            for (i, j), (apos, aneg) in self.cross.items():
-                spos, sneg = d.cross[(i, j)]
-                acc += apos * spos
-                acc += aneg * sneg
-        return acc
+    drift_var = [d for d in range(n)
+                 if any(not np.array_equal(F[:, d], Fs[0][:, d]) for F in Fs[1:])]
+    diff_var = {o for o in diff[0]
+                if any(not np.array_equal(r[o], diff[0][o]) for r in diff[1:])}
+    if quad is not None:
+        diff_var |= quad.touched(n)
+    offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
+    base = _drift_rates(lambda d: Fs[0][:, d], h, [d for d in range(n) if d not in drift_var])
+    for o, r in diff[0].items():
+        if o not in diff_var:
+            base[o] = base[o] + r if o in base else r
+    Fs = [{d: F[:, d].copy() for d in drift_var} for F in Fs]
+    diff = [{o: r[o] for o in diff_var} for r in diff]
+    stencil = _Stencil(spec, interior, base, offsets, len(Fs) + dynamic)
+    for k, F in enumerate(Fs):
+        drift = _drift_rates(F.get, h, drift_var)
+        for j, o in enumerate(offsets):
+            stencil.cand[j, k, stencil.pos] = (drift.get(o, 0.0)
+                                               + (diff[k][o] if o in diff_var else 0.0))
+    if quad is not None:
+        quad.bind(stencil, h, drift_var, diff_var, pairs)
+        stencil.dynamic = quad
+    return load, stencil, quad
 
 
 def _choose_step(horizon: float, load: float, cfg: PropagationConfig):
@@ -367,213 +454,138 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
         raise ValueError("policy grid does not match the system grid")
     if cfg.horizon == 0.0:
         return ScalarField(field.spec, field.values)
-    spec = sys.grid
-    interior = sys.interior_mask()
-    nodes = spec.nodes()
-    F = sys.drift(nodes, policy.inputs)
-    gram = sys.gram(nodes, policy.inputs)
-    coeffs = _Coeffs(spec, F, gram, interior)
-    n_steps, dt = _choose_step(cfg.horizon, coeffs.load, cfg)
-    ws = _Workspace(spec, interior)
-    ws.load(field.values)
-    pairs = list(coeffs.cross.keys())
-    mask = ws.interior
+    load, stencil, _ = _split_stencil(sys, [policy.inputs])
+    n_steps, dt = _choose_step(cfg.horizon, load, cfg)
+    stencil.fold_step(dt)
+    stencil.load(field.values)
     for _ in range(n_steps):
-        ws.refresh_ghosts()
-        d = ws.diffs(pairs)
-        rate = coeffs.rate(d)
-        ws.P[ws.core] = np.where(mask, d.v0 + dt * rate, 0.0)
-    return ScalarField(spec, ws.values().ravel())
+        stencil.step()
+    return ScalarField(sys.grid, stencil.values())
 
 
 # --- optimal-control propagation ----------------------------------------------
 
 
-class _QuadGramModel:
-    """Per-node quadratic model a(u) = c0 + c1 u + c2 u^2 of the noise Gram
-    entries for scalar-input systems (exact when the Gram is quadratic)."""
+class _QuadraticInput:
+    """The clamped stationary point in ``u`` of the generator for a scalar
+    input with affine drift ``f0 + g1 u`` and noise Gram ``c0 + c1 u + c2 u^2``
+    (exact when the Gram is quadratic): one more candidate, recomputed from
+    central differences at every node and step."""
 
-    def __init__(self, sys: SystemModel):
-        nodes = sys.grid.nodes()
+    def __init__(self, sys: SystemModel, nodes: np.ndarray, F_lo, F_hi):
         lo, hi = sys.input_lower[0], sys.input_upper[0]
         mid = 0.5 * (lo + hi)
-        us = np.array([lo, mid, hi])
-        if lo == hi:
-            raise ValueError("degenerate input box has no quadratic structure")
-        g = [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in us]
+        g = [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in (lo, mid, hi)]
         # Exact 3-point quadratic reconstruction.
-        d = (hi - lo)
+        d = hi - lo
         self.c2 = (g[0] + g[2] - 2.0 * g[1]) * 2.0 / d**2
         self.c1 = (g[2] - g[0]) / d - self.c2 * (lo + hi)
         self.c0 = g[1] - self.c1 * mid - self.c2 * mid**2
-        self.lo, self.hi = lo, hi
+        self.g1 = (F_hi - F_lo) / d
+        self.f0 = F_lo - self.g1 * lo
+        self.lo, self.hi, n = lo, hi, sys.n_x
+        # Diagonal entries first, as the stationary-point sums are ordered.
+        self.varying = sorted(
+            [(i, j) for i in range(n) for j in range(i, n)
+             if np.any(self.c1[:, i, j] != 0.0) or np.any(self.c2[:, i, j] != 0.0)],
+            key=lambda p: p[0] != p[1])
 
-    def box_max(self) -> np.ndarray:
-        """Entrywise max of a(u) over the input interval (for the CFL bound)."""
-        vals = [self.c0 + self.c1 * u + self.c2 * u**2 for u in (self.lo, self.hi)]
-        out = np.maximum(*vals)
-        crit = np.where(self.c2 != 0.0, -self.c1 / (2.0 * np.where(self.c2 == 0, 1.0, self.c2)), self.lo)
-        inside = (crit > self.lo) & (crit < self.hi) & (self.c2 != 0.0)
-        vc = self.c0 + self.c1 * crit + self.c2 * crit**2
-        return np.where(inside, np.maximum(out, vc), out)
+    def gram_bound(self) -> np.ndarray:
+        """Entrywise max of ``|a(u)|`` over the input interval (for the CFL bound)."""
+        lo, hi = self.lo, self.hi
+        out = []
+        for c0, c1, c2 in ((self.c0, self.c1, self.c2), (-self.c0, -self.c1, -self.c2)):
+            m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
+            crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
+            inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
+            out.append(np.where(inside, np.maximum(m, c0 + c1 * crit + c2 * crit**2), m))
+        return np.maximum(*out)
+
+    def touched(self, n: int) -> set:
+        """Offsets whose diffusion rate depends on the input."""
+        return {o for i, j in self.varying for o in
+                [_offset(n, (d, s)) for d in (i, j) for s in (1, -1)]
+                + [_offset(n, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1) if i != j]}
+
+    def bind(self, stencil: "_Stencil", h, drift_dims, diff_offsets, pairs):
+        """Move the coefficients onto the stencil's span."""
+        self.h, self.pairs, self.drift_dims, self.diff_offsets = h, pairs, drift_dims, diff_offsets
+        self.offsets = stencil.offsets
+        self.drift = {i: (stencil.pad(self.f0[:, i]), stencil.pad(self.g1[:, i]))
+                      for i in drift_dims}
+        self.coef = {(i, j): tuple(stencil.pad(c[:, i, j]) for c in (self.c0, self.c1, self.c2))
+                     for i in range(len(h)) for j in range(i, len(h))}
+        del self.c0, self.c1, self.c2, self.f0, self.g1
+
+    def update(self, src: dict, out: np.ndarray):
+        """Write the critical input's rates into ``out`` (one row per
+        candidate offset); ``src`` maps offsets to the shifted field."""
+        h, n = self.h, len(self.h)
+        v0 = src[(0,) * n]
+        at = lambda *moves: src[_offset(n, *moves)]
+        # d/du [ grad.f0 + grad.(g1 u) + 1/2 sum H_ij (c0+c1 u+c2 u^2)_ij ]
+        #   = grad.g1 + 1/2 sum H_ij c1_ij + u sum H_ij c2_ij
+        lin, quadc = np.zeros((2,) + v0.shape)
+        for i in self.drift_dims:
+            grad = ((v0 - at((i, -1))) / h[i] + (at((i, 1)) - v0) / h[i]) / 2.0
+            lin += grad * self.drift[i][1]
+        for i, j in self.varying:
+            _, c1, c2 = self.coef[(i, j)]
+            if i == j:
+                c, H = 0.5, (at((i, 1)) - 2.0 * v0 + at((i, -1))) / h[i] ** 2
+            else:
+                faces = at((i, 1)) + at((i, -1)) + at((j, 1)) + at((j, -1))
+                denom = 2.0 * h[i] * h[j]
+                spos = (2.0 * v0 + at((i, 1), (j, 1)) + at((i, -1), (j, -1)) - faces) / denom
+                sneg = -(2.0 * v0 + at((i, 1), (j, -1)) + at((i, -1), (j, 1)) - faces) / denom
+                c, H = 1.0, 0.5 * (spos + sneg)  # the 4-point central stencil
+            lin += c * c1 * H
+            quadc += c * c2 * H
+        denom = 2.0 * quadc
+        safe = np.abs(denom) > 1e-300
+        u = np.where(safe, -lin / np.where(safe, denom, 1.0), self.lo)
+        u = self.ustar = np.clip(u, self.lo, self.hi)
+
+        def entry(i, j):  # i <= j
+            c0, c1, c2 = self.coef[(i, j)]
+            return c0 + u * (c1 + u * c2) if (i, j) in self.varying else c0
+
+        drift = _drift_rates(lambda d: self.drift[d][0] + self.drift[d][1] * u,
+                             h, self.drift_dims)
+        diff = _diffusion_rates(entry, h, self.pairs)
+        for j, o in enumerate(self.offsets):
+            out[j] = drift.get(o, 0.0) + (diff[o] if o in self.diff_offsets else 0.0)
 
 
 class _OptimalScheme:
-    """Candidate machinery shared by propagate_optimal and argmax_policy."""
+    """The candidate-input regime of a system and the stencil built for it;
+    shared by propagate_optimal and argmax_policy."""
 
     def __init__(self, sys: SystemModel, cfg: PropagationConfig):
-        self.sys = sys
-        self.cfg = cfg
-        spec = sys.grid
-        self.spec = spec
-        self.interior = sys.interior_mask()
-        nodes = spec.nodes()
-        flags = sys.flags
-        width = sys.input_upper - sys.input_lower
-        degenerate = bool(np.all(width == 0.0))
-
-        self.dynamic_quadratic = False
-        if degenerate:
+        self.sys, flags = sys, sys.flags
+        dynamic = False
+        if np.all(sys.input_upper == sys.input_lower):
             cand = sys.input_center()[None, :]
         elif flags.input_affine and (flags.sigma_u_independent or flags.sigma_zero):
             cand = sys.input_corners()
         elif flags.input_affine and flags.sigma_gram_quadratic and sys.n_u == 1:
             cand = sys.input_corners()
-            self.dynamic_quadratic = True
+            dynamic = True
         else:
             cand = sys.input_grid(cfg.candidate_points)
         self.candidates = cand
 
-        share_diffusion = flags.sigma_u_independent or flags.sigma_zero
-        self.base = None
-        self.coeffs = []
-        node_load = np.zeros(spec.size)
-        for u in cand:
-            U = np.broadcast_to(u, (spec.size, sys.n_u))
-            F = sys.drift(nodes, U)
-            gram = None if share_diffusion else sys.gram(nodes, U)
-            c = _Coeffs(spec, F, gram, self.interior, drift_only=share_diffusion)
-            self.coeffs.append(c)
-            node_load = np.maximum(
-                node_load, c.node_load_drift + c.node_load_diff
-            )
-        if share_diffusion:
-            gram = sys.gram(nodes, np.broadcast_to(cand[0], (spec.size, sys.n_u)))
-            self.base = _Coeffs(spec, None, gram, self.interior, diffusion_only=True)
-            node_load += self.base.node_load_diff
-        self.quad = None
-        if self.dynamic_quadratic:
-            self.quad = _QuadGramModel(sys)
-            gbound = _Coeffs(spec, None, self.quad.box_max(), self.interior,
-                             diffusion_only=True)
-            # The critical candidate's drift load is covered by the corner
-            # candidates (affine drift peaks at a box vertex); its noise
-            # Gram needs the exact interval max.
-            drift_peak = np.zeros(spec.size)
-            for c in self.coeffs:
-                drift_peak = np.maximum(drift_peak, c.node_load_drift)
-            node_load = np.maximum(node_load, drift_peak + gbound.node_load_diff)
-            self.nodes = nodes
-        self.load = float(np.max(node_load[self.interior]))
-        pairs = set()
-        if self.base is not None:
-            pairs |= set(self.base.cross.keys())
-        for c in self.coeffs:
-            pairs |= set(c.cross.keys())
+        self.load, self.stencil, self.quad = _split_stencil(
+            sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in cand],
+            flags.sigma_u_independent or flags.sigma_zero, dynamic)
+
+    def policy(self, arg: np.ndarray) -> PolicyTable:
+        """Winning inputs per node for the argmax indices ``arg``."""
+        out = self.candidates[np.minimum(arg, len(self.candidates) - 1)]
         if self.quad is not None:
-            pairs |= {
-                (i, j)
-                for i in range(spec.dims)
-                for j in range(i + 1, spec.dims)
-                if np.any(self.quad.c1[:, i, j] != 0.0) or np.any(self.quad.c2[:, i, j] != 0.0)
-                or np.any(self.quad.c0[:, i, j] != 0.0)
-            }
-        self.pairs = sorted(pairs)
-
-    def _critical_input(self, d: _Diffs) -> np.ndarray:
-        """Clamped stationary point of the continuous generator in u
-        (scalar input, affine drift, quadratic Gram), from central diffs."""
-        sys = self.sys
-        spec = self.spec
-        n = spec.dims
-        grad = [(d.back[i] + d.fwd[i]) / 2.0 for i in range(n)]
-        # d/du [ grad.f0 + grad.(g1 u) + 1/2 sum H_ij (c0+c1 u+c2 u^2)_ij ]
-        #   = grad.g1 + 1/2 sum H_ij c1_ij + u sum H_ij c2_ij
-        lin = np.zeros(spec.shape)
-        quadc = np.zeros(spec.shape)
-        g1 = self._drift_slope()
-        for i in range(n):
-            lin += grad[i] * g1[i]
-        c1 = self.quad.c1.reshape((spec.size, n, n))
-        c2 = self.quad.c2.reshape((spec.size, n, n))
-        for i in range(n):
-            Hii = d.second[i]
-            lin += 0.5 * c1[:, i, i].reshape(spec.shape) * Hii
-            quadc += 0.5 * c2[:, i, i].reshape(spec.shape) * Hii
-        # Cross Hessian entries: central-of-central composition.
-        for (i, j) in self.pairs:
-            if np.any(c1[:, i, j] != 0.0) or np.any(c2[:, i, j] != 0.0):
-                spos, sneg = d.cross[(i, j)]
-                Hij = 0.5 * (spos + sneg)  # equals the 4-point central stencil
-                lin += c1[:, i, j].reshape(spec.shape) * Hij
-                quadc += c2[:, i, j].reshape(spec.shape) * Hij
-        denom = 2.0 * quadc
-        safe = np.abs(denom) > 1e-300
-        ustar = np.where(safe, -lin / np.where(safe, denom, 1.0), self.sys.input_lower[0])
-        return np.clip(ustar, sys.input_lower[0], sys.input_upper[0])
-
-    def _drift_slope(self) -> np.ndarray:
-        """Affine drift slope g1(x) per dim, shape (n_x, *shape) (scalar input)."""
-        if not hasattr(self, "_g1"):
-            sys = self.sys
-            lo, hi = sys.input_lower[0], sys.input_upper[0]
-            nodes = self.spec.nodes()
-            Fl = sys.drift(nodes, np.full((self.spec.size, 1), lo))
-            Fh = sys.drift(nodes, np.full((self.spec.size, 1), hi))
-            g1 = (Fh - Fl) / (hi - lo)
-            self._g1 = g1.T.reshape((self.spec.dims,) + self.spec.shape)
-        return self._g1
-
-    def _dynamic_coeffs(self, d: _Diffs):
-        ustar = self._critical_input(d).ravel()
-        U = ustar[:, None]
-        F = self.sys.drift(self.nodes, U)
-        gram = self.sys.gram(self.nodes, U)
-        return _Coeffs(self.spec, F, gram, self.interior), ustar
-
-    def score(self, d: _Diffs):
-        """Best rate over candidates and the winning input per node."""
-        base_rate = self.base.rate(d) if self.base is not None else None
-        best = None
-        arg = np.zeros(self.spec.shape, dtype=np.int64)
-        for k, c in enumerate(self.coeffs):
-            r = c.rate(d)
-            if best is None:
-                best = r
-            else:
-                better = r > best
-                best = np.where(better, r, best)
-                arg = np.where(better, k, arg)
-        ustar = None
-        if self.dynamic_quadratic:
-            cdyn, ustar = self._dynamic_coeffs(d)
-            r = cdyn.rate(d)
-            better = r > best
-            best = np.where(better, r, best)
-            arg = np.where(better, len(self.coeffs), arg)
-        if base_rate is not None:
-            best = best + base_rate
-        return best, arg, ustar
-
-    def winning_inputs(self, arg: np.ndarray, ustar) -> np.ndarray:
-        n_u = self.sys.n_u
-        flat = arg.ravel()
-        out = self.candidates[np.minimum(flat, len(self.candidates) - 1)]
-        if ustar is not None:
-            dyn = flat == len(self.coeffs)
-            out = out.copy()
-            out[dyn, 0] = ustar[dyn]
-        return out.reshape((self.spec.size, n_u))
+            dyn = arg == len(self.candidates)
+            out[dyn, 0] = self.quad.ustar[self.stencil.pos][dyn]
+        return PolicyTable(self.sys.grid, out, self.sys.input_lower, self.sys.input_upper)
 
 
 def propagate_optimal(field: ScalarField, sys: SystemModel,
@@ -586,26 +598,15 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
     """
     _check_specs(field, sys)
     scheme = _OptimalScheme(sys, cfg)
-    spec = sys.grid
-    ws = _Workspace(spec, scheme.interior)
-    ws.load(field.values)
-    mask = ws.interior
+    stencil = scheme.stencil
+    stencil.load(field.values)
     if cfg.horizon > 0.0:
         n_steps, dt = _choose_step(cfg.horizon, scheme.load, cfg)
+        stencil.fold_step(dt)
         for _ in range(n_steps):
-            ws.refresh_ghosts()
-            d = ws.diffs(scheme.pairs)
-            rate, _, _ = scheme.score(d)
-            ws.P[ws.core] = np.where(mask, d.v0 + dt * rate, 0.0)
-    out = ws.values().ravel()
-    ws.refresh_ghosts()
-    d = ws.diffs(scheme.pairs)
-    _, arg, ustar = scheme.score(d)
-    inputs = scheme.winning_inputs(arg, ustar)
-    policy = PolicyTable(spec, inputs, sys.input_lower, sys.input_upper)
-    if cfg.horizon == 0.0:
-        return ScalarField(spec, field.values), policy
-    return ScalarField(spec, out), policy
+            stencil.step()
+    out = stencil.values() if cfg.horizon > 0.0 else field.values
+    return ScalarField(sys.grid, out), scheme.policy(stencil.argmax())
 
 
 def argmax_policy(field: ScalarField, sys: SystemModel,
@@ -613,10 +614,5 @@ def argmax_policy(field: ScalarField, sys: SystemModel,
     """Pointwise argmax of the discrete generator against a fixed field."""
     _check_specs(field, sys)
     scheme = _OptimalScheme(sys, cfg)
-    ws = _Workspace(sys.grid, scheme.interior)
-    ws.load(field.values)
-    ws.refresh_ghosts()
-    d = ws.diffs(scheme.pairs)
-    _, arg, ustar = scheme.score(d)
-    inputs = scheme.winning_inputs(arg, ustar)
-    return PolicyTable(sys.grid, inputs, sys.input_lower, sys.input_upper)
+    scheme.stencil.load(field.values)
+    return scheme.policy(scheme.stencil.argmax())

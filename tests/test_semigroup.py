@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from scbf.errors import NotInterior, StabilityViolation
-from scbf.grid import ScalarField, sup_norm
+from scbf.grid import GridSpec, ImplicitSet, ScalarField, sup_norm
 from scbf.semigroup import (
     PolicyTable,
     PropagationConfig,
@@ -14,7 +14,7 @@ from scbf.semigroup import (
     propagate,
     propagate_optimal,
 )
-from scbf.systems import make_benchmark
+from scbf.systems import SystemModel, make_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +283,91 @@ class TestPropagateOptimal:
         out, policy = propagate_optimal(f, di_small, PropagationConfig(horizon=0.0))
         assert np.array_equal(out.values, f.values)
         assert policy.inputs.shape == (di_small.grid.size, 1)
+
+
+def correlated_noise_system(c):
+    """2-D system with noise Gram [[1, c], [c, 1]] on a (21, 41) grid over
+    [-1, 1]^2 (h = 0.1, 0.05).  Scaled diagonal dominance
+    a_ii/h_i >= sum_j |a_ij|/h_j holds for |c| <= 0.5 and fails above."""
+    chol = np.linalg.cholesky(np.array([[1.0, c], [c, 1.0]]))
+
+    def drift(x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = np.empty(np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape) + (2,))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = u[..., 0] - 0.5 * x[..., 0]
+        return out
+
+    def diffusion(x, u):
+        shape = np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.asarray(u)[..., 0].shape)
+        return np.broadcast_to(chol, shape + (2, 2)).copy()
+
+    return SystemModel(name=f"correlated_{c}", n_x=2, n_u=1, n_w=2, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=GridSpec([-1.0, -1.0], [1.0, 1.0], (21, 41)),
+                       safe_set=ImplicitSet("box"))
+
+
+class TestMixedDerivativeStencil:
+    def test_non_dominant_noise_raises(self):
+        sys = correlated_noise_system(0.8)
+        f = interior_random_field(sys, 1)
+        cfg = PropagationConfig(horizon=0.01)
+        with pytest.raises(StabilityViolation, match=r"node \d+ .* offset \(-?1, 0\)"):
+            propagate(f, sys, PolicyTable.zero(sys), cfg)
+        with pytest.raises(StabilityViolation, match="diagonally dominant"):
+            propagate_optimal(f, sys, cfg)
+
+    @pytest.mark.parametrize("c", [0.4, -0.4])
+    def test_dominant_noise_runs_monotone(self, c):
+        sys = correlated_noise_system(c)
+        cfg = PropagationConfig(horizon=0.05)
+        for seed in range(5):
+            f = interior_random_field(sys, seed)
+            out = propagate(f, sys, PolicyTable.constant(sys, [0.3]), cfg)
+            assert np.min(out.values) >= 0.0
+            assert sup_norm(out) <= sup_norm(f) + 1e-14
+            opt, _ = propagate_optimal(f, sys, cfg)
+            assert np.min(opt.values) >= 0.0
+
+    @pytest.mark.parametrize("c", [0.4, -0.4])
+    def test_generator_consistency(self, c):
+        # One explicit step of length delta reproduces apply_generator,
+        # including its sign-split cross stencil.
+        sys = correlated_noise_system(c)
+        nodes = sys.grid.nodes()
+        smooth = np.cos(nodes[:, 0]) * np.exp(-0.3 * nodes[:, 1] ** 2) + 0.2 * nodes[:, 0] * nodes[:, 1]
+        f = ScalarField(sys.grid, np.where(sys.interior_mask(), smooth, 0.0))
+        u = np.array([0.25])
+        delta = 1e-5
+        out = propagate(f, sys, PolicyTable.constant(sys, u), PropagationConfig(horizon=delta))
+        quotient = (out.values - f.values) / delta
+        rng = np.random.default_rng(0)
+        for node in rng.choice(np.nonzero(sys.interior_mask())[0], size=40, replace=False):
+            gen = apply_generator(f, sys, u, int(node))
+            assert quotient[node] == pytest.approx(gen, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, counts, kw", [
+    ("di_omni", (21, 41), {}),                               # box corners
+    ("di_input_noise", (21, 41), {}),                        # corners + critical point
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 5}),    # candidate grid
+])
+def test_optimal_policy_attains_candidate_max(name, counts, kw):
+    # Tie-tolerant: the returned input's generator value equals the best
+    # candidate's, whichever of several tied candidates was returned.
+    sys = make_benchmark(name, grid_counts=counts)
+    cfg = PropagationConfig(horizon=0.05, **kw)
+    out, policy = propagate_optimal(interior_random_field(sys, 11), sys, cfg)
+    candidates = (sys.input_grid(cfg.candidate_points) if name == "wig_aircraft"
+                  else sys.input_corners())
+    rng = np.random.default_rng(5)
+    for node in rng.choice(np.nonzero(sys.interior_mask())[0], size=30, replace=False):
+        node = int(node)
+        chosen = apply_generator(out, sys, policy.inputs[node], node)
+        best = max(apply_generator(out, sys, u, node) for u in candidates)
+        assert chosen == pytest.approx(max(best, chosen), rel=1e-9, abs=1e-9)
 
 
 class TestPolicyTable:
