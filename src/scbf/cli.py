@@ -426,15 +426,19 @@ def cmd_filter(args) -> int:
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        parts = [float(p) for p in line.split(",")]
+        fields = line.split(",")
         expected = 1 + sys_model.n_x + sys_model.n_u
-        if len(parts) != expected:
+        if len(fields) != expected:
             raise ConfigError(
                 f"{queries}:{lineno}: expected {expected} columns (t, x, u_ref)"
             )
-        x = np.array(parts[1:1 + sys_model.n_x])
-        u_ref = np.array(parts[1 + sys_model.n_x:])
-        u, status = filter_input(spec, x, u_ref)
+        try:
+            parts = [float(p) for p in fields]
+            x = np.array(parts[1:1 + sys_model.n_x])
+            u_ref = np.array(parts[1 + sys_model.n_x:])
+            u, status = filter_input(spec, x, u_ref)
+        except (ValueError, ScbfError) as exc:
+            raise ConfigError(f"{queries}:{lineno}: {exc}") from None
         out_lines.append(",".join([repr(float(v)) for v in u] + [status.value]))
     Path(args.output).write_text("\n".join(out_lines) + "\n", encoding="ascii")
     print(f"answered {len(out_lines) - 1} filter queries -> {args.output}")

@@ -22,8 +22,9 @@ frozen at construction so fields behave as snapshots.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,30 +138,44 @@ class GridSpec:
         Accepts shape ``(dims,)`` or ``(B, dims)``.  Raises OutOfDomain if a
         point leaves the closed box in a non-periodic dimension.
         """
+        cell, frac = self._locate_by_dim(x)
+        return cell.T.copy(), frac.T.copy()
+
+    @cached_property
+    def _columns(self):
+        """Lower corner, spacing, largest cell index and flat strides as
+        ``(dims, 1)`` columns, for ``_locate_by_dim`` and ``_corners``."""
+        top = [n - 1 if p else n - 2 for n, p in zip(self.counts, self.periodic)]
+        return tuple(np.asarray(v)[:, None] for v in
+                     (self.lower, self.spacing, top, _flat_strides(self.counts)))
+
+    def _locate_by_dim(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``locate`` with dimension-major results, shape ``(dims, B)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dims:
             raise ValueError(f"expected {self.dims}-dimensional points")
-        x = self.wrap(x)
-        h = self.spacing
-        cell = np.empty(x.shape, dtype=np.int64)
-        frac = np.empty(x.shape, dtype=float)
+        lower, h, top, _ = self._columns
+        x = x.T.copy()
         for d in range(self.dims):
-            lo, hi, n = self.lower[d], self.upper[d], self.counts[d]
-            xd = x[:, d]
-            if not self.periodic[d]:
-                bad = (xd < lo) | (xd > hi)
-                if np.any(bad):
-                    j = int(np.argmax(bad))
-                    raise OutOfDomain(
-                        f"coordinate {d} = {xd[j]} outside [{lo}, {hi}]"
-                    )
-            t = (xd - lo) / h[d]
-            c = np.floor(t).astype(np.int64)
-            top = n - 1 if self.periodic[d] else n - 2
-            c = np.clip(c, 0, top)
-            cell[:, d] = c
-            frac[:, d] = t - c
-        return cell, frac
+            if self.periodic[d]:
+                lo = self.lower[d]
+                x[d] = lo + np.mod(x[d] - lo, self.upper[d] - lo)
+        # fmin/fmax skip NaN, so a NaN beside an outside point still fails.
+        low = np.fmin.reduce(x, axis=1, initial=np.inf).tolist()
+        high = np.fmax.reduce(x, axis=1, initial=-np.inf).tolist()
+        for d in range(self.dims):
+            lo, hi = self.lower[d], self.upper[d]
+            if not self.periodic[d] and (low[d] < lo or high[d] > hi):
+                j = int(np.argmax((x[d] < lo) | (x[d] > hi)))
+                raise OutOfDomain(f"coordinate {d} = {x[d, j]} outside [{lo}, {hi}]")
+        t = x
+        t -= lower
+        t /= h
+        # t >= 0 here (or NaN), so truncation is floor; NaN clips to cell 0
+        cell = t.astype(np.int64)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, top, out=cell)
+        return cell, t - cell
 
 
 def _flat_strides(counts: tuple[int, ...]) -> np.ndarray:
@@ -312,26 +327,43 @@ def sup_norm(field: ScalarField) -> float:
     return float(np.max(np.abs(field.values)))
 
 
-def _interp_stack(spec: GridSpec, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of ``K`` stacked node arrays at ``B`` points.
+def _corners(spec: GridSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Locate points once: the flat node index and multilinear weight of
+    every corner of each point's cell, both shape ``(2**dims, B)``.
 
-    stack: shape (K, size); returns shape (B, K).
+    Corners run in ``itertools.product((0, 1), repeat=dims)`` order and each
+    weight is the product of its per-dimension factors taken in dimension
+    order, so a blend is bit-identical to one built corner by corner.
     """
-    cell, frac = spec.locate(x)
-    strides = _flat_strides(spec.counts)
-    B = cell.shape[0]
-    out = np.zeros((B, stack.shape[0]))
-    counts = np.asarray(spec.counts)
-    for corner in itertools.product((0, 1), repeat=spec.dims):
-        idx = cell + np.asarray(corner, dtype=np.int64)
-        for d in range(spec.dims):
-            if spec.periodic[d]:
-                idx[:, d] %= counts[d]
-        flat = idx @ strides
-        w = np.ones(B)
-        for d, c in enumerate(corner):
-            w *= frac[:, d] if c else (1.0 - frac[:, d])
-        out += w[:, None] * stack[:, flat].T
+    cell, frac = spec._locate_by_dim(x)
+    B = cell.shape[1]
+    strides = spec._columns[3]
+    # per dimension, the flat offset and the weight factor of the lower
+    # (index 0) and upper (index 1) corner
+    index = np.empty((spec.dims, 2, B), dtype=np.int64)
+    np.multiply(cell, strides, out=index[:, 0])
+    np.add(index[:, 0], strides, out=index[:, 1])
+    for d in np.flatnonzero(spec.periodic):
+        index[d, 1] = (cell[d] + 1) % spec.counts[d] * strides[d, 0]
+    factor = np.empty((spec.dims, 2, B))
+    np.subtract(1.0, frac, out=factor[:, 0])
+    factor[:, 1] = frac
+    flat, weight = index[0], factor[0]
+    for d in range(1, spec.dims):
+        flat = (flat[:, None] + index[d]).reshape(2 ** (d + 1), B)
+        weight = (weight[:, None] * factor[d]).reshape(2 ** (d + 1), B)
+    return flat, weight
+
+
+def _blend(table: np.ndarray, corners) -> np.ndarray:
+    """Multilinear blend of a node-major table ``(size, K)`` at located
+    points; returns ``(B, K)``."""
+    flat, weight = corners
+    terms = table[flat]
+    terms *= weight[:, :, None]
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
     return out
 
 
@@ -343,7 +375,7 @@ def interpolate(field: ScalarField, x: np.ndarray):
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    vals = _interp_stack(field.spec, field.values[None, :], x)[:, 0]
+    vals = _blend(field.values[:, None], _corners(field.spec, x))[:, 0]
     return float(vals[0]) if single else vals
 
 
@@ -382,44 +414,70 @@ def _derivative_1d(values: np.ndarray, dim: int, h: float, periodic: bool,
     return out
 
 
+def _gradient_columns(field: ScalarField) -> list[np.ndarray]:
+    """Nodal first derivatives, one flat array per dimension."""
+    spec = field.spec
+    v = field.shaped()
+    h = spec.spacing
+    return [_derivative_1d(v, d, h[d], spec.periodic[d], 1).ravel()
+            for d in range(spec.dims)]
+
+
+def _hessian_columns(field: ScalarField) -> list[np.ndarray]:
+    """Nodal second derivatives (row-major over (i, j) with i <= j), one flat
+    array each.  Cross terms are symmetrized compositions of the 1-D
+    stencils (the 4-point central stencil on interior nodes, with one-sided
+    fallback within one cell of a face)."""
+    spec = field.spec
+    v = field.shaped()
+    h = spec.spacing
+    cols = []
+    for i in range(spec.dims):
+        for j in range(i, spec.dims):
+            if i == j:
+                cols.append(_derivative_1d(v, i, h[i], spec.periodic[i], 2).ravel())
+            else:
+                di = _derivative_1d(v, i, h[i], spec.periodic[i], 1)
+                dj = _derivative_1d(v, j, h[j], spec.periodic[j], 1)
+                dij = _derivative_1d(di, j, h[j], spec.periodic[j], 1)
+                dji = _derivative_1d(dj, i, h[i], spec.periodic[i], 1)
+                cols.append((0.5 * (dij + dji)).ravel())
+    return cols
+
+
 def _nodal_gradient(field: ScalarField) -> np.ndarray:
-    """Stacked nodal first derivatives, shape (dims, size). Cached."""
+    """Node-major first derivatives, shape (size, dims). Cached."""
     if field._grad is None:
-        spec = field.spec
-        v = field.shaped()
-        h = spec.spacing
-        g = [
-            _derivative_1d(v, d, h[d], spec.periodic[d], 1).ravel()
-            for d in range(spec.dims)
-        ]
-        field._grad = np.stack(g, axis=0)
+        field._grad = np.stack(_gradient_columns(field), axis=1)
     return field._grad
 
 
 def _nodal_hessian(field: ScalarField) -> np.ndarray:
-    """Stacked nodal second derivatives (row-major over (i, j) with i <= j),
-    shape (dims*(dims+1)/2, size).  Cross terms are symmetrized compositions
-    of the 1-D stencils (the 4-point central stencil on interior nodes, with
-    one-sided fallback within one cell of a face)."""
+    """Node-major upper-triangle second derivatives, shape
+    (size, dims*(dims+1)/2). Cached."""
     if field._hess is None:
-        spec = field.spec
-        v = field.shaped()
-        h = spec.spacing
-        rows = []
-        for i in range(spec.dims):
-            for j in range(i, spec.dims):
-                if i == j:
-                    rows.append(
-                        _derivative_1d(v, i, h[i], spec.periodic[i], 2).ravel()
-                    )
-                else:
-                    di = _derivative_1d(v, i, h[i], spec.periodic[i], 1)
-                    dj = _derivative_1d(v, j, h[j], spec.periodic[j], 1)
-                    dij = _derivative_1d(di, j, h[j], spec.periodic[j], 1)
-                    dji = _derivative_1d(dj, i, h[i], spec.periodic[i], 1)
-                    rows.append((0.5 * (dij + dji)).ravel())
-        field._hess = np.stack(rows, axis=0)
+        field._hess = np.stack(_hessian_columns(field), axis=1)
     return field._hess
+
+
+def _derivative_table(field: ScalarField) -> np.ndarray:
+    """Node-major ``[value, gradient, Hessian upper triangle]`` columns, so
+    one blend gives all three at a located state (not cached)."""
+    cols = [field.values] + _gradient_columns(field) + _hessian_columns(field)
+    return np.stack(cols, axis=1)
+
+
+def _unpack_hessian(upper: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric ``(B, n, n)`` matrices from ``(B, n*(n+1)/2)`` upper
+    triangles in row-major (i <= j) order."""
+    H = np.empty((upper.shape[0], n, n))
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            H[:, i, j] = upper[:, k]
+            H[:, j, i] = upper[:, k]
+            k += 1
+    return H
 
 
 def gradient_at(field: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -429,7 +487,7 @@ def gradient_at(field: ScalarField, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out = _interp_stack(field.spec, _nodal_gradient(field), x)
+    out = _blend(_nodal_gradient(field), _corners(field.spec, x))
     return out[0] if single else out
 
 
@@ -441,16 +499,8 @@ def hessian_at(field: ScalarField, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    flat = _interp_stack(field.spec, _nodal_hessian(field), x)
-    n = field.spec.dims
-    B = flat.shape[0]
-    H = np.empty((B, n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            H[:, i, j] = flat[:, k]
-            H[:, j, i] = flat[:, k]
-            k += 1
+    upper = _blend(_nodal_hessian(field), _corners(field.spec, x))
+    H = _unpack_hessian(upper, field.spec.dims)
     return H[0] if single else H
 
 
@@ -476,19 +526,62 @@ def write_field(field: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """Read a ``.fld`` file; a malformed one raises ValueError naming
+    ``<path>:<line>``."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or not lines[0].startswith("dims "):
-        raise ValueError(f"{path}: not a field file (missing 'dims' header)")
-    n = int(lines[0].split()[1])
-    lower, upper, counts, periodic = [], [], [], []
-    for d in range(n):
-        parts = lines[1 + d].split()
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dims":
+        raise ValueError(f"{path}:1: not a field file (expected 'dims <n>')")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}:1: dimension count {head[1]!r} is not an integer") from None
+    if n < 1:
+        raise ValueError(f"{path}:1: need at least one dimension, got {n}")
+    if len(lines) < 1 + n:
+        raise ValueError(f"{path}:{len(lines)}: header ends after {len(lines) - 1} "
+                         f"of {n} dimension lines")
+    axes = []
+    for lineno in range(2, 2 + n):
+        parts = lines[lineno - 1].split()
         if len(parts) != 4:
-            raise ValueError(f"{path}: malformed header line {d + 2}")
-        lower.append(float(parts[0]))
-        upper.append(float(parts[1]))
-        counts.append(int(parts[2]))
-        periodic.append(bool(int(parts[3])))
-    spec = GridSpec(lower, upper, counts, periodic)
-    values = np.array([float(s) for s in lines[1 + n:] if s], dtype=float)
+            raise ValueError(f"{path}:{lineno}: malformed header line "
+                             "(expected '<lower> <upper> <count> <periodic 0|1>')")
+        try:
+            axis = (float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]))
+            if axis[3] not in (0, 1):
+                raise ValueError(f"periodic flag must be 0 or 1, got {axis[3]}")
+            # validate this line alone, so an error names its line
+            GridSpec(*([v] for v in axis))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        axes.append(axis)
+    spec = GridSpec(*zip(*axes))
+    body = lines[1 + n:]
+    try:
+        values = np.array([float(text) for text in body if text], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.size != spec.size or not np.all(np.isfinite(values)):
+        _locate_value_error(path, body, 2 + n, spec.size)
     return ScalarField(spec, values)
+
+
+def _locate_value_error(path, body, first_line: int, size: int):
+    """Raise a ValueError naming the first bad line of a field's values."""
+    count = 0
+    for lineno, text in enumerate(body, start=first_line):
+        if not text:
+            continue
+        if count == size:
+            raise ValueError(f"{path}:{lineno}: more than the {size} values "
+                             "the header declares")
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+        count += 1
+    raise ValueError(f"{path}:{first_line + len(body) - 1}: file ends after {count} "
+                     f"of the {size} values the header declares")

@@ -36,7 +36,7 @@ import itertools
 import numpy as np
 
 from .errors import OutOfDomain, StructureError
-from .grid import gradient_at, hessian_at, interpolate
+from .grid import _blend, _corners, _derivative_table, _unpack_hessian
 from .spectral import EigenResult
 from .systems import SystemModel
 
@@ -92,17 +92,19 @@ class FilterSpec:
         if weight.size != sys.n_u or np.any(weight <= 0.0):
             raise ValueError("weights must be positive, one per input channel")
         self.weight = weight
-        self._policy_stack = result.policy.inputs.T.copy()
+        # psi, its gradient and its Hessian upper triangle per node, so one
+        # blend gives all three at a located state.
+        self._table = _derivative_table(self.psi)
 
     def backup_input(self, x: np.ndarray) -> np.ndarray:
         """Interpolated backup-policy input, clamped into the box."""
-        from .grid import _interp_stack  # local import keeps the public surface tidy
-
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        u = _interp_stack(self.sys.grid, self._policy_stack, x)
-        u = np.clip(u, self.sys.input_lower, self.sys.input_upper)
-        return u[0] if single else u
+        u = self._backup_at(_corners(self.sys.grid, x))
+        return u[0] if x.ndim == 1 else u
+
+    def _backup_at(self, corners) -> np.ndarray:
+        u = _blend(self.policy.inputs, corners)
+        return np.clip(u, self.sys.input_lower, self.sys.input_upper)
 
     def cost(self, u: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
         d = np.asarray(u) - np.asarray(u_ref)
@@ -126,6 +128,19 @@ def _affine_drift_parts(sys: SystemModel, X: np.ndarray):
     return f0, G
 
 
+def _barrier_at(spec: FilterSpec, X: np.ndarray):
+    """Locate states ``(B, n_x)`` once and read psi ``(B,)``, its gradient
+    ``(B, n_x)`` and Hessian ``(B, n_x, n_x)`` from one blend.  Also returns
+    the located corners, for the backup policy."""
+    n = spec.sys.n_x
+    corners = _corners(spec.sys.grid, X)
+    vals = _blend(spec._table, corners)
+    psi_x = vals[:, 0].copy()
+    p = vals[:, 1:1 + n].copy()
+    H = _unpack_hessian(vals[:, 1 + n:], n)
+    return corners, psi_x, p, H
+
+
 def generator_coefficients(spec: FilterSpec, x: np.ndarray):
     """Decompose A^u psi(x) + gamma psi(x) into (a0, a_lin, a_quad).
 
@@ -140,9 +155,13 @@ def generator_coefficients(spec: FilterSpec, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if not bool(sys.contains(x)[0]):
         raise OutOfDomain("state is outside the safe set")
-    p = gradient_at(spec.psi, x)
-    H = hessian_at(spec.psi, x)
-    psi_x = interpolate(spec.psi, x)
+    _, psi_x, p, H = _barrier_at(spec, x.reshape(1, -1))
+    return _coefficients(spec, x, psi_x[0], p[0], H[0])
+
+
+def _coefficients(spec: FilterSpec, x, psi_x, p, H):
+    """generator_coefficients from psi, its gradient and Hessian at x."""
+    sys = spec.sys
     f0, G = _affine_drift_parts(sys, x[None, :])
     a0 = float(p @ f0[0] + spec.gamma * psi_x)
     a_lin = p @ G[0]
@@ -167,12 +186,15 @@ def generator_coefficients(spec: FilterSpec, x: np.ndarray):
 
 def generator_value(spec: FilterSpec, x: np.ndarray, U: np.ndarray) -> np.ndarray:
     """A^u psi(x) + gamma psi(x) for one state and a batch of inputs."""
-    sys = spec.sys
     x = np.asarray(x, dtype=float)
+    _, psi_x, p, H = _barrier_at(spec, x.reshape(1, -1))
+    return _generator(spec, x, psi_x[0], p[0], H[0], U)
+
+
+def _generator(spec: FilterSpec, x, psi_x, p, H, U) -> np.ndarray:
+    """generator_value from psi, its gradient and Hessian at x."""
+    sys = spec.sys
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    p = gradient_at(spec.psi, x)
-    H = hessian_at(spec.psi, x)
-    psi_x = interpolate(spec.psi, x)
     X = np.broadcast_to(x, (U.shape[0], sys.n_x))
     F = sys.drift(X, U)
     gram = sys.gram(X, U)
@@ -270,11 +292,12 @@ def _quad_feasible_project(r, lo, hi, c0, c1, c2):
 # --- the filter ----------------------------------------------------------------
 
 
-def _grid_search(spec: FilterSpec, x, u_ref):
-    """Candidate grid + coordinate refinement for non-affine systems."""
+def _grid_search(spec: FilterSpec, value, u_ref):
+    """Candidate grid + coordinate refinement for non-affine systems;
+    ``value(U)`` is the generator at the query state."""
     sys = spec.sys
     grid = sys.input_grid(_GRID_POINTS)
-    g = generator_value(spec, x, grid)
+    g = value(grid)
     feasible = g >= -SLACK
     if not np.any(feasible):
         return None, grid[int(np.argmax(g))]
@@ -293,7 +316,7 @@ def _grid_search(spec: FilterSpec, x, u_ref):
             cands[:, d_dim] = np.clip(
                 best[d_dim] + offs, sys.input_lower[d_dim], sys.input_upper[d_dim]
             )
-            gv = generator_value(spec, x, cands)
+            gv = value(cands)
             ok = gv >= -SLACK
             if np.any(ok):
                 cc = spec.cost(cands[ok], u_ref)
@@ -320,13 +343,15 @@ def filter_input(spec: FilterSpec, x: np.ndarray, u_ref: np.ndarray):
         raise ValueError("reference input must be finite")
     lo, hi = sys.input_lower, sys.input_upper
     u0 = np.clip(u_ref, lo, hi)
+    corners, psi_x, p, H = _barrier_at(spec, x[None, :])
+    at_x = (psi_x[0], p[0], H[0])
 
     affine = sys.flags.input_affine and (
         sys.flags.sigma_u_independent or sys.flags.sigma_zero
         or (sys.flags.sigma_gram_quadratic and sys.n_u == 1)
     )
     if affine:
-        a0, a_lin, a_quad = generator_coefficients(spec, x)
+        a0, a_lin, a_quad = _coefficients(spec, x, *at_x)
 
         def g(u):
             val = a0 + float(a_lin @ u)
@@ -348,21 +373,23 @@ def filter_input(spec: FilterSpec, x: np.ndarray, u_ref: np.ndarray):
             return u, FilterStatus.MODIFIED
         maximizer = None
     else:
-        g_val = generator_value(spec, x, u0[None, :])[0]
-        if g_val >= -SLACK:
+        def value(U):
+            return _generator(spec, x, *at_x, U)
+
+        if value(u0[None, :])[0] >= -SLACK:
             return u0, FilterStatus.UNMODIFIED
-        u, maximizer = _grid_search(spec, x, u0)
+        u, maximizer = _grid_search(spec, value, u0)
         if u is not None:
             return u, FilterStatus.MODIFIED
 
     # Constraint infeasible within U: fall back to the backup policy.
-    u_b = spec.backup_input(x)
+    u_b = spec._backup_at(corners)[0]
     if affine:
         gb = a0 + float(a_lin @ u_b)
         if a_quad is not None:
             gb += float(u_b @ a_quad @ u_b)
     else:
-        gb = generator_value(spec, x, u_b[None, :])[0]
+        gb = value(u_b[None, :])[0]
     if gb >= -SLACK:
         return u_b, FilterStatus.BACKUP
     if affine:
@@ -403,9 +430,7 @@ def filter_input_batch(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
 
     lo, hi = sys.input_lower, sys.input_upper
     w = spec.weight
-    p = gradient_at(spec.psi, X)
-    H = hessian_at(spec.psi, X)
-    psi_x = interpolate(spec.psi, X)
+    corners, psi_x, p, H = _barrier_at(spec, X)
     f0, G = _affine_drift_parts(sys, X)
     gram = sys.gram(X, np.broadcast_to(sys.input_center(), (B, sys.n_u)))
     a0 = (np.einsum("bi,bi->b", p, f0)
@@ -458,7 +483,8 @@ def filter_input_batch(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
     # Infeasible rows: backup policy, then generator maximizer.
     bad = idx[~solved]
     if bad.size:
-        u_b = spec.backup_input(X[bad])
+        flat, weight = corners
+        u_b = spec._backup_at((flat[:, bad], weight[:, bad]))
         gb = a0[bad] + np.einsum("bj,bj->b", a_lin[bad], u_b)
         ok = gb >= -SLACK
         U[bad] = u_b

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Collapse
-from .grid import ScalarField, sup_norm
+from .grid import ScalarField, interpolate, sup_norm
 from .semigroup import PolicyTable, PropagationConfig, argmax_policy, propagate, propagate_optimal
 from .systems import SystemModel
 
@@ -115,9 +115,7 @@ def warm_start_field(field: ScalarField, sys: SystemModel) -> ScalarField:
     """Resample a field (e.g. a coarser converged barrier) onto a system's
     grid as an initial guess: interpolated, clipped nonnegative, zeroed
     outside the interior."""
-    from .grid import _interp_stack
-
-    vals = _interp_stack(field.spec, field.values[None, :], sys.grid.nodes())[:, 0]
+    vals = interpolate(field, sys.grid.nodes())
     vals = np.where(sys.interior_mask(), np.maximum(vals, 0.0), 0.0)
     return ScalarField(sys.grid, vals)
 

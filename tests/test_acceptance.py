@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from scbf import montecarlo
 from scbf.cli import main as cli_main
 from scbf.grid import ScalarField, sup_norm
 from scbf.montecarlo import (
@@ -217,7 +218,7 @@ def test_criterion_7_monte_carlo_bound(di_run):
            f"(ratio {slope / res.gamma:.3f} in [0.85, 1.15]); runtime {elapsed:.0f} s")
 
 
-def test_criterion_10_determinism(tmp_path, di_run):
+def test_criterion_10_determinism(tmp_path, di_run, monkeypatch):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -232,14 +233,22 @@ def test_criterion_10_determinism(tmp_path, di_run):
     x0 = sys.grid.nodes()[int(np.argmax(res.psi.values))]
     sim = SimConfig(t_end=0.5, trials=2000, seed=0,
                     controller=FixedPolicyController(res.policy), dt=1e-3)
+    # Cap chunks so the threaded run really splits the trials (3 chunks).
+    chunks = []
+    run_chunk = montecarlo._curve_chunk
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 700)
+    monkeypatch.setattr(montecarlo, "_curve_chunk",
+                        lambda *a: chunks.append(a[3:]) or run_chunk(*a))
     c1 = estimate_safety_curve(sys, sim, x0, threads=1)
-    c2 = estimate_safety_curve(sys, sim, x0, threads=4)
+    c2 = estimate_safety_curve(sys, sim, x0, threads=3)
     c3 = estimate_safety_curve(sys, sim, x0, threads=1)
+    split_ok = sorted(chunks) == 3 * [(0, 700)] + 3 * [(700, 1400)] + 3 * [(1400, 2000)]
     mc_ok = (np.array_equal(c1.alive_counts, c2.alive_counts)
              and np.array_equal(c1.alive_counts, c3.alive_counts))
-    ok = synth_ok and mc_ok
+    ok = synth_ok and mc_ok and split_ok
     report(10, ok, f"synthesis outputs byte-identical across runs: {synth_ok}; "
-                   f"survival counts identical across runs and thread counts: {mc_ok}")
+                   f"survival counts identical across runs and thread counts "
+                   f"(1 and 3, over 3 chunks: {split_ok}): {mc_ok}")
 
 
 @pytest.mark.longrun

@@ -190,6 +190,42 @@ class TestVerify:
         assert "FAIL positivity" in out
 
 
+def _copy_artifacts(src, dst):
+    dst.mkdir()
+    for name in ("psi.fld", "policy_0.fld", "metadata.txt"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+class TestMalformedField:
+    """``verify`` on a broken ``psi.fld`` exits 1 with a file:line message."""
+
+    @pytest.mark.parametrize("mangle, line, phrase", [
+        (lambda lines: lines[:1] + ["-1.0 1.0"], 2, "malformed header line"),
+        (lambda lines: lines[:1], 1, "header ends after 0 of 1 dimension lines"),
+        (lambda lines: lines[:7] + ["0.5x"] + lines[8:], 8, "not a number: '0.5x'"),
+        (lambda lines: lines[:-3], None, "file ends after 198 of the 201 values"),
+        (lambda lines: lines + ["0.0"], None, "more than the 201 values"),
+        (lambda lines: lines[:5] + ["nan"] + lines[6:], 6, "non-finite value 'nan'"),
+        (lambda lines: ["dims two"] + lines[1:], 1, "is not an integer"),
+        (lambda lines: lines[:1] + ["1.0 -1.0 201 0"] + lines[2:], 2, "degenerate extent"),
+    ], ids=["short_axis_line", "truncated_header", "bad_float", "too_few_values",
+            "too_many_values", "non_finite", "bad_dims", "degenerate_axis"])
+    def test_verify_names_file_and_line(self, tmp_path, brownian_artifacts, capsys,
+                                        mangle, line, phrase):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        psi = bad / "psi.fld"
+        lines = psi.read_text().splitlines()
+        mangled = mangle(lines)
+        psi.write_text("\n".join(mangled) + "\n")
+        code = run("verify", "--system", "brownian_1d", "--artifacts", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        where = f"{psi}:{len(mangled) if line is None else line}: "
+        assert where in err and phrase in err, err
+        assert "Traceback" not in err
+
+
 class TestFilterCommand:
     def test_query_csv(self, tmp_path, brownian_artifacts):
         queries = tmp_path / "q.csv"
@@ -211,6 +247,21 @@ class TestFilterCommand:
                    "--artifacts", str(brownian_artifacts),
                    "--queries", str(queries), "--output", str(tmp_path / "a.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("row, phrase", [
+        ("0.0,abc,0.0", "could not convert string to float: 'abc'"),
+        ("0.0,0.0,nan", "reference input must be finite"),
+        ("0.0,3.0,0.0", "outside"),
+    ], ids=["not_a_number", "non_finite_input", "outside_state"])
+    def test_bad_row_names_line(self, tmp_path, brownian_artifacts, capsys, row, phrase):
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"t,x1,u1\n0.0,0.0,0.0\n\n{row}\n")
+        code = run("filter", "--system", "brownian_1d",
+                   "--artifacts", str(brownian_artifacts),
+                   "--queries", str(queries), "--output", str(tmp_path / "a.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{queries}:4: " in err and phrase in err, err
 
 
 class TestExportPlot:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from numpy.testing import assert_allclose
 from scbf.errors import DegenerateSet, OutOfDomain
 from scbf.grid import (
     BOUNDARY,
+    _blend,
+    _corners,
     EXTERIOR,
     INTERIOR,
     GridSpec,
@@ -24,6 +28,24 @@ from scbf.grid import (
 
 def grid2d(counts=(11, 21)):
     return GridSpec([-1.0, -2.0], [1.0, 2.0], counts)
+
+
+def corner_by_corner(spec, stack, x):
+    """Reference multilinear blend of ``(K, size)`` node arrays, built one
+    cell corner at a time in ``itertools.product`` order."""
+    cell, frac = spec.locate(x)
+    strides = np.array([int(np.prod(spec.counts[d + 1:])) for d in range(spec.dims)])
+    out = np.zeros((cell.shape[0], stack.shape[0]))
+    for corner in itertools.product((0, 1), repeat=spec.dims):
+        idx = cell + np.asarray(corner)
+        for d in range(spec.dims):
+            if spec.periodic[d]:
+                idx[:, d] %= spec.counts[d]
+        w = np.ones(cell.shape[0])
+        for d, c in enumerate(corner):
+            w *= frac[:, d] if c else (1.0 - frac[:, d])
+        out += w[:, None] * stack[:, idx @ strides].T
+    return out
 
 
 class TestSupNorm:
@@ -88,11 +110,49 @@ class TestInterpolate:
         with pytest.raises(OutOfDomain):
             interpolate(f, [1.5, 0.0])
 
+    def test_out_of_domain_beside_nan(self):
+        spec = grid2d()
+        f = ScalarField(spec, np.zeros(spec.size))
+        with pytest.raises(OutOfDomain, match="coordinate 0 = 1.5"):
+            interpolate(f, [[np.nan, 0.0], [1.5, 0.0]])
+
+    def test_empty_batch(self):
+        spec = grid2d()
+        f = ScalarField(spec, np.zeros(spec.size))
+        X = np.empty((0, 2))
+        assert interpolate(f, X).shape == (0,)
+        assert gradient_at(f, X).shape == (0, 2)
+        assert hessian_at(f, X).shape == (0, 2, 2)
+
+    def test_locate_cells_and_offsets(self):
+        spec = GridSpec([0.0, 0.0], [1.0, 1.0], [5, 4], periodic=[False, True])
+        cell, frac = spec.locate([[1.0, 0.5], [0.3, -0.25]])
+        assert cell.tolist() == [[3, 2], [1, 3]]   # upper face stays in the last cell
+        assert_allclose(frac, [[1.0, 0.0], [0.2, 0.0]], atol=1e-12)
+
     def test_periodic_wrap(self):
         spec = GridSpec([0.0], [1.0], [4], periodic=[True])
         f = ScalarField(spec, [1.0, 2.0, 3.0, 4.0])
         assert interpolate(f, [1.0]) == pytest.approx(1.0)   # wraps to 0
         assert interpolate(f, [-0.125]) == pytest.approx(2.5)  # between last and first
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_corner_by_corner(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(3, 7, size=dims)
+        spec = GridSpec(-rng.random(dims), 1.0 + rng.random(dims), counts,
+                        periodic=rng.random(dims) < 0.5)
+        f = ScalarField(spec, rng.normal(size=spec.size))
+        lo, hi = np.asarray(spec.lower), np.asarray(spec.upper)
+        x = lo + (hi - lo) * rng.random((40, dims))
+        x[:4] = np.where(rng.integers(0, 2, size=(4, dims)), hi, lo)   # box corners
+        x[4:8] += np.where(spec.periodic, (hi - lo) * rng.integers(-2, 3, size=(4, dims)), 0.0)
+        for table, at in ((f.values[None, :], lambda y: interpolate(f, y)[:, None]),
+                          (np.stack([f.values, -f.values]), None)):
+            ref = corner_by_corner(spec, table, x)
+            got = at(x) if at else _blend(table.T.copy(), _corners(spec, x))
+            assert got.tobytes() == ref.tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

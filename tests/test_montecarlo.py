@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scbf import montecarlo
 from scbf.errors import InsufficientData
 from scbf.montecarlo import (
     FixedPolicyController,
@@ -31,6 +33,21 @@ def dirichlet_series(t: float, terms: int = 50) -> float:
         * math.exp(-((k * math.pi / 2.0) ** 2) * t / 2.0)
         for k in range(1, 2 * terms, 2)
     )
+
+
+def split_into_chunks(monkeypatch, size):
+    """Cap chunks at ``size`` trials and record each chunk's trial range and
+    the thread that ran it."""
+    chunks = []
+    run_chunk = montecarlo._curve_chunk
+
+    def recording(sys, cfg, x0, lo, hi):
+        chunks.append((lo, hi, threading.get_ident()))
+        return run_chunk(sys, cfg, x0, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", size)
+    monkeypatch.setattr(montecarlo, "_curve_chunk", recording)
+    return chunks
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +102,41 @@ class TestSafetyCurve:
         z = dirichlet_series(1.0)
         assert curve.wilson_low[-1] <= z <= curve.wilson_high[-1]
 
-    def test_thread_count_invariance(self, brownian):
+    def test_thread_count_invariance(self, brownian, monkeypatch):
+        chunks = split_into_chunks(monkeypatch, 200)
         cfg = SimConfig(t_end=0.3, trials=600, seed=42,
                         controller=OpenLoopController([0.0]))
         c1 = estimate_safety_curve(brownian, cfg, [0.0], threads=1)
-        c4 = estimate_safety_curve(brownian, cfg, [0.0], threads=4)
-        assert np.array_equal(c1.alive_counts, c4.alive_counts)
+        assert [c[:2] for c in chunks] == [(0, 200), (200, 400), (400, 600)]
+        assert {c[2] for c in chunks} == {threading.get_ident()}
+        chunks.clear()
+        c3 = estimate_safety_curve(brownian, cfg, [0.0], threads=3)
+        assert len(chunks) == 3
+        assert threading.get_ident() not in {c[2] for c in chunks}
+        assert np.array_equal(c1.alive_counts, c3.alive_counts)
+
+    def test_noise_block_length_invariance(self, brownian, monkeypatch):
+        # Drawing a trial's normals in blocks of any length gives the same
+        # stream as one draw of the whole horizon.
+        cfg = SimConfig(t_end=0.3, trials=300, seed=43,
+                        controller=OpenLoopController([0.0]))
+        base = estimate_safety_curve(brownian, cfg, [0.0]).alive_counts
+        path = simulate(brownian, cfg, [0.0], trial=5).states
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", block)
+            assert np.array_equal(estimate_safety_curve(brownian, cfg, [0.0]).alive_counts,
+                                  base)
+            assert np.array_equal(simulate(brownian, cfg, [0.0], trial=5).states, path)
+
+    def test_simulate_matches_batch_trial(self, brownian):
+        # A trial's path does not depend on the other trials in its batch.
+        cfg = SimConfig(t_end=0.3, trials=50, seed=44,
+                        controller=OpenLoopController([0.0]))
+        alive = np.zeros(cfg.n_steps + 1, dtype=np.int64)
+        for i in range(cfg.trials):
+            alive += simulate(brownian, cfg, [0.0], trial=i).alive
+        curve = estimate_safety_curve(brownian, cfg, [0.0])
+        assert np.array_equal(curve.alive_counts, alive)
 
     def test_seed_determinism_and_sensitivity(self, brownian):
         base = dict(t_end=0.3, trials=500, controller=OpenLoopController([0.0]))
