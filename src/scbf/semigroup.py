@@ -14,10 +14,10 @@ second derivatives, and forward Euler in time under a CFL cap
     dt <= cfl_safety / max over nodes of
           ( sum_i |f_i|/h_i + sum_i a_ii/h_i^2 + sum_{i!=j} |a_ij|/(2 h_i h_j) ),
 
-where ``a = sigma sigma^T``.  Ghost values outside the interior read as
-zero, which implements the kill-on-exit convention uniformly; with
-upwinding, outflow boundaries never consume ghost values, so rank-deficient
-noise needs no special casing.  Monotonicity buys the discrete analogues of
+where ``a = sigma sigma^T``.  Values off the interior read as zero, which
+implements the kill-on-exit convention uniformly; with upwinding, outflow
+boundaries never consume those values, so rank-deficient noise needs no
+special casing.  Monotonicity buys the discrete analogues of
 the operator facts the rest of the toolkit leans on: positivity
 preservation, non-expansiveness in the sup norm, and exact linearity for a
 fixed policy.
@@ -36,12 +36,24 @@ Both are checked whenever a stencil is built: a violation raises
 The optimal-control variant integrates ``db/dtau = max_u A^u b`` by scoring
 a finite candidate-input set against the discrete upwind generator at every
 node and step: box corners when the drift is input-affine with
-input-independent noise, corners plus the clamped critical point for a
-scalar input with quadratic-in-input noise Gram, and a Cartesian candidate
-grid otherwise.  Rates that no candidate changes form one shared base
-stencil; each candidate keeps rates only on the offsets it changes, so it
-is scored with a few multiply-adds against the differences
-``P(x + o) - P(x)``.  Ties resolve to the lowest candidate index.
+input-independent noise, a Cartesian candidate grid when there is no such
+structure, and for a scalar input with quadratic-in-input noise Gram the
+corners plus one critical input.  That critical input is the clamped
+stationary point in ``u`` of the central-difference generator, scored with
+the upwind one like every other candidate; it is not the argmax of the
+upwind generator over the input interval, which an interior input can beat.
+Rates that no candidate changes form one shared base stencil; each
+candidate keeps rates only on the offsets it changes, so it is scored with
+a few multiply-adds against the differences ``P(x + o) - P(x)``.  Ties
+resolve to the lowest candidate index.
+
+Per-node arrays live on a flat span in which every neighbor offset is a
+contiguous slice (see :class:`_Stencil`).  Only periodic dimensions carry
+ghost layers, refreshed before each step.  A non-periodic dimension needs
+none because :func:`~scbf.grid.classify_nodes` kills its outer node layer:
+no interior node has a neighbor beyond it, and a shift from a killed node
+that leaves the grid lands on another killed node or in a zero margin, so
+it reads zero as a ghost would.
 """
 
 from __future__ import annotations
@@ -110,7 +122,8 @@ class PropagationConfig:
     otherwise the step is the CFL bound rounded down so an integer number
     of steps covers the horizon exactly.  ``candidate_points`` sizes the
     Cartesian argmax grid per input dimension for systems without special
-    input structure.
+    input structure; it must be at least 2, so both ends of every input
+    interval are candidates.
     """
 
     horizon: float = 0.5
@@ -129,6 +142,8 @@ class PropagationConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.candidate_points < 2:
+            raise ValueError(f"candidate_points must be at least 2, got {self.candidate_points}")
 
 
 # --- the stencil -----------------------------------------------------------------
@@ -163,20 +178,42 @@ def _diffusion_rates(a, h: np.ndarray, pairs) -> dict:
     """Central rates for ``a_ii`` and sign-split 7-point rates for ``a_ij``;
     ``a(i, j)`` returns the per-node Gram entry.  A rate comes out negative
     where the noise is not diagonally dominant; the stencil check reports it."""
-    n = len(h)
-    rates = {}
-    for d in range(n):
-        r = 0.5 * a(d, d) / h[d] ** 2
+    n, rates = len(h), {}
+    tmp = np.empty(np.shape(a(0, 0)))
+    for o in ([_offset(n, (d, s)) for d in range(n) for s in (1, -1)]
+              + [_offset(n, (i, si), (j, sj)) for i, j in pairs for si in (1, -1) for sj in (1, -1)]):
+        key = _unsigned(o)
+        rates[o] = rates[key] if key in rates else _diffusion_rate(
+            o, a, h, pairs, np.empty(tmp.shape), tmp)
+    return rates
+
+
+def _unsigned(o: tuple) -> tuple:
+    """``o`` or ``-o``, whichever moves forward first: both carry the same
+    diffusion rate."""
+    return o if next(s for s in o if s) > 0 else tuple(-s for s in o)
+
+
+def _diffusion_rate(o: tuple, a, h: np.ndarray, pairs, out: np.ndarray,
+                    tmp: np.ndarray) -> np.ndarray:
+    """The diffusion rate towards offset ``o``, written into ``out`` with
+    ``tmp`` as scratch; ``a(i, j)`` returns the per-node Gram entry."""
+    moved = [d for d in range(len(o)) if o[d]]
+    if len(moved) == 1:
+        d = moved[0]
+        np.multiply(0.5, a(d, d), out=out)
+        out /= h[d] ** 2
         for i, j in pairs:
             if d in (i, j):
-                r = r - np.abs(a(i, j)) / (2.0 * h[i] * h[j])
-        rates[_offset(n, (d, 1))] = rates[_offset(n, (d, -1))] = r
-    for i, j in pairs:
-        for si in (1, -1):
-            for sj in (1, -1):
-                rates[_offset(n, (i, si), (j, sj))] = (
-                    np.maximum(si * sj * a(i, j), 0.0) / (2.0 * h[i] * h[j]))
-    return rates
+                np.abs(a(i, j), out=tmp)
+                tmp /= 2.0 * h[i] * h[j]
+                out -= tmp
+    else:
+        i, j = moved
+        np.multiply(o[i] * o[j], a(i, j), out=out)
+        np.maximum(out, 0.0, out=out)
+        out /= 2.0 * h[i] * h[j]
+    return out
 
 
 class _Stencil:
@@ -186,32 +223,50 @@ class _Stencil:
     them weights with ``dt`` and the kill mask folded in.  ``cand[j, k]`` is
     candidate ``k``'s rate towards ``offsets[j]``, unmasked so the argmax
     policy is defined on boundary nodes too; ``dynamic`` rewrites the last
-    candidate's rates at every evaluation.  Per-node arrays live on the flat
-    span of the ghost-padded grid from its first to its last node (``pos``
-    maps nodes into it), so every shift is a contiguous slice; ghost
-    positions inside the span carry zero weight.
+    candidate's rates at every evaluation.
+
+    Layout: the grid is padded with one ghost layer on each side of every
+    periodic dimension and none elsewhere; per-node arrays live on its flat
+    span from the first to the last node (``pos`` maps nodes into it), so
+    every shift is a contiguous slice, and ghost positions inside the span
+    carry zero weight.  Each ping-pong buffer adds a zero margin of
+    ``sum(strides)`` positions at both ends, where shifts from the first and
+    the last nodes land.  Reading a killed node or the margin where the
+    fully padded grid would read a ghost is exact only because every node
+    of the outer layer of a non-periodic dimension is killed (weight zero,
+    value zero), as :func:`~scbf.grid.classify_nodes` guarantees.
     """
 
     def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict,
                  offsets, n_cand: int):
         n, shape = spec.dims, spec.shape
-        self.shape, self.padded = shape, tuple(c + 2 for c in shape)
-        strides = [int(np.prod(self.padded[d + 1:])) for d in range(n)]
-        lo = sum(strides)
+        ghost = np.array(spec.periodic, dtype=int)
+        self.shape, padded = shape, tuple(int(c) for c in np.add(shape, 2 * ghost))
+        strides = [int(np.prod(padded[d + 1:])) for d in range(n)]
+        first, margin, size = int(np.dot(ghost, strides)), sum(strides), int(np.prod(padded))
         self.span = sum((c - 1) * s for c, s in zip(shape, strides)) + 1
         self.pos = np.ravel_multi_index(
-            tuple(np.indices(shape).reshape(n, -1) + 1), self.padded) - lo
+            tuple(np.indices(shape).reshape(n, -1) + ghost[:, None]), padded) - first
         self._interior_nodes, self.interior = interior, self.pad(interior)
         self.base = {o: self.pad(r) for o, r in base.items() if np.any(r[interior] != 0.0)}
         self.offsets = list(offsets)
         self.cand = np.zeros((len(self.offsets), n_cand, self.span))
         self.dynamic = self.W = None
         self._centre = (0,) * n
-        self._periodic = [d for d in range(n) if spec.periodic[d]]
-        self._bufs, self._cur = [np.zeros(int(np.prod(self.padded))) for _ in range(2)], 0
-        self._views = [{o: buf[lo + int(np.dot(o, strides)):][:self.span]
+        self._bufs, self._cur = [np.zeros(size + 2 * margin) for _ in range(2)], 0
+        self._views = [{o: buf[margin + first + int(np.dot(o, strides)):][:self.span]
                         for o in {self._centre, *self.base, *self.offsets}}
                        for buf in self._bufs]
+        # Ghost slab copies over the full padded extent of the other axes,
+        # in dimension order, so corner ghosts wrap correctly too.
+        self._ghosts = []
+        for buf in self._bufs:
+            P, copies = buf[margin:margin + size].reshape(padded), []
+            for d in range(n):
+                if spec.periodic[d]:
+                    Q = np.moveaxis(P, d, 0)
+                    copies += [(Q[:1], Q[-2:-1]), (Q[-1:], Q[1:2])]
+            self._ghosts.append(copies)
         self._tmp, self._diffs = np.empty(self.span), np.empty((len(self.offsets), self.span))
         self._scores = np.empty((n_cand, self.span))
 
@@ -228,12 +283,8 @@ class _Stencil:
         return self._views[self._cur][self._centre][self.pos]
 
     def _refresh_ghosts(self):
-        # Slab copies over the full padded extent of the other axes, in
-        # dimension order, so corner ghosts wrap correctly too.
-        P = self._bufs[self._cur].reshape(self.padded)
-        for d in self._periodic:
-            Q = np.moveaxis(P, d, 0)
-            Q[0], Q[-1] = Q[-2], Q[1]
+        for ghost, node in self._ghosts[self._cur]:
+            np.copyto(ghost, node)
 
     def fold_step(self, dt: float):
         """Fold ``dt`` and the kill mask into the weights and check that the
@@ -272,7 +323,7 @@ class _Stencil:
         for j, o in enumerate(self.offsets):
             np.subtract(src[o], centre, out=self._diffs[j])
         if self.dynamic is not None:
-            self.dynamic.update(src, self.cand[:, -1])
+            self.dynamic.update(src)
             # Its centre weight is covered by the CFL load and drift rates
             # are nonnegative, so only a negative rate needs the full check.
             if self.W is not None and np.min(self.cand[:, -1]) < 0.0:
@@ -467,10 +518,11 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
 
 
 class _QuadraticInput:
-    """The clamped stationary point in ``u`` of the generator for a scalar
-    input with affine drift ``f0 + g1 u`` and noise Gram ``c0 + c1 u + c2 u^2``
-    (exact when the Gram is quadratic): one more candidate, recomputed from
-    central differences at every node and step."""
+    """The clamped stationary point in ``u`` of the central-difference
+    generator for a scalar input with affine drift ``f0 + g1 u`` and noise
+    Gram ``c0 + c1 u + c2 u^2`` (exact when the Gram is quadratic): one more
+    candidate, recomputed at every node and step and scored with the upwind
+    generator like the others."""
 
     def __init__(self, sys: SystemModel, nodes: np.ndarray, F_lo, F_hi):
         lo, hi = sys.input_lower[0], sys.input_upper[0]
@@ -508,53 +560,119 @@ class _QuadraticInput:
                 + [_offset(n, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1) if i != j]}
 
     def bind(self, stencil: "_Stencil", h, drift_dims, diff_offsets, pairs):
-        """Move the coefficients onto the stencil's span."""
-        self.h, self.pairs, self.drift_dims, self.diff_offsets = h, pairs, drift_dims, diff_offsets
-        self.offsets = stencil.offsets
-        self.drift = {i: (stencil.pad(self.f0[:, i]), stencil.pad(self.g1[:, i]))
-                      for i in drift_dims}
-        self.coef = {(i, j): tuple(stencil.pad(c[:, i, j]) for c in (self.c0, self.c1, self.c2))
-                     for i in range(len(h)) for j in range(i, len(h))}
+        """Compile the per-step work onto the stencil's span, once per apply:
+        the offsets, the padded coefficients, the constant products
+        ``c * c1`` and ``c * c2``, and one buffer for every per-step array.
+        Rates that none of the candidate's rows reads are not built."""
+        n, span, pad = len(h), stencil.span, stencil.pad
+        at = lambda *moves: _offset(n, *moves)
+        self.h, self.pairs, self._v0 = h, pairs, (0,) * n
+        # Terms of the stationary-point sums, in their order of addition.
+        self._grads = [(i, at((i, -1)), at((i, 1)), pad(self.g1[:, i])) for i in drift_dims]
+        self._curvs = []
+        for i, j in self.varying:
+            c = 0.5 if i == j else 1.0
+            keys = ([at((i, 1)), at((i, -1))] if i == j else
+                    [at((i, 1)), at((i, -1)), at((j, 1)), at((j, -1))]
+                    + [at((i, si), (j, sj)) for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))])
+            self._curvs.append((i, j, keys, pad(c * self.c1[:, i, j]), pad(c * self.c2[:, i, j])))
+        self._v2, self._lin, self._quad, self._u = (np.empty(span) for _ in range(4))
+        self._t = np.empty((3, span))
+        self._safe = np.empty(span, dtype=bool)
+        self.ustar = self._u
+        # Gram entries; input-dependent ones get a buffer.  Every rate the
+        # rows read depends on the input (the offsets come from ``touched``).
+        self._coef = {(i, j): tuple(pad(c[:, i, j]) for c in (self.c0, self.c1, self.c2))
+                      for i, j in self.varying}
+        entries = {(i, j): np.empty(span) if (i, j) in self._coef else pad(self.c0[:, i, j])
+                   for i in range(n) for j in range(i, n)}
+        self._gram = lambda i, j: entries[(i, j)]
+        # One diffusion rate per offset up to sign.
+        self._rates = {o: np.empty(span) for o in sorted({_unsigned(o) for o in diff_offsets})}
+        self._drift = {i: (pad(self.f0[:, i]), g1, np.empty(span)) for i, _, _, g1 in self._grads}
+        # Per candidate offset: its row, the drift component it moves along
+        # (with the step's sign and the spacing) or None, and its diffusion
+        # rate or 0.0.
+        self._rows = []
+        for j, o in enumerate(stencil.offsets):
+            moved = [d for d in range(n) if o[d]]
+            d = moved[0]
+            drift = (self._drift[d][2], o[d], h[d]) if len(moved) == 1 and d in self._drift else None
+            rate = self._rates[_unsigned(o)] if o in diff_offsets else 0.0
+            self._rows.append((stencil.cand[j, -1], drift, rate))
         del self.c0, self.c1, self.c2, self.f0, self.g1
 
-    def update(self, src: dict, out: np.ndarray):
-        """Write the critical input's rates into ``out`` (one row per
-        candidate offset); ``src`` maps offsets to the shifted field."""
-        h, n = self.h, len(self.h)
-        v0 = src[(0,) * n]
-        at = lambda *moves: src[_offset(n, *moves)]
+    def update(self, src: dict):
+        """Write the critical input's rates into the stencil's last
+        candidate; ``src`` maps offsets to the shifted field."""
+        h, v0, v2, lin, quad, u = self.h, src[self._v0], self._v2, self._lin, self._quad, self._u
+        t, t2, faces = self._t
         # d/du [ grad.f0 + grad.(g1 u) + 1/2 sum H_ij (c0+c1 u+c2 u^2)_ij ]
         #   = grad.g1 + 1/2 sum H_ij c1_ij + u sum H_ij c2_ij
-        lin, quadc = np.zeros((2,) + v0.shape)
-        for i in self.drift_dims:
-            grad = ((v0 - at((i, -1))) / h[i] + (at((i, 1)) - v0) / h[i]) / 2.0
-            lin += grad * self.drift[i][1]
-        for i, j in self.varying:
-            _, c1, c2 = self.coef[(i, j)]
+        lin.fill(0.0)
+        quad.fill(0.0)
+        for i, minus, plus, g1 in self._grads:
+            np.subtract(v0, src[minus], out=t)
+            t /= h[i]
+            np.subtract(src[plus], v0, out=t2)
+            t2 /= h[i]
+            t += t2
+            t /= 2.0
+            t *= g1
+            lin += t
+        np.multiply(2.0, v0, out=v2)
+        for i, j, keys, cc1, cc2 in self._curvs:
             if i == j:
-                c, H = 0.5, (at((i, 1)) - 2.0 * v0 + at((i, -1))) / h[i] ** 2
+                np.subtract(src[keys[0]], v2, out=t)
+                t += src[keys[1]]
+                t /= h[i] ** 2
             else:
-                faces = at((i, 1)) + at((i, -1)) + at((j, 1)) + at((j, -1))
+                ip, im, jp, jm, pp, mm, pm, mp = (src[k] for k in keys)
                 denom = 2.0 * h[i] * h[j]
-                spos = (2.0 * v0 + at((i, 1), (j, 1)) + at((i, -1), (j, -1)) - faces) / denom
-                sneg = -(2.0 * v0 + at((i, 1), (j, -1)) + at((i, -1), (j, 1)) - faces) / denom
-                c, H = 1.0, 0.5 * (spos + sneg)  # the 4-point central stencil
-            lin += c * c1 * H
-            quadc += c * c2 * H
-        denom = 2.0 * quadc
-        safe = np.abs(denom) > 1e-300
-        u = np.where(safe, -lin / np.where(safe, denom, 1.0), self.lo)
-        u = self.ustar = np.clip(u, self.lo, self.hi)
+                np.add(ip, im, out=faces)
+                faces += jp
+                faces += jm
+                np.add(v2, pp, out=t2)
+                t2 += mm
+                t2 -= faces
+                t2 /= denom
+                np.add(v2, pm, out=t)
+                t += mp
+                t -= faces
+                np.negative(t, out=t)
+                t /= denom
+                t += t2
+                t *= 0.5  # the 4-point central stencil
+            np.multiply(cc1, t, out=t2)
+            lin += t2
+            np.multiply(cc2, t, out=t2)
+            quad += t2
+        np.multiply(2.0, quad, out=quad)
+        np.greater(np.abs(quad, out=t), 1e-300, out=self._safe)
+        np.negative(lin, out=lin)
+        u.fill(self.lo)
+        np.divide(lin, quad, out=u, where=self._safe)
+        np.clip(u, self.lo, self.hi, out=u)
 
-        def entry(i, j):  # i <= j
-            c0, c1, c2 = self.coef[(i, j)]
-            return c0 + u * (c1 + u * c2) if (i, j) in self.varying else c0
-
-        drift = _drift_rates(lambda d: self.drift[d][0] + self.drift[d][1] * u,
-                             h, self.drift_dims)
-        diff = _diffusion_rates(entry, h, self.pairs)
-        for j, o in enumerate(self.offsets):
-            out[j] = drift.get(o, 0.0) + (diff[o] if o in self.diff_offsets else 0.0)
+        for (i, j), (c0, c1, c2) in self._coef.items():
+            a = self._gram(i, j)
+            np.multiply(u, c2, out=a)
+            np.add(c1, a, out=a)
+            a *= u
+            np.add(c0, a, out=a)
+        for o, rate in self._rates.items():
+            _diffusion_rate(o, self._gram, h, self.pairs, rate, t)
+        for f0, g1, f in self._drift.values():
+            np.multiply(g1, u, out=f)
+            np.add(f0, f, out=f)
+        for row, drift, rate in self._rows:
+            if drift is None:
+                np.add(0.0, rate, out=row)
+                continue
+            f, sign, hd = drift
+            np.maximum(f if sign > 0 else np.negative(f, out=row), 0.0, out=row)
+            row /= hd
+            row += rate
 
 
 class _OptimalScheme:
@@ -592,9 +710,14 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
                       cfg: PropagationConfig):
     """Apply the semigroup while choosing the pointwise safest input.
 
-    At every node and internal time step the input maximizing the discrete
-    generator is used.  Returns the final field and the argmax policy
-    evaluated against the final field.
+    At every node and internal time step the candidate input that maximizes
+    the discrete upwind generator is used.  The candidates are the input
+    box corners, a Cartesian input grid, or, for a scalar input with a
+    quadratic noise Gram, the corners plus the clamped stationary point of
+    the central-difference generator; that last one is scored with the
+    upwind generator and is not its argmax over the input interval.
+    Returns the final field and the policy of winning candidates evaluated
+    against the final field.
     """
     _check_specs(field, sys)
     scheme = _OptimalScheme(sys, cfg)

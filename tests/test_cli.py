@@ -66,6 +66,19 @@ class TestSynthesize:
         assert run("synthesize") == 1
         assert "system.id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_candidate_points_below_two_exit_1(self, tmp_path, capsys, points):
+        # 0 used to end in a TypeError traceback, 1 in a silent synthesis
+        # against the lower input corner only.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("system.id = wig_aircraft\ngrid.counts = 5,5,5\n"
+                       f"propagation.candidate_points = {points}\n")
+        assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "candidate_points must be at least 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "psi.fld").exists()
+
     def test_rerun_from_metadata_bit_exact(self, tmp_path, brownian_artifacts):
         out2 = tmp_path / "again"
         code = run("synthesize", "--config", str(brownian_artifacts / "metadata.txt"),

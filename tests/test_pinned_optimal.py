@@ -1,0 +1,135 @@
+"""Stencil steps in 3 and 4 dimensions pinned bit-for-bit.
+
+The values in ``data/pinned_optimal.npz`` were recorded from the stencil
+that padded every dimension with a ghost layer.  They cover the three
+candidate regimes of ``propagate_optimal`` (box corners on the 4-D
+``bicycle`` with its periodic heading and sdf obstacle, the candidate grid
+on ``wig_aircraft``, and the corners plus the critical input on
+``di_input_noise``, and on a 3-D system whose noise Gram has an
+input-dependent cross entry, so the critical input reads the cross stencil)
+and one fixed-policy ``propagate`` on the ``bicycle`` grid.  A rewrite of the stencil's layout or of its candidate scoring must
+reproduce them exactly (``np.array_equal`` and equal bytes), not within a
+tolerance.
+
+``PYTHONPATH=src python tests/test_pinned_optimal.py`` re-records the file
+from the current code; do that only for a deliberate change of outputs.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scbf.grid import GridSpec, ImplicitSet, ScalarField
+from scbf.semigroup import PolicyTable, PropagationConfig, propagate, propagate_optimal
+from scbf.spectral import initial_field
+from scbf.systems import SystemModel, make_benchmark
+
+DATA = Path(__file__).parent / "data" / "pinned_optimal.npz"
+
+CASES = {
+    "bicycle": ((13, 13, 12, 7), PropagationConfig(horizon=0.2)),
+    "wig_aircraft": ((9, 9, 9), PropagationConfig(horizon=0.5, candidate_points=5)),
+    "di_input_noise": ((21, 41), PropagationConfig(horizon=0.5)),
+    "cross_input_noise": ((11, 13, 9), PropagationConfig(horizon=0.2)),
+}
+
+
+def _cross_input_noise(counts):
+    """Double integrator plus a periodic third coordinate; the scalar input
+    drives velocity and phase and shears the noise (``a_01 = 0.15 u``)."""
+
+    def shape_of(x, u):
+        return np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.asarray(u)[..., 0].shape)
+
+    def drift(x, u):
+        x, shape = np.asarray(x, dtype=float), shape_of(x, u)
+        u = np.broadcast_to(np.asarray(u, dtype=float)[..., 0], shape)
+        return np.stack(np.broadcast_arrays(x[..., 1], u - 0.3 * x[..., 0], 0.5 * u), axis=-1)
+
+    def diffusion(x, u):
+        shape = shape_of(x, u)
+        u = np.broadcast_to(np.asarray(u, dtype=float)[..., 0], shape)
+        s = np.zeros(shape + (3, 3))
+        s[..., 0, 0], s[..., 0, 1], s[..., 1, 1] = 1.0, 0.15 * u, 1.0 + 0.2 * u
+        s[..., 2, 1], s[..., 2, 2] = 0.1 * u, 0.7
+        return s
+
+    grid = GridSpec([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], counts, periodic=[False, False, True])
+    return SystemModel(name="cross_input_noise", n_x=3, n_u=1, n_w=3, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=grid, safe_set=ImplicitSet("box"))
+
+
+def _system(name):
+    counts = CASES[name][0]
+    if name == "cross_input_noise":
+        return _cross_input_noise(counts)
+    return make_benchmark(name, grid_counts=counts)
+
+
+def _start(sys):
+    """The bump start, modulated by a smooth wave along the first and the
+    last dimension (the heading and speed seam on ``bicycle``)."""
+    nodes = sys.grid.nodes()
+    wave = 1.0 + 0.4 * np.sin(2.0 * nodes[:, -1] + 0.7 * nodes[:, 0])
+    return ScalarField(sys.grid, initial_field(sys, "bump").values * wave)
+
+
+def _bicycle_policy(bike):
+    nodes = bike.grid.nodes()
+    steer = np.sin(nodes[:, 2] + 0.4 * nodes[:, 1]) * 0.9
+    accel = np.cos(nodes[:, 2]) * 0.6 - 0.1 * nodes[:, 3]
+    return PolicyTable(bike.grid, np.stack([steer, accel], axis=1),
+                       bike.input_lower, bike.input_upper)
+
+
+def _record():
+    out = {}
+    for name, (_, cfg) in CASES.items():
+        sys = _system(name)
+        field, policy = propagate_optimal(_start(sys), sys, cfg)
+        out[f"{name}_field"] = field.values
+        out[f"{name}_policy"] = policy.inputs
+        if name == "bicycle":
+            fixed = propagate(_start(sys), sys, _bicycle_policy(sys), cfg)
+            out["bicycle_fixed_field"] = fixed.values
+    return out
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with np.load(DATA) as data:
+        return dict(data)
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    return _record()
+
+
+@pytest.mark.parametrize("key", ["bicycle_field", "bicycle_policy", "bicycle_fixed_field",
+                                 "wig_aircraft_field", "wig_aircraft_policy",
+                                 "di_input_noise_field", "di_input_noise_policy",
+                                 "cross_input_noise_field", "cross_input_noise_policy"])
+def test_pinned(pinned, fresh, key):
+    value = np.asarray(fresh[key])
+    assert np.array_equal(value, pinned[key]), key
+    # bit-for-bit, so the sign of a zero counts too
+    assert value.dtype == pinned[key].dtype and value.tobytes() == pinned[key].tobytes(), key
+
+
+def test_policies_are_not_trivial(pinned):
+    # Each pinned policy takes several values, and the critical input is
+    # taken at some nodes, so a regression in candidate scoring cannot hide
+    # behind a constant policy.
+    for name in CASES:
+        assert np.unique(pinned[f"{name}_policy"], axis=0).shape[0] > 2, name
+    for name in ("di_input_noise", "cross_input_noise"):
+        u = pinned[f"{name}_policy"][:, 0]
+        assert np.count_nonzero((u > -1.0) & (u < 1.0)) > 10, name
+
+
+if __name__ == "__main__":
+    np.savez_compressed(DATA, **_record())
+    print(f"wrote {DATA}")

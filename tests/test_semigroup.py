@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scbf.errors import NotInterior, StabilityViolation
@@ -218,6 +220,51 @@ class TestOperatorProperties:
             assert quotient[node] == pytest.approx(gen, rel=1e-9, abs=1e-9)
 
 
+def constant_coefficient_system(drift, sigma, counts, periodic):
+    """Box safe set on [-1, 1]^n with constant drift and diagonal noise."""
+    n = len(counts)
+    drift, sigma = np.asarray(drift, dtype=float), np.diag(sigma)
+
+    def f(x, u):
+        shape = np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.asarray(u)[..., 0].shape)
+        return np.broadcast_to(drift, shape + (n,)).copy()
+
+    def s(x, u):
+        shape = np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.asarray(u)[..., 0].shape)
+        return np.broadcast_to(sigma, shape + (n, n)).copy()
+
+    return SystemModel(name="constant", n_x=n, n_u=1, n_w=n, drift=f, diffusion=s,
+                       input_lower=[0.0], input_upper=[0.0],
+                       grid=GridSpec([-1.0] * n, [1.0] * n, counts, periodic=periodic),
+                       safe_set=ImplicitSet("box"))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_step_matches_generator_on_every_layout(seed, dims):
+    # Every stencil layout (1-4 dims, any periodic flags) against the
+    # per-node oracle: one step of a pinned dt is field + dt * A field at
+    # every interior node, and every other node stays zero.
+    rng = np.random.default_rng(seed)
+    counts = tuple(int(c) for c in rng.integers(3, 7 if dims < 4 else 5, size=dims))
+    periodic = [bool(p) for p in rng.integers(0, 2, size=dims)]
+    sys = constant_coefficient_system(rng.normal(size=dims),
+                                      rng.uniform(0.0, 1.5, size=dims) * rng.integers(0, 2, size=dims),
+                                      counts, periodic)
+    f = interior_random_field(sys, seed, nonnegative=False)
+    h = sys.grid.spacing
+    load = np.sum(np.abs(sys.drift(np.zeros(dims), [0.0])) / h) + np.sum(
+        np.diag(sys.gram(np.zeros(dims), [0.0])) / h**2)
+    dt = 0.5 / max(load, 1.0)
+    out = propagate(f, sys, PolicyTable.zero(sys), PropagationConfig(horizon=dt, dt=dt)).values
+    interior = sys.interior_mask()
+    assert np.all(out[~interior] == 0.0)
+    u = np.array([0.0])
+    for node in np.nonzero(interior)[0]:
+        gen = apply_generator(f, sys, u, int(node))
+        assert (out[node] - f.values[node]) / dt == pytest.approx(gen, rel=1e-9, abs=1e-9)
+
+
 class TestPropagateOptimal:
     def test_dominates_fixed_policies(self, di_small):
         sys = di_small
@@ -368,6 +415,13 @@ def test_optimal_policy_attains_candidate_max(name, counts, kw):
         chosen = apply_generator(out, sys, policy.inputs[node], node)
         best = max(apply_generator(out, sys, u, node) for u in candidates)
         assert chosen == pytest.approx(max(best, chosen), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("points", [0, 1, -3])
+def test_candidate_points_below_two_rejected(points):
+    with pytest.raises(ValueError, match="candidate_points must be at least 2"):
+        PropagationConfig(candidate_points=points)
+    assert PropagationConfig(candidate_points=2).candidate_points == 2
 
 
 class TestPolicyTable:
