@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ScbfError
-from .grid import read_field, sup_norm, write_field
+from .grid import _read_text, read_field, sup_norm, write_field
 from .montecarlo import (
     FixedPolicyController,
     OpenLoopController,
@@ -34,7 +34,7 @@ from .montecarlo import (
     write_safety_curve_csv,
     write_trajectory_csv,
 )
-from .safety_filter import FilterSpec, filter_input
+from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
 from .semigroup import PolicyTable, PropagationConfig, propagate
 from .spectral import (
     EigenResult,
@@ -99,7 +99,8 @@ _IGNORED_PREFIXES = ("result.", "history.")
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Strict flat key = value parser with line diagnostics."""
+    """Strict flat key = value parser with line diagnostics: an unknown key
+    or a value its key's type cannot read names its line."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -111,10 +112,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if key.startswith(_IGNORED_PREFIXES):
             continue
         if key.startswith("system.overrides."):
-            out[key] = value
-            continue
-        if key not in _SCHEMA:
+            caster = float
+        elif key in _SCHEMA:
+            caster = _SCHEMA[key]
+        else:
             raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
+        try:
+            caster(value)
+        except ValueError:
+            raise ConfigError(f"{origin}:{lineno}: config key {key!r}: expected "
+                              f"{caster.__name__}, got {value!r}") from None
         out[key] = value
     return out
 
@@ -176,7 +183,7 @@ def _load_job(args) -> JobConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        raw.update(parse_config_text(path.read_text(), str(path)))
+        raw.update(parse_config_text(_read_text(path, "utf-8"), str(path)))
     flag_map = {
         "system": "system.id",
         "grid": "grid.counts",
@@ -398,6 +405,8 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     traj = simulate(sys_model, sim, np.asarray(x0), trial=0)
     write_trajectory_csv(traj, out / "trajectory.csv")
+    if isinstance(controller, ScbfQpController):
+        before = controller.status_counts.copy()
     curve = estimate_safety_curve(sys_model, sim, np.asarray(x0), bound=bound,
                                   threads=job.get("threads"))
     write_safety_curve_csv(curve, out / "curve.csv")
@@ -406,6 +415,12 @@ def cmd_simulate(args) -> int:
         "result.curve_file = curve.csv",
         "result.trajectory_file = trajectory.csv",
     ]
+    if isinstance(controller, ScbfQpController):
+        # how often the filter returned each status over the estimate's
+        # trial-steps
+        counts = controller.status_counts - before
+        result_lines += [f"result.filter.{status.value}_fraction = {float(n / counts.sum())!r}"
+                         for status, n in zip(STATUS_BY_CODE, counts)]
     _write_metadata(out / "sim_metadata.txt", job, result_lines)
     print(f"survival({sim.t_end}) = {float(curve.survival_fraction[-1])!r}  -> {out}")
     return 0
@@ -420,29 +435,44 @@ def cmd_filter(args) -> int:
     queries = Path(args.queries)
     if not queries.exists():
         raise ConfigError(f"query file not found: {queries}")
-    lines = queries.read_text().splitlines()
+    X, U_ref, linenos = _read_queries(queries, sys_model.n_x, sys_model.n_u)
+    # A row fails as the filter would reject it: state first, then input.
+    outside = ~sys_model.contains(X)
+    bad = (outside | ~np.isfinite(U_ref).all(axis=1)).nonzero()[0]
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"{queries}:{linenos[i]}: " + (
+            "state is outside the safe set; treat as killed" if outside[i]
+            else "reference input must be finite"))
+    U, codes = filter_input_batch(spec, X, U_ref)
     out_lines = [",".join([f"u{j + 1}" for j in range(sys_model.n_u)] + ["status"])]
+    out_lines += [",".join([repr(float(v)) for v in u] + [STATUS_BY_CODE[c].value])
+                  for u, c in zip(U, codes)]
+    Path(args.output).write_text("\n".join(out_lines) + "\n", encoding="ascii")
+    print(f"answered {len(out_lines) - 1} filter queries -> {args.output}")
+    return 0
+
+
+def _read_queries(path: Path, n_x: int, n_u: int):
+    """States ``(B, n_x)``, references ``(B, n_u)`` and line numbers of the
+    rows ``t, x, u_ref`` of a query CSV (header optional)."""
+    lines = _read_text(path, "utf-8").splitlines()
     start = 1 if lines and lines[0].lstrip()[:1].isalpha() else 0
+    columns = 1 + n_x + n_u
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         fields = line.split(",")
-        expected = 1 + sys_model.n_x + sys_model.n_u
-        if len(fields) != expected:
-            raise ConfigError(
-                f"{queries}:{lineno}: expected {expected} columns (t, x, u_ref)"
-            )
+        if len(fields) != columns:
+            raise ConfigError(f"{path}:{lineno}: expected {columns} columns (t, x, u_ref)")
         try:
-            parts = [float(p) for p in fields]
-            x = np.array(parts[1:1 + sys_model.n_x])
-            u_ref = np.array(parts[1 + sys_model.n_x:])
-            u, status = filter_input(spec, x, u_ref)
-        except (ValueError, ScbfError) as exc:
-            raise ConfigError(f"{queries}:{lineno}: {exc}") from None
-        out_lines.append(",".join([repr(float(v)) for v in u] + [status.value]))
-    Path(args.output).write_text("\n".join(out_lines) + "\n", encoding="ascii")
-    print(f"answered {len(out_lines) - 1} filter queries -> {args.output}")
-    return 0
+            rows.append([float(p) for p in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+    rows = np.array(rows, dtype=float).reshape(-1, columns)
+    return rows[:, 1:1 + n_x], rows[:, 1 + n_x:], linenos
 
 
 def cmd_verify(args) -> int:

@@ -359,7 +359,7 @@ def _blend(table: np.ndarray, corners) -> np.ndarray:
     """Multilinear blend of a node-major table ``(size, K)`` at located
     points; returns ``(B, K)``."""
     flat, weight = corners
-    terms = table[flat]
+    terms = table.take(flat, axis=0)
     terms *= weight[:, :, None]
     out = np.zeros(terms.shape[1:])
     for term in terms:
@@ -525,10 +525,21 @@ def write_field(field: ScalarField, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _read_text(path, encoding: str) -> str:
+    """A text file's contents; bytes that do not decode raise ValueError
+    naming ``<path>:<line>``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not {encoding} text") from None
+
+
 def read_field(path) -> ScalarField:
     """Read a ``.fld`` file; a malformed one raises ValueError naming
     ``<path>:<line>``."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_text(path, "ascii").splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "dims":
         raise ValueError(f"{path}:1: not a field file (expected 'dims <n>')")

@@ -25,15 +25,16 @@ is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientData
 from .grid import ScalarField, _blend, _corners, interpolate, sup_norm
-from .safety_filter import FilterSpec, filter_input_batch
+from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
 from .semigroup import PolicyTable
 from .systems import SystemModel
 
@@ -111,12 +112,28 @@ class FixedPolicyController:
 
 @dataclass(frozen=True)
 class ScbfQpController:
+    """The reference policy passed through the safety filter.
+
+    ``status_counts[c]`` counts the rows (trial-steps, in a Monte Carlo run)
+    the filter has answered with ``STATUS_BY_CODE[c]`` so far; chunks on
+    other threads add to it under a lock, so the totals do not depend on
+    the thread count.
+    """
+
     spec: FilterSpec
     reference: callable
+    status_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(STATUS_BY_CODE), dtype=np.int64),
+        init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     def inputs(self, sys, t, X):
         u_ref = self.reference(t, X)
-        u, _ = filter_input_batch(self.spec, X, u_ref)
+        u, codes = filter_input_batch(self.spec, X, u_ref)
+        counts = np.bincount(codes, minlength=len(STATUS_BY_CODE))
+        with self._lock:
+            self.status_counts[:] += counts
         return u
 
 

@@ -1,22 +1,25 @@
 """Minimally invasive input filtering against the barrier decay condition.
 
 Given a synthesized barrier ``psi`` with decay rate ``gamma`` (at least the
-synthesis rate), the filter answers pointwise queries: project a reference
-input onto the set where
+synthesis rate), the filter projects reference inputs onto the set where
 
     A^u psi(x) + gamma psi(x) >= 0,
 
-deviating as little as possible in a weighted two-norm, subject to the
-input box.  The generator is evaluated through interpolated central
-derivatives of the discrete ``psi``; a feasibility slack of 1e-9 absorbs
-interpolation noise (the continuous-theory guarantee is documented in the
-README, not certified here).
+deviating as little as possible from the raw reference (not its clamp) in
+a weighted two-norm, subject to the input box; a reference whose clamp
+already meets the condition is returned clamped (``unmodified``).  The
+generator is evaluated through interpolated central derivatives of the
+discrete ``psi``; a feasibility slack of 1e-9 absorbs interpolation noise
+(the continuous-theory guarantee is documented in the README, not
+certified here).
 
-Structure dispatch:
+One batched implementation answers every query (``filter_input`` is its
+one-row case); the structure regime and its constants are fixed once per
+``FilterSpec``:
 
 * input-affine drift with input-independent noise: the constraint is affine
-  in ``u`` and the projection is solved exactly by enumerating active sets
-  of the box plus the single halfspace;
+  in ``u``; the projection is exact, from all 3**n_u active sets of the box
+  plus the halfspace, solved for every row at once;
 * scalar input with quadratic-in-input noise Gram: the feasible set is a
   union of at most two intervals from the quadratic's roots;
 * anything else (the aircraft model): a Cartesian candidate grid over the
@@ -64,6 +67,9 @@ class FilterStatus(enum.Enum):
 
 STATUS_BY_CODE = tuple(FilterStatus)
 CODE_BY_STATUS = {s: i for i, s in enumerate(STATUS_BY_CODE)}
+_MODIFIED = CODE_BY_STATUS[FilterStatus.MODIFIED]
+_BACKUP = CODE_BY_STATUS[FilterStatus.BACKUP]
+_FALLBACK = CODE_BY_STATUS[FilterStatus.INFEASIBLE_FALLBACK]
 
 
 class FilterSpec:
@@ -95,6 +101,13 @@ class FilterSpec:
         # psi, its gradient and its Hessian upper triangle per node, so one
         # blend gives all three at a located state.
         self._table = _derivative_table(self.psi)
+        f = sys.flags
+        if f.input_affine and (f.sigma_u_independent or f.sigma_zero):
+            self._regime = _Affine(self)
+        elif f.input_affine and f.sigma_gram_quadratic and sys.n_u == 1:
+            self._regime = _Quadratic(self)
+        else:
+            self._regime = _Candidates(self)
 
     def backup_input(self, x: np.ndarray) -> np.ndarray:
         """Interpolated backup-policy input, clamped into the box."""
@@ -111,23 +124,6 @@ class FilterSpec:
         return np.sum(self.weight * d * d, axis=-1)
 
 
-def _affine_drift_parts(sys: SystemModel, X: np.ndarray):
-    """Exact affine decomposition f(x, u) = f0(x) + G(x) u (batched)."""
-    X = np.atleast_2d(X)
-    B = X.shape[0]
-    uc = sys.input_center()
-    width = sys.input_upper - sys.input_lower
-    step = np.where(width > 0.0, 0.5 * width, 1.0)
-    Uc = np.broadcast_to(uc, (B, sys.n_u))
-    G = np.empty((B, sys.n_x, sys.n_u))
-    for j in range(sys.n_u):
-        up = Uc.copy(); up[:, j] += step[j]
-        dn = Uc.copy(); dn[:, j] -= step[j]
-        G[:, :, j] = (sys.drift(X, up) - sys.drift(X, dn)) / (2.0 * step[j])
-    f0 = sys.drift(X, Uc) - np.einsum("bij,j->bi", G, uc)
-    return f0, G
-
-
 def _barrier_at(spec: FilterSpec, X: np.ndarray):
     """Locate states ``(B, n_x)`` once and read psi ``(B,)``, its gradient
     ``(B, n_x)`` and Hessian ``(B, n_x, n_x)`` from one blend.  Also returns
@@ -141,6 +137,302 @@ def _barrier_at(spec: FilterSpec, X: np.ndarray):
     return corners, psi_x, p, H
 
 
+def _take(rows: dict, idx) -> dict:
+    return {key: value[idx] for key, value in rows.items()}
+
+
+def _gram(sys: SystemModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``sys.gram`` summed over noise channels on whole columns instead of
+    one matrix product per row; bit-identical whenever each entry of
+    sigma sigma^T has at most one nonzero product (every built-in system)."""
+    s = np.ascontiguousarray(sys.diffusion(X, U).transpose(2, 1, 0))   # (n_w, n_x, B)
+    g = s[0, :, None] * s[0, None, :]
+    for k in range(1, s.shape[0]):
+        g += s[k, :, None] * s[k, None, :]
+    return np.ascontiguousarray(g.transpose(2, 0, 1))
+
+
+def _generator(spec: FilterSpec, rows: dict, U: np.ndarray) -> np.ndarray:
+    """A^u psi + gamma psi at each row's state for inputs ``U`` ``(B, K, n_u)``;
+    returns ``(B, K)``."""
+    sys = spec.sys
+    B, K = U.shape[:2]
+    X = np.repeat(rows["X"], K, axis=0)
+    U = U.reshape(B * K, sys.n_u)
+    F = sys.drift(X, U).reshape(B, K, sys.n_x)
+    gram = _gram(sys, X, U).reshape(B, K, sys.n_x, sys.n_x)
+    return ((F @ rows["p"][:, :, None])[:, :, 0]
+            + 0.5 * np.einsum("bij,bkij->bk", rows["H"], gram)
+            + spec.gamma * rows["psi"][:, None])
+
+
+# --- the three regimes ------------------------------------------------------------
+#
+# Each regime holds the constants of one FilterSpec (not the spec itself, so
+# no reference cycle keeps a dropped spec's tables alive).  It turns located
+# rows into its per-row data (``rows``), evaluates the constraint at one
+# input per row (``value``) and projects references whose clamp violates it
+# (``project``: the minimiser and True per row, or the generator maximiser
+# and False when no input in the box is feasible).
+
+
+class _InputAffine:
+    """Drift affine in the input: ``f(x, u) = f0(x) + G(x) u`` from one drift
+    call at the box centre and at centre +- half-width per channel."""
+
+    def __init__(self, spec: FilterSpec):
+        sys = spec.sys
+        self._uc = sys.input_center()
+        width = sys.input_upper - sys.input_lower
+        step = np.where(width > 0.0, 0.5 * width, 1.0)
+        probes = np.tile(self._uc, (1 + 2 * sys.n_u, 1))
+        for j in range(sys.n_u):
+            probes[1 + 2 * j, j] += step[j]
+            probes[2 + 2 * j, j] -= step[j]
+        self._probes = probes
+        self._two_step = 2.0 * step
+        self._quad = None
+        if not (sys.flags.sigma_u_independent or sys.flags.sigma_zero):
+            lo, hi = sys.input_lower[0], sys.input_upper[0]
+            mid = 0.5 * (lo + hi)
+            self._quad = (lo, hi, mid, hi - lo, (hi - lo) ** 2, mid ** 2)
+            self._trace_probes = np.array([[lo], [mid], [hi]])
+
+    def drift_parts(self, sys: SystemModel, X: np.ndarray):
+        """``f0 (B, n_x)``, ``G (B, n_x, n_u)`` and the box centre per row."""
+        K, B = len(self._probes), X.shape[0]
+        U = self._probes.repeat(B, axis=0)
+        F = sys.drift(np.concatenate([X] * K), U).reshape(K, B, sys.n_x)
+        G = np.empty((B, sys.n_x, sys.n_u))
+        for j in range(sys.n_u):
+            G[:, :, j] = (F[1 + 2 * j] - F[2 + 2 * j]) / self._two_step[j]
+        f0 = F[0] - np.einsum("bij,j->bi", G, self._uc)
+        return f0, G, U[:B]
+
+    def coefficients(self, spec, X, psi_x, p, H):
+        """``generator_coefficients`` per row: ``a0 (B,)``, ``a_lin (B, n_u)``
+        and ``a_quad (B,)`` (None when the noise does not depend on u)."""
+        sys = spec.sys
+        B = X.shape[0]
+        f0, G, centre = self.drift_parts(sys, X)
+        a0 = (p[:, None, :] @ f0[:, :, None])[:, 0, 0] + spec.gamma * psi_x
+        a_lin = (p[:, None, :] @ G)[:, 0, :]
+        if self._quad is None:
+            gram = _gram(sys, X, centre)
+            return a0 + 0.5 * np.sum((H * gram).reshape(B, sys.n_x ** 2), axis=1), a_lin, None
+        # The trace term (1/2) tr(H a(u)) is quadratic in u: fit it exactly
+        # from the bounds and the midpoint of the input interval.
+        lo, hi, mid, d, d2, mid2 = self._quad
+        gram = _gram(sys, np.concatenate([X] * 3), self._trace_probes.repeat(B, axis=0))
+        tr = 0.5 * np.sum((np.concatenate([H] * 3) * gram).reshape(3, B, sys.n_x ** 2), axis=2)
+        c2 = (tr[0] + tr[2] - 2.0 * tr[1]) * 2.0 / d2
+        c1 = (tr[2] - tr[0]) / d - c2 * (lo + hi)
+        c0 = tr[1] - c1 * mid - c2 * mid2
+        return a0 + c0, a_lin + c1[:, None], c2
+
+
+class _Affine(_InputAffine):
+    """Input-independent noise: ``g(u) = a0 + a_lin . u``, projected exactly
+    by solving every active set of the box plus the halfspace at once."""
+
+    def __init__(self, spec: FilterSpec):
+        super().__init__(spec)
+        sys = spec.sys
+        lo, hi = sys.input_lower, sys.input_upper
+        # Pattern k fixes channel j at its lower bound (-1), its upper bound
+        # (+1), or leaves it free (0); patterns run in itertools order.
+        pattern = np.array(list(itertools.product((-1, 0, 1), repeat=sys.n_u)))
+        self._free = pattern == 0
+        self._free_cols = self._free.T.astype(float)
+        self._fixed = np.where(pattern == -1, lo, np.where(pattern == 1, hi, 0.0))
+        self._fixed_cols = self._fixed.T.copy()
+        self._box = (lo, hi, lo - 1e-12, hi + 1e-12)
+
+    def rows(self, spec, X, psi_x, p, H):
+        # The same a0 and a_lin as ``coefficients``, summed in another order
+        # (kept so that answers stay bit-identical to the pinned outputs).
+        f0, G, centre = self.drift_parts(spec.sys, X)
+        gram = _gram(spec.sys, X, centre)
+        a0 = (np.einsum("bi,bi->b", p, f0)
+              + 0.5 * np.einsum("bij,bij->b", H, gram)
+              + spec.gamma * psi_x)
+        return {"a0": a0, "a_lin": np.einsum("bi,bij->bj", p, G)}
+
+    def value(self, spec, rows, U):
+        return rows["a0"] + np.einsum("bj,bj->b", rows["a_lin"], U)
+
+    def project(self, spec, rows, R):
+        """min sum w (u - r)^2  s.t.  a.u >= b, lo <= u <= hi, for rows whose
+        clamped reference violates the halfspace (so it is active at the
+        optimum).  Arrays are ``(rows, patterns[, channels])``."""
+        w = spec.weight
+        lo, hi, lo_tol, hi_tol = self._box
+        a, b = rows["a_lin"], -rows["a0"]
+        denom = (a * (a / w)) @ self._free_cols
+        rhs = b[:, None] - a @ self._fixed_cols
+        # Free channels move along a / w; where they cannot move the
+        # constraint (denom = 0, so mu = 0) they stay at the reference and
+        # feasibility decides.
+        mu = (rhs - (a * R) @ self._free_cols) / np.where(denom > 0, denom, np.inf)
+        R3 = R[:, None, :]
+        U = np.where(self._free, R3 + mu[:, :, None] * a[:, None, :] / w, self._fixed)
+        inside = ((U >= lo_tol) & (U <= hi_tol)).all(axis=2)
+        np.minimum(np.maximum(U, lo, out=U), hi, out=U)
+        cost = np.einsum("j,bpj->bp", w, (U - R3) ** 2)
+        cost[~inside | (np.einsum("bpj,bj->bp", U, a) < (b - 1e-9)[:, None])] = np.inf
+        best_cost = cost[:, 0]
+        best = np.zeros(len(R), dtype=np.intp)
+        for k in range(1, cost.shape[1]):
+            better = cost[:, k] < best_cost - 1e-15
+            best_cost = np.where(better, cost[:, k], best_cost)
+            best[better] = k
+        out = U[np.arange(len(R)), best]
+        solved = best_cost < np.inf
+        if not solved.all():
+            out[~solved] = np.where(a[~solved] > 0, hi, lo)
+        return out, solved
+
+
+class _Quadratic(_InputAffine):
+    """Scalar input, noise Gram quadratic in it: ``g(u) = c0 + c1 u + c2 u^2``,
+    feasible on at most two intervals from the roots."""
+
+    def rows(self, spec, X, psi_x, p, H):
+        c0, c1, c2 = self.coefficients(spec, X, psi_x, p, H)
+        return {"c0": c0, "c1": c1[:, 0], "c2": c2}
+
+    def value(self, spec, rows, U):
+        u = U[:, 0]
+        return rows["c0"] + rows["c1"] * u + u * rows["c2"] * u
+
+    def project(self, spec, rows, R):
+        """Nearest feasible point per row; equidistant ties break toward the
+        lower value."""
+        lo, hi = self._quad[:2]
+        c0, c1, c2, r = rows["c0"], rows["c1"], rows["c2"], R[:, 0]
+        flat = np.abs(c2) < 1e-14
+        const = flat & (np.abs(c1) < 1e-14)
+        rising = flat & ~const & (c1 > 0)
+        falling = flat & ~const & ~rising
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -c0 / c1
+            s = np.sqrt(c1 * c1 - 4.0 * c2 * c0)   # NaN without real roots
+            q1, q2 = (-c1 - s) / (2.0 * c2), (-c1 + s) / (2.0 * c2)
+        r1, r2 = np.minimum(q1, q2), np.maximum(q1, q2)
+        real = ~flat & (s >= 0.0)
+        outside = real & (c2 > 0)     # feasible outside the roots
+        between = real & ~outside
+        # One or two intervals [A1, B1], [A2, B2], A1 <= A2 (sorted order).
+        A1 = np.select([rising, between], [np.maximum(lo, root), np.maximum(lo, r1)], lo)
+        B1 = np.select([falling, outside, between],
+                       [np.minimum(hi, root), np.minimum(hi, r1), np.minimum(hi, r2)], hi)
+        ok1 = np.where(const, c0 >= -SLACK, np.where(~flat & ~real, c2 > 0, True))
+        ok1 &= A1 <= B1 + 1e-15
+        A2 = np.maximum(lo, r2)
+        ok2 = outside & (A2 <= hi + 1e-15)
+        u1 = np.minimum(np.maximum(r, A1), B1)
+        u2 = np.minimum(np.maximum(r, A2), hi)
+        d1 = np.where(ok1, np.abs(u1 - r), np.inf)
+        take2 = ok2 & (np.abs(u2 - r) < d1 - 1e-15)
+        out = np.where(take2, u2, u1)[:, None]
+        solved = ok1 | ok2
+        if not solved.all():
+            # maximiser over the bounds and the clipped vertex (first wins)
+            bad = ~solved
+            b0, b1, b2 = c0[bad], c1[bad], c2[bad]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vertex = np.clip(-b1 / (2.0 * b2), lo, hi)
+            C = np.stack([np.full(b0.size, lo), np.full(b0.size, hi), vertex], axis=1)
+            vals = b0[:, None] + b1[:, None] * C + b2[:, None] * C * C
+            vals[np.abs(b2) <= 1e-300, 2] = -np.inf
+            out[bad, 0] = C[np.arange(b0.size), np.argmax(vals, axis=1)]
+        return out, solved
+
+
+class _Candidates:
+    """Generator not affine in the input: a Cartesian candidate grid over the
+    box, then coordinate refinement, for all rows at once."""
+
+    def __init__(self, spec: FilterSpec):
+        sys = spec.sys
+        self._grid = sys.input_grid(_GRID_POINTS)
+        width = sys.input_upper - sys.input_lower
+        span = np.where(width > 0, width / (_GRID_POINTS - 1), 0.0)
+        # (channel, its 5 offsets) per refinement move, the span halving
+        # after each sweep over the channels
+        self._moves = []
+        for _ in range(_REFINE_ITERS):
+            self._moves += [(d, np.linspace(-span[d], span[d], 5))
+                            for d in range(sys.n_u) if span[d] != 0.0]
+            span = span * 0.5
+
+    def rows(self, spec, X, psi_x, p, H):
+        return {"X": X, "psi": psi_x, "p": p, "H": H}
+
+    def value(self, spec, rows, U):
+        return _generator(spec, rows, U[:, None, :])[:, 0]
+
+    def project(self, spec, rows, R):
+        sys = spec.sys
+        B = len(R)
+        R3 = R[:, None, :]
+        g = _generator(spec, rows, np.broadcast_to(self._grid, (B,) + self._grid.shape))
+        cost = np.where(g >= -SLACK, spec.cost(self._grid, R3), np.inf)
+        k = np.argmin(cost, axis=1)
+        best = self._grid[k]
+        best_cost = cost[np.arange(B), k]
+        solved = best_cost < np.inf
+        best[~solved] = self._grid[np.argmax(g[~solved], axis=1)]
+        live = solved.nonzero()[0]
+        if live.size == 0:
+            return best, solved
+        sub, u, u_cost, r = _take(rows, live), best[live], best_cost[live], R3[live]
+        at = np.arange(live.size)
+        for d, offsets in self._moves:
+            C = np.repeat(u[:, None, :], offsets.size, axis=1)
+            C[:, :, d] = np.clip(u[:, d, None] + offsets,
+                                 sys.input_lower[d], sys.input_upper[d])
+            cc = np.where(_generator(spec, sub, C) >= -SLACK, spec.cost(C, r), np.inf)
+            k = np.argmin(cc, axis=1)
+            ck = cc[at, k]
+            better = ck < u_cost - 1e-15
+            u[better] = C[at[better], k[better]]
+            u_cost = np.where(better, ck, u_cost)
+        best[live] = u
+        return best, solved
+
+
+# --- the filter ----------------------------------------------------------------
+
+
+def _filter_rows(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
+    """The filter on states ``X`` ``(B, n_x)`` and references ``U_ref``
+    ``(B, n_u)``; returns ``(U, codes)``."""
+    sys = spec.sys
+    regime = spec._regime
+    corners, psi_x, p, H = _barrier_at(spec, X)
+    rows = regime.rows(spec, X, psi_x, p, H)
+    U = np.minimum(np.maximum(U_ref, sys.input_lower), sys.input_upper)
+    codes = np.zeros(X.shape[0], dtype=np.int8)
+    need = (regime.value(spec, rows, U) < -SLACK).nonzero()[0]
+    if need.size == 0:
+        return U, codes
+    sub = _take(rows, need)
+    U[need], solved = regime.project(spec, sub, U_ref[need])
+    codes[need] = np.where(solved, _MODIFIED, _FALLBACK)
+    if not solved.all():
+        # Constraint infeasible within U: the backup policy if it meets the
+        # constraint, else the generator maximiser ``project`` returned.
+        bad = (~solved).nonzero()[0]
+        at = need[bad]
+        flat, weight = corners
+        u_b = spec._backup_at((flat[:, at], weight[:, at]))
+        ok = regime.value(spec, _take(sub, bad), u_b) >= -SLACK
+        U[at[ok]] = u_b[ok]
+        codes[at[ok]] = _BACKUP
+    return U, codes
+
+
 def generator_coefficients(spec: FilterSpec, x: np.ndarray):
     """Decompose A^u psi(x) + gamma psi(x) into (a0, a_lin, a_quad).
 
@@ -150,182 +442,25 @@ def generator_coefficients(spec: FilterSpec, x: np.ndarray):
     for such systems).
     """
     sys = spec.sys
-    if not sys.flags.input_affine:
-        raise StructureError(f"{sys.name}: drift is not affine in the input")
+    if not isinstance(spec._regime, _InputAffine):
+        raise StructureError(f"{sys.name}: " + (
+            "noise Gram is not quadratic in the input (or n_u > 1)"
+            if sys.flags.input_affine else "drift is not affine in the input"))
     x = np.asarray(x, dtype=float)
     if not bool(sys.contains(x)[0]):
         raise OutOfDomain("state is outside the safe set")
-    _, psi_x, p, H = _barrier_at(spec, x.reshape(1, -1))
-    return _coefficients(spec, x, psi_x[0], p[0], H[0])
-
-
-def _coefficients(spec: FilterSpec, x, psi_x, p, H):
-    """generator_coefficients from psi, its gradient and Hessian at x."""
-    sys = spec.sys
-    f0, G = _affine_drift_parts(sys, x[None, :])
-    a0 = float(p @ f0[0] + spec.gamma * psi_x)
-    a_lin = p @ G[0]
-    if sys.flags.sigma_u_independent or sys.flags.sigma_zero:
-        gram = sys.gram(x, sys.input_center())
-        a0 += 0.5 * float(np.sum(H * gram))
-        return a0, a_lin, None
-    if sys.flags.sigma_gram_quadratic and sys.n_u == 1:
-        lo, hi = sys.input_lower[0], sys.input_upper[0]
-        mid = 0.5 * (lo + hi)
-        tr = [0.5 * float(np.sum(H * sys.gram(x, np.array([u]))))
-              for u in (lo, mid, hi)]
-        d = hi - lo
-        c2 = (tr[0] + tr[2] - 2.0 * tr[1]) * 2.0 / d**2
-        c1 = (tr[2] - tr[0]) / d - c2 * (lo + hi)
-        c0 = tr[1] - c1 * mid - c2 * mid**2
-        return a0 + c0, a_lin + np.array([c1]), np.array([[c2]])
-    raise StructureError(
-        f"{sys.name}: noise Gram is not quadratic in the input (or n_u > 1)"
-    )
+    X = x.reshape(1, -1)
+    _, psi_x, p, H = _barrier_at(spec, X)
+    a0, a_lin, a_quad = spec._regime.coefficients(spec, X, psi_x, p, H)
+    return float(a0[0]), a_lin[0], None if a_quad is None else a_quad[:, None]
 
 
 def generator_value(spec: FilterSpec, x: np.ndarray, U: np.ndarray) -> np.ndarray:
     """A^u psi(x) + gamma psi(x) for one state and a batch of inputs."""
-    x = np.asarray(x, dtype=float)
-    _, psi_x, p, H = _barrier_at(spec, x.reshape(1, -1))
-    return _generator(spec, x, psi_x[0], p[0], H[0], U)
-
-
-def _generator(spec: FilterSpec, x, psi_x, p, H, U) -> np.ndarray:
-    """generator_value from psi, its gradient and Hessian at x."""
-    sys = spec.sys
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    _, psi_x, p, H = _barrier_at(spec, X)
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    X = np.broadcast_to(x, (U.shape[0], sys.n_x))
-    F = sys.drift(X, U)
-    gram = sys.gram(X, U)
-    return F @ p + 0.5 * np.einsum("ij,bij->b", H, gram) + spec.gamma * psi_x
-
-
-# --- exact small projections ---------------------------------------------------
-
-
-def _halfspace_box_project(r, w, lo, hi, a, b):
-    """min sum w_i (u_i - r_i)^2  s.t.  a.u >= b,  lo <= u <= hi.
-
-    Assumes clamp(r) violates the constraint, so the halfspace is active at
-    the optimum.  Enumerates box active sets; returns None when infeasible.
-    """
-    n = r.size
-    # Quick infeasibility check: best achievable a.u over the box.
-    best_au = float(np.sum(np.where(a > 0, a * hi, a * lo)))
-    if best_au < b - SLACK:
-        return None
-    best = None
-    best_cost = np.inf
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        pat = np.array(pattern)
-        u = np.where(pat == -1, lo, np.where(pat == 1, hi, 0.0))
-        free = pat == 0
-        if np.any(free):
-            a_f = a[free]
-            denom = float(np.sum(a_f * a_f / w[free]))
-            u = u.copy()
-            if denom == 0.0:
-                # Free components cannot move the constraint; stay at the
-                # reference there and let the feasibility check decide.
-                u[free] = r[free]
-            else:
-                rhs = b - float(a[~free] @ u[~free])
-                mu = (rhs - float(a_f @ r[free])) / denom
-                u[free] = r[free] + mu * a_f / w[free]
-        if np.any(u < lo - 1e-12) or np.any(u > hi + 1e-12):
-            continue
-        u = np.clip(u, lo, hi)
-        if float(a @ u) < b - 1e-9:
-            continue
-        cost = float(np.sum(w * (u - r) ** 2))
-        if cost < best_cost - 1e-15:
-            best_cost = cost
-            best = u
-    return best
-
-
-def _quad_feasible_project(r, lo, hi, c0, c1, c2):
-    """Project r onto {u in [lo, hi] : c2 u^2 + c1 u + c0 >= 0} (scalar).
-
-    Returns None when the set is empty.  Equidistant ties break toward the
-    lower value.
-    """
-    def q(u):
-        return c2 * u * u + c1 * u + c0
-
-    intervals = []
-    if abs(c2) < 1e-14:
-        if abs(c1) < 1e-14:
-            intervals = [(lo, hi)] if c0 >= -SLACK else []
-        elif c1 > 0:
-            intervals = [(max(lo, -c0 / c1), hi)]
-        else:
-            intervals = [(lo, min(hi, -c0 / c1))]
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            intervals = [(lo, hi)] if c2 > 0 else []
-        else:
-            s = np.sqrt(disc)
-            r1 = (-c1 - s) / (2.0 * c2)
-            r2 = (-c1 + s) / (2.0 * c2)
-            r1, r2 = min(r1, r2), max(r1, r2)
-            if c2 > 0:
-                intervals = [(lo, min(hi, r1)), (max(lo, r2), hi)]
-            else:
-                intervals = [(max(lo, r1), min(hi, r2))]
-    intervals = [(a, b) for (a, b) in intervals if a <= b + 1e-15]
-    if not intervals:
-        return None
-    best = None
-    best_d = np.inf
-    for (a, b) in sorted(intervals):
-        u = min(max(r, a), b)
-        d = abs(u - r)
-        if d < best_d - 1e-15:
-            best_d = d
-            best = u
-    return best
-
-
-# --- the filter ----------------------------------------------------------------
-
-
-def _grid_search(spec: FilterSpec, value, u_ref):
-    """Candidate grid + coordinate refinement for non-affine systems;
-    ``value(U)`` is the generator at the query state."""
-    sys = spec.sys
-    grid = sys.input_grid(_GRID_POINTS)
-    g = value(grid)
-    feasible = g >= -SLACK
-    if not np.any(feasible):
-        return None, grid[int(np.argmax(g))]
-    cand = grid[feasible]
-    costs = spec.cost(cand, u_ref)
-    best = cand[int(np.argmin(costs))].copy()
-    best_cost = float(np.min(costs))
-    width = sys.input_upper - sys.input_lower
-    span = np.where(width > 0, width / (_GRID_POINTS - 1), 0.0)
-    for _ in range(_REFINE_ITERS):
-        for d_dim in range(sys.n_u):
-            if span[d_dim] == 0.0:
-                continue
-            offs = np.linspace(-span[d_dim], span[d_dim], 5)
-            cands = np.tile(best, (offs.size, 1))
-            cands[:, d_dim] = np.clip(
-                best[d_dim] + offs, sys.input_lower[d_dim], sys.input_upper[d_dim]
-            )
-            gv = value(cands)
-            ok = gv >= -SLACK
-            if np.any(ok):
-                cc = spec.cost(cands[ok], u_ref)
-                k = int(np.argmin(cc))
-                if cc[k] < best_cost - 1e-15:
-                    best_cost = float(cc[k])
-                    best = cands[ok][k].copy()
-        span = span * 0.5
-    return best, None
+    return _generator(spec, {"X": X, "psi": psi_x, "p": p, "H": H}, U[None])[0]
 
 
 def filter_input(spec: FilterSpec, x: np.ndarray, u_ref: np.ndarray):
@@ -334,163 +469,23 @@ def filter_input(spec: FilterSpec, x: np.ndarray, u_ref: np.ndarray):
     Returns ``(u, status)``; see the module docstring for the fallback
     ladder when the constraint is infeasible within the input box.
     """
-    sys = spec.sys
     x = np.asarray(x, dtype=float).ravel()
-    if not bool(sys.contains(x)[0]):
+    if not bool(spec.sys.contains(x)[0]):
         raise OutOfDomain("state is outside the safe set; treat as killed")
     u_ref = np.asarray(u_ref, dtype=float).ravel()
     if not np.all(np.isfinite(u_ref)):
         raise ValueError("reference input must be finite")
-    lo, hi = sys.input_lower, sys.input_upper
-    u0 = np.clip(u_ref, lo, hi)
-    corners, psi_x, p, H = _barrier_at(spec, x[None, :])
-    at_x = (psi_x[0], p[0], H[0])
-
-    affine = sys.flags.input_affine and (
-        sys.flags.sigma_u_independent or sys.flags.sigma_zero
-        or (sys.flags.sigma_gram_quadratic and sys.n_u == 1)
-    )
-    if affine:
-        a0, a_lin, a_quad = _coefficients(spec, x, *at_x)
-
-        def g(u):
-            val = a0 + float(a_lin @ u)
-            if a_quad is not None:
-                val += float(u @ a_quad @ u)
-            return val
-
-        if g(u0) >= -SLACK:
-            return u0, FilterStatus.UNMODIFIED
-        if a_quad is None:
-            u = _halfspace_box_project(u0, spec.weight, lo, hi, a_lin, -a0)
-        else:
-            u_s = _quad_feasible_project(
-                float(u0[0]), lo[0], hi[0],
-                a0, float(a_lin[0]), float(a_quad[0, 0]),
-            )
-            u = None if u_s is None else np.array([u_s])
-        if u is not None:
-            return u, FilterStatus.MODIFIED
-        maximizer = None
-    else:
-        def value(U):
-            return _generator(spec, x, *at_x, U)
-
-        if value(u0[None, :])[0] >= -SLACK:
-            return u0, FilterStatus.UNMODIFIED
-        u, maximizer = _grid_search(spec, value, u0)
-        if u is not None:
-            return u, FilterStatus.MODIFIED
-
-    # Constraint infeasible within U: fall back to the backup policy.
-    u_b = spec._backup_at(corners)[0]
-    if affine:
-        gb = a0 + float(a_lin @ u_b)
-        if a_quad is not None:
-            gb += float(u_b @ a_quad @ u_b)
-    else:
-        gb = value(u_b[None, :])[0]
-    if gb >= -SLACK:
-        return u_b, FilterStatus.BACKUP
-    if affine:
-        if a_quad is None:
-            u_m = np.where(a_lin > 0, hi, lo).astype(float)
-        else:
-            cands = [lo[0], hi[0]]
-            if abs(a_quad[0, 0]) > 1e-300:
-                cands.append(
-                    float(np.clip(-a_lin[0] / (2.0 * a_quad[0, 0]), lo[0], hi[0]))
-                )
-            vals = [a0 + a_lin[0] * u + a_quad[0, 0] * u * u for u in cands]
-            u_m = np.array([cands[int(np.argmax(vals))]])
-    else:
-        u_m = maximizer if maximizer is not None else u_b
-    return np.asarray(u_m, dtype=float), FilterStatus.INFEASIBLE_FALLBACK
+    U, codes = _filter_rows(spec, x[None, :], u_ref[None, :])
+    return U[0], STATUS_BY_CODE[codes[0]]
 
 
 def filter_input_batch(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
-    """Vectorized filter for input-affine systems with input-independent noise.
+    """The filter on a batch of states ``(B, n_x)`` and references
+    ``(B, n_u)``, every structure regime included.
 
     Returns ``(U, codes)`` with ``codes[i]`` indexing ``STATUS_BY_CODE``.
-    Falls back to the scalar path per row for other structures.
+    States are assumed to lie in the safe set.
     """
-    sys = spec.sys
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U_ref = np.atleast_2d(np.asarray(U_ref, dtype=float))
-    B = X.shape[0]
-    if not (sys.flags.input_affine
-            and (sys.flags.sigma_u_independent or sys.flags.sigma_zero)):
-        out = np.empty((B, sys.n_u))
-        codes = np.empty(B, dtype=np.int8)
-        for i in range(B):
-            u, st = filter_input(spec, X[i], U_ref[i])
-            out[i] = u
-            codes[i] = CODE_BY_STATUS[st]
-        return out, codes
-
-    lo, hi = sys.input_lower, sys.input_upper
-    w = spec.weight
-    corners, psi_x, p, H = _barrier_at(spec, X)
-    f0, G = _affine_drift_parts(sys, X)
-    gram = sys.gram(X, np.broadcast_to(sys.input_center(), (B, sys.n_u)))
-    a0 = (np.einsum("bi,bi->b", p, f0)
-          + 0.5 * np.einsum("bij,bij->b", H, gram)
-          + spec.gamma * psi_x)
-    a_lin = np.einsum("bi,bij->bj", p, G)
-
-    U = np.clip(U_ref, lo, hi)
-    codes = np.full(B, CODE_BY_STATUS[FilterStatus.UNMODIFIED], dtype=np.int8)
-    g0 = a0 + np.einsum("bj,bj->b", a_lin, U)
-    need = g0 < -SLACK
-    if not np.any(need):
-        return U, codes
-
-    idx = np.nonzero(need)[0]
-    r = U[idx]
-    a = a_lin[idx]
-    b = -a0[idx]
-    M = idx.size
-    best = np.full((M, sys.n_u), np.nan)
-    best_cost = np.full(M, np.inf)
-    for pattern in itertools.product((-1, 0, 1), repeat=sys.n_u):
-        pat = np.array(pattern)
-        u = np.where(pat == -1, lo, np.where(pat == 1, hi, 0.0))
-        u = np.tile(u, (M, 1))
-        free = pat == 0
-        if np.any(free):
-            a_f = a[:, free]
-            denom = np.einsum("bj,bj->b", a_f, a_f / w[free])
-            if np.any(~free):
-                rhs = b - a[:, ~free] @ u[0, ~free]
-            else:
-                rhs = b
-            safe = denom > 0
-            mu = np.where(safe, (rhs - np.einsum("bj,bj->b", a_f, r[:, free]))
-                          / np.where(safe, denom, 1.0), 0.0)
-            u_f = r[:, free] + mu[:, None] * a_f / w[free]
-            u[:, free] = np.where(safe[:, None], u_f, r[:, free])
-        inside = np.all((u >= lo - 1e-12) & (u <= hi + 1e-12), axis=1)
-        u = np.clip(u, lo, hi)
-        feas = inside & (np.einsum("bj,bj->b", a, u) >= b - 1e-9)
-        cost = np.einsum("j,bj->b", w, (u - r) ** 2)
-        upd = feas & (cost < best_cost - 1e-15)
-        best[upd] = u[upd]
-        best_cost[upd] = cost[upd]
-    solved = np.isfinite(best_cost)
-    U[idx[solved]] = best[solved]
-    codes[idx[solved]] = CODE_BY_STATUS[FilterStatus.MODIFIED]
-
-    # Infeasible rows: backup policy, then generator maximizer.
-    bad = idx[~solved]
-    if bad.size:
-        flat, weight = corners
-        u_b = spec._backup_at((flat[:, bad], weight[:, bad]))
-        gb = a0[bad] + np.einsum("bj,bj->b", a_lin[bad], u_b)
-        ok = gb >= -SLACK
-        U[bad] = u_b
-        codes[bad] = CODE_BY_STATUS[FilterStatus.BACKUP]
-        worst = bad[~ok]
-        if worst.size:
-            U[worst] = np.where(a_lin[worst] > 0, hi, lo)
-            codes[worst] = CODE_BY_STATUS[FilterStatus.INFEASIBLE_FALLBACK]
-    return U, codes
+    return _filter_rows(spec, X, U_ref)

@@ -333,6 +333,54 @@ def _minimal_deviation_check(spec, X, U_ref, U_out, codes):
     return True
 
 
+def _bisection_projection(spec, x, u_ref):
+    """Exact minimal-deviation answer for an affine constraint, independent
+    of the active-set enumeration: u(mu) = clip(u_ref + mu a / w) with the
+    least mu >= 0 that meets a0 + a.u >= 0 (a.u(mu) is nondecreasing)."""
+    a0, a, _ = generator_coefficients(spec, x)
+    lo, hi, w = spec.sys.input_lower, spec.sys.input_upper, spec.weight
+
+    def u_at(mu):
+        return np.clip(u_ref + mu * a / w, lo, hi)
+
+    low, high = 0.0, 1.0
+    for _ in range(60):
+        if a0 + a @ u_at(high) >= 0.0:
+            break
+        low, high = high, 2.0 * high
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        low, high = (low, mid) if a0 + a @ u_at(mid) >= 0.0 else (mid, high)
+    return u_at(high)
+
+
+def test_filter_minimal_deviation_small_bicycle():
+    # Criterion 8's filter checks on a small bicycle (two inputs, so the
+    # projection of the raw reference differs from that of its clamp).
+    sys = make_benchmark("bicycle", grid_counts=(15, 15, 12, 7))
+    res = power_policy_iteration(sys, PropagationConfig(horizon=0.5), max_iter=15)
+    spec = FilterSpec(sys, res, gamma=0.15)
+    rng = np.random.default_rng(0)
+    X = _random_states(sys, 1000, rng)
+    U_ref = rng.uniform(-1.5, 1.5, size=(1000, 2))
+    U, codes = filter_input_batch(spec, X, U_ref)
+    modified = np.nonzero(codes == list(FilterStatus).index(FilterStatus.MODIFIED))[0]
+    assert modified.size > 100
+    excess = max(spec.cost(U[i], U_ref[i])
+                 - spec.cost(_bisection_projection(spec, X[i], U_ref[i]), U_ref[i])
+                 for i in modified)
+    U2, _ = filter_input_batch(spec, X, U)
+    idem = float(np.max(np.abs(U2 - U)))
+    dev_ok = _minimal_deviation_check(spec, X, U_ref, U, codes)
+    report("8s", excess <= 1e-9 and idem <= 1e-12 and dev_ok,
+           f"small bicycle: {modified.size} modified rows, cost above the bisection "
+           f"projection at most {excess:.1e}; idempotence max drift {idem:.1e}; "
+           f"minimal deviation vs grid: {dev_ok}")
+    assert excess <= 1e-9
+    assert idem <= 1e-12
+    assert dev_ok
+
+
 @pytest.mark.longrun
 def test_criterion_9_wig_aircraft():
     cfg = PropagationConfig(horizon=0.5, candidate_points=5)

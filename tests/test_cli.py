@@ -1,10 +1,18 @@
+import contextlib
+import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from scbf.cli import main, parse_config_text
+from scbf import cli, montecarlo
+from scbf.cli import _SCHEMA, main, parse_config_text
 from scbf.errors import ConfigError
 from scbf.grid import read_field, write_field, ScalarField
+from scbf.safety_filter import FilterSpec, FilterStatus, filter_input
+from scbf.systems import make_benchmark
 
 
 def run(*argv):
@@ -24,6 +32,14 @@ def read_meta(path):
 def brownian_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("br")
     code = run("synthesize", "--system", "brownian_1d", "--out", str(out))
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def di_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("di")
+    code = run("synthesize", "--system", "di_omni", "--grid", "21,41", "--out", str(out))
     assert code == 0
     return out
 
@@ -170,6 +186,30 @@ class TestSimulate:
             outs.append((out / "curve.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_filter_status_fractions(self, tmp_path, di_artifacts, monkeypatch):
+        # scbf_qp: the fraction of the estimate's trial-steps per filter
+        # status, from integer counts summed over chunks, so threads 1 and
+        # 3 (over 3 chunks) write the same lines and the same curve.
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 100)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = di_omni\ngrid.counts = 21,41\nsimulation.x0 = 0.0,0.0\n"
+                       "simulation.trials = 300\nsimulation.t_end = 0.3\n"
+                       "simulation.controller = scbf_qp\nsimulation.reference = constant\n"
+                       "simulation.reference_u = 0.8\n")
+        metas, curves = [], []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}"
+            assert run("simulate", "--config", str(cfg), "--threads", threads,
+                       "--artifacts", str(di_artifacts), "--out", str(out)) == 0
+            metas.append(read_meta(out / "sim_metadata.txt"))
+            curves.append((out / "curve.csv").read_bytes())
+        keys = [f"result.filter.{s.value}_fraction" for s in FilterStatus]
+        fractions = [float(metas[0][k]) for k in keys]
+        assert [metas[1][k] for k in keys] == [metas[0][k] for k in keys]
+        assert curves[0] == curves[1]
+        assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
+        assert fractions[0] > 0 and fractions[1] > 0   # unmodified and modified
+
     def test_filter_gamma_below_synthesized_exit_1(self, tmp_path, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"
@@ -253,6 +293,30 @@ class TestFilterCommand:
         assert len(lines) == 3
         assert lines[1].endswith(("unmodified", "modified", "backup", "infeasible_fallback"))
 
+    def test_one_batch_call_per_file(self, tmp_path, di_artifacts, monkeypatch):
+        calls = []
+        batch = cli.filter_input_batch
+        monkeypatch.setattr(cli, "filter_input_batch",
+                            lambda *a: calls.append(len(a[1])) or batch(*a))
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-0.95, 0.95, (40, 2)) * [1.0, 2.0]
+        R = rng.uniform(-1.5, 1.5, 40)
+        queries = tmp_path / "q.csv"
+        queries.write_text("t,x1,x2,u1\n" + "".join(
+            f"0.0,{x[0]!r},{x[1]!r},{r!r}\n" for x, r in zip(X.tolist(), R.tolist())))
+        out = tmp_path / "answers.csv"
+        assert run("filter", "--system", "di_omni", "--grid", "21,41",
+                   "--artifacts", str(di_artifacts), "--queries", str(queries),
+                   "--output", str(out)) == 0
+        assert calls == [40]
+        sys_model = make_benchmark("di_omni", grid_counts=(21, 41))
+        spec = FilterSpec(sys_model, cli.load_result(di_artifacts, sys_model)[0])
+        expected = ["u1,status"]
+        for x, r in zip(X, R):
+            u, status = filter_input(spec, x, np.array([r]))
+            expected.append(f"{float(u[0])!r},{status.value}")
+        assert out.read_text().splitlines() == expected
+
     def test_bad_column_count(self, tmp_path, brownian_artifacts, capsys):
         queries = tmp_path / "q.csv"
         queries.write_text("0.0,0.0\n")
@@ -298,3 +362,143 @@ class TestExportPlot:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("export-plot", "--artifacts", str(empty)) == 1
+
+
+# --- fuzzing the three readers ----------------------------------------------------
+
+# Characters a mangled line may hold: anything but line breaks (which would
+# make it several lines) and surrogates (which cannot be written).
+_JUNK = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _parses(text, caster=float):
+    try:
+        caster(text)
+        return True
+    except ValueError:
+        return False
+
+
+def _run_mangled(path, lines, argv):
+    """Write ``lines`` (str or bytes) to ``path``, run the CLI, return
+    (exit code, stderr)."""
+    path.write_bytes(b"\n".join(l if isinstance(l, bytes) else l.encode() for l in lines) + b"\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_names_line(code, err, path, line):
+    assert code == 1, err
+    assert f"{path}:{line}: " in err, err
+    assert "Traceback" not in err
+
+
+_TYPED = sorted(k for k, t in _SCHEMA.items() if t is not str)
+
+
+@st.composite
+def _bad_config_line(draw):
+    kind = draw(st.sampled_from(["no_equals", "unknown_key", "bad_value", "bad_override"]))
+    junk = draw(_JUNK)
+    if kind == "no_equals":
+        assume("=" not in junk.split("#", 1)[0] and junk.split("#", 1)[0].strip())
+        return junk
+    if kind == "unknown_key":
+        key = junk.replace("=", "").replace("#", "").strip()
+        assume(key and key not in _SCHEMA
+               and not key.startswith(("result.", "history.", "system.overrides.")))
+        return f"{key} = 1"
+    value = junk.replace("#", "")
+    if kind == "bad_override":
+        assume(not _parses(value.strip()))
+        return f"system.overrides.sigma = {value}"
+    key = draw(st.sampled_from(_TYPED))
+    assume(not _parses(value.strip(), _SCHEMA[key]))
+    return f"{key} = {value}"
+
+
+@st.composite
+def _bad_query_row(draw):
+    kind = draw(st.sampled_from(["junk_field", "columns", "non_finite", "outside", "bytes"]))
+    if kind == "junk_field":
+        junk = draw(_JUNK)
+        assume(not _parses(junk))
+        fields = ["0.0", "0.1", "0.0"]
+        fields[draw(st.integers(0, 2))] = junk
+        return ",".join(fields)
+    if kind == "columns":
+        return ",".join(["0.0"] * draw(st.sampled_from([1, 2, 4, 5])))
+    if kind == "non_finite":
+        return "0.0,0.1," + draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+    if kind == "outside":
+        x = draw(st.floats(1.0, 1e6, exclude_min=True)) * draw(st.sampled_from([-1, 1]))
+        return f"0.0,{x!r},0.0"
+    return b"0.0," + draw(st.binary(min_size=1, max_size=4).filter(_not_utf8)) + b",0.0"
+
+
+def _not_utf8(data):
+    try:
+        data.decode("utf-8")
+        return False
+    except UnicodeDecodeError:
+        return True
+
+
+class TestReaderFuzz:
+    """A mangled line in a config, a query CSV or a ``.fld`` file ends in
+    exit 1 with a ``file:line`` message, never a traceback."""
+
+    @_FUZZ
+    @given(line=_bad_config_line(), at=st.integers(0, 3))
+    def test_config(self, tmp_path, line, at):
+        lines = ["system.id = brownian_1d", "iteration.tol = 1e-4",
+                 "# a comment", "iteration.max_iter = 5"]
+        lines.insert(at, line)
+        path = tmp_path / "job.cfg"
+        code, err = _run_mangled(path, lines, ["synthesize", "--config", str(path),
+                                               "--out", str(tmp_path / "out")])
+        _assert_names_line(code, err, path, at + 1)
+
+    @_FUZZ
+    @given(row=_bad_query_row(), at=st.integers(0, 3))
+    def test_query_csv(self, tmp_path, brownian_artifacts, row, at):
+        lines = ["t,x1,u1", "0.0,0.0,0.0", "0.0,0.5,0.0", "", "0.5,-0.5,0.0"]
+        lines.insert(1 + at, row)
+        path = tmp_path / "q.csv"
+        code, err = _run_mangled(path, lines, [
+            "filter", "--system", "brownian_1d", "--artifacts", str(brownian_artifacts),
+            "--queries", str(path), "--output", str(tmp_path / "a.csv")])
+        _assert_names_line(code, err, path, at + 2)
+
+    @_FUZZ
+    @given(kind=st.sampled_from(["value", "axis", "dims", "drop", "extra"]),
+           junk=_JUNK, at=st.integers(2, 200))
+    def test_field(self, tmp_path_factory, brownian_artifacts, kind, junk, at):
+        bad = tmp_path_factory.mktemp("fld")
+        for name in ("psi.fld", "policy_0.fld", "metadata.txt"):
+            (bad / name).write_bytes((brownian_artifacts / name).read_bytes())
+        psi = bad / "psi.fld"
+        lines = psi.read_text().splitlines()   # dims, one axis line, 201 values
+        if kind == "value":
+            assume(junk and (not _parses(junk) or not math.isfinite(float(junk))))
+            lines[at] = junk
+            line = at + 1
+        elif kind == "axis":
+            assume(len(junk.split()) != 4)
+            lines[1], line = junk, 2
+        elif kind == "dims":
+            assume(junk.split()[:1] != ["dims"])
+            lines[0], line = junk, 1
+        elif kind == "drop":
+            del lines[at]
+            line = len(lines)
+        else:
+            lines.insert(at, "0.5")
+            line = len(lines)
+        code, err = _run_mangled(psi, lines, ["verify", "--system", "brownian_1d",
+                                              "--artifacts", str(bad)])
+        _assert_names_line(code, err, psi, line)

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from scbf.errors import OutOfDomain, StructureError
 from scbf.grid import ScalarField, gradient_at, hessian_at, interpolate
+from scbf import safety_filter
 from scbf.safety_filter import (
+    CODE_BY_STATUS,
     SLACK,
     FilterSpec,
     FilterStatus,
@@ -267,13 +269,47 @@ class TestWigFilter:
                 assert spec.cost(u, u_ref) <= best_coarse + 1e-9
 
 
+def _regime_case(request, regime):
+    if regime == "affine":
+        return request.getfixturevalue("di"), request.getfixturevalue("di_filter")
+    return request.getfixturevalue({"quadratic": "quad_filter",
+                                    "nonaffine": "wig_filter"}[regime])
+
+
 class TestBatchFilter:
-    def test_matches_scalar_path(self, di, di_filter):
-        rng = np.random.default_rng(41)
-        X = random_interior_states(di, 120, seed=43)
-        U_ref = rng.uniform(-2.0, 2.0, size=(120, 1))
-        U, codes = filter_input_batch(di_filter, X, U_ref)
-        for i in range(len(X)):
-            u, status = filter_input(di_filter, X[i], U_ref[i])
-            assert_allclose(U[i], u, atol=1e-10)
-            assert codes[i] == list(FilterStatus).index(status)
+    def test_matches_scalar_path(self, request):
+        # filter_input is the one-row case of the batch path: the same bits
+        # and status in every regime, for references inside and outside the
+        # box.
+        for regime, count in (("affine", 150), ("quadratic", 150), ("nonaffine", 40)):
+            sys, spec = _regime_case(request, regime)
+            rng = np.random.default_rng(41)
+            X = random_interior_states(sys, count, seed=43)
+            span = sys.input_upper - sys.input_lower
+            U_ref = sys.input_lower - 0.5 * span + 2.0 * span * rng.random((count, sys.n_u))
+            inside = np.all((U_ref >= sys.input_lower) & (U_ref <= sys.input_upper), axis=1)
+            assert 0 < inside.sum() < count
+            U, codes = filter_input_batch(spec, X, U_ref)
+            assert len(set(codes.tolist())) >= 2, regime
+            for i in range(count):
+                u, status = filter_input(spec, X[i], U_ref[i])
+                assert u.tobytes() == U[i].tobytes(), (regime, i, u, U[i])
+                assert codes[i] == CODE_BY_STATUS[status], (regime, i)
+
+    @pytest.mark.parametrize("regime", ["quadratic", "nonaffine"])
+    def test_no_per_row_fallback(self, request, monkeypatch, regime):
+        sys, spec = _regime_case(request, regime)
+        X = random_interior_states(sys, 20, seed=47)
+        U_ref = np.tile(sys.input_upper, (20, 1))
+        expected = filter_input_batch(spec, X, U_ref)
+
+        def refuse(*args):
+            raise AssertionError("filter_input_batch called filter_input")
+
+        monkeypatch.setattr(safety_filter, "filter_input", refuse)
+        U, codes = filter_input_batch(spec, X, U_ref)
+        assert np.array_equal(U, expected[0]) and np.array_equal(codes, expected[1])
+
+    def test_empty_batch(self, di, di_filter):
+        U, codes = filter_input_batch(di_filter, np.zeros((0, 2)), np.zeros((0, 1)))
+        assert U.shape == (0, 1) and codes.shape == (0,)

@@ -2,8 +2,12 @@
 
 The values in ``data/pinned_sim.npz`` were recorded from the implementation
 that drew each trial's whole noise block in one call and interpolated one
-cell corner at a time.  Any rewrite of those hot paths must reproduce them
-exactly (``np.array_equal``), not within a tolerance.
+cell corner at a time; the ``affine*_u`` filter keys were re-recorded when
+the filter became one batched path that projects the raw reference (rows
+with a reference outside the box moved by at most 4.5e-16, the one-row
+answers by at most 1.9e-15, to the batch values).  Any rewrite of those hot
+paths must reproduce them exactly (``np.array_equal``), not within a
+tolerance.
 
 ``PYTHONPATH=src python tests/test_pinned_sim.py`` re-records the file
 from the current code; do that only for a deliberate change of outputs.
