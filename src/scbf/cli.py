@@ -232,15 +232,24 @@ def _write_metadata(path: Path, job: JobConfig, result_lines: list[str],
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_metadata(path: Path) -> dict:
+def _read_metadata(path: Path) -> tuple[dict, int]:
+    """``key -> (value, line number)`` of a metadata file, and its line count."""
+    lines = _read_text(path, "utf-8").splitlines()
     meta = {}
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or "=" not in line:
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        meta[key] = value
-    return meta
+        meta[key] = (value, lineno)
+    return meta, len(lines)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def save_result(result: EigenResult, job: JobConfig, out: Path):
@@ -274,13 +283,29 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     meta_path = artifacts / "metadata.txt"
     if not meta_path.exists():
         raise ConfigError(f"missing metadata file: {meta_path}")
-    meta = _read_metadata(meta_path)
-    psi_path = artifacts / meta.get("result.psi_file", "psi.fld")
+    meta, end = _read_metadata(meta_path)
+
+    def get(key, cast=str, default=None):
+        """``meta[key]`` read by ``cast``; a missing required key or a value
+        ``cast`` cannot read raises ConfigError naming the line."""
+        if key not in meta:
+            if default is None:
+                raise ConfigError(f"{meta_path}:{max(end, 1)}: file ends without key {key!r}")
+            return default
+        text, lineno = meta[key]
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"{meta_path}:{lineno}: key {key!r}: expected "
+                              f"{'a finite number' if cast is _finite else cast.__name__}, "
+                              f"got {text!r}") from None
+
+    psi_path = artifacts / get("result.psi_file", default="psi.fld")
     if not psi_path.exists():
         raise ConfigError(f"missing barrier field file: {psi_path}")
     psi = read_field(psi_path)
     channels = []
-    for name in meta.get("result.policy_files", "").split(","):
+    for name in get("result.policy_files").split(","):
         name = name.strip()
         if not name:
             continue
@@ -289,18 +314,18 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
             raise ConfigError(f"missing policy field file: {fpath}")
         channels.append(read_field(fpath).values)
     if not channels:
-        raise ConfigError(f"{meta_path}: no policy files recorded")
+        raise ConfigError(f"{meta_path}:{meta['result.policy_files'][1]}: no policy files recorded")
     policy = PolicyTable(psi.spec, np.stack(channels, axis=1),
                          sys_model.input_lower, sys_model.input_upper)
     result = EigenResult(
-        gamma=float(meta["result.gamma"]),
+        gamma=get("result.gamma", _finite),
         psi=psi,
         policy=policy,
         history=[],
-        converged=bool(int(meta.get("result.converged", "0"))),
-        horizon=float(meta.get("result.horizon", _DEFAULTS["propagation.horizon"])),
+        converged=bool(get("result.converged", int, 0)),
+        horizon=get("result.horizon", _finite, _DEFAULTS["propagation.horizon"]),
     )
-    return result, meta
+    return result, {key: value for key, (value, _) in meta.items()}
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -526,7 +551,9 @@ def cmd_export_plot(args) -> int:
     wrote = []
     curve_csv = src / "curve.csv"
     if curve_csv.exists():
-        rows = curve_csv.read_text().splitlines()
+        rows = _read_text(curve_csv, "utf-8").splitlines()
+        if not rows:
+            raise ConfigError(f"{curve_csv}:1: empty file, expected a header line")
         header = rows[0].split(",")
         dat_lines = ["# " + " ".join(header)]
         dat_lines += [" ".join(r.split(",")) for r in rows[1:]]
@@ -545,11 +572,14 @@ def cmd_export_plot(args) -> int:
     meta = src / "metadata.txt"
     if meta.exists():
         hist = []
-        for key, value in _read_metadata(meta).items():
+        for key, (value, lineno) in _read_metadata(meta)[0].items():
             if key.startswith("history."):
-                it = int(key.split(".", 1)[1])
-                resid, gamma = value.split()
-                hist.append((it, float(resid), float(gamma)))
+                try:
+                    resid, gamma = value.split()
+                    hist.append((int(key.split(".", 1)[1]), float(resid), float(gamma)))
+                except ValueError:
+                    raise ConfigError(f"{meta}:{lineno}: expected "
+                                      "'history.<iteration> = <residual> <gamma>'") from None
         if hist:
             hist.sort()
             (out / "convergence.dat").write_text(

@@ -122,16 +122,6 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map periodic coordinates into [lower, upper); others pass through."""
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        for d in range(self.dims):
-            if self.periodic[d]:
-                span = self.upper[d] - self.lower[d]
-                out[..., d] = self.lower[d] + np.mod(x[..., d] - self.lower[d], span)
-        return out
-
     def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Containing cell index and fractional offset for each query point.
 
@@ -189,11 +179,11 @@ class ScalarField:
     """Values of a scalar function on the nodes of a grid.
 
     Value arrays are stored flat in row-major node order, are validated to
-    be finite, and are frozen; derived nodal-derivative tables are cached
-    lazily (safe because the values cannot change).
+    be finite, and are frozen; the nodal derivative table is cached lazily
+    (safe because the values cannot change).
     """
 
-    __slots__ = ("spec", "values", "_grad", "_hess")
+    __slots__ = ("spec", "values", "_table")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=float).ravel()
@@ -207,18 +197,10 @@ class ScalarField:
         values.setflags(write=False)
         self.spec = spec
         self.values = values
-        self._grad = None
-        self._hess = None
-
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn) -> "ScalarField":
-        return cls(spec, fn(spec.nodes()))
+        self._table = None
 
     def shaped(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
-
-    def replace(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.spec, values)
 
     def __repr__(self):
         return f"ScalarField(shape={self.spec.shape})"
@@ -414,57 +396,32 @@ def _derivative_1d(values: np.ndarray, dim: int, h: float, periodic: bool,
     return out
 
 
-def _gradient_columns(field: ScalarField) -> list[np.ndarray]:
-    """Nodal first derivatives, one flat array per dimension."""
-    spec = field.spec
-    v = field.shaped()
-    h = spec.spacing
-    return [_derivative_1d(v, d, h[d], spec.periodic[d], 1).ravel()
-            for d in range(spec.dims)]
-
-
-def _hessian_columns(field: ScalarField) -> list[np.ndarray]:
-    """Nodal second derivatives (row-major over (i, j) with i <= j), one flat
-    array each.  Cross terms are symmetrized compositions of the 1-D
-    stencils (the 4-point central stencil on interior nodes, with one-sided
-    fallback within one cell of a face)."""
-    spec = field.spec
-    v = field.shaped()
-    h = spec.spacing
-    cols = []
-    for i in range(spec.dims):
-        for j in range(i, spec.dims):
-            if i == j:
-                cols.append(_derivative_1d(v, i, h[i], spec.periodic[i], 2).ravel())
-            else:
-                di = _derivative_1d(v, i, h[i], spec.periodic[i], 1)
-                dj = _derivative_1d(v, j, h[j], spec.periodic[j], 1)
-                dij = _derivative_1d(di, j, h[j], spec.periodic[j], 1)
-                dji = _derivative_1d(dj, i, h[i], spec.periodic[i], 1)
-                cols.append((0.5 * (dij + dji)).ravel())
-    return cols
-
-
-def _nodal_gradient(field: ScalarField) -> np.ndarray:
-    """Node-major first derivatives, shape (size, dims). Cached."""
-    if field._grad is None:
-        field._grad = np.stack(_gradient_columns(field), axis=1)
-    return field._grad
-
-
-def _nodal_hessian(field: ScalarField) -> np.ndarray:
-    """Node-major upper-triangle second derivatives, shape
-    (size, dims*(dims+1)/2). Cached."""
-    if field._hess is None:
-        field._hess = np.stack(_hessian_columns(field), axis=1)
-    return field._hess
-
-
 def _derivative_table(field: ScalarField) -> np.ndarray:
-    """Node-major ``[value, gradient, Hessian upper triangle]`` columns, so
-    one blend gives all three at a located state (not cached)."""
-    cols = [field.values] + _gradient_columns(field) + _hessian_columns(field)
-    return np.stack(cols, axis=1)
+    """Node-major ``[value, gradient, Hessian upper triangle]`` columns,
+    shape (size, 1 + dims + dims*(dims+1)/2), so one blend gives all three
+    at a located state; a blend of a column slice gives one of them (each
+    column blends on its own).  Cached on the field.
+
+    Hessian columns run row-major over (i, j) with i <= j.  Cross terms are
+    symmetrized compositions of the 1-D stencils (the 4-point central
+    stencil on interior nodes, with one-sided fallback within one cell of a
+    face)."""
+    if field._table is None:
+        spec = field.spec
+        v = field.shaped()
+        h = spec.spacing
+        grad = [_derivative_1d(v, d, h[d], spec.periodic[d], 1) for d in range(spec.dims)]
+        cols = [field.values] + [g.ravel() for g in grad]
+        for i in range(spec.dims):
+            for j in range(i, spec.dims):
+                if i == j:
+                    cols.append(_derivative_1d(v, i, h[i], spec.periodic[i], 2).ravel())
+                else:
+                    dij = _derivative_1d(grad[i], j, h[j], spec.periodic[j], 1)
+                    dji = _derivative_1d(grad[j], i, h[i], spec.periodic[i], 1)
+                    cols.append((0.5 * (dij + dji)).ravel())
+        field._table = np.stack(cols, axis=1)
+    return field._table
 
 
 def _unpack_hessian(upper: np.ndarray, n: int) -> np.ndarray:
@@ -487,7 +444,8 @@ def gradient_at(field: ScalarField, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out = _blend(_nodal_gradient(field), _corners(field.spec, x))
+    n = field.spec.dims
+    out = _blend(_derivative_table(field)[:, 1:1 + n], _corners(field.spec, x))
     return out[0] if single else out
 
 
@@ -499,8 +457,9 @@ def hessian_at(field: ScalarField, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    upper = _blend(_nodal_hessian(field), _corners(field.spec, x))
-    H = _unpack_hessian(upper, field.spec.dims)
+    n = field.spec.dims
+    upper = _blend(_derivative_table(field)[:, 1 + n:], _corners(field.spec, x))
+    H = _unpack_hessian(upper, n)
     return H[0] if single else H
 
 

@@ -14,17 +14,25 @@ discrete ``psi``; a feasibility slack of 1e-9 absorbs interpolation noise
 certified here).
 
 One batched implementation answers every query (``filter_input`` is its
-one-row case); the structure regime and its constants are fixed once per
-``FilterSpec``:
+one-row case).  The projection follows ``SystemModel.regime``, read once
+per ``FilterSpec``:
 
-* input-affine drift with input-independent noise: the constraint is affine
-  in ``u``; the projection is exact, from all 3**n_u active sets of the box
-  plus the halfspace, solved for every row at once;
-* scalar input with quadratic-in-input noise Gram: the feasible set is a
-  union of at most two intervals from the quadratic's roots;
-* anything else (the aircraft model): a Cartesian candidate grid over the
+* ``affine`` (input-affine drift, input-independent noise): the constraint
+  is ``a0 + a_lin . u >= 0``; the projection is exact, from all 3**n_u
+  active sets of the box plus the halfspace, solved for every row at once;
+* ``quadratic`` (scalar input, noise Gram quadratic in it): the constraint
+  is ``a0 + a_lin u + a_quad u^2 >= 0``, with the trace term fitted by
+  ``SystemModel.fit_quadratic``; the feasible set is a union of at most two
+  intervals from the quadratic's roots;
+* ``nonaffine`` (the aircraft model): a Cartesian candidate grid over the
   input box followed by deterministic coordinate refinement; accepted
   inputs are feasible but only locally optimal.
+
+Both input-affine regimes compute their coefficients on one path, in one
+summation order, ``a0 = p . f0 + (1/2) tr(H a) + gamma psi``, which is also
+what ``generator_coefficients`` returns; every Gram matrix ``a`` comes from
+``SystemModel.gram``.  ``generator_value`` evaluates the generator directly
+from the drift and the Gram matrix instead, as an independent check.
 
 If no feasible input exists, the interpolated backup policy is returned
 (status ``backup``); if even that violates the discrete constraint, the
@@ -101,13 +109,7 @@ class FilterSpec:
         # psi, its gradient and its Hessian upper triangle per node, so one
         # blend gives all three at a located state.
         self._table = _derivative_table(self.psi)
-        f = sys.flags
-        if f.input_affine and (f.sigma_u_independent or f.sigma_zero):
-            self._regime = _Affine(self)
-        elif f.input_affine and f.sigma_gram_quadratic and sys.n_u == 1:
-            self._regime = _Quadratic(self)
-        else:
-            self._regime = _Candidates(self)
+        self._regime = _REGIMES[sys.regime](self)
 
     def backup_input(self, x: np.ndarray) -> np.ndarray:
         """Interpolated backup-policy input, clamped into the box."""
@@ -141,17 +143,6 @@ def _take(rows: dict, idx) -> dict:
     return {key: value[idx] for key, value in rows.items()}
 
 
-def _gram(sys: SystemModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``sys.gram`` summed over noise channels on whole columns instead of
-    one matrix product per row; bit-identical whenever each entry of
-    sigma sigma^T has at most one nonzero product (every built-in system)."""
-    s = np.ascontiguousarray(sys.diffusion(X, U).transpose(2, 1, 0))   # (n_w, n_x, B)
-    g = s[0, :, None] * s[0, None, :]
-    for k in range(1, s.shape[0]):
-        g += s[k, :, None] * s[k, None, :]
-    return np.ascontiguousarray(g.transpose(2, 0, 1))
-
-
 def _generator(spec: FilterSpec, rows: dict, U: np.ndarray) -> np.ndarray:
     """A^u psi + gamma psi at each row's state for inputs ``U`` ``(B, K, n_u)``;
     returns ``(B, K)``."""
@@ -160,10 +151,15 @@ def _generator(spec: FilterSpec, rows: dict, U: np.ndarray) -> np.ndarray:
     X = np.repeat(rows["X"], K, axis=0)
     U = U.reshape(B * K, sys.n_u)
     F = sys.drift(X, U).reshape(B, K, sys.n_x)
-    gram = _gram(sys, X, U).reshape(B, K, sys.n_x, sys.n_x)
+    gram = sys.gram(X, U).reshape(B, K, sys.n_x, sys.n_x)
     return ((F @ rows["p"][:, :, None])[:, :, 0]
             + 0.5 * np.einsum("bij,bkij->bk", rows["H"], gram)
             + spec.gamma * rows["psi"][:, None])
+
+
+def _trace(sys: SystemModel, X: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """(1/2) tr(H sigma sigma^T) per row of states ``X`` and inputs ``U``."""
+    return 0.5 * np.einsum("bij,bij->b", H, sys.gram(X, U))
 
 
 # --- the three regimes ------------------------------------------------------------
@@ -178,7 +174,9 @@ def _generator(spec: FilterSpec, rows: dict, U: np.ndarray) -> np.ndarray:
 
 class _InputAffine:
     """Drift affine in the input: ``f(x, u) = f0(x) + G(x) u`` from one drift
-    call at the box centre and at centre +- half-width per channel."""
+    call at the box centre and at centre +- half-width per channel.  Its rows
+    are the coefficients of ``g(u) = a0 + a_lin . u`` and, in the quadratic
+    regime, ``+ a_quad u^2`` (what ``generator_coefficients`` returns)."""
 
     def __init__(self, spec: FilterSpec):
         sys = spec.sys
@@ -191,44 +189,26 @@ class _InputAffine:
             probes[2 + 2 * j, j] -= step[j]
         self._probes = probes
         self._two_step = 2.0 * step
-        self._quad = None
-        if not (sys.flags.sigma_u_independent or sys.flags.sigma_zero):
-            lo, hi = sys.input_lower[0], sys.input_upper[0]
-            mid = 0.5 * (lo + hi)
-            self._quad = (lo, hi, mid, hi - lo, (hi - lo) ** 2, mid ** 2)
-            self._trace_probes = np.array([[lo], [mid], [hi]])
 
-    def drift_parts(self, sys: SystemModel, X: np.ndarray):
-        """``f0 (B, n_x)``, ``G (B, n_x, n_u)`` and the box centre per row."""
+    def rows(self, spec, X, psi_x, p, H):
+        sys = spec.sys
         K, B = len(self._probes), X.shape[0]
         U = self._probes.repeat(B, axis=0)
         F = sys.drift(np.concatenate([X] * K), U).reshape(K, B, sys.n_x)
         G = np.empty((B, sys.n_x, sys.n_u))
         for j in range(sys.n_u):
             G[:, :, j] = (F[1 + 2 * j] - F[2 + 2 * j]) / self._two_step[j]
-        f0 = F[0] - np.einsum("bij,j->bi", G, self._uc)
-        return f0, G, U[:B]
-
-    def coefficients(self, spec, X, psi_x, p, H):
-        """``generator_coefficients`` per row: ``a0 (B,)``, ``a_lin (B, n_u)``
-        and ``a_quad (B,)`` (None when the noise does not depend on u)."""
-        sys = spec.sys
-        B = X.shape[0]
-        f0, G, centre = self.drift_parts(sys, X)
-        a0 = (p[:, None, :] @ f0[:, :, None])[:, 0, 0] + spec.gamma * psi_x
-        a_lin = (p[:, None, :] @ G)[:, 0, :]
-        if self._quad is None:
-            gram = _gram(sys, X, centre)
-            return a0 + 0.5 * np.sum((H * gram).reshape(B, sys.n_x ** 2), axis=1), a_lin, None
+        a0 = np.einsum("bi,bi->b", p, F[0] - np.einsum("bij,j->bi", G, self._uc))
+        a_lin = np.einsum("bi,bij->bj", p, G)
+        if sys.regime == "affine":
+            # the noise at the box centre U[:B] serves every input
+            return {"a0": a0 + _trace(sys, X, U[:B], H) + spec.gamma * psi_x, "a_lin": a_lin}
         # The trace term (1/2) tr(H a(u)) is quadratic in u: fit it exactly
-        # from the bounds and the midpoint of the input interval.
-        lo, hi, mid, d, d2, mid2 = self._quad
-        gram = _gram(sys, np.concatenate([X] * 3), self._trace_probes.repeat(B, axis=0))
-        tr = 0.5 * np.sum((np.concatenate([H] * 3) * gram).reshape(3, B, sys.n_x ** 2), axis=2)
-        c2 = (tr[0] + tr[2] - 2.0 * tr[1]) * 2.0 / d2
-        c1 = (tr[2] - tr[0]) / d - c2 * (lo + hi)
-        c0 = tr[1] - c1 * mid - c2 * mid2
-        return a0 + c0, a_lin + c1[:, None], c2
+        # from three inputs, all evaluated in one call.
+        t0, t1, t2 = sys.fit_quadratic(lambda U: _trace(
+            sys, np.concatenate([X] * 3), U.repeat(B, axis=0),
+            np.concatenate([H] * 3)).reshape(3, B))
+        return {"a0": a0 + t0 + spec.gamma * psi_x, "a_lin": a_lin + t1[:, None], "a_quad": t2}
 
 
 class _Affine(_InputAffine):
@@ -247,16 +227,6 @@ class _Affine(_InputAffine):
         self._fixed = np.where(pattern == -1, lo, np.where(pattern == 1, hi, 0.0))
         self._fixed_cols = self._fixed.T.copy()
         self._box = (lo, hi, lo - 1e-12, hi + 1e-12)
-
-    def rows(self, spec, X, psi_x, p, H):
-        # The same a0 and a_lin as ``coefficients``, summed in another order
-        # (kept so that answers stay bit-identical to the pinned outputs).
-        f0, G, centre = self.drift_parts(spec.sys, X)
-        gram = _gram(spec.sys, X, centre)
-        a0 = (np.einsum("bi,bi->b", p, f0)
-              + 0.5 * np.einsum("bij,bij->b", H, gram)
-              + spec.gamma * psi_x)
-        return {"a0": a0, "a_lin": np.einsum("bi,bij->bj", p, G)}
 
     def value(self, spec, rows, U):
         return rows["a0"] + np.einsum("bj,bj->b", rows["a_lin"], U)
@@ -297,19 +267,15 @@ class _Quadratic(_InputAffine):
     """Scalar input, noise Gram quadratic in it: ``g(u) = c0 + c1 u + c2 u^2``,
     feasible on at most two intervals from the roots."""
 
-    def rows(self, spec, X, psi_x, p, H):
-        c0, c1, c2 = self.coefficients(spec, X, psi_x, p, H)
-        return {"c0": c0, "c1": c1[:, 0], "c2": c2}
-
     def value(self, spec, rows, U):
         u = U[:, 0]
-        return rows["c0"] + rows["c1"] * u + u * rows["c2"] * u
+        return rows["a0"] + rows["a_lin"][:, 0] * u + u * rows["a_quad"] * u
 
     def project(self, spec, rows, R):
         """Nearest feasible point per row; equidistant ties break toward the
         lower value."""
-        lo, hi = self._quad[:2]
-        c0, c1, c2, r = rows["c0"], rows["c1"], rows["c2"], R[:, 0]
+        lo, hi = spec.sys.input_lower[0], spec.sys.input_upper[0]
+        c0, c1, c2, r = rows["a0"], rows["a_lin"][:, 0], rows["a_quad"], R[:, 0]
         flat = np.abs(c2) < 1e-14
         const = flat & (np.abs(c1) < 1e-14)
         rising = flat & ~const & (c1 > 0)
@@ -402,6 +368,9 @@ class _Candidates:
         return best, solved
 
 
+_REGIMES = {"affine": _Affine, "quadratic": _Quadratic, "nonaffine": _Candidates}
+
+
 # --- the filter ----------------------------------------------------------------
 
 
@@ -436,23 +405,22 @@ def _filter_rows(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
 def generator_coefficients(spec: FilterSpec, x: np.ndarray):
     """Decompose A^u psi(x) + gamma psi(x) into (a0, a_lin, a_quad).
 
-    ``a_quad`` is None when the noise does not depend on the input.  Raises
-    StructureError when the drift is not affine in the input (no exact
+    ``a_quad`` is None in the ``affine`` regime (noise independent of the
+    input).  Raises StructureError in the ``nonaffine`` regime (no exact
     finite decomposition exists; the filter falls back to candidate search
     for such systems).
     """
     sys = spec.sys
-    if not isinstance(spec._regime, _InputAffine):
-        raise StructureError(f"{sys.name}: " + (
-            "noise Gram is not quadratic in the input (or n_u > 1)"
-            if sys.flags.input_affine else "drift is not affine in the input"))
+    if sys.regime == "nonaffine":
+        raise StructureError(f"{sys.name}: the generator is not affine in the input, "
+                             "nor quadratic in a scalar one (regime 'nonaffine')")
     x = np.asarray(x, dtype=float)
     if not bool(sys.contains(x)[0]):
         raise OutOfDomain("state is outside the safe set")
     X = x.reshape(1, -1)
-    _, psi_x, p, H = _barrier_at(spec, X)
-    a0, a_lin, a_quad = spec._regime.coefficients(spec, X, psi_x, p, H)
-    return float(a0[0]), a_lin[0], None if a_quad is None else a_quad[:, None]
+    rows = spec._regime.rows(spec, X, *_barrier_at(spec, X)[1:])
+    a_quad = rows.get("a_quad")
+    return float(rows["a0"][0]), rows["a_lin"][0], None if a_quad is None else a_quad[:, None]
 
 
 def generator_value(spec: FilterSpec, x: np.ndarray, U: np.ndarray) -> np.ndarray:

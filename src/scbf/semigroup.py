@@ -526,14 +526,9 @@ class _QuadraticInput:
 
     def __init__(self, sys: SystemModel, nodes: np.ndarray, F_lo, F_hi):
         lo, hi = sys.input_lower[0], sys.input_upper[0]
-        mid = 0.5 * (lo + hi)
-        g = [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in (lo, mid, hi)]
-        # Exact 3-point quadratic reconstruction.
-        d = hi - lo
-        self.c2 = (g[0] + g[2] - 2.0 * g[1]) * 2.0 / d**2
-        self.c1 = (g[2] - g[0]) / d - self.c2 * (lo + hi)
-        self.c0 = g[1] - self.c1 * mid - self.c2 * mid**2
-        self.g1 = (F_hi - F_lo) / d
+        self.c0, self.c1, self.c2 = sys.fit_quadratic(
+            lambda U: [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in U[:, 0]])
+        self.g1 = (F_hi - F_lo) / (hi - lo)
         self.f0 = F_lo - self.g1 * lo
         self.lo, self.hi, n = lo, hi, sys.n_x
         # Diagonal entries first, as the stationary-point sums are ordered.
@@ -684,13 +679,11 @@ class _OptimalScheme:
         dynamic = False
         if np.all(sys.input_upper == sys.input_lower):
             cand = sys.input_center()[None, :]
-        elif flags.input_affine and (flags.sigma_u_independent or flags.sigma_zero):
-            cand = sys.input_corners()
-        elif flags.input_affine and flags.sigma_gram_quadratic and sys.n_u == 1:
-            cand = sys.input_corners()
-            dynamic = True
-        else:
+        elif sys.regime == "nonaffine":
             cand = sys.input_grid(cfg.candidate_points)
+        else:
+            cand = sys.input_corners()
+            dynamic = sys.regime == "quadratic"
         self.candidates = cand
 
         self.load, self.stencil, self.quad = _split_stencil(

@@ -10,6 +10,12 @@ or quadratic-in-input noise Gram, zero noise) are not trusted from the model
 author: they are verified at registration by sampling probes, as is the full
 row rank diagnostic for the diffusion matrix (reported, never enforced,
 because rank-deficient noise is an explicitly supported regime).
+
+The numerics read that structure only through three ``SystemModel``
+members: ``regime`` (``affine``, ``quadratic`` or ``nonaffine``), from which
+power-policy iteration picks its candidate inputs and the safety filter its
+projection; ``gram``, the one ``sigma sigma^T`` formula; and
+``fit_quadratic``, the one exact fit in a scalar input.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
 ]
 
 _PROBE_TOL = 1e-10
+_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,10 +100,53 @@ class SystemModel:
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.safe_set.contains(self.grid, x)
 
-    # -- input helpers --------------------------------------------------------
+    # -- input structure --------------------------------------------------------
 
-    def clamp_input(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(u, dtype=float), self.input_lower, self.input_upper)
+    @property
+    def regime(self) -> str:
+        """``affine``: input-affine drift, noise independent of the input;
+        ``quadratic``: input-affine drift, noise Gram quadratic in a scalar
+        input; ``nonaffine``: anything else."""
+        f = self.flags
+        if f.input_affine and (f.sigma_u_independent or f.sigma_zero):
+            return "affine"
+        if f.input_affine and f.sigma_gram_quadratic and self.n_u == 1:
+            return "quadratic"
+        return "nonaffine"
+
+    def gram(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """sigma sigma^T at (x, u), shape (..., n_x, n_x): entry (i, j) adds
+        ``sigma_ik sigma_jk`` over the noise channels k in order, each
+        product taken on a contiguous column of up to ``_GRAM_BLOCK``
+        states (so the scratch arrays stay small on a full grid)."""
+        s = np.asarray(self.diffusion(x, u), dtype=float)
+        lead, (n, m) = s.shape[:-2], s.shape[-2:]
+        s = s.reshape(-1, n, m)
+        out = np.empty((s.shape[0], n, n))
+        for b in range(0, s.shape[0], _GRAM_BLOCK):
+            c = np.ascontiguousarray(s[b:b + _GRAM_BLOCK].transpose(2, 1, 0))   # (m, n, block)
+            g = c[0, :, None] * c[0, None, :]
+            for k in range(1, m):
+                g += c[k, :, None] * c[k, None, :]
+            out[b:b + _GRAM_BLOCK] = g.transpose(2, 0, 1)
+        return out.reshape(lead + (n, n))
+
+    def fit_quadratic(self, sample):
+        """``(c0, c1, c2)`` with ``c0 + c1 u + c2 u^2`` through the three
+        values ``sample(U)`` returns for ``U`` (3, 1), the scalar input's
+        lower bound, midpoint and upper bound; entrywise, and exact when the
+        sampled quantity is quadratic in ``u`` (the noise Gram in the
+        ``quadratic`` regime)."""
+        lo, hi = self.input_lower[0], self.input_upper[0]
+        mid = 0.5 * (lo + hi)
+        v_lo, v_mid, v_hi = sample(np.array([[lo], [mid], [hi]]))
+        d = hi - lo
+        c2 = (v_lo + v_hi - 2.0 * v_mid) * 2.0 / d**2
+        c1 = (v_hi - v_lo) / d - c2 * (lo + hi)
+        c0 = v_mid - c1 * mid - c2 * mid**2
+        return c0, c1, c2
+
+    # -- input helpers --------------------------------------------------------
 
     def input_center(self) -> np.ndarray:
         return 0.5 * (self.input_lower + self.input_upper)
@@ -114,11 +164,6 @@ class SystemModel:
         for lo, hi in zip(self.input_lower, self.input_upper):
             axes.append(np.linspace(lo, hi, 1 if hi == lo else points_per_dim))
         return np.array(list(itertools.product(*axes)), dtype=float)
-
-    def gram(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """sigma sigma^T at (x, u), shape (..., n_x, n_x)."""
-        s = self.diffusion(x, u)
-        return s @ np.swapaxes(s, -1, -2)
 
 
 def _probe_points(sys: SystemModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:

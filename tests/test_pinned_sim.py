@@ -5,9 +5,14 @@ that drew each trial's whole noise block in one call and interpolated one
 cell corner at a time; the ``affine*_u`` filter keys were re-recorded when
 the filter became one batched path that projects the raw reference (rows
 with a reference outside the box moved by at most 4.5e-16, the one-row
-answers by at most 1.9e-15, to the batch values).  Any rewrite of those hot
-paths must reproduce them exactly (``np.array_equal``), not within a
-tolerance.
+answers by at most 1.9e-15, to the batch values).  The ``*_a0`` keys and
+the ``quadratic_*_u`` keys were re-recorded when both input-affine regimes
+moved to one coefficient path with one summation order (``affine_a0`` 6 of
+10 entries and ``affine_slack_a0`` 5 of 10 by at most 1.1e-16,
+``quadratic_a0`` 4 of 10 by at most 4.4e-16, ``quadratic_scalar_u`` and
+``quadratic_batch_u`` 3 of 60 each by at most 2.2e-16; every status and
+``*_value`` key unchanged).  Any rewrite of those hot paths must reproduce
+them exactly (``np.array_equal``), not within a tolerance.
 
 ``PYTHONPATH=src python tests/test_pinned_sim.py`` re-records the file
 from the current code; do that only for a deliberate change of outputs.

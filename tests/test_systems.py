@@ -2,8 +2,48 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scbf.errors import NonPositiveAirspeed, UnknownParameter
-from scbf.systems import WIG_DEFAULTS, make_benchmark, wig_forces
+from scbf.errors import NonPositiveAirspeed, StructureError, UnknownParameter
+from scbf.grid import ScalarField
+from scbf.safety_filter import (
+    FilterSpec, _Affine, _Candidates, _Quadratic, generator_coefficients)
+from scbf.semigroup import PolicyTable, PropagationConfig, _OptimalScheme
+from scbf.spectral import EigenResult
+from scbf.systems import BENCHMARKS, WIG_DEFAULTS, SystemModel, make_benchmark, wig_forces
+from test_pinned_optimal import _cross_input_noise
+
+SMALL_GRIDS = {"wig_aircraft": (5, 5, 5), "bicycle": (7, 7, 6, 5), "brownian_1d": (21,)}
+
+
+def _two_input_noise():
+    """Double integrator pushed by two inputs, the first of which scales the
+    noise: input-affine drift and quadratic Gram, but not a scalar input."""
+    di = make_benchmark("di_input_noise", grid_counts=(11, 21))
+
+    def drift(x, u):
+        return di.drift(x, np.asarray(u)[..., :1] + np.asarray(u)[..., 1:])
+
+    return SystemModel(name="two_input_noise", n_x=2, n_u=2, n_w=1, drift=drift,
+                       diffusion=lambda x, u: di.diffusion(x, np.asarray(u)[..., :1]),
+                       input_lower=[-1.0, -1.0], input_upper=[1.0, 1.0],
+                       grid=di.grid, safe_set=di.safe_set)
+
+
+def _small(name):
+    if name == "cross_input_noise":
+        return _cross_input_noise((5, 5, 4))
+    if name == "two_input_noise":
+        return _two_input_noise()
+    return make_benchmark(name, grid_counts=SMALL_GRIDS.get(name, (11, 21)))
+
+
+def _random_points(sys, shape, seed):
+    """States in the grid box and inputs a quarter-width beyond the input box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.asarray(sys.grid.lower), np.asarray(sys.grid.upper)
+    X = lo + (hi - lo) * rng.random(shape + (sys.n_x,))
+    width = sys.input_upper - sys.input_lower
+    U = sys.input_lower + width * (1.5 * rng.random(shape + (sys.n_u,)) - 0.25)
+    return X, U
 
 
 class TestMakeBenchmark:
@@ -139,3 +179,65 @@ class TestVectorization:
             for i in range(6):
                 assert_allclose(FB[i], sys.drift(X[i], U[i]), atol=1e-13)
                 assert_allclose(SB[i], sys.diffusion(X[i], U[i]), atol=1e-13)
+
+
+class TestInputStructure:
+    """``SystemModel.regime`` and ``SystemModel.gram`` are the only readers
+    of the input structure; the filter and the optimal scheme follow them."""
+
+    REGIMES = {"di_omni": "affine", "di_velocity": "affine",
+               "di_input_noise": "quadratic", "di_deterministic": "affine",
+               "wig_aircraft": "nonaffine", "bicycle": "affine",
+               "brownian_1d": "affine", "cross_input_noise": "quadratic",
+               "two_input_noise": "nonaffine"}
+
+    def test_every_builtin_listed(self):
+        assert set(self.REGIMES) == set(BENCHMARKS) | {"cross_input_noise", "two_input_noise"}
+
+    @pytest.mark.parametrize("name, regime", sorted(REGIMES.items()))
+    def test_regime_drives_filter_and_candidates(self, name, regime):
+        sys = _small(name)
+        assert sys.regime == regime
+        res = EigenResult(gamma=0.0, psi=ScalarField(sys.grid, np.zeros(sys.grid.size)),
+                          policy=PolicyTable.zero(sys), history=[], converged=True,
+                          horizon=0.5)
+        spec = FilterSpec(sys, res)
+        assert type(spec._regime) is {"affine": _Affine, "quadratic": _Quadratic,
+                                      "nonaffine": _Candidates}[regime]
+        x = sys.grid.nodes()[int(np.argmax(sys.interior_mask()))]
+        if regime == "nonaffine":
+            with pytest.raises(StructureError, match="nonaffine"):
+                generator_coefficients(spec, x)
+        else:
+            assert (generator_coefficients(spec, x)[2] is None) == (regime == "affine")
+
+        scheme = _OptimalScheme(sys, PropagationConfig(horizon=0.1, candidate_points=3))
+        if np.all(sys.input_lower == sys.input_upper):
+            expected = sys.input_center()[None, :]
+        elif regime == "nonaffine":
+            expected = sys.input_grid(3)
+        else:
+            expected = sys.input_corners()
+        np.testing.assert_array_equal(scheme.candidates, expected)
+        assert (scheme.quad is not None) == (regime == "quadratic")
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_gram_exact_on_builtins(self, name):
+        # Each Gram entry of a built-in system has at most one nonzero
+        # product, so the summation order cannot matter.
+        sys = _small(name)
+        X, U = _random_points(sys, (4, 5), seed=3)
+        s = sys.diffusion(X, U)
+        g = sys.gram(X, U)
+        assert g.shape == (4, 5, sys.n_x, sys.n_x)
+        np.testing.assert_array_equal(g, np.einsum("...ik,...jk->...ij", s, s))
+        np.testing.assert_array_equal(sys.gram(X[0, 0], U[0, 0]), g[0, 0])
+
+    def test_gram_cross_input_noise(self):
+        # Two entries of this model's Gram sum two nonzero products, which
+        # the channel-by-channel sum may round differently from einsum.
+        sys = _small("cross_input_noise")
+        X, U = _random_points(sys, (200,), seed=4)
+        s = sys.diffusion(X, U)
+        assert_allclose(sys.gram(X, U), np.einsum("...ik,...jk->...ij", s, s),
+                        rtol=1e-15, atol=0.0)
