@@ -233,7 +233,8 @@ def _write_metadata(path: Path, job: JobConfig, result_lines: list[str],
 
 
 def _read_metadata(path: Path) -> tuple[dict, int]:
-    """``key -> (value, line number)`` of a metadata file, and its line count."""
+    """``key -> (value, line number)`` of a metadata file, and its line count;
+    a key given twice raises ConfigError naming both lines."""
     lines = _read_text(path, "utf-8").splitlines()
     meta = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -241,6 +242,8 @@ def _read_metadata(path: Path) -> tuple[dict, int]:
         if not line or "=" not in line:
             continue
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in meta:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {meta[key][1]}")
         meta[key] = (value, lineno)
     return meta, len(lines)
 
@@ -304,17 +307,28 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     if not psi_path.exists():
         raise ConfigError(f"missing barrier field file: {psi_path}")
     psi = read_field(psi_path)
+    names = [name.strip() for name in get("result.policy_files").split(",") if name.strip()]
+    where = f"{meta_path}:{meta['result.policy_files'][1]}"
+    if not names:
+        raise ConfigError(f"{where}: no policy files recorded")
+    if len(names) != sys_model.n_u:
+        raise ConfigError(
+            f"{where}: {len(names)} policy files give a policy of shape "
+            f"{(psi.spec.size, len(names))}, expected {(psi.spec.size, sys_model.n_u)} "
+            "(one file per input channel)")
     channels = []
-    for name in get("result.policy_files").split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in names:
         fpath = artifacts / name
         if not fpath.exists():
             raise ConfigError(f"missing policy field file: {fpath}")
-        channels.append(read_field(fpath).values)
-    if not channels:
-        raise ConfigError(f"{meta_path}:{meta['result.policy_files'][1]}: no policy files recorded")
+        channel = read_field(fpath)
+        if channel.spec != psi.spec:
+            raise ConfigError(
+                f"{where}: policy file {name!r} is on a grid of shape {channel.spec.counts}, "
+                f"expected the grid of {psi_path.name}, shape {psi.spec.counts}"
+                + (" (same shape, other bounds or periodicity)"
+                   if channel.spec.counts == psi.spec.counts else ""))
+        channels.append(channel.values)
     policy = PolicyTable(psi.spec, np.stack(channels, axis=1),
                          sys_model.input_lower, sys_model.input_upper)
     result = EigenResult(

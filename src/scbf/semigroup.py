@@ -53,7 +53,12 @@ ghost layers, refreshed before each step.  A non-periodic dimension needs
 none because :func:`~scbf.grid.classify_nodes` kills its outer node layer:
 no interior node has a neighbor beyond it, and a shift from a killed node
 that leaves the grid lands on another killed node or in a zero margin, so
-it reads zero as a ghost would.
+it reads zero as a ghost would.  Every per-node array a step reads or
+writes starts on a 64-byte cache line, and the centres of the two ping-pong
+buffers sit half a page apart, because a store that splits a cache line, or
+a load 4K-aliased with a store just issued, makes a streaming multiply about
+twice as slow; left to the heap, the cost of a step varied by up to 1.5
+times between processes.
 """
 
 from __future__ import annotations
@@ -152,6 +157,26 @@ class PropagationConfig:
 # is roundoff around zero (e.g. exactly dominant noise, or dt at the bound).
 _WEIGHT_TOL = 1e-10
 
+# Bytes in a cache line and in a page (the period of 4K aliasing).
+_LINE, _PAGE = 64, 4096
+
+
+def _aligned(shape, dtype=np.float64, lead: int = 0, phase: int | None = None) -> np.ndarray:
+    """A zeroed array whose every row along the last axis starts on a cache
+    line: the rows are padded to whole lines and the result is a view of the
+    padded block.  With ``phase``, flat element ``lead`` of a 1-d array
+    starts ``phase`` bytes past a page boundary instead.  The block is placed
+    inside a slightly larger allocation, so nothing is copied."""
+    dtype, shape = np.dtype(dtype), tuple(int(c) for c in np.atleast_1d(shape))
+    per_line = _LINE // dtype.itemsize
+    row = -(-shape[-1] // per_line) * per_line
+    nbytes = int(np.prod(shape[:-1])) * row * dtype.itemsize
+    period = _LINE if phase is None else _PAGE
+    raw = np.zeros(nbytes + period, dtype=np.uint8)
+    skip = ((phase or 0) - raw.ctypes.data - lead * dtype.itemsize) % period
+    block = raw[skip:skip + nbytes].view(dtype).reshape(shape[:-1] + (row,))
+    return block[..., :shape[-1]]
+
 
 def _offset(n: int, *moves) -> tuple:
     """Neighbor offset from ``(dimension, step)`` moves."""
@@ -235,6 +260,17 @@ class _Stencil:
     fully padded grid would read a ghost is exact only because every node
     of the outer layer of a non-periodic dimension is killed (weight zero,
     value zero), as :func:`~scbf.grid.classify_nodes` guarantees.
+
+    Placement (:func:`_aligned`): the centre view of each ping-pong buffer,
+    every weight, every candidate row and every scratch array a step reads
+    or writes starts on a 64-byte cache line, and the two centre views sit
+    2048 bytes apart modulo 4096.  A vector store that splits a cache line
+    costs about twice one that does not, so a misaligned output doubles the
+    cost of a streaming multiply; and a load whose address matches, modulo
+    4096, that of a store just issued waits for it (4K aliasing), which the
+    half-page gap keeps away from the step's reads of one buffer and writes
+    of the other.  The heap gives no such guarantee: the same step ran up to
+    1.5 times slower in one process than in another.
     """
 
     def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict,
@@ -250,10 +286,12 @@ class _Stencil:
         self._interior_nodes, self.interior = interior, self.pad(interior)
         self.base = {o: self.pad(r) for o, r in base.items() if np.any(r[interior] != 0.0)}
         self.offsets = list(offsets)
-        self.cand = np.zeros((len(self.offsets), n_cand, self.span))
+        self.cand = _aligned((len(self.offsets), n_cand, self.span))
         self.dynamic = self.W = None
         self._centre = (0,) * n
-        self._bufs, self._cur = [np.zeros(size + 2 * margin) for _ in range(2)], 0
+        self._bufs = [_aligned(size + 2 * margin, lead=margin + first, phase=phase)
+                      for phase in (0, _PAGE // 2)]
+        self._cur = 0
         self._views = [{o: buf[margin + first + int(np.dot(o, strides)):][:self.span]
                         for o in {self._centre, *self.base, *self.offsets}}
                        for buf in self._bufs]
@@ -267,11 +305,11 @@ class _Stencil:
                     Q = np.moveaxis(P, d, 0)
                     copies += [(Q[:1], Q[-2:-1]), (Q[-1:], Q[1:2])]
             self._ghosts.append(copies)
-        self._tmp, self._diffs = np.empty(self.span), np.empty((len(self.offsets), self.span))
-        self._scores = np.empty((n_cand, self.span))
+        self._tmp, self._diffs = _aligned(self.span), _aligned((len(self.offsets), self.span))
+        self._scores = _aligned((n_cand, self.span))
 
     def pad(self, node_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.span, dtype=node_values.dtype)
+        out = _aligned(self.span, node_values.dtype)
         out[self.pos] = node_values
         return out
 
@@ -289,11 +327,18 @@ class _Stencil:
     def fold_step(self, dt: float):
         """Fold ``dt`` and the kill mask into the weights and check that the
         stencil is monotone under every fixed candidate."""
-        self.dt_mask = np.where(self.interior, dt, 0.0)
-        total = sum(self.base.values(), np.zeros(self.span))
-        self.W0 = np.where(self.interior, 1.0 - dt * total, 0.0)
-        self.W = {o: r * self.dt_mask for o, r in self.base.items()}
-        self.base = None
+        self.dt_mask, self.W0 = _aligned(self.span), _aligned(self.span)
+        np.copyto(self.dt_mask, dt, where=self.interior)
+        # W0 = 1 - dt * (sum of base rates) and W_o = dt_mask * rate, built in
+        # place on the aligned arrays.
+        for r in self.base.values():
+            self.W0 += r
+        self.W0 *= dt
+        np.subtract(1.0, self.W0, out=self.W0)
+        np.copyto(self.W0, 0.0, where=~self.interior)
+        for r in self.base.values():
+            r *= self.dt_mask
+        self.W, self.base = self.base, None
         self._check(None)
         for k in range(self.cand.shape[1] - (self.dynamic is not None) if self.offsets else 0):
             self._check(k)
@@ -571,20 +616,20 @@ class _QuadraticInput:
                     [at((i, 1)), at((i, -1)), at((j, 1)), at((j, -1))]
                     + [at((i, si), (j, sj)) for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))])
             self._curvs.append((i, j, keys, pad(c * self.c1[:, i, j]), pad(c * self.c2[:, i, j])))
-        self._v2, self._lin, self._quad, self._u = (np.empty(span) for _ in range(4))
-        self._t = np.empty((3, span))
-        self._safe = np.empty(span, dtype=bool)
+        self._v2, self._lin, self._quad, self._u = (_aligned(span) for _ in range(4))
+        self._t = _aligned((3, span))
+        self._safe = _aligned(span, bool)
         self.ustar = self._u
         # Gram entries; input-dependent ones get a buffer.  Every rate the
         # rows read depends on the input (the offsets come from ``touched``).
         self._coef = {(i, j): tuple(pad(c[:, i, j]) for c in (self.c0, self.c1, self.c2))
                       for i, j in self.varying}
-        entries = {(i, j): np.empty(span) if (i, j) in self._coef else pad(self.c0[:, i, j])
+        entries = {(i, j): _aligned(span) if (i, j) in self._coef else pad(self.c0[:, i, j])
                    for i in range(n) for j in range(i, n)}
         self._gram = lambda i, j: entries[(i, j)]
         # One diffusion rate per offset up to sign.
-        self._rates = {o: np.empty(span) for o in sorted({_unsigned(o) for o in diff_offsets})}
-        self._drift = {i: (pad(self.f0[:, i]), g1, np.empty(span)) for i, _, _, g1 in self._grads}
+        self._rates = {o: _aligned(span) for o in sorted({_unsigned(o) for o in diff_offsets})}
+        self._drift = {i: (pad(self.f0[:, i]), g1, _aligned(span)) for i, _, _, g1 in self._grads}
         # Per candidate offset: its row, the drift component it moves along
         # (with the step's sign and the spacing) or None, and its diffusion
         # rate or 0.0.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scbf import cli, montecarlo
 from scbf.cli import _SCHEMA, main, parse_config_text
 from scbf.errors import ConfigError
-from scbf.grid import read_field, write_field, ScalarField
+from scbf.grid import GridSpec, read_field, write_field, ScalarField
 from scbf.safety_filter import FilterSpec, FilterStatus, filter_input
 from scbf.systems import make_benchmark
 
@@ -71,6 +71,22 @@ class TestSynthesize:
         assert meta["result.converged"] == "1"
         assert (brownian_artifacts / "psi.fld").exists()
         assert (brownian_artifacts / "policy_0.fld").exists()
+
+    @pytest.mark.parametrize("system, grid", [
+        ("brownian_1d", "21"), ("di_omni", "11,21"), ("di_velocity", "11,21"),
+        ("di_input_noise", "11,21"), ("di_deterministic", "11,21"),
+        ("wig_aircraft", "7,7,7"), ("bicycle", "7,7,6,5")])
+    def test_metadata_keys_unique(self, tmp_path, system, grid):
+        # Every built-in system, so every metadata writer path; the reader
+        # rejects a repeated key.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("iteration.max_iter = 3\n")
+        out = tmp_path / "out"
+        code = run("synthesize", "--config", str(cfg), "--system", system,
+                   "--grid", grid, "--out", str(out))
+        assert code in (0, 2)
+        meta, _ = cli._read_metadata(out / "metadata.txt")
+        assert "result.gamma" in meta and any(k.startswith("history.") for k in meta)
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -304,6 +320,54 @@ class TestArtifactReaders:
         assert f"{meta}:{line}: " in err and phrase in err, err
         assert "Traceback" not in err
 
+    def test_policy_channel_count(self, tmp_path, brownian_artifacts, capsys):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        meta = bad / "metadata.txt"
+        lines = meta.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("result.policy_files ="))
+        lines[at] = "result.policy_files = policy_0.fld,psi.fld"
+        meta.write_text("\n".join(lines) + "\n")
+        code = run("verify", "--system", "brownian_1d", "--artifacts", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"{meta}:{at + 1}: 2 policy files give a policy of shape (201, 2), "
+                "expected (201, 1)") in err, err
+
+    def test_policy_on_other_grid(self, tmp_path, brownian_artifacts, capsys):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        psi = read_field(bad / "psi.fld")
+        other = GridSpec(psi.spec.lower, psi.spec.upper, 101)
+        write_field(ScalarField(other, np.zeros(other.size)), bad / "policy_0.fld")
+        meta = bad / "metadata.txt"
+        line = next(i for i, l in enumerate(meta.read_text().splitlines(), start=1)
+                    if l.startswith("result.policy_files ="))
+        code = run("verify", "--system", "brownian_1d", "--artifacts", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"{meta}:{line}: policy file 'policy_0.fld' is on a grid of shape (101,), "
+                "expected the grid of psi.fld, shape (201,)") in err, err
+
+    def test_repeated_gamma(self, tmp_path, brownian_artifacts, capsys):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        meta = bad / "metadata.txt"
+        lines = meta.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("result.gamma ="))
+        meta.write_text("\n".join(lines[:at + 1] + ["result.gamma = 1.0"] + lines[at + 1:]) + "\n")
+        code = run("verify", "--system", "brownian_1d", "--artifacts", str(bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{meta}:{at + 2}: key 'result.gamma' repeats line {at + 1}" in err, err
+
+    def test_repeated_history(self, tmp_path, brownian_artifacts, capsys):
+        meta = tmp_path / "metadata.txt"
+        lines = (brownian_artifacts / "metadata.txt").read_text().splitlines()
+        own = next(i for i, l in enumerate(lines, start=1) if l.startswith("history.1 ="))
+        meta.write_text("\n".join(lines[:3] + ["history.1 = 1 2"] + lines[3:]) + "\n")
+        code = run("export-plot", "--artifacts", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{meta}:{own + 1}: key 'history.1' repeats line 4" in err, err
+
     def test_empty_curve(self, tmp_path, capsys):
         (tmp_path / "curve.csv").write_text("")
         code = run("export-plot", "--artifacts", str(tmp_path))
@@ -311,7 +375,7 @@ class TestArtifactReaders:
         assert code == 1
         assert f"{tmp_path / 'curve.csv'}:1: empty file" in err, err
 
-    # iteration numbers the file does not hold, so no later line replaces them
+    # iteration numbers the file does not hold, so only the value is at fault
     @pytest.mark.parametrize("entry", ["history.x = 1 2", "history.900001 = 1",
                                        "history.900001 = 1 2 3",
                                        "history.900002 = 1e-3 abc"])

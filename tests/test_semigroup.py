@@ -11,6 +11,10 @@ from scbf.grid import GridSpec, ImplicitSet, ScalarField, sup_norm
 from scbf.semigroup import (
     PolicyTable,
     PropagationConfig,
+    _aligned,
+    _choose_step,
+    _OptimalScheme,
+    _split_stencil,
     apply_generator,
     argmax_policy,
     propagate,
@@ -263,6 +267,62 @@ def test_step_matches_generator_on_every_layout(seed, dims):
     for node in np.nonzero(interior)[0]:
         gen = apply_generator(f, sys, u, int(node))
         assert (out[node] - f.values[node]) / dt == pytest.approx(gen, rel=1e-9, abs=1e-9)
+
+
+def _step_arrays(stencil):
+    """Every array a step reads at its own start or writes: weights, candidate
+    rows, scratch, and the critical-input candidate's coefficients and buffers."""
+    arrays = [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
+              *stencil._diffs, *stencil._scores, *(row for rows in stencil.cand for row in rows),
+              *(views[stencil._centre] for views in stencil._views)]
+    quad = stencil.dynamic
+    if quad is not None:
+        n = len(quad.h)
+        arrays += [quad._v2, quad._lin, quad._quad, quad._u, quad._safe, *quad._t,
+                   *quad._rates.values(), *(g1 for *_, g1 in quad._grads),
+                   *(c for *_, cc1, cc2 in quad._curvs for c in (cc1, cc2)),
+                   *(c for coefs in quad._coef.values() for c in coefs),
+                   *(a for f0, g1, f in quad._drift.values() for a in (f0, g1, f)),
+                   *(quad._gram(i, j) for i in range(n) for j in range(i, n))]
+    return arrays
+
+
+@pytest.mark.parametrize("name, counts, optimal", [
+    ("di_omni", (81, 161), False),            # fixed policy
+    ("di_omni", (81, 161), True),             # box corners
+    ("wig_aircraft", (9, 9, 9), True),        # 9^3 candidate grid
+    ("di_input_noise", (21, 41), True),       # corners + critical input
+    ("bicycle", (13, 13, 12, 7), True),       # periodic heading ghosts
+])
+def test_step_arrays_start_on_cache_lines(name, counts, optimal):
+    # Stores that split a cache line, and loads 4K-aliased with the step's
+    # stores, make a step up to 1.5x slower; the layout rules them out.
+    sys = make_benchmark(name, grid_counts=counts)
+    cfg = PropagationConfig(horizon=0.01)
+    if optimal:
+        scheme = _OptimalScheme(sys, cfg)
+        load, stencil = scheme.load, scheme.stencil
+    else:
+        load, stencil, _ = _split_stencil(sys, [PolicyTable.zero(sys).inputs])
+    stencil.fold_step(_choose_step(cfg.horizon, load, cfg)[1])
+    stencil.load(interior_random_field(sys, 3).values)
+    stencil.step()
+    stencil.step()
+    arrays = _step_arrays(stencil)
+    assert len(arrays) > 8
+    assert all(a.ctypes.data % 64 == 0 for a in arrays)
+    centres = [views[stencil._centre].ctypes.data for views in stencil._views]
+    assert (centres[1] - centres[0]) % 4096 == 2048
+
+
+def test_aligned_allocation():
+    rows = _aligned((3, 13))
+    assert rows.shape == (3, 13) and rows.strides == (16 * 8, 8) and not rows.any()
+    assert all(row.ctypes.data % 64 == 0 for row in rows)
+    flags = _aligned(100, bool)
+    assert flags.dtype == bool and flags.ctypes.data % 64 == 0 and flags.flags.c_contiguous
+    buf = _aligned(1000, lead=7, phase=2048)
+    assert buf.flags.c_contiguous and (buf.ctypes.data + 7 * 8) % 4096 == 2048
 
 
 class TestPropagateOptimal:
