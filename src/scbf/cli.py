@@ -35,7 +35,7 @@ from .montecarlo import (
     write_trajectory_csv,
 )
 from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
-from .semigroup import PolicyTable, PropagationConfig, propagate
+from .semigroup import PolicyTable, PropagationConfig, _apply_facts, propagate
 from .spectral import (
     EigenResult,
     IterationRecord,
@@ -255,7 +255,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def save_result(result: EigenResult, job: JobConfig, out: Path):
+def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
     out.mkdir(parents=True, exist_ok=True)
     write_field(result.psi, out / "psi.fld")
     policy_files = []
@@ -269,6 +269,12 @@ def save_result(result: EigenResult, job: JobConfig, out: Path):
     gammas = [rec.gamma_estimate for rec in result.history]
     tail = gammas[len(gammas) // 2:]
     monotone = int(all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])))
+    # What each operator application did: candidates scored per node and
+    # step (0 for fixed-policy steps), the step, the steps per apply and the
+    # CFL load, under the returned policy when the steps use a fixed one.
+    candidates, dt, steps, load = _apply_facts(
+        sys_model, _prop_config(job),
+        None if job.get("iteration.algorithm") == "power_policy" else result.policy)
     result_lines = [
         f"result.gamma = {result.gamma!r}",
         f"result.converged = {int(result.converged)}",
@@ -278,6 +284,11 @@ def save_result(result: EigenResult, job: JobConfig, out: Path):
         f"result.gamma_tail_monotone = {monotone}",
         "result.psi_file = psi.fld",
         f"result.policy_files = {','.join(policy_files)}",
+        f"result.regime = {sys_model.regime}",
+        f"result.candidates = {candidates}",
+        f"result.dt = {dt!r}",
+        f"result.steps_per_apply = {steps}",
+        f"result.cfl_load = {load!r}",
     ]
     _write_metadata(out / "metadata.txt", job, result_lines, result.history)
 
@@ -370,7 +381,7 @@ def cmd_synthesize(args) -> int:
 
     result = _run_iteration(sys_model, cfg, algorithm, init, tol, max_iter)
     out = Path(args.out or "out")
-    save_result(result, job, out)
+    save_result(result, job, out, sys_model)
     print(f"gamma = {result.gamma!r}  converged = {result.converged} "
           f"iterations = {result.iterations}  -> {out}")
     return 0 if result.converged else 2

@@ -43,9 +43,27 @@ stationary point in ``u`` of the central-difference generator, scored with
 the upwind one like every other candidate; it is not the argmax of the
 upwind generator over the input interval, which an interior input can beat.
 Rates that no candidate changes form one shared base stencil; each
-candidate keeps rates only on the offsets it changes, so it is scored with
-a few multiply-adds against the differences ``P(x + o) - P(x)``.  Ties
-resolve to the lowest candidate index.
+candidate keeps rates only on the offsets it changes, and its score
+``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled once per stencil into a
+plan of multiply-adds in offset order.  A rate row that is zero at every
+node is dropped; a row with one value at every node (a box corner moving a
+state at a constant rate) becomes a Python float; any other row stays an
+array, as does every row of the critical input, which is rewritten at each
+step.  A step scores the candidates one at a time and keeps their pairwise
+maximum in candidate order; the argmax policy scores all of them and takes
+``np.argmax``, so ties resolve to the lowest candidate index.
+
+The plan gives the bits of the ``einsum`` over all rows and ``np.max`` it
+replaced: that einsum adds the products in the same offset order; a
+dropped row only added a zero product; a float equal to
+the row at every node gives the same product at every node; and the
+maximum chain compares in the order ``np.max`` reduces.  Two differences
+remain, and neither reaches a result.  At ghost positions inside the span
+a float row gives ``c * d`` where the zero-filled row gave zero, but the
+step's kill mask zeroes those positions and the argmax reads only nodes.
+And einsum starts each sum from +0.0, so a score whose every term is -0.0
+is +0.0 there and -0.0 here; the step adds it, times ``dt``, to the new
+value, and the two zeros give different sums only for a value of -0.0.
 
 Per-node arrays live on a flat span in which every neighbor offset is a
 contiguous slice (see :class:`_Stencil`).  Only periodic dimensions carry
@@ -250,6 +268,13 @@ class _Stencil:
     policy is defined on boundary nodes too; ``dynamic`` rewrites the last
     candidate's rates at every evaluation.
 
+    Scoring: ``build_plan`` turns ``cand`` into per-candidate
+    ``(j, coefficient)`` terms (module docstring), and only the differences
+    ``P[o_j] - P`` that some term reads are formed.  ``step`` writes the
+    first candidate's score into ``_scores[0]`` and folds each later one in
+    with ``np.maximum`` while it is still in cache, so a step touches two
+    rows of scores, not one per candidate; ``argmax`` fills every row.
+
     Layout: the grid is padded with one ghost layer on each side of every
     periodic dimension and none elsewhere; per-node arrays live on its flat
     span from the first to the last node (``pos`` maps nodes into it), so
@@ -307,6 +332,7 @@ class _Stencil:
             self._ghosts.append(copies)
         self._tmp, self._diffs = _aligned(self.span), _aligned((len(self.offsets), self.span))
         self._scores = _aligned((n_cand, self.span))
+        self._plan = self._used = None
 
     def pad(self, node_values: np.ndarray) -> np.ndarray:
         out = _aligned(self.span, node_values.dtype)
@@ -363,17 +389,63 @@ class _Stencil:
                     else "the noise Gram matrix is not diagonally dominant "
                          "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
 
-    def _score(self, src: dict) -> np.ndarray:
+    def build_plan(self):
+        """Compile each candidate's score ``sum_j C[j,k] (P[o_j] - P)`` into
+        ``(j, coefficient)`` terms in offset order, once ``cand`` and
+        ``dynamic`` are set: a row zero at every node is dropped, a row with
+        one value at every node becomes that float, and any other row, or a
+        row of the dynamic candidate, stays an array."""
+        n_cand = self.cand.shape[1]
+        dynamic = n_cand - 1 if self.dynamic is not None else None
+        self._plan = []
+        for k in range(n_cand):
+            terms = []
+            for j, row in enumerate(self.cand[:, k]):
+                at = row[self.pos]
+                if k == dynamic or (at.any() and not np.all(at == at[0])):
+                    terms.append((j, row))
+                elif at.any():
+                    terms.append((j, float(at[0])))
+            self._plan.append(terms)
+        self._used = sorted({j for terms in self._plan for j, _ in terms})
+
+    def _differences(self, src: dict):
+        """The differences ``P[o_j] - P`` the plan reads, and the dynamic
+        candidate's rates, against the field ``src``."""
         centre = src[self._centre]
-        for j, o in enumerate(self.offsets):
-            np.subtract(src[o], centre, out=self._diffs[j])
+        for j in self._used:
+            np.subtract(src[self.offsets[j]], centre, out=self._diffs[j])
         if self.dynamic is not None:
             self.dynamic.update(src)
             # Its centre weight is covered by the CFL load and drift rates
             # are nonnegative, so only a negative rate needs the full check.
             if self.W is not None and np.min(self.cand[:, -1]) < 0.0:
                 self._check(self.cand.shape[1] - 1)
-        return np.einsum("jkl,jl->kl", self.cand, self._diffs, out=self._scores)
+
+    def _score(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Candidate ``k``'s score into ``out``, from the differences."""
+        terms = self._plan[k]
+        if not terms:
+            out.fill(0.0)
+            return out
+        (j, c), *rest = terms
+        np.multiply(self._diffs[j], c, out=out)
+        for j, c in rest:
+            np.multiply(self._diffs[j], c, out=self._tmp)
+            out += self._tmp
+        return out
+
+    def _max_score(self, src: dict) -> np.ndarray:
+        """The best candidate's score against ``src``, in ``_scores[0]``: a
+        pairwise maximum chain in candidate order, the order in which
+        ``np.max(axis=0)`` reduces, folding in each score, written to
+        ``_scores[1]``, while it is still in cache.  ``argmax`` refills
+        every row."""
+        self._differences(src)
+        best = self._score(0, self._scores[0])
+        for k in range(1, len(self._plan)):
+            np.maximum(best, self._score(k, self._scores[1]), out=best)
+        return best
 
     def step(self):
         self._refresh_ghosts()
@@ -385,7 +457,7 @@ class _Stencil:
             np.multiply(w, src[o], out=self._tmp)
             out += self._tmp
         if self.offsets:
-            best = np.max(self._score(src), axis=0, out=self._tmp)
+            best = self._max_score(src)
             best *= self.dt_mask
             out += best
 
@@ -394,7 +466,10 @@ class _Stencil:
         if not self.offsets:
             return np.zeros(self.pos.size, dtype=np.int64)
         self._refresh_ghosts()
-        return np.argmax(self._score(self._views[self._cur]), axis=0)[self.pos]
+        self._differences(self._views[self._cur])
+        for k, row in enumerate(self._scores):
+            self._score(k, row)
+        return np.argmax(self._scores, axis=0)[self.pos]
 
 
 def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
@@ -447,6 +522,7 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     if quad is not None:
         quad.bind(stencil, h, drift_var, diff_var, pairs)
         stencil.dynamic = quad
+    stencil.build_plan()
     return load, stencil, quad
 
 
@@ -467,6 +543,19 @@ def _choose_step(horizon: float, load: float, cfg: PropagationConfig):
         target = cfg.dt
     n = max(1, math.ceil(horizon / target - 1e-12))
     return n, horizon / n
+
+
+def _apply_facts(sys: SystemModel, cfg: PropagationConfig, policy: PolicyTable | None = None):
+    """``(candidates, dt, steps, load)`` of one application over
+    ``cfg.horizon``: of the optimal-control operator, or under a fixed
+    ``policy`` of the fixed-policy one, which scores no candidate."""
+    if policy is None:
+        scheme = _OptimalScheme(sys, cfg)
+        candidates, load = scheme.stencil.cand.shape[1], scheme.load
+    else:
+        candidates, load = 0, _split_stencil(sys, [policy.inputs])[0]
+    steps, dt = _choose_step(cfg.horizon, load, cfg)
+    return candidates, dt, steps, load
 
 
 def _check_specs(field: ScalarField, sys: SystemModel):

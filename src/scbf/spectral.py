@@ -160,6 +160,8 @@ def power_iteration(sys: SystemModel, policy: PolicyTable,
     """Dominant eigenpair of the fixed-policy semigroup operator."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if cfg.horizon <= 0:
         raise ValueError("power iteration needs a positive horizon")
     psi = _normalized_start(sys, init)
@@ -186,6 +188,8 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if cfg.horizon <= 0:
         raise ValueError("power-policy iteration needs a positive horizon")
     psi = _normalized_start(sys, init_psi if init_psi is not None

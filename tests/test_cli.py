@@ -78,7 +78,14 @@ class TestSynthesize:
         ("wig_aircraft", "7,7,7"), ("bicycle", "7,7,6,5")])
     def test_metadata_keys_unique(self, tmp_path, system, grid):
         # Every built-in system, so every metadata writer path; the reader
-        # rejects a repeated key.
+        # rejects a repeated key.  The step keys say what each apply did:
+        # the regime and the candidates scored per node and step (a fixed
+        # input, box corners, corners plus the critical input, 9^2 grid).
+        regime, candidates = {
+            "brownian_1d": ("affine", "1"), "di_omni": ("affine", "2"),
+            "di_velocity": ("affine", "2"), "di_input_noise": ("quadratic", "3"),
+            "di_deterministic": ("affine", "2"), "wig_aircraft": ("nonaffine", "81"),
+            "bicycle": ("affine", "4")}[system]
         cfg = tmp_path / "job.cfg"
         cfg.write_text("iteration.max_iter = 3\n")
         out = tmp_path / "out"
@@ -87,6 +94,28 @@ class TestSynthesize:
         assert code in (0, 2)
         meta, _ = cli._read_metadata(out / "metadata.txt")
         assert "result.gamma" in meta and any(k.startswith("history.") for k in meta)
+        assert meta["result.regime"][0] == regime
+        assert meta["result.candidates"][0] == candidates
+        steps, dt = int(meta["result.steps_per_apply"][0]), float(meta["result.dt"][0])
+        load = float(meta["result.cfl_load"][0])
+        assert steps >= 1 and steps * dt == pytest.approx(0.5)
+        assert load > 0.0 and dt * load <= 0.8 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("algorithm, candidates, steps", [
+        ("power_policy", "2", "40"), ("power_policy_two_step", "0", "40"),
+        ("power_fixed", "0", "37")])
+    def test_step_keys_describe_the_applied_operator(self, tmp_path, algorithm, candidates,
+                                                     steps):
+        # Fixed-policy steps score no candidate.  The returned two-step
+        # policy takes box corners, so its load is the corners' (64 on this
+        # grid); the zero policy moves x2 not at all, so its load is 59.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"iteration.max_iter = 2\niteration.algorithm = {algorithm}\n")
+        out = tmp_path / "out"
+        assert run("synthesize", "--config", str(cfg), "--system", "di_omni",
+                   "--grid", "11,21", "--out", str(out)) in (0, 2)
+        meta = read_meta(out / "metadata.txt")
+        assert (meta["result.candidates"], meta["result.steps_per_apply"]) == (candidates, steps)
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -108,6 +137,18 @@ class TestSynthesize:
         assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "candidate_points must be at least 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "psi.fld").exists()
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exit_1(self, tmp_path, capsys, max_iter):
+        # 0 used to write result.gamma = nan and exit 2, and verify then
+        # rejected the files with exit 1.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"system.id = brownian_1d\niteration.max_iter = {max_iter}\n")
+        assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"max_iter must be at least 1, got {max_iter}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "psi.fld").exists()
 

@@ -15,6 +15,7 @@ from scbf.semigroup import (
     _choose_step,
     _OptimalScheme,
     _split_stencil,
+    _Stencil,
     apply_generator,
     argmax_policy,
     propagate,
@@ -271,7 +272,8 @@ def test_step_matches_generator_on_every_layout(seed, dims):
 
 def _step_arrays(stencil):
     """Every array a step reads at its own start or writes: weights, candidate
-    rows, scratch, and the critical-input candidate's coefficients and buffers."""
+    rows, scratch (the maximum chain runs in the first two score rows), and
+    the critical-input candidate's coefficients and buffers."""
     arrays = [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
               *stencil._diffs, *stencil._scores, *(row for rows in stencil.cand for row in rows),
               *(views[stencil._centre] for views in stencil._views)]
@@ -323,6 +325,82 @@ def test_aligned_allocation():
     assert flags.dtype == bool and flags.ctypes.data % 64 == 0 and flags.flags.c_contiguous
     buf = _aligned(1000, lead=7, phase=2048)
     assert buf.flags.c_contiguous and (buf.ctypes.data + 7 * 8) % 4096 == 2048
+
+
+class _FieldRows:
+    """A dynamic last candidate: rewrites its rows from the field at every
+    evaluation, as the critical input does; row ``j`` is
+    ``a[j] + b[j] * P``, so a zero ``b[j]`` gives a node-constant row and a
+    zero pair an all-zero one."""
+
+    def __init__(self, rows, a, b, centre):
+        self.rows, self.a, self.b, self.centre = rows, a, b, centre
+
+    def update(self, src):
+        for row, a, b in zip(self.rows, self.a, self.b):
+            np.multiply(src[self.centre], b, out=row)
+            row += a
+
+
+def _wide(rng, size):
+    """Signed values over 80 binades, so sums of three or more of their
+    products round differently in another order."""
+    return rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(-40, 40, size)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
+    # The plan against the arithmetic it replaced, einsum("jkl,jl->kl") and
+    # np.max / np.argmax over axis 0, on stencils mixing all-zero,
+    # node-constant and varying rows, with exact ties between candidates
+    # and flat patches in the field.  A periodic dimension puts ghost
+    # positions inside the span, where the scalar form differs from the
+    # zero rows; only node positions are compared.
+    rng = np.random.default_rng(seed)
+    spec = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 6), periodic=(True, False))
+    interior = rng.random(spec.size) < 0.8
+    neighbors = [(s1, s2) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1) if s1 or s2]
+    offsets = [neighbors[i] for i in rng.choice(len(neighbors), n_off, replace=False)]
+    stencil = _Stencil(spec, interior, {}, offsets, n_cand)
+    pos, fixed = stencil.pos, n_cand - dynamic
+    for k in range(fixed):
+        if k and rng.random() < 0.3:  # an exact tie with an earlier candidate
+            stencil.cand[:, k, pos] = stencil.cand[:, rng.integers(k), pos]
+            continue
+        for j in range(n_off):
+            kind = rng.integers(3)  # all-zero, node-constant, varying
+            stencil.cand[j, k, pos] = (0.0 if kind == 0 else _wide(rng, 1)[0] if kind == 1
+                                       else _wide(rng, pos.size) * (rng.random(pos.size) < 0.9))
+    if dynamic:
+        kinds = rng.integers(3, size=n_off)
+        stencil.dynamic = _FieldRows(stencil.cand[:, -1], _wide(rng, n_off) * (kinds > 0),
+                                     _wide(rng, n_off) * (kinds > 1), stencil._centre)
+    stencil.build_plan()
+    values = _wide(rng, spec.size)
+    flat = rng.random(spec.size) < 0.3
+    values[flat] = values[flat][:1]
+    stencil.load(values)
+
+    arg = stencil.argmax()
+    src = stencil._views[stencil._cur]
+    diffs = np.array([src[o] - src[stencil._centre] for o in offsets])
+    ref = np.einsum("jkl,jl->kl", stencil.cand, diffs)[:, pos]
+    scores = stencil._scores[:, pos]
+    best = stencil._max_score(src)[pos]
+
+    def same_bytes(a, b):
+        return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+    # einsum starts each sum from +0.0, so a score whose every term is
+    # -0.0 is +0.0 there and -0.0 here; adding +0.0 maps -0.0 to +0.0 and
+    # leaves every other value as it is.
+    moved = scores.view(np.uint64) != ref.view(np.uint64)
+    assert np.all(np.signbit(scores[moved]) & (scores[moved] == 0.0) & (ref[moved] == 0.0))
+    assert same_bytes(scores + 0.0, ref)
+    assert same_bytes(best + 0.0, np.max(ref, axis=0))
+    assert np.array_equal(arg, np.argmax(ref, axis=0))
 
 
 class TestPropagateOptimal:

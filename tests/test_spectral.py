@@ -80,6 +80,19 @@ class TestPowerIteration:
                             initial_field(sys, "bump"), tol=1e-8)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("algorithm", ["power", "power_policy"])
+def test_max_iter_below_one_rejected(brownian, max_iter, algorithm):
+    # Zero iterations used to return gamma = nan with no history.
+    cfg = PropagationConfig(horizon=0.5)
+    with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+        if algorithm == "power":
+            power_iteration(brownian, PolicyTable.zero(brownian), cfg,
+                            initial_field(brownian, "bump"), max_iter=max_iter)
+        else:
+            power_policy_iteration(brownian, cfg, max_iter=max_iter)
+
+
 class TestPowerPolicyIteration:
     def test_initialization_independence(self):
         sys = make_benchmark("di_omni", grid_counts=(41, 81))
