@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .montecarlo import (
     write_trajectory_csv,
 )
 from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
-from .semigroup import PolicyTable, PropagationConfig, _apply_facts, propagate
+from .semigroup import PolicyTable, PropagationConfig, _Operator, propagate
 from .spectral import (
     EigenResult,
     IterationRecord,
@@ -45,7 +46,7 @@ from .spectral import (
     power_policy_iteration,
     warm_start_field,
 )
-from .systems import make_benchmark
+from .systems import _GRID_COUNTS, make_benchmark
 
 # --- config schema ------------------------------------------------------------
 
@@ -101,7 +102,12 @@ _IGNORED_PREFIXES = ("result.", "history.")
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """Strict flat key = value parser with line diagnostics: an unknown key
     or a value its key's type cannot read names its line."""
-    out = {}
+    return _parse_config(text, origin)[0]
+
+
+def _parse_config(text: str, origin: str) -> tuple[dict, dict]:
+    """:func:`parse_config_text`'s map, and ``key -> 'origin:line'``."""
+    out, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,14 +129,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
             raise ConfigError(f"{origin}:{lineno}: config key {key!r}: expected "
                               f"{caster.__name__}, got {value!r}") from None
         out[key] = value
-    return out
+        where[key] = f"{origin}:{lineno}"
+    return out, where
 
 
 class JobConfig:
     """Typed view over the merged config-file + flag key/value map."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, where: dict):
         self.raw = dict(raw)
+        self.where = where  # ``path:line`` of each key read from a file
 
     def get(self, key, default=None):
         if key in self.raw:
@@ -165,9 +173,15 @@ class JobConfig:
         except ValueError:
             raise ConfigError(f"config key {key!r}: expected comma-separated numbers") from None
 
-    def int_vector(self, key, default=None):
+    def sized_vector(self, key, length: int, what: str):
+        """``vector(key)``, checked to hold ``length`` numbers (``what`` says
+        what they count); None when the key is unset."""
         vec = self.vector(key)
-        return default if vec is None else [int(v) for v in vec]
+        if vec is not None and len(vec) != length:
+            at = f"{self.where[key]}: " if key in self.where else ""
+            raise ConfigError(f"{at}config key {key!r} has length {len(vec)}, "
+                              f"expected {length} ({what})")
+        return vec
 
     def echo_lines(self) -> list[str]:
         lines = []
@@ -178,12 +192,12 @@ class JobConfig:
 
 
 def _load_job(args) -> JobConfig:
-    raw = {}
+    raw, where = {}, {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        raw.update(parse_config_text(_read_text(path, "utf-8"), str(path)))
+        raw, where = _parse_config(_read_text(path, "utf-8"), str(path))
     flag_map = {
         "system": "system.id",
         "grid": "grid.counts",
@@ -198,16 +212,21 @@ def _load_job(args) -> JobConfig:
         value = getattr(args, flag, None)
         if value is not None:
             raw[key] = str(value)
+            where.pop(key, None)
     if "threads" not in raw and os.environ.get("SCBF_THREADS"):
         raw["threads"] = os.environ["SCBF_THREADS"]
-    return JobConfig(raw)
+    return JobConfig(raw, where)
 
 
 def _build_system(job: JobConfig):
     bench = job.get("system.id")
     if bench is None:
         raise ConfigError("missing required key 'system.id'")
-    return make_benchmark(bench, job.overrides(), job.int_vector("grid.counts"))
+    # An unknown id gets no counts, so make_benchmark names the id.
+    counts = (job.sized_vector("grid.counts", len(_GRID_COUNTS[bench]),
+                               f"one per dimension of {bench}")
+              if bench in _GRID_COUNTS else None)
+    return make_benchmark(bench, job.overrides(), counts)
 
 
 def _prop_config(job: JobConfig) -> PropagationConfig:
@@ -272,9 +291,8 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
     # What each operator application did: candidates scored per node and
     # step (0 for fixed-policy steps), the step, the steps per apply and the
     # CFL load, under the returned policy when the steps use a fixed one.
-    candidates, dt, steps, load = _apply_facts(
-        sys_model, _prop_config(job),
-        None if job.get("iteration.algorithm") == "power_policy" else result.policy)
+    op = _Operator(sys_model, _prop_config(job),
+                   None if job.get("iteration.algorithm") == "power_policy" else result.policy)
     result_lines = [
         f"result.gamma = {result.gamma!r}",
         f"result.converged = {int(result.converged)}",
@@ -285,10 +303,10 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
         "result.psi_file = psi.fld",
         f"result.policy_files = {','.join(policy_files)}",
         f"result.regime = {sys_model.regime}",
-        f"result.candidates = {candidates}",
-        f"result.dt = {dt!r}",
-        f"result.steps_per_apply = {steps}",
-        f"result.cfl_load = {load!r}",
+        f"result.candidates = {op.candidates}",
+        f"result.dt = {op.dt!r}",
+        f"result.steps_per_apply = {op.steps}",
+        f"result.cfl_load = {op.load!r}",
     ]
     _write_metadata(out / "metadata.txt", job, result_lines, result.history)
 
@@ -405,16 +423,16 @@ def _build_controller(job: JobConfig, sys_model, result: EigenResult):
     if kind == "fixed_policy":
         return FixedPolicyController(result.policy)
     if kind == "open_loop":
-        u = job.vector("simulation.u_const")
+        u = job.sized_vector("simulation.u_const", sys_model.n_u, "n_u")
         if u is None:
             raise ConfigError("open_loop controller needs 'simulation.u_const'")
         return OpenLoopController(np.asarray(u))
     if kind == "scbf_qp":
         spec = FilterSpec(sys_model, result, gamma=job.get("filter.gamma"),
-                          weight=job.vector("filter.weight"))
+                          weight=job.sized_vector("filter.weight", sys_model.n_u, "n_u"))
         ref_kind = job.get("simulation.reference")
         if ref_kind == "constant":
-            u_ref = job.vector("simulation.reference_u")
+            u_ref = job.sized_vector("simulation.reference_u", sys_model.n_u, "n_u")
             if u_ref is None:
                 raise ConfigError("constant reference needs 'simulation.reference_u'")
             reference = constant_reference(u_ref)
@@ -437,7 +455,7 @@ def cmd_simulate(args) -> int:
     result, _ = load_result(artifacts, sys_model)
     if result.psi.spec != sys_model.grid:
         raise ConfigError("artifact grid does not match the configured grid")
-    x0 = job.vector("simulation.x0")
+    x0 = job.sized_vector("simulation.x0", sys_model.n_x, "n_x")
     if x0 is None:
         raise ConfigError("missing required key 'simulation.x0'")
     controller = _build_controller(job, sys_model, result)
@@ -481,7 +499,7 @@ def cmd_filter(args) -> int:
     sys_model = _build_system(job)
     result, _ = load_result(Path(args.artifacts), sys_model)
     spec = FilterSpec(sys_model, result, gamma=job.get("filter.gamma"),
-                      weight=job.vector("filter.weight"))
+                      weight=job.sized_vector("filter.weight", sys_model.n_u, "n_u"))
     queries = Path(args.queries)
     if not queries.exists():
         raise ConfigError(f"query file not found: {queries}")
@@ -529,11 +547,7 @@ def cmd_verify(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
     result, meta = load_result(Path(args.artifacts), sys_model)
-    cfg = PropagationConfig(
-        horizon=result.horizon,
-        cfl_safety=job.get("propagation.cfl_safety"),
-        candidate_points=job.get("propagation.candidate_points"),
-    )
+    cfg = replace(_prop_config(job), horizon=result.horizon)
     checks = []
 
     def check(name, ok, detail):
@@ -553,9 +567,7 @@ def cmd_verify(args) -> int:
     res = eigen_residual(result, sys_model, cfg)
     rtol = job.get("verify.residual_tol")
     check("eigen_residual", res <= rtol, f"residual = {res!r} (tol {rtol!r})")
-    double = PropagationConfig(horizon=2.0 * result.horizon,
-                               cfl_safety=cfg.cfl_safety,
-                               candidate_points=cfg.candidate_points)
+    double = replace(cfg, horizon=2.0 * result.horizon)
     out2 = propagate(psi, sys_model, result.policy, double)
     gamma2 = -math.log(max(sup_norm(out2), 1e-300)) / double.horizon
     dgap = abs(gamma2 - result.gamma)

@@ -164,6 +164,9 @@ class SimConfig:
             raise ValueError("dt must not exceed t_end")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end {self.t_end!r} is not a whole number of steps "
+                             f"of dt {self.dt!r}")
 
     @property
     def n_steps(self) -> int:

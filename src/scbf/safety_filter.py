@@ -111,13 +111,8 @@ class FilterSpec:
         self._table = _derivative_table(self.psi)
         self._regime = _REGIMES[sys.regime](self)
 
-    def backup_input(self, x: np.ndarray) -> np.ndarray:
-        """Interpolated backup-policy input, clamped into the box."""
-        x = np.asarray(x, dtype=float)
-        u = self._backup_at(_corners(self.sys.grid, x))
-        return u[0] if x.ndim == 1 else u
-
     def _backup_at(self, corners) -> np.ndarray:
+        """Interpolated backup-policy input, clamped into the box."""
         u = _blend(self.policy.inputs, corners)
         return np.clip(u, self.sys.input_lower, self.sys.input_upper)
 

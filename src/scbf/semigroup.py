@@ -53,6 +53,10 @@ step.  A step scores the candidates one at a time and keeps their pairwise
 maximum in candidate order; the argmax policy scores all of them and takes
 ``np.argmax``, so ties resolve to the lowest candidate index.
 
+An operator (:class:`_Operator`) is built once per call of the functions
+here, and once per power iteration run, which applies it at every
+iteration and reads its policy after the last application.
+
 The plan gives the bits of the ``einsum`` over all rows and ``np.max`` it
 replaced: that einsum adds the products in the same offset order; a
 dropped row only added a zero product; a float equal to
@@ -82,7 +86,7 @@ times between processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -473,11 +477,11 @@ class _Stencil:
 
 
 def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
-    """CFL load, stencil and critical-input candidate (``dynamic``) for the
-    candidate input arrays ``inputs``, each (nodes, n_u); ``shared`` when the
-    noise does not depend on the input.  Rates no candidate changes go to the
-    base.  Callback arrays are dropped as soon as they are used, to keep the
-    peak memory near the stencil's own."""
+    """CFL load and stencil, with the critical-input candidate when
+    ``dynamic``, for the candidate input arrays ``inputs``, each (nodes,
+    n_u); ``shared`` when the noise does not depend on the input.  Rates no
+    candidate changes go to the base.  Callback arrays are dropped as soon
+    as they are used, to keep the peak memory near the stencil's own."""
     spec, interior = sys.grid, sys.interior_mask()
     n, N, h, nodes = spec.dims, spec.size, spec.spacing, spec.nodes()
     Fs = [sys.drift(nodes, U).reshape((N, n)) for U in inputs]
@@ -523,44 +527,71 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
         quad.bind(stencil, h, drift_var, diff_var, pairs)
         stencil.dynamic = quad
     stencil.build_plan()
-    return load, stencil, quad
+    return load, stencil
 
 
-def _choose_step(horizon: float, load: float, cfg: PropagationConfig):
-    if horizon == 0.0:
-        return 0, 0.0
-    bound = math.inf if load <= 0.0 else cfg.cfl_safety / load
-    if bound < cfg.min_dt:
-        raise StabilityViolation(
-            f"stable step {bound:.3e} is below the floor {cfg.min_dt:.1e}"
-        )
-    target = bound
-    if cfg.dt is not None:
-        if cfg.dt > bound * (1.0 + 1e-12):
-            raise StabilityViolation(
-                f"requested dt {cfg.dt:.3e} exceeds the stability bound {bound:.3e}"
-            )
-        target = cfg.dt
-    n = max(1, math.ceil(horizon / target - 1e-12))
-    return n, horizon / n
+class _Operator:
+    """The optimal-control operator over ``cfg.horizon``, or under a fixed
+    ``policy`` the fixed-policy one (0 ``candidates``), built once.  Reuse is
+    exact: ``load`` rewrites every node, ghosts are refreshed before each step
+    and each argmax, a step writes its whole output span, and the critical
+    input is recomputed from the field at every step."""
+
+    def __init__(self, sys: SystemModel, cfg: PropagationConfig,
+                 policy: PolicyTable | None = None):
+        self.sys, self.inputs = sys, None
+        if policy is not None:
+            _check_specs(policy, sys, "policy")
+            self.candidates = 0
+            self.load, self.stencil = _split_stencil(sys, [policy.inputs])
+        else:
+            dynamic = False
+            if np.all(sys.input_upper == sys.input_lower):
+                self.inputs = sys.input_center()[None, :]
+            elif sys.regime == "nonaffine":
+                self.inputs = sys.input_grid(cfg.candidate_points)
+            else:
+                self.inputs = sys.input_corners()
+                dynamic = sys.regime == "quadratic"
+            self.candidates = len(self.inputs) + dynamic
+            self.load, self.stencil = _split_stencil(
+                sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in self.inputs],
+                sys.flags.sigma_u_independent or sys.flags.sigma_zero, dynamic)
+        self.steps, self.dt = 0, 0.0
+        if cfg.horizon > 0.0:
+            bound = math.inf if self.load <= 0.0 else cfg.cfl_safety / self.load
+            if bound < cfg.min_dt:
+                raise StabilityViolation(
+                    f"stable step {bound:.3e} is below the floor {cfg.min_dt:.1e}")
+            if cfg.dt is not None and cfg.dt > bound * (1.0 + 1e-12):
+                raise StabilityViolation(
+                    f"requested dt {cfg.dt:.3e} exceeds the stability bound {bound:.3e}")
+            self.steps = max(1, math.ceil(cfg.horizon / (cfg.dt or bound) - 1e-12))
+            self.dt = cfg.horizon / self.steps
+            self.stencil.fold_step(self.dt)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``T values`` (``values`` itself at a zero horizon), left in the
+        stencil for :meth:`policy`."""
+        self.stencil.load(values)
+        for _ in range(self.steps):
+            self.stencil.step()
+        return self.stencil.values() if self.steps else values
+
+    def policy(self) -> PolicyTable:
+        """The winning candidate input per node against the field in the stencil."""
+        arg = self.stencil.argmax()
+        out = self.inputs[np.minimum(arg, len(self.inputs) - 1)]
+        if self.stencil.dynamic is not None:
+            dyn = arg == len(self.inputs)
+            out[dyn, 0] = self.stencil.dynamic.ustar[self.stencil.pos][dyn]
+        return PolicyTable(self.sys.grid, out, self.sys.input_lower, self.sys.input_upper)
 
 
-def _apply_facts(sys: SystemModel, cfg: PropagationConfig, policy: PolicyTable | None = None):
-    """``(candidates, dt, steps, load)`` of one application over
-    ``cfg.horizon``: of the optimal-control operator, or under a fixed
-    ``policy`` of the fixed-policy one, which scores no candidate."""
-    if policy is None:
-        scheme = _OptimalScheme(sys, cfg)
-        candidates, load = scheme.stencil.cand.shape[1], scheme.load
-    else:
-        candidates, load = 0, _split_stencil(sys, [policy.inputs])[0]
-    steps, dt = _choose_step(cfg.horizon, load, cfg)
-    return candidates, dt, steps, load
-
-
-def _check_specs(field: ScalarField, sys: SystemModel):
+def _check_specs(field, sys: SystemModel, what: str = "field"):
+    """Raise unless ``field`` (a field or a policy) lives on the system grid."""
     if field.spec != sys.grid:
-        raise ValueError("field grid does not match the system grid")
+        raise ValueError(f"{what} grid does not match the system grid")
 
 
 # --- generator at a single node ----------------------------------------------
@@ -635,17 +666,7 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
     input unchanged (the identity operator).
     """
     _check_specs(field, sys)
-    if policy.spec != sys.grid:
-        raise ValueError("policy grid does not match the system grid")
-    if cfg.horizon == 0.0:
-        return ScalarField(field.spec, field.values)
-    load, stencil, _ = _split_stencil(sys, [policy.inputs])
-    n_steps, dt = _choose_step(cfg.horizon, load, cfg)
-    stencil.fold_step(dt)
-    stencil.load(field.values)
-    for _ in range(n_steps):
-        stencil.step()
-    return ScalarField(sys.grid, stencil.values())
+    return ScalarField(sys.grid, _Operator(sys, cfg, policy).apply(field.values))
 
 
 # --- optimal-control propagation ----------------------------------------------
@@ -804,35 +825,6 @@ class _QuadraticInput:
             row += rate
 
 
-class _OptimalScheme:
-    """The candidate-input regime of a system and the stencil built for it;
-    shared by propagate_optimal and argmax_policy."""
-
-    def __init__(self, sys: SystemModel, cfg: PropagationConfig):
-        self.sys, flags = sys, sys.flags
-        dynamic = False
-        if np.all(sys.input_upper == sys.input_lower):
-            cand = sys.input_center()[None, :]
-        elif sys.regime == "nonaffine":
-            cand = sys.input_grid(cfg.candidate_points)
-        else:
-            cand = sys.input_corners()
-            dynamic = sys.regime == "quadratic"
-        self.candidates = cand
-
-        self.load, self.stencil, self.quad = _split_stencil(
-            sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in cand],
-            flags.sigma_u_independent or flags.sigma_zero, dynamic)
-
-    def policy(self, arg: np.ndarray) -> PolicyTable:
-        """Winning inputs per node for the argmax indices ``arg``."""
-        out = self.candidates[np.minimum(arg, len(self.candidates) - 1)]
-        if self.quad is not None:
-            dyn = arg == len(self.candidates)
-            out[dyn, 0] = self.quad.ustar[self.stencil.pos][dyn]
-        return PolicyTable(self.sys.grid, out, self.sys.input_lower, self.sys.input_upper)
-
-
 def propagate_optimal(field: ScalarField, sys: SystemModel,
                       cfg: PropagationConfig):
     """Apply the semigroup while choosing the pointwise safest input.
@@ -847,22 +839,14 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
     against the final field.
     """
     _check_specs(field, sys)
-    scheme = _OptimalScheme(sys, cfg)
-    stencil = scheme.stencil
-    stencil.load(field.values)
-    if cfg.horizon > 0.0:
-        n_steps, dt = _choose_step(cfg.horizon, scheme.load, cfg)
-        stencil.fold_step(dt)
-        for _ in range(n_steps):
-            stencil.step()
-    out = stencil.values() if cfg.horizon > 0.0 else field.values
-    return ScalarField(sys.grid, out), scheme.policy(stencil.argmax())
+    op = _Operator(sys, cfg)
+    return ScalarField(sys.grid, op.apply(field.values)), op.policy()
 
 
 def argmax_policy(field: ScalarField, sys: SystemModel,
                   cfg: PropagationConfig) -> PolicyTable:
     """Pointwise argmax of the discrete generator against a fixed field."""
     _check_specs(field, sys)
-    scheme = _OptimalScheme(sys, cfg)
-    scheme.stencil.load(field.values)
-    return scheme.policy(scheme.stencil.argmax())
+    op = _Operator(sys, replace(cfg, horizon=0.0))
+    op.apply(field.values)
+    return op.policy()

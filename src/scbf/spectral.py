@@ -17,6 +17,10 @@ inner time step already uses the instantaneous safest input; the literal
 two-step variant (improve the policy against the current iterate, then
 apply the fixed-policy operator) is kept for A/B comparison.
 
+Power iteration and the accelerated variant build their operator once
+per call; the policy is the argmax against its last application.  The
+two-step variant changes its policy, so it builds one per round.
+
 Convergence is declared on the sup-norm difference of consecutive
 normalized iterates.  A non-converged run is not an error: the result
 carries its residual history and ``converged=False``.
@@ -31,7 +35,8 @@ import numpy as np
 
 from .errors import Collapse
 from .grid import ScalarField, interpolate, sup_norm
-from .semigroup import PolicyTable, PropagationConfig, argmax_policy, propagate, propagate_optimal
+from .semigroup import (PolicyTable, PropagationConfig, _check_specs, _Operator, argmax_policy,
+                        propagate)
 from .systems import SystemModel
 
 __all__ = [
@@ -121,6 +126,7 @@ def warm_start_field(field: ScalarField, sys: SystemModel) -> ScalarField:
 
 
 def _normalized_start(sys: SystemModel, init: ScalarField) -> ScalarField:
+    _check_specs(init, sys)
     vals = np.where(sys.interior_mask(), init.values, 0.0)
     if np.any(vals < 0.0):
         raise ValueError("initial field must be nonnegative")
@@ -130,14 +136,13 @@ def _normalized_start(sys: SystemModel, init: ScalarField) -> ScalarField:
     return ScalarField(sys.grid, vals / m)
 
 
-def _iterate(sys, cfg, psi, step, tol, max_iter):
-    """Shared normalize-and-test loop; ``step`` maps psi -> (T psi, extra)."""
+def _iterate(sys, cfg, psi, apply, tol, max_iter):
+    """Shared normalize-and-test loop; ``apply`` maps psi's values to T psi's."""
     history = []
-    extra = None
     converged = False
     gamma = math.nan
     for it in range(1, max_iter + 1):
-        out, extra = step(psi)
+        out = ScalarField(sys.grid, apply(psi.values))
         r = sup_norm(out)
         if r <= _COLLAPSE_FLOOR:
             raise Collapse(
@@ -151,7 +156,7 @@ def _iterate(sys, cfg, psi, step, tol, max_iter):
         if residual < tol:
             converged = True
             break
-    return psi, extra, gamma, history, converged
+    return psi, gamma, history, converged
 
 
 def power_iteration(sys: SystemModel, policy: PolicyTable,
@@ -165,18 +170,14 @@ def power_iteration(sys: SystemModel, policy: PolicyTable,
     if cfg.horizon <= 0:
         raise ValueError("power iteration needs a positive horizon")
     psi = _normalized_start(sys, init)
-
-    def step(p):
-        return propagate(p, sys, policy, cfg), None
-
-    psi, _, gamma, history, converged = _iterate(sys, cfg, psi, step, tol, max_iter)
+    op = _Operator(sys, cfg, policy)
+    psi, gamma, history, converged = _iterate(sys, cfg, psi, op.apply, tol, max_iter)
     return EigenResult(gamma=gamma, psi=psi, policy=policy, history=history,
                        converged=converged, horizon=cfg.horizon)
 
 
 def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
                            init_psi: ScalarField | None = None,
-                           init_policy: PolicyTable | None = None,
                            tol: float = 1e-4, max_iter: int = 500,
                            accelerated: bool = True) -> EigenResult:
     """Joint eigenpair and backup-policy synthesis.
@@ -184,7 +185,8 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
     The accelerated variant integrates the pointwise-max PDE directly; the
     two-step variant alternates an explicit policy improvement with a
     fixed-policy operator application.  The returned policy is the
-    pointwise argmax of the generator against the final field.
+    pointwise argmax of the generator against the final field: for the
+    accelerated variant, its last (unnormalized) application.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -194,21 +196,17 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
         raise ValueError("power-policy iteration needs a positive horizon")
     psi = _normalized_start(sys, init_psi if init_psi is not None
                             else default_initial_field(sys))
-    policy = init_policy if init_policy is not None else PolicyTable.zero(sys)
-
     if accelerated:
-        def step(p):
-            return propagate_optimal(p, sys, cfg)
+        op = _Operator(sys, cfg)
+        psi, gamma, history, converged = _iterate(sys, cfg, psi, op.apply, tol, max_iter)
+        policy = op.policy()
     else:
-        def step(p):
-            improved = argmax_policy(p, sys, cfg)
-            return propagate(p, sys, improved, cfg), improved
+        def apply(values):
+            p = ScalarField(sys.grid, values)
+            return propagate(p, sys, argmax_policy(p, sys, cfg), cfg).values
 
-    psi, extra, gamma, history, converged = _iterate(sys, cfg, psi, step, tol, max_iter)
-    policy = extra if extra is not None else policy
-    if not accelerated:
-        # Report the argmax policy against the final field, as the
-        # accelerated variant does.
+        psi, gamma, history, converged = _iterate(sys, cfg, psi, apply, tol, max_iter)
+        # Against the final field, like the accelerated variant's.
         policy = argmax_policy(psi, sys, cfg)
     return EigenResult(gamma=gamma, psi=psi, policy=policy, history=history,
                        converged=converged, horizon=cfg.horizon)

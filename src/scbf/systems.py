@@ -284,11 +284,10 @@ def _di_input_noise_diffusion(x, u):
     return out
 
 
-def _make_double_integrator(case, overrides, grid_counts):
+def _make_double_integrator(case, overrides, counts):
     params = {"u_max": 1.0}
     params.update(overrides)
     u_max = float(params["u_max"])
-    counts = grid_counts or (81, 161)
     grid = GridSpec([-1.0, -2.0], [1.0, 2.0], counts)
     sigmas = {
         "di_omni": _const_diffusion(np.eye(2)),
@@ -363,7 +362,7 @@ def wig_forces(x, u, params=None):
     return F, q * CL, q * CD
 
 
-def _make_wig(overrides, grid_counts):
+def _make_wig(overrides, counts):
     params = dict(WIG_DEFAULTS)
     params.update(overrides)
     m, g = params["m"], params["g"]
@@ -393,7 +392,6 @@ def _make_wig(overrides, grid_counts):
         out[..., 2, 1] = SigmaL / (m * V)
         return out
 
-    counts = grid_counts or (51, 51, 51)
     grid = GridSpec([0.0, 20.0, -0.15], [10.0, 70.0, 0.15], counts)
     return SystemModel(
         name="wig_aircraft",
@@ -413,7 +411,7 @@ def _make_wig(overrides, grid_counts):
 # --- kinematic bicycle --------------------------------------------------------
 
 
-def _make_bicycle(overrides, grid_counts):
+def _make_bicycle(overrides, counts):
     params = {
         "obstacle_radius": 1.0,
         "pos_extent": 3.0,
@@ -443,7 +441,6 @@ def _make_bicycle(overrides, grid_counts):
     sigma[2, 0] = float(params["sigma_theta"])
     sigma[3, 1] = float(params["sigma_v"])
 
-    counts = grid_counts or (31, 31, 24, 11)
     grid = GridSpec(
         [-E, -E, -math.pi, -vmax],
         [E, E, math.pi, vmax],
@@ -470,11 +467,10 @@ def _make_bicycle(overrides, grid_counts):
 # --- 1-D Brownian motion (analytic oracle) -----------------------------------
 
 
-def _make_brownian(overrides, grid_counts):
+def _make_brownian(overrides, counts):
     params = {"sigma": 1.0, "a": -1.0, "b": 1.0}
     params.update(overrides)
     s = float(params["sigma"])
-    counts = grid_counts or (201,)
 
     def drift(x, u):
         x = np.asarray(x, dtype=float)
@@ -508,6 +504,17 @@ BENCHMARKS = {
     "brownian_1d": _make_brownian,
 }
 
+# Default nodes per dimension; their number is the system's dimension count.
+_GRID_COUNTS = {
+    "di_omni": (81, 161),
+    "di_velocity": (81, 161),
+    "di_input_noise": (81, 161),
+    "di_deterministic": (81, 161),
+    "wig_aircraft": (51, 51, 51),
+    "bicycle": (31, 31, 24, 11),
+    "brownian_1d": (201,),
+}
+
 _KNOWN_PARAMS = {
     "di_omni": {"u_max"},
     "di_velocity": {"u_max"},
@@ -537,4 +544,4 @@ def make_benchmark(bench_id: str, overrides: dict | None = None,
         )
     if grid_counts is not None:
         grid_counts = tuple(int(c) for c in np.atleast_1d(grid_counts))
-    return BENCHMARKS[bench_id](overrides, grid_counts)
+    return BENCHMARKS[bench_id](overrides, grid_counts or _GRID_COUNTS[bench_id])

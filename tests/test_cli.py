@@ -267,6 +267,15 @@ class TestSimulate:
         assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
         assert fractions[0] > 0 and fractions[1] > 0   # unmodified and modified
 
+    def test_t_end_not_whole_steps_exit_1(self, tmp_path, capsys, brownian_artifacts):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"
+                       "simulation.t_end = 1.0\nsimulation.dt = 0.3\n")
+        code = run("simulate", "--config", str(cfg),
+                   "--artifacts", str(brownian_artifacts), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "not a whole number of steps" in capsys.readouterr().err
+
     def test_filter_gamma_below_synthesized_exit_1(self, tmp_path, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"
@@ -275,6 +284,43 @@ class TestSimulate:
         code = run("simulate", "--config", str(cfg),
                    "--artifacts", str(brownian_artifacts), "--out", str(tmp_path / "o"))
         assert code == 1
+
+
+class TestVectorKeyLengths:
+    BASE = {"system.id": "di_omni", "grid.counts": "21,41", "simulation.x0": "0.0,0.0",
+            "simulation.trials": "10", "simulation.t_end": "0.1"}
+
+    @pytest.mark.parametrize("key, value, extra, expected", [
+        ("simulation.x0", "0.3", {}, "has length 1, expected 2 (n_x)"),
+        ("simulation.x0", "0.3,0,0", {}, "has length 3, expected 2 (n_x)"),
+        ("simulation.u_const", "0.1,0.2", {"simulation.controller": "open_loop"},
+         "has length 2, expected 1 (n_u)"),
+        ("simulation.reference_u", "0.1,0.2",
+         {"simulation.controller": "scbf_qp", "simulation.reference": "constant"},
+         "has length 2, expected 1 (n_u)"),
+        ("filter.weight", "1,2", {"simulation.controller": "scbf_qp"},
+         "has length 2, expected 1 (n_u)"),
+        ("grid.counts", "11", {}, "has length 1, expected 2 (one per dimension of di_omni)"),
+    ])
+    def test_config_file_names_key_and_line(self, tmp_path, capsys, di_artifacts,
+                                            key, value, extra, expected):
+        entries = {k: v for k, v in {**self.BASE, **extra}.items() if k != key}
+        lines = [f"{k} = {v}" for k, v in entries.items()] + [f"{key} = {value}"]
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code = run("simulate", "--config", str(cfg), "--artifacts", str(di_artifacts),
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{cfg}:{len(lines)}: config key {key!r} {expected}" in err
+        assert "Traceback" not in err
+
+    def test_flag_names_key(self, tmp_path, capsys):
+        code = run("synthesize", "--system", "di_omni", "--grid", "11",
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config key 'grid.counts' has length 1, expected 2")
 
 
 class TestVerify:

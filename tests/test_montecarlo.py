@@ -55,6 +55,14 @@ def brownian():
     return make_benchmark("brownian_1d")
 
 
+def test_t_end_not_whole_steps_rejected():
+    # t_end = 1.0 at dt = 0.3 used to simulate to 0.9 without a word.
+    ctrl = OpenLoopController([0.0])
+    with pytest.raises(ValueError, match="t_end 1.0 is not a whole number of steps of dt 0.3"):
+        SimConfig(t_end=1.0, trials=1, seed=0, controller=ctrl, dt=0.3)
+    assert SimConfig(t_end=0.3, trials=1, seed=0, controller=ctrl, dt=0.1).n_steps == 3
+
+
 class TestSimulate:
     def test_frozen_dynamics(self):
         sys = make_benchmark("brownian_1d", {"sigma": 0.0})

@@ -12,9 +12,7 @@ from scbf.semigroup import (
     PolicyTable,
     PropagationConfig,
     _aligned,
-    _choose_step,
-    _OptimalScheme,
-    _split_stencil,
+    _Operator,
     _Stencil,
     apply_generator,
     argmax_policy,
@@ -300,13 +298,9 @@ def test_step_arrays_start_on_cache_lines(name, counts, optimal):
     # Stores that split a cache line, and loads 4K-aliased with the step's
     # stores, make a step up to 1.5x slower; the layout rules them out.
     sys = make_benchmark(name, grid_counts=counts)
-    cfg = PropagationConfig(horizon=0.01)
-    if optimal:
-        scheme = _OptimalScheme(sys, cfg)
-        load, stencil = scheme.load, scheme.stencil
-    else:
-        load, stencil, _ = _split_stencil(sys, [PolicyTable.zero(sys).inputs])
-    stencil.fold_step(_choose_step(cfg.horizon, load, cfg)[1])
+    op = _Operator(sys, PropagationConfig(horizon=0.01),
+                   None if optimal else PolicyTable.zero(sys))
+    stencil = op.stencil
     stencil.load(interior_random_field(sys, 3).values)
     stencil.step()
     stencil.step()
@@ -468,6 +462,29 @@ class TestPropagateOptimal:
         out, policy = propagate_optimal(f, di_small, PropagationConfig(horizon=0.0))
         assert np.array_equal(out.values, f.values)
         assert policy.inputs.shape == (di_small.grid.size, 1)
+
+
+@pytest.mark.parametrize("name, counts, cfg", [
+    ("bicycle", (13, 13, 12, 7), PropagationConfig(horizon=0.02)),        # periodic ghosts
+    ("di_input_noise", (21, 41), PropagationConfig(horizon=0.05)),        # critical input
+    ("di_omni", (21, 41), PropagationConfig(horizon=3e-3, dt=1e-3)),      # odd step count
+])
+def test_operator_reuse_matches_fresh_calls(name, counts, cfg):
+    # Power iteration applies one operator again and again; each application
+    # must give the bits of a freshly built one, whatever the last one left
+    # in the ghosts, the ping-pong buffers and the critical input.
+    sys = make_benchmark(name, grid_counts=counts)
+    fields = [interior_random_field(sys, seed) for seed in (5, 6)]
+    policy = argmax_policy(fields[0], sys, cfg)
+    optimal, fixed = _Operator(sys, cfg), _Operator(sys, cfg, policy)
+    if cfg.dt is not None:
+        assert optimal.steps % 2 == 1 and fixed.steps % 2 == 1
+    for f in fields:
+        out, out_policy = propagate_optimal(f, sys, cfg)
+        assert optimal.apply(f.values).tobytes() == out.values.tobytes()
+        assert optimal.policy().inputs.tobytes() == out_policy.inputs.tobytes()
+        fresh = propagate(f, sys, policy, cfg)
+        assert fixed.apply(f.values).tobytes() == fresh.values.tobytes()
 
 
 def correlated_noise_system(c):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scbf import semigroup
 from scbf.errors import Collapse
-from scbf.grid import ScalarField, sup_norm
+from scbf.grid import GridSpec, ScalarField, sup_norm
 from scbf.semigroup import PolicyTable, PropagationConfig, propagate
 from scbf.spectral import (
     eigen_residual,
@@ -91,6 +92,43 @@ def test_max_iter_below_one_rejected(brownian, max_iter, algorithm):
                             initial_field(brownian, "bump"), max_iter=max_iter)
         else:
             power_policy_iteration(brownian, cfg, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("algorithm", ["power", "power_policy", "power_policy_two_step"])
+def test_init_on_other_grid_rejected(brownian, algorithm):
+    # Same node count, other bounds: the values would be read as if they
+    # sat on the system grid.
+    spec = brownian.grid
+    other = GridSpec([0.0], [2.0], spec.counts, spec.periodic)
+    init = ScalarField(other, initial_field(brownian, "bump").values)
+    cfg = PropagationConfig(horizon=0.5)
+    with pytest.raises(ValueError, match="field grid does not match the system grid"):
+        if algorithm == "power":
+            power_iteration(brownian, PolicyTable.zero(brownian), cfg, init)
+        else:
+            power_policy_iteration(brownian, cfg, init_psi=init,
+                                   accelerated=algorithm == "power_policy")
+
+
+@pytest.mark.parametrize("algorithm", ["power", "power_policy"])
+def test_one_stencil_per_synthesis(monkeypatch, algorithm):
+    # The operator is built once per call and applied at every iteration.
+    sys = make_benchmark("di_omni", grid_counts=(21, 41))
+    cfg = PropagationConfig(horizon=0.1)
+    real, calls = semigroup._split_stencil, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "_split_stencil", counted)
+    if algorithm == "power":
+        res = power_iteration(sys, PolicyTable.zero(sys), cfg, initial_field(sys, "bump"),
+                              tol=1e-12, max_iter=4)
+    else:
+        res = power_policy_iteration(sys, cfg, tol=1e-12, max_iter=4)
+    assert res.iterations == 4
+    assert len(calls) == 1
 
 
 class TestPowerPolicyIteration:

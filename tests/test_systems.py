@@ -6,7 +6,7 @@ from scbf.errors import NonPositiveAirspeed, StructureError, UnknownParameter
 from scbf.grid import ScalarField
 from scbf.safety_filter import (
     FilterSpec, _Affine, _Candidates, _Quadratic, generator_coefficients)
-from scbf.semigroup import PolicyTable, PropagationConfig, _OptimalScheme
+from scbf.semigroup import PolicyTable, PropagationConfig, _Operator
 from scbf.spectral import EigenResult
 from scbf.systems import BENCHMARKS, WIG_DEFAULTS, SystemModel, make_benchmark, wig_forces
 from test_pinned_optimal import _cross_input_noise
@@ -183,7 +183,8 @@ class TestVectorization:
 
 class TestInputStructure:
     """``SystemModel.regime`` and ``SystemModel.gram`` are the only readers
-    of the input structure; the filter and the optimal scheme follow them."""
+    of the input structure; the filter and the optimal-control operator
+    follow them."""
 
     REGIMES = {"di_omni": "affine", "di_velocity": "affine",
                "di_input_noise": "quadratic", "di_deterministic": "affine",
@@ -211,15 +212,16 @@ class TestInputStructure:
         else:
             assert (generator_coefficients(spec, x)[2] is None) == (regime == "affine")
 
-        scheme = _OptimalScheme(sys, PropagationConfig(horizon=0.1, candidate_points=3))
+        op = _Operator(sys, PropagationConfig(horizon=0.1, candidate_points=3))
         if np.all(sys.input_lower == sys.input_upper):
             expected = sys.input_center()[None, :]
         elif regime == "nonaffine":
             expected = sys.input_grid(3)
         else:
             expected = sys.input_corners()
-        np.testing.assert_array_equal(scheme.candidates, expected)
-        assert (scheme.quad is not None) == (regime == "quadratic")
+        np.testing.assert_array_equal(op.inputs, expected)
+        assert (op.stencil.dynamic is not None) == (regime == "quadratic")
+        assert op.candidates == len(expected) + (regime == "quadratic")
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_gram_exact_on_builtins(self, name):
