@@ -36,7 +36,7 @@ from .montecarlo import (
     write_trajectory_csv,
 )
 from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
-from .semigroup import PolicyTable, PropagationConfig, _Operator, propagate
+from .semigroup import PolicyTable, PropagationConfig, propagate
 from .spectral import (
     EigenResult,
     IterationRecord,
@@ -288,11 +288,9 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
     gammas = [rec.gamma_estimate for rec in result.history]
     tail = gammas[len(gammas) // 2:]
     monotone = int(all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])))
-    # What each operator application did: candidates scored per node and
-    # step (0 for fixed-policy steps), the step, the steps per apply and the
-    # CFL load, under the returned policy when the steps use a fixed one.
-    op = _Operator(sys_model, _prop_config(job),
-                   None if job.get("iteration.algorithm") == "power_policy" else result.policy)
+    # What the last operator application did: candidates scored per node
+    # and step (0 for fixed-policy steps), the step, the steps per apply and
+    # the CFL load.
     result_lines = [
         f"result.gamma = {result.gamma!r}",
         f"result.converged = {int(result.converged)}",
@@ -303,10 +301,10 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
         "result.psi_file = psi.fld",
         f"result.policy_files = {','.join(policy_files)}",
         f"result.regime = {sys_model.regime}",
-        f"result.candidates = {op.candidates}",
-        f"result.dt = {op.dt!r}",
-        f"result.steps_per_apply = {op.steps}",
-        f"result.cfl_load = {op.load!r}",
+        f"result.candidates = {result.candidates}",
+        f"result.dt = {result.dt!r}",
+        f"result.steps_per_apply = {result.steps_per_apply}",
+        f"result.cfl_load = {result.cfl_load!r}",
     ]
     _write_metadata(out / "metadata.txt", job, result_lines, result.history)
 

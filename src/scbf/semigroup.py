@@ -53,9 +53,28 @@ step.  A step scores the candidates one at a time and keeps their pairwise
 maximum in candidate order; the argmax policy scores all of them and takes
 ``np.argmax``, so ties resolve to the lowest candidate index.
 
-An operator (:class:`_Operator`) is built once per call of the functions
-here, and once per power iteration run, which applies it at every
-iteration and reads its policy after the last application.
+An operator (:class:`_Operator`) is built once per power iteration run,
+which applies it at every iteration and reads its policy after the last
+application.  The one-shot calls here (:func:`propagate`,
+:func:`propagate_optimal`, :func:`argmax_policy`) share one process-wide
+slot that holds the last such call's operator while it is idle, keyed by
+the model (identity), the :class:`PropagationConfig` (value) and the policy
+(identity; ``None`` for the optimal operator).  A call whose key matches
+takes the operator out of the slot instead of building one, and every call
+puts its operator back on success, replacing what the slot held.  Three
+rules keep the peak memory that of one operator:
+
+- every build, a synthesis's too, empties the slot first, so an idle
+  operator never lives beside a build;
+- syntheses build without the slot and put nothing in it, so their
+  operators do not outlive them;
+- a call takes the operator out and never shares it, so two threads never
+  step one stencil, and only a call that returns puts it back, so a call
+  that raises leaves nothing behind.
+
+Reuse gives the bits of a new build (:class:`_Operator`).  The key holds
+the model by identity, so a model must not be mutated after its first use,
+which :meth:`~scbf.systems.SystemModel.node_classes` already assumes.
 
 The plan gives the bits of the ``einsum`` over all rows and ``np.max`` it
 replaced: that einsum adds the products in the same offset order; a
@@ -86,6 +105,8 @@ times between processes.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,9 +166,10 @@ class PolicyTable:
 class PropagationConfig:
     """Horizon and scheme controls for one operator application.
 
-    ``dt`` optionally pins the step (must respect the stability bound);
-    otherwise the step is the CFL bound rounded down so an integer number
-    of steps covers the horizon exactly.  ``candidate_points`` sizes the
+    ``horizon`` is finite and nonnegative.  ``dt`` optionally pins the step
+    (finite, and it must respect the stability bound); otherwise the step is
+    the CFL bound rounded down so an integer number of steps covers the
+    horizon exactly.  ``candidate_points`` sizes the
     Cartesian argmax grid per input dimension for systems without special
     input structure; it must be at least 2, so both ends of every input
     interval are candidates.
@@ -161,14 +183,14 @@ class PropagationConfig:
     candidate_points: int = 9
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme != "upwind_explicit":
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if self.candidate_points < 2:
             raise ValueError(f"candidate_points must be at least 2, got {self.candidate_points}")
 
@@ -535,10 +557,17 @@ class _Operator:
     ``policy`` the fixed-policy one (0 ``candidates``), built once.  Reuse is
     exact: ``load`` rewrites every node, ghosts are refreshed before each step
     and each argmax, a step writes its whole output span, and the critical
-    input is recomputed from the field at every step."""
+    input is recomputed from the field at every step.
+
+    A build first empties the idle slot (module docstring), so the last
+    one-shot call's operator is freed before this one allocates.  Between
+    one-shot calls with one key (the model by identity, the config by value,
+    the policy by identity) the operator waits in that slot; a model must
+    not be mutated after its first use."""
 
     def __init__(self, sys: SystemModel, cfg: PropagationConfig,
                  policy: PolicyTable | None = None):
+        _take_idle()
         self.sys, self.inputs = sys, None
         if policy is not None:
             _check_specs(policy, sys, "policy")
@@ -586,6 +615,36 @@ class _Operator:
             dyn = arg == len(self.inputs)
             out[dyn, 0] = self.stencil.dynamic.ustar[self.stencil.pos][dyn]
         return PolicyTable(self.sys.grid, out, self.sys.input_lower, self.sys.input_upper)
+
+
+# The last one-shot call's operator while it is idle, with its key:
+# (model, config, policy, operator), or None.
+_idle = None
+_idle_lock = threading.Lock()
+
+
+def _take_idle():
+    """Empty the slot and return what it held."""
+    global _idle
+    with _idle_lock:
+        held, _idle = _idle, None
+    return held
+
+
+@contextmanager
+def _one_shot(sys: SystemModel, cfg: PropagationConfig, policy: PolicyTable | None = None):
+    """The operator for this key: the idle one when the slot holds it, else a
+    new build.  It goes back to the slot when the block ends without raising."""
+    global _idle
+    held = _take_idle()
+    if held is not None and held[0] is sys and held[1] == cfg and held[2] is policy:
+        op = held[3]
+    else:
+        held = None  # freed before the build allocates
+        op = _Operator(sys, cfg, policy)
+    yield op
+    with _idle_lock:
+        _idle = (sys, cfg, policy, op)
 
 
 def _check_specs(field, sys: SystemModel, what: str = "field"):
@@ -666,7 +725,8 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
     input unchanged (the identity operator).
     """
     _check_specs(field, sys)
-    return ScalarField(sys.grid, _Operator(sys, cfg, policy).apply(field.values))
+    with _one_shot(sys, cfg, policy) as op:
+        return ScalarField(sys.grid, op.apply(field.values))
 
 
 # --- optimal-control propagation ----------------------------------------------
@@ -839,14 +899,14 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
     against the final field.
     """
     _check_specs(field, sys)
-    op = _Operator(sys, cfg)
-    return ScalarField(sys.grid, op.apply(field.values)), op.policy()
+    with _one_shot(sys, cfg) as op:
+        return ScalarField(sys.grid, op.apply(field.values)), op.policy()
 
 
 def argmax_policy(field: ScalarField, sys: SystemModel,
                   cfg: PropagationConfig) -> PolicyTable:
     """Pointwise argmax of the discrete generator against a fixed field."""
     _check_specs(field, sys)
-    op = _Operator(sys, replace(cfg, horizon=0.0))
-    op.apply(field.values)
-    return op.policy()
+    with _one_shot(sys, replace(cfg, horizon=0.0)) as op:
+        op.apply(field.values)
+        return op.policy()

@@ -19,7 +19,10 @@ apply the fixed-policy operator) is kept for A/B comparison.
 
 Power iteration and the accelerated variant build their operator once
 per call; the policy is the argmax against its last application.  The
-two-step variant changes its policy, so it builds one per round.
+two-step variant changes its policy, so it builds one per round.  Neither
+leaves an operator behind: they build without the one-shot calls' idle
+slot (:mod:`scbf.semigroup`), and the result carries the step facts of the
+operator applied last.
 
 Convergence is declared on the sup-norm difference of consecutive
 normalized iterates.  A non-converged run is not an error: the result
@@ -29,14 +32,13 @@ carries its residual history and ``converged=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import Collapse
 from .grid import ScalarField, interpolate, sup_norm
-from .semigroup import (PolicyTable, PropagationConfig, _check_specs, _Operator, argmax_policy,
-                        propagate)
+from .semigroup import PolicyTable, PropagationConfig, _check_specs, _Operator, propagate
 from .systems import SystemModel
 
 __all__ = [
@@ -66,6 +68,10 @@ class EigenResult:
 
     ``psi`` has unit sup norm, is nonnegative, and vanishes on killed
     boundary nodes; ``gamma = -log(||T_t psi||)/t`` for the reported pair.
+    The last four fields describe the operator the synthesis applied last:
+    candidate inputs scored per node and step (0 under a fixed policy), the
+    step, the steps per application and the CFL load.  A result read back
+    from files leaves them at their defaults.
     """
 
     gamma: float
@@ -74,6 +80,10 @@ class EigenResult:
     history: list[IterationRecord]
     converged: bool
     horizon: float
+    candidates: int = 0
+    dt: float = math.nan
+    steps_per_apply: int = 0
+    cfl_load: float = math.nan
 
     @property
     def iterations(self) -> int:
@@ -136,6 +146,19 @@ def _normalized_start(sys: SystemModel, init: ScalarField) -> ScalarField:
     return ScalarField(sys.grid, vals / m)
 
 
+def _step_facts(op: _Operator) -> dict:
+    """The fields of :class:`EigenResult` that describe ``op``."""
+    return dict(candidates=op.candidates, dt=op.dt, steps_per_apply=op.steps, cfl_load=op.load)
+
+
+def _improved_policy(sys: SystemModel, cfg: PropagationConfig, values) -> PolicyTable:
+    """:func:`~scbf.semigroup.argmax_policy` against ``values``, built
+    without the idle slot; the operator is freed on return."""
+    op = _Operator(sys, replace(cfg, horizon=0.0))
+    op.apply(values)
+    return op.policy()
+
+
 def _iterate(sys, cfg, psi, apply, tol, max_iter):
     """Shared normalize-and-test loop; ``apply`` maps psi's values to T psi's."""
     history = []
@@ -173,7 +196,7 @@ def power_iteration(sys: SystemModel, policy: PolicyTable,
     op = _Operator(sys, cfg, policy)
     psi, gamma, history, converged = _iterate(sys, cfg, psi, op.apply, tol, max_iter)
     return EigenResult(gamma=gamma, psi=psi, policy=policy, history=history,
-                       converged=converged, horizon=cfg.horizon)
+                       converged=converged, horizon=cfg.horizon, **_step_facts(op))
 
 
 def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
@@ -199,17 +222,20 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
     if accelerated:
         op = _Operator(sys, cfg)
         psi, gamma, history, converged = _iterate(sys, cfg, psi, op.apply, tol, max_iter)
-        policy = op.policy()
+        policy, facts = op.policy(), _step_facts(op)
     else:
+        facts = {}
+
         def apply(values):
-            p = ScalarField(sys.grid, values)
-            return propagate(p, sys, argmax_policy(p, sys, cfg), cfg).values
+            op = _Operator(sys, cfg, _improved_policy(sys, cfg, values))
+            facts.update(_step_facts(op))
+            return op.apply(values)
 
         psi, gamma, history, converged = _iterate(sys, cfg, psi, apply, tol, max_iter)
         # Against the final field, like the accelerated variant's.
-        policy = argmax_policy(psi, sys, cfg)
+        policy = _improved_policy(sys, cfg, psi.values)
     return EigenResult(gamma=gamma, psi=psi, policy=policy, history=history,
-                       converged=converged, horizon=cfg.horizon)
+                       converged=converged, horizon=cfg.horizon, **facts)
 
 
 def eigen_residual(result: EigenResult, sys: SystemModel,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from scbf import cli, montecarlo
+from scbf import cli, montecarlo, semigroup
 from scbf.cli import _SCHEMA, main, parse_config_text
 from scbf.errors import ConfigError
 from scbf.grid import GridSpec, read_field, write_field, ScalarField
@@ -151,6 +151,41 @@ class TestSynthesize:
         assert err.startswith("error: ") and f"max_iter must be at least 1, got {max_iter}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "psi.fld").exists()
+
+    @pytest.mark.parametrize("flag, config", [
+        (["--horizon", "nan"], ""), (["--horizon", "inf"], ""),
+        ([], "propagation.horizon = inf\n"), ([], "propagation.horizon = -1\n")])
+    def test_non_finite_horizon_exit_1(self, tmp_path, capsys, flag, config):
+        # nan used to make the operator the identity and write gamma = nan as
+        # converged with exit 0; inf ended in an OverflowError traceback.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("system.id = brownian_1d\n" + config)
+        out = tmp_path / "out"
+        assert run("synthesize", "--config", str(cfg), *flag, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "horizon must be finite and nonnegative" in err
+        assert "Traceback" not in err
+        assert not (out / "psi.fld").exists()
+
+    @pytest.mark.parametrize("algorithm", ["power_policy", "power_fixed"])
+    def test_one_operator_per_synthesize(self, tmp_path, monkeypatch, algorithm):
+        # The step keys come from the synthesis's own operator; writing them
+        # builds nothing more.
+        real, builds = semigroup._Operator.__init__, []
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup._Operator, "__init__", counted)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"iteration.max_iter = 3\niteration.algorithm = {algorithm}\n")
+        out = tmp_path / "out"
+        assert run("synthesize", "--config", str(cfg), "--system", "di_omni",
+                   "--grid", "11,21", "--out", str(out)) in (0, 2)
+        assert len(builds) == 1
+        assert read_meta(out / "metadata.txt")["result.candidates"] == (
+            "2" if algorithm == "power_policy" else "0")
 
     def test_rerun_from_metadata_bit_exact(self, tmp_path, brownian_artifacts):
         out2 = tmp_path / "again"

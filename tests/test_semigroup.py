@@ -1,4 +1,8 @@
 import math
+import sys as sys_module
+import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scbf import semigroup
 from scbf.errors import NotInterior, StabilityViolation
 from scbf.grid import GridSpec, ImplicitSet, ScalarField, sup_norm
 from scbf.semigroup import (
@@ -19,6 +24,7 @@ from scbf.semigroup import (
     propagate,
     propagate_optimal,
 )
+from scbf.spectral import power_iteration, power_policy_iteration
 from scbf.systems import SystemModel, make_benchmark
 
 
@@ -572,6 +578,18 @@ def test_optimal_policy_attains_candidate_max(name, counts, kw):
         assert chosen == pytest.approx(max(best, chosen), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("kw", [
+    {"horizon": math.nan}, {"horizon": math.inf}, {"horizon": -1.0},
+    {"dt": math.nan}, {"dt": math.inf}, {"dt": 0.0},
+])
+def test_non_finite_horizon_and_dt_rejected(kw):
+    # A nan horizon made zero steps, so the operator was the identity and a
+    # synthesis reported gamma = nan as converged; inf overflowed the step count.
+    key = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        PropagationConfig(**kw)
+
+
 @pytest.mark.parametrize("points", [0, 1, -3])
 def test_candidate_points_below_two_rejected(points):
     with pytest.raises(ValueError, match="candidate_points must be at least 2"):
@@ -592,3 +610,151 @@ class TestPolicyTable:
         fields = pol.channel_fields()
         assert len(fields) == 1
         assert_allclose(fields[0].values, pol.inputs[:, 0])
+
+
+# --- the idle operator of the one-shot calls --------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every operator build from here on; the slot starts empty."""
+    real, calls = _Operator.__init__, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Operator, "__init__", counted)
+    semigroup._take_idle()
+    yield calls
+    semigroup._take_idle()
+
+
+def _one_shot(call, f, sys, cfg, policy=None):
+    """The bytes of a one-shot call's arrays."""
+    if call == "propagate_optimal":
+        out, policy = propagate_optimal(f, sys, cfg)
+        return [out.values.tobytes(), policy.inputs.tobytes()]
+    if call == "propagate":
+        return [propagate(f, sys, policy, cfg).values.tobytes()]
+    return [argmax_policy(f, sys, cfg).inputs.tobytes()]
+
+
+@pytest.mark.parametrize("call", ["propagate_optimal", "propagate", "argmax_policy"])
+@pytest.mark.parametrize("name, counts, cfg", [
+    ("di_omni", (21, 41), PropagationConfig(horizon=3e-3, dt=1e-3)),      # box corners
+    ("di_input_noise", (21, 41), PropagationConfig(horizon=0.05)),        # critical input
+    ("bicycle", (13, 13, 12, 7), PropagationConfig(horizon=0.02)),        # periodic ghosts
+])
+def test_repeated_one_shot_call_reuses_its_operator(builds, call, name, counts, cfg):
+    # The second call with one key builds nothing and gives the bits of a
+    # call made on an empty slot, whatever the first call left in the
+    # stencil; an equal config object is the same key.
+    sys = make_benchmark(name, grid_counts=counts)
+    policy = PolicyTable.constant(sys, 0.5 * (sys.input_lower + sys.input_upper))
+    first, second = (interior_random_field(sys, seed) for seed in (7, 8))
+    _one_shot(call, first, sys, cfg, policy)
+    assert len(builds) == 1
+    reused = _one_shot(call, second, sys, cfg, policy)
+    again = _one_shot(call, first, sys, replace(cfg), policy)
+    assert len(builds) == 1
+    semigroup._take_idle()
+    assert _one_shot(call, second, sys, cfg, policy) == reused
+    semigroup._take_idle()
+    assert _one_shot(call, first, sys, cfg, policy) == again
+    assert len(builds) == 3
+
+
+def test_other_keys_build(builds, di_small):
+    cfg = PropagationConfig(horizon=0.01)
+    f = interior_random_field(di_small, 4)
+    policy = PolicyTable.zero(di_small)
+    propagate(f, di_small, policy, cfg)
+    propagate(f, di_small, PolicyTable.zero(di_small), cfg)           # equal inputs, another object
+    propagate(f, di_small, PolicyTable.zero(di_small), replace(cfg, cfl_safety=0.5))
+    propagate_optimal(f, di_small, cfg)                                # the optimal operator
+    propagate_optimal(f, di_small, replace(cfg, horizon=0.02))         # another config
+    other = make_benchmark("di_omni", grid_counts=(21, 41))            # an equal model
+    propagate_optimal(ScalarField(other.grid, f.values), other, replace(cfg, horizon=0.02))
+    assert len(builds) == 6
+
+
+def test_build_frees_the_idle_operator_first(monkeypatch, di_small):
+    # The idle operator is freed, by reference count alone, before the next
+    # build allocates: an idle operator never lives beside a build.
+    semigroup._take_idle()
+    propagate_optimal(interior_random_field(di_small, 1), di_small, PropagationConfig(horizon=0.01))
+    idle = weakref.ref(semigroup._idle[3])
+    real, alive = semigroup._split_stencil, []
+
+    def split(*args, **kwargs):
+        alive.append(idle() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "_split_stencil", split)
+    power_iteration(di_small, PolicyTable.zero(di_small), PropagationConfig(horizon=0.01),
+                    interior_random_field(di_small, 2), max_iter=2)
+    assert alive == [False]
+
+
+@pytest.mark.parametrize("synthesis", ["power", "power_policy", "power_policy_two_step"])
+def test_syntheses_leave_the_slot_empty(builds, di_small, synthesis):
+    cfg = PropagationConfig(horizon=0.01)
+    f = interior_random_field(di_small, 3)
+    propagate_optimal(f, di_small, cfg)
+    assert semigroup._idle is not None
+    if synthesis == "power":
+        power_iteration(di_small, PolicyTable.zero(di_small), cfg, f, max_iter=2)
+    else:
+        power_policy_iteration(di_small, cfg, f, max_iter=2,
+                               accelerated=synthesis == "power_policy")
+    assert semigroup._idle is None
+
+
+def test_failed_call_leaves_nothing(builds, monkeypatch, brownian):
+    f, zero, cfg = sine_mode(brownian), PolicyTable.zero(brownian), PropagationConfig(horizon=0.01)
+    propagate(f, brownian, zero, cfg)
+    with pytest.raises(StabilityViolation):                      # a failed build
+        propagate(f, brownian, zero, PropagationConfig(horizon=0.1, dt=1.0))
+    assert semigroup._idle is None
+    propagate(f, brownian, zero, cfg)
+
+    def fail(self, values):
+        raise FloatingPointError("stopped")
+
+    monkeypatch.setattr(_Operator, "apply", fail)
+    with pytest.raises(FloatingPointError):                      # a reused operator that fails
+        propagate(f, brownian, zero, cfg)
+    assert semigroup._idle is None and len(builds) == 3
+
+
+def test_threads_never_share_an_operator(builds):
+    # Each thread takes the idle operator or builds its own; the bytes are
+    # those of the same calls made one after another.  A shared operator
+    # would mix two fields in one stencil.
+    sys = make_benchmark("di_input_noise", grid_counts=(21, 41))
+    cfg = PropagationConfig(horizon=0.05)
+    fields = [interior_random_field(sys, seed) for seed in (21, 22, 23, 24)]
+
+    def calls(f):
+        return [_one_shot("propagate_optimal", f, sys, cfg) for _ in range(3)]
+
+    expected = [calls(f) for f in fields]
+    got, start = [None] * len(fields), threading.Barrier(len(fields), timeout=60)
+
+    def worker(i):
+        start.wait()
+        got[i] = calls(fields[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(fields))]
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
