@@ -50,9 +50,29 @@ from .systems import _GRID_COUNTS, make_benchmark
 
 # --- config schema ------------------------------------------------------------
 
+
+def _ints(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# What a caster reads, for messages (else the caster's name: float, int).
+_EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers",
+            _finite: "a finite number"}
+
 _SCHEMA = {
     "system.id": str,
-    "grid.counts": str,
+    "grid.counts": _ints,
     "propagation.horizon": float,
     "propagation.cfl_safety": float,
     "propagation.candidate_points": int,
@@ -66,13 +86,13 @@ _SCHEMA = {
     "simulation.t_end": float,
     "simulation.trials": int,
     "simulation.seed": int,
-    "simulation.x0": str,
+    "simulation.x0": _floats,
     "simulation.controller": str,
     "simulation.reference": str,
-    "simulation.reference_u": str,
-    "simulation.u_const": str,
+    "simulation.reference_u": _floats,
+    "simulation.u_const": _floats,
     "filter.gamma": float,
-    "filter.weight": str,
+    "filter.weight": _floats,
     "verify.residual_tol": float,
     "threads": int,
 }
@@ -97,107 +117,104 @@ _DEFAULTS = {
 }
 
 _IGNORED_PREFIXES = ("result.", "history.")
+_OVERRIDES = "system.overrides."
+
+# The metadata keys load_result reads as numbers; every other key is text.
+_METADATA_SCHEMA = {"result.gamma": _finite, "result.horizon": _finite,
+                    "result.converged": int}
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Strict flat key = value parser with line diagnostics: an unknown key
-    or a value its key's type cannot read names its line."""
-    return _parse_config(text, origin)[0]
+def _cast(key: str, text: str, caster, at: str):
+    """``caster(text)``; a value it cannot read raises ConfigError prefixed
+    with ``at``, the value's origin (``file:line: ``, ``SCBF_THREADS: ``, or
+    nothing for a flag)."""
+    try:
+        return caster(text)
+    except ValueError:
+        raise ConfigError(f"{at}key {key!r}: expected "
+                          f"{_EXPECTS.get(caster, caster.__name__)}, got {text!r}") from None
 
 
-def _parse_config(text: str, origin: str) -> tuple[dict, dict]:
-    """:func:`parse_config_text`'s map, and ``key -> 'origin:line'``."""
-    out, where = {}, {}
+def _read_pairs(text: str, origin: str, caster_of) -> dict:
+    """``key -> (value, text, 'origin:line: ')`` of ``key = value`` lines
+    (``#`` comments), each value cast by ``caster_of(key, at)``; a None
+    caster drops the key.  Each line is checked in full before the next, and
+    a line without ``=``, a repeated key or a value its caster cannot read
+    raises ConfigError naming ``origin:line``."""
+    pairs, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = f"{origin}:{lineno}: "
         if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{at}expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith(_IGNORED_PREFIXES):
-            continue
-        if key.startswith("system.overrides."):
-            caster = float
-        elif key in _SCHEMA:
-            caster = _SCHEMA[key]
-        else:
-            raise ConfigError(f"{origin}:{lineno}: unknown config key {key!r}")
-        try:
-            caster(value)
-        except ValueError:
-            raise ConfigError(f"{origin}:{lineno}: config key {key!r}: expected "
-                              f"{caster.__name__}, got {value!r}") from None
-        out[key] = value
-        where[key] = f"{origin}:{lineno}"
-    return out, where
+        if key in seen:
+            raise ConfigError(f"{at}key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        caster = caster_of(key, at)
+        if caster is not None:
+            pairs[key] = (_cast(key, value, caster, at), value, at)
+    return pairs
+
+
+def _config_caster(key: str, at: str):
+    """A config key's caster: None for the ignored namespaces; an unknown
+    key raises ConfigError."""
+    if key.startswith(_IGNORED_PREFIXES):
+        return None
+    if key.startswith(_OVERRIDES):
+        return float
+    if key not in _SCHEMA:
+        raise ConfigError(f"{at}unknown config key {key!r}")
+    return _SCHEMA[key]
+
+
+def parse_config_text(text: str, origin: str = "<config>") -> dict:
+    """Strict flat key = value parser with line diagnostics: an unknown or
+    repeated key, or a value its key's type cannot read, names its line.
+    Returns ``key -> value text``."""
+    return {key: text for key, (_, text, _) in
+            _read_pairs(text, origin, _config_caster).items()}
 
 
 class JobConfig:
     """Typed view over the merged config-file + flag key/value map."""
 
-    def __init__(self, raw: dict, where: dict):
-        self.raw = dict(raw)
-        self.where = where  # ``path:line`` of each key read from a file
+    def __init__(self, entries: dict):
+        self.entries = entries  # key -> (value, text, origin prefix), as _read_pairs
 
     def get(self, key, default=None):
-        if key in self.raw:
-            caster = _SCHEMA.get(key, str)
-            try:
-                return caster(self.raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+        if key in self.entries:
+            return self.entries[key][0]
+        return _DEFAULTS.get(key, default)
 
     def overrides(self) -> dict:
-        out = {}
-        for key, value in self.raw.items():
-            if key.startswith("system.overrides."):
-                name = key[len("system.overrides."):]
-                try:
-                    out[name] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {key!r}: expected a number"
-                    ) from None
-        return out
-
-    def vector(self, key, default=None):
-        text = self.get(key)
-        if text is None:
-            return default
-        try:
-            return [float(part) for part in str(text).split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected comma-separated numbers") from None
+        return {key[len(_OVERRIDES):]: value for key, (value, _, _) in self.entries.items()
+                if key.startswith(_OVERRIDES)}
 
     def sized_vector(self, key, length: int, what: str):
-        """``vector(key)``, checked to hold ``length`` numbers (``what`` says
-        what they count); None when the key is unset."""
-        vec = self.vector(key)
+        """The vector at ``key``, checked to hold ``length`` numbers
+        (``what`` says what they count); None when the key is unset."""
+        vec = self.get(key)
         if vec is not None and len(vec) != length:
-            at = f"{self.where[key]}: " if key in self.where else ""
-            raise ConfigError(f"{at}config key {key!r} has length {len(vec)}, "
-                              f"expected {length} ({what})")
+            raise ConfigError(f"{self.entries[key][2]}config key {key!r} has length "
+                              f"{len(vec)}, expected {length} ({what})")
         return vec
 
     def echo_lines(self) -> list[str]:
-        lines = []
-        for key in sorted(set(self.raw) | set(_DEFAULTS)):
-            value = self.raw.get(key, _DEFAULTS.get(key))
-            lines.append(f"{key} = {value}")
-        return lines
+        return [f"{key} = {self.entries[key][1] if key in self.entries else _DEFAULTS[key]}"
+                for key in sorted(set(self.entries) | set(_DEFAULTS))]
 
 
 def _load_job(args) -> JobConfig:
-    raw, where = {}, {}
+    entries = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        raw, where = _parse_config(_read_text(path, "utf-8"), str(path))
+        entries = _read_pairs(_read_text(path, "utf-8"), str(path), _config_caster)
     flag_map = {
         "system": "system.id",
         "grid": "grid.counts",
@@ -211,11 +228,12 @@ def _load_job(args) -> JobConfig:
     for flag, key in flag_map.items():
         value = getattr(args, flag, None)
         if value is not None:
-            raw[key] = str(value)
-            where.pop(key, None)
-    if "threads" not in raw and os.environ.get("SCBF_THREADS"):
-        raw["threads"] = os.environ["SCBF_THREADS"]
-    return JobConfig(raw, where)
+            entries[key] = (_cast(key, str(value), _SCHEMA[key], ""), str(value), "")
+    env = os.environ.get("SCBF_THREADS")
+    if "threads" not in entries and env:
+        at = "SCBF_THREADS: "
+        entries["threads"] = (_cast("threads", env, int, at), env, at)
+    return JobConfig(entries)
 
 
 def _build_system(job: JobConfig):
@@ -252,26 +270,11 @@ def _write_metadata(path: Path, job: JobConfig, result_lines: list[str],
 
 
 def _read_metadata(path: Path) -> tuple[dict, int]:
-    """``key -> (value, line number)`` of a metadata file, and its line count;
-    a key given twice raises ConfigError naming both lines."""
-    lines = _read_text(path, "utf-8").splitlines()
-    meta = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or "=" not in line:
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in meta:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {meta[key][1]}")
-        meta[key] = (value, lineno)
-    return meta, len(lines)
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+    """:func:`_read_pairs`'s map of a metadata file, and its line count;
+    :data:`_METADATA_SCHEMA` keys are cast, every other value is text."""
+    text = _read_text(path, "utf-8")
+    return (_read_pairs(text, str(path), lambda key, at: _METADATA_SCHEMA.get(key, str)),
+            len(text.splitlines()))
 
 
 def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
@@ -315,32 +318,25 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         raise ConfigError(f"missing metadata file: {meta_path}")
     meta, end = _read_metadata(meta_path)
 
-    def get(key, cast=str, default=None):
-        """``meta[key]`` read by ``cast``; a missing required key or a value
-        ``cast`` cannot read raises ConfigError naming the line."""
-        if key not in meta:
-            if default is None:
-                raise ConfigError(f"{meta_path}:{max(end, 1)}: file ends without key {key!r}")
-            return default
-        text, lineno = meta[key]
-        try:
-            return cast(text)
-        except ValueError:
-            raise ConfigError(f"{meta_path}:{lineno}: key {key!r}: expected "
-                              f"{'a finite number' if cast is _finite else cast.__name__}, "
-                              f"got {text!r}") from None
+    def get(key, default=None):
+        """``meta[key]``'s value; a missing required key raises ConfigError."""
+        if key in meta:
+            return meta[key][0]
+        if default is None:
+            raise ConfigError(f"{meta_path}:{max(end, 1)}: file ends without key {key!r}")
+        return default
 
     psi_path = artifacts / get("result.psi_file", default="psi.fld")
     if not psi_path.exists():
         raise ConfigError(f"missing barrier field file: {psi_path}")
     psi = read_field(psi_path)
     names = [name.strip() for name in get("result.policy_files").split(",") if name.strip()]
-    where = f"{meta_path}:{meta['result.policy_files'][1]}"
+    where = meta["result.policy_files"][2]
     if not names:
-        raise ConfigError(f"{where}: no policy files recorded")
+        raise ConfigError(f"{where}no policy files recorded")
     if len(names) != sys_model.n_u:
         raise ConfigError(
-            f"{where}: {len(names)} policy files give a policy of shape "
+            f"{where}{len(names)} policy files give a policy of shape "
             f"{(psi.spec.size, len(names))}, expected {(psi.spec.size, sys_model.n_u)} "
             "(one file per input channel)")
     channels = []
@@ -351,7 +347,7 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         channel = read_field(fpath)
         if channel.spec != psi.spec:
             raise ConfigError(
-                f"{where}: policy file {name!r} is on a grid of shape {channel.spec.counts}, "
+                f"{where}policy file {name!r} is on a grid of shape {channel.spec.counts}, "
                 f"expected the grid of {psi_path.name}, shape {psi.spec.counts}"
                 + (" (same shape, other bounds or periodicity)"
                    if channel.spec.counts == psi.spec.counts else ""))
@@ -359,14 +355,14 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     policy = PolicyTable(psi.spec, np.stack(channels, axis=1),
                          sys_model.input_lower, sys_model.input_upper)
     result = EigenResult(
-        gamma=get("result.gamma", _finite),
+        gamma=get("result.gamma"),
         psi=psi,
         policy=policy,
         history=[],
-        converged=bool(get("result.converged", int, 0)),
-        horizon=get("result.horizon", _finite, _DEFAULTS["propagation.horizon"]),
+        converged=bool(get("result.converged", 0)),
+        horizon=get("result.horizon", _DEFAULTS["propagation.horizon"]),
     )
-    return result, {key: value for key, (value, _) in meta.items()}
+    return result, {key: value for key, (value, _, _) in meta.items()}
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -607,13 +603,13 @@ def cmd_export_plot(args) -> int:
     meta = src / "metadata.txt"
     if meta.exists():
         hist = []
-        for key, (value, lineno) in _read_metadata(meta)[0].items():
+        for key, (value, _, at) in _read_metadata(meta)[0].items():
             if key.startswith("history."):
                 try:
                     resid, gamma = value.split()
                     hist.append((int(key.split(".", 1)[1]), float(resid), float(gamma)))
                 except ValueError:
-                    raise ConfigError(f"{meta}:{lineno}: expected "
+                    raise ConfigError(f"{at}expected "
                                       "'history.<iteration> = <residual> <gamma>'") from None
         if hist:
             hist.sort()

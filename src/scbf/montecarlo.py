@@ -158,8 +158,9 @@ class SimConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError(f"dt and t_end must be finite and positive, got dt {self.dt!r}, "
+                             f"t_end {self.t_end!r}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
         if self.trials < 1:

@@ -83,14 +83,17 @@ _FALLBACK = CODE_BY_STATUS[FilterStatus.INFEASIBLE_FALLBACK]
 class FilterSpec:
     """Barrier, decay rate, deviation weights and backup policy for filtering.
 
-    The decay rate must not undercut the synthesis rate stored with the
-    eigenresult (a smaller rate would void the barrier's validity).
+    The decay rate must be finite and must not undercut the synthesis rate
+    stored with the eigenresult (a smaller rate would void the barrier's
+    validity); the weights must be finite and positive.
     """
 
     def __init__(self, sys: SystemModel, result: EigenResult,
                  gamma: float | None = None, weight=None):
         if gamma is None:
             gamma = result.gamma
+        if not np.isfinite(gamma):
+            raise ValueError(f"decay rate must be finite, got {gamma!r}")
         if gamma < result.gamma - 1e-12:
             raise ValueError(
                 f"decay rate {gamma} is below the synthesized rate {result.gamma}"
@@ -103,8 +106,8 @@ class FilterSpec:
         self.gamma = float(gamma)
         self.gamma_synthesis = float(result.gamma)
         weight = np.ones(sys.n_u) if weight is None else np.asarray(weight, dtype=float).ravel()
-        if weight.size != sys.n_u or np.any(weight <= 0.0):
-            raise ValueError("weights must be positive, one per input channel")
+        if weight.size != sys.n_u or not np.all(np.isfinite(weight) & (weight > 0.0)):
+            raise ValueError("weights must be finite and positive, one per input channel")
         self.weight = weight
         # psi, its gradient and its Hessian upper triangle per node, so one
         # blend gives all three at a located state.

@@ -179,7 +179,6 @@ class PropagationConfig:
     cfl_safety: float = 0.8
     scheme: str = "upwind_explicit"
     dt: float | None = None
-    min_dt: float = 1e-9
     candidate_points: int = 9
 
     def __post_init__(self):
@@ -196,6 +195,10 @@ class PropagationConfig:
 
 
 # --- the stencil -----------------------------------------------------------------
+
+# The smallest stable step accepted: below it, a horizon takes more steps
+# than any run could finish.
+_MIN_DT = 1e-9
 
 # Weights are probabilities summing to at most one; a weight above -_WEIGHT_TOL
 # is roundoff around zero (e.g. exactly dominant noise, or dt at the bound).
@@ -589,9 +592,9 @@ class _Operator:
         self.steps, self.dt = 0, 0.0
         if cfg.horizon > 0.0:
             bound = math.inf if self.load <= 0.0 else cfg.cfl_safety / self.load
-            if bound < cfg.min_dt:
+            if bound < _MIN_DT:
                 raise StabilityViolation(
-                    f"stable step {bound:.3e} is below the floor {cfg.min_dt:.1e}")
+                    f"stable step {bound:.3e} is below the floor {_MIN_DT:.1e}")
             if cfg.dt is not None and cfg.dt > bound * (1.0 + 1e-12):
                 raise StabilityViolation(
                     f"requested dt {cfg.dt:.3e} exceeds the stability bound {bound:.3e}")

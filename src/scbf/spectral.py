@@ -182,16 +182,21 @@ def _iterate(sys, cfg, psi, apply, tol, max_iter):
     return psi, gamma, history, converged
 
 
+def _check_run(cfg: PropagationConfig, tol: float, max_iter: int, name: str):
+    """The argument checks shared by the two iterations."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if cfg.horizon <= 0:
+        raise ValueError(f"{name} needs a positive horizon")
+
+
 def power_iteration(sys: SystemModel, policy: PolicyTable,
                     cfg: PropagationConfig, init: ScalarField,
                     tol: float = 1e-4, max_iter: int = 500) -> EigenResult:
     """Dominant eigenpair of the fixed-policy semigroup operator."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if cfg.horizon <= 0:
-        raise ValueError("power iteration needs a positive horizon")
+    _check_run(cfg, tol, max_iter, "power iteration")
     psi = _normalized_start(sys, init)
     op = _Operator(sys, cfg, policy)
     psi, gamma, history, converged = _iterate(sys, cfg, psi, op.apply, tol, max_iter)
@@ -211,12 +216,7 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
     pointwise argmax of the generator against the final field: for the
     accelerated variant, its last (unnormalized) application.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if cfg.horizon <= 0:
-        raise ValueError("power-policy iteration needs a positive horizon")
+    _check_run(cfg, tol, max_iter, "power-policy iteration")
     psi = _normalized_start(sys, init_psi if init_psi is not None
                             else default_initial_field(sys))
     if accelerated:

@@ -201,21 +201,16 @@ def probe_structure(sys: SystemModel, samples: int = 24, seed: int = 0) -> Struc
     U2 = sys.input_lower + width * rng.random((m, n_u))
     sigma_zero = True
     sigma_u_independent = True
-    smin = np.inf
     for x in X:
         S = sys.diffusion(np.broadcast_to(x, (m, sys.n_x)), U2)
         if np.max(np.abs(S)) > 1e-14:
             sigma_zero = False
         if np.max(np.abs(S - S[0])) > 1e-12 * max(1.0, np.max(np.abs(S))):
             sigma_u_independent = False
-        sv = np.linalg.svd(S[0], compute_uv=False)
-        smin = min(smin, sv[sys.n_x - 1] if sv.size >= sys.n_x else 0.0)
 
     # Quadratic fit of the noise Gram matrix entries in u.
     sigma_gram_quadratic = True
-    if sigma_u_independent:
-        pass
-    else:
+    if not sigma_u_independent:
         mq = max(3 * n_u + n_u * n_u + 3, 9)
         Uq = sys.input_lower + width * rng.random((mq, n_u))
         cols = [np.ones((mq, 1)), Uq]

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,57 @@ class TestConfigParsing:
     def test_overrides_pass_through(self):
         cfg = parse_config_text("system.overrides.sigma = 2.0\n")
         assert cfg["system.overrides.sigma"] == "2.0"
+
+    def test_readme_table_lists_the_schema(self):
+        # Every key in the first column of the README's config table, and
+        # nothing else, so the table and the schema cannot drift apart.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+        keys = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                keys |= set(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert keys == set(_SCHEMA) | {"system.overrides.<name>"}
+
+
+class TestLocatedValues:
+    """A value that cannot be read ends in exit 1 with its origin:
+    ``file:line:``, ``SCBF_THREADS:`` or, for a flag, nothing."""
+
+    @pytest.mark.parametrize("command, lines, message", [
+        # used to run the nan
+        ("synthesize", ["iteration.tol = 1e-4", "iteration.tol = nan"],
+         "3: key 'iteration.tol' repeats line 2"),
+        # used to run a 41-node grid and exit 0
+        ("synthesize", ["grid.counts = 41.7"],
+         "2: key 'grid.counts': expected comma-separated integers, got '41.7'"),
+        # used to name no file or line
+        ("simulate", ["simulation.x0 = a"],
+         "2: key 'simulation.x0': expected comma-separated numbers, got 'a'"),
+    ], ids=["repeated_key", "fractional_count", "bad_vector"])
+    def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
+        extra = ["--artifacts", str(brownian_artifacts)] if command == "simulate" else []
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not out.exists()
+
+    def test_threads_env(self, tmp_path, capsys, brownian_artifacts, monkeypatch):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n")
+        monkeypatch.setenv("SCBF_THREADS", "x")
+        assert run("simulate", "--config", str(cfg), "--artifacts", str(brownian_artifacts),
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: SCBF_THREADS: key 'threads': expected int, got 'x'\n")
+
+    def test_flag(self, tmp_path, capsys):
+        assert run("synthesize", "--system", "di_omni", "--grid", "41.7,21",
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: key 'grid.counts': expected comma-separated integers, got '41.7,21'\n")
 
 
 class TestSynthesize:
@@ -311,6 +364,20 @@ class TestSimulate:
         assert code == 1
         assert "not a whole number of steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["simulation.t_end = inf", "simulation.dt = nan",
+                                       "simulation.dt = inf"])
+    def test_non_finite_step_exit_1(self, tmp_path, capsys, brownian_artifacts, entry):
+        # t_end = inf ended in an OverflowError traceback, dt = nan in
+        # "cannot convert float NaN to integer".
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"system.id = brownian_1d\nsimulation.x0 = 0.0\n{entry}\n")
+        code = run("simulate", "--config", str(cfg),
+                   "--artifacts", str(brownian_artifacts), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: dt and t_end must be finite and positive"), err
+        assert "Traceback" not in err
+
     def test_filter_gamma_below_synthesized_exit_1(self, tmp_path, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"
@@ -549,6 +616,19 @@ class TestFilterCommand:
             expected.append(f"{float(u[0])!r},{status.value}")
         assert out.read_text().splitlines() == expected
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exit_1(self, tmp_path, brownian_artifacts, capsys, gamma):
+        # Either used to answer every query unmodified and exit 0.
+        queries = tmp_path / "q.csv"
+        queries.write_text("t,x1,u1\n0.0,0.0,0.0\n")
+        out = tmp_path / "answers.csv"
+        code = run("filter", "--system", "brownian_1d", "--gamma", gamma,
+                   "--artifacts", str(brownian_artifacts),
+                   "--queries", str(queries), "--output", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: decay rate must be finite, got {gamma}\n"
+        assert not out.exists()
+
     def test_bad_column_count(self, tmp_path, brownian_artifacts, capsys):
         queries = tmp_path / "q.csv"
         queries.write_text("0.0,0.0\n")
@@ -630,27 +710,41 @@ def _assert_names_line(code, err, path, line):
 
 
 _TYPED = sorted(k for k, t in _SCHEMA.items() if t is not str)
+_VECTORS = sorted(k for k, t in _SCHEMA.items() if t in (cli._ints, cli._floats))
+# keys the fuzzed config does not already hold
+_FREE_KEYS = sorted(set(_SCHEMA) - {"system.id", "iteration.tol", "iteration.max_iter"}) + [
+    "system.overrides.sigma", "result.gamma"]
 
 
 @st.composite
 def _bad_config_line(draw):
-    kind = draw(st.sampled_from(["no_equals", "unknown_key", "bad_value", "bad_override"]))
+    """Lines whose last one is the first the config reader must reject."""
+    kind = draw(st.sampled_from(["no_equals", "unknown_key", "bad_value", "bad_override",
+                                 "repeated_key", "bad_element"]))
     junk = draw(_JUNK)
     if kind == "no_equals":
         assume("=" not in junk.split("#", 1)[0] and junk.split("#", 1)[0].strip())
-        return junk
+        return [junk]
     if kind == "unknown_key":
         key = junk.replace("=", "").replace("#", "").strip()
         assume(key and key not in _SCHEMA
                and not key.startswith(("result.", "history.", "system.overrides.")))
-        return f"{key} = 1"
+        return [f"{key} = 1"]
+    if kind == "repeated_key":
+        key = draw(st.sampled_from(_FREE_KEYS))
+        return [f"{key} = 1", f"{key} = 1"]
     value = junk.replace("#", "")
     if kind == "bad_override":
         assume(not _parses(value.strip()))
-        return f"system.overrides.sigma = {value}"
+        return [f"system.overrides.sigma = {value}"]
+    if kind == "bad_element":
+        key = draw(st.sampled_from(_VECTORS))
+        element = value.replace(",", "").strip()
+        assume(element and not _parses(element, int if key == "grid.counts" else float))
+        return [f"{key} = 1,{element},2"]
     key = draw(st.sampled_from(_TYPED))
     assume(not _parses(value.strip(), _SCHEMA[key]))
-    return f"{key} = {value}"
+    return [f"{key} = {value}"]
 
 
 @st.composite
@@ -687,15 +781,15 @@ class TestReaderFuzz:
     exit 1 with a ``file:line`` message, never a traceback."""
 
     @_FUZZ
-    @given(line=_bad_config_line(), at=st.integers(0, 3))
-    def test_config(self, tmp_path, line, at):
+    @given(bad=_bad_config_line(), at=st.integers(0, 3))
+    def test_config(self, tmp_path, bad, at):
         lines = ["system.id = brownian_1d", "iteration.tol = 1e-4",
                  "# a comment", "iteration.max_iter = 5"]
-        lines.insert(at, line)
+        lines[at:at] = bad
         path = tmp_path / "job.cfg"
         code, err = _run_mangled(path, lines, ["synthesize", "--config", str(path),
                                                "--out", str(tmp_path / "out")])
-        _assert_names_line(code, err, path, at + 1)
+        _assert_names_line(code, err, path, at + len(bad))
 
     @_FUZZ
     @given(row=_bad_query_row(), at=st.integers(0, 3))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -204,6 +206,18 @@ class TestFilterInput:
     def test_weight_validation(self, di, di_result):
         with pytest.raises(ValueError):
             FilterSpec(di, di_result, weight=[0.0])
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, di, di_result, gamma):
+        # nan passed the lower-rate test and inf beat it, and either turned
+        # the filter off: every answer came back unmodified.
+        with pytest.raises(ValueError, match="decay rate must be finite"):
+            FilterSpec(di, di_result, gamma=gamma)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, di, di_result, weight):
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            FilterSpec(di, di_result, weight=[weight])
 
 
 @pytest.fixture(scope="module")

@@ -63,6 +63,15 @@ def test_t_end_not_whole_steps_rejected():
     assert SimConfig(t_end=0.3, trials=1, seed=0, controller=ctrl, dt=0.1).n_steps == 3
 
 
+@pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan),
+                                       (math.inf, 1.0)])
+def test_non_finite_step_or_horizon_rejected(dt, t_end):
+    # An infinite t_end raised OverflowError from n_steps, a nan dt
+    # "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match="dt and t_end must be finite and positive"):
+        SimConfig(t_end=t_end, trials=1, seed=0, controller=OpenLoopController([0.0]), dt=dt)
+
+
 class TestSimulate:
     def test_frozen_dynamics(self):
         sys = make_benchmark("brownian_1d", {"sigma": 0.0})

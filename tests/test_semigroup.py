@@ -119,11 +119,13 @@ class TestPropagateFixed:
         with pytest.raises(StabilityViolation):
             propagate(f, brownian, PolicyTable.zero(brownian), cfg)
 
-    def test_stability_violation_floor(self, brownian):
-        f = sine_mode(brownian)
-        cfg = PropagationConfig(horizon=0.1, min_dt=1.0)
-        with pytest.raises(StabilityViolation):
-            propagate(f, brownian, PolicyTable.zero(brownian), cfg)
+    def test_stability_violation_floor(self):
+        # sigma = 1000 on 201 nodes: the stable step is 8.0e-11, below the
+        # 1e-9 floor.
+        noisy = make_benchmark("brownian_1d", {"sigma": 1000.0})
+        with pytest.raises(StabilityViolation, match="below the floor 1.0e-09"):
+            propagate(sine_mode(noisy), noisy, PolicyTable.zero(noisy),
+                      PropagationConfig(horizon=0.1))
 
 
 @pytest.fixture(scope="module")

@@ -94,6 +94,19 @@ def test_max_iter_below_one_rejected(brownian, max_iter, algorithm):
             power_policy_iteration(brownian, cfg, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ["power", "power_policy"])
+def test_tol_not_finite_and_positive_rejected(brownian, tol, algorithm):
+    # nan never converged: the run took every iteration and ended in exit 2.
+    cfg = PropagationConfig(horizon=0.5)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        if algorithm == "power":
+            power_iteration(brownian, PolicyTable.zero(brownian), cfg,
+                            initial_field(brownian, "bump"), tol=tol)
+        else:
+            power_policy_iteration(brownian, cfg, tol=tol)
+
+
 @pytest.mark.parametrize("algorithm", ["power", "power_policy", "power_policy_two_step"])
 def test_init_on_other_grid_rejected(brownian, algorithm):
     # Same node count, other bounds: the values would be read as if they
