@@ -66,9 +66,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise ValueError(text)
+    return value
+
+
 # What a caster reads, for messages (else the caster's name: float, int).
 _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers",
-            _finite: "a finite number"}
+            _finite: "a finite number", _tolerance: "a finite nonnegative number"}
 
 _SCHEMA = {
     "system.id": str,
@@ -93,7 +100,7 @@ _SCHEMA = {
     "simulation.u_const": _floats,
     "filter.gamma": float,
     "filter.weight": _floats,
-    "verify.residual_tol": float,
+    "verify.residual_tol": _tolerance,
     "threads": int,
 }
 

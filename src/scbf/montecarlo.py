@@ -10,13 +10,13 @@ Monte Carlo noise at the default ``dt = 1e-3``: on ``brownian_1d``
 half-width of 0.0095 (see the README's "Scope of the guarantee").
 
 Reproducibility contract: trial ``i`` draws its normals from its own
-counter-based Philox stream keyed by ``(seed, i)``, in step order, a block
-of steps at a time and only while the trial is alive.  Consecutive draws
-from one stream equal one draw of the whole horizon, so a trial's path does
-not depend on the block length, on which other trials share its batch, on
-the chunking, or on the thread count: ``simulate``, the chunked batch path
-and any thread count give bit-identical results.  Survival is aggregated as
-integer counts per time sample.
+counter-based Philox stream keyed by the two 64-bit words ``(seed, i)``, in
+step order, a block of steps at a time and only while the trial is alive.
+Consecutive draws from one stream equal one draw of the whole horizon, so a
+trial's path does not depend on the block length, on which other trials
+share its batch, on the chunking, or on the thread count: ``simulate``,
+the chunked batch path and any thread count give bit-identical results.
+Survival is aggregated as integer counts per time sample.
 
 The survival curve carries Wilson confidence intervals and, when a barrier
 is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
@@ -25,6 +25,7 @@ is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -149,7 +150,10 @@ class OpenLoopController:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation job: step size, horizon, trial count, seed, controller."""
+    """One simulation job: step size, horizon, trial count, seed, controller.
+
+    ``seed`` is an integer in ``[0, 2**64)``, the first word of every
+    trial's Philox key."""
 
     t_end: float
     trials: int
@@ -165,6 +169,8 @@ class SimConfig:
             raise ValueError("dt must not exceed t_end")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not 0 <= operator.index(self.seed) < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end {self.t_end!r} is not a whole number of steps "
                              f"of dt {self.dt!r}")
@@ -197,29 +203,48 @@ class SafetyCurve:
     theoretical_bound: np.ndarray | None = None
 
 
+class _TrialKey(np.random.bit_generator.ISeedSequence):
+    """The Philox key ``[seed, trial]`` word for word.  Given ``key=``, the
+    Philox constructor still builds a ``SeedSequence`` from OS entropy and
+    casts the key through a float, which rounds a word of 2**63 or more;
+    this hands it the exact key and draws nothing."""
+
+    def __init__(self, seed: int, trial: int):
+        self.key = np.array([seed, trial], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial key is two 64-bit words")
+        return self.key.copy()
+
+
 def _live_steps(sys, cfg, x0, trials):
     """Euler-Maruyama steps of a batch of trials that share ``x0``.
 
     Only live trials are stepped: states are kept compact and a killed
     trial's row is dropped.  Noise is drawn from each trial's own stream in
-    blocks of ``_BLOCK_STEPS`` steps into a step-major buffer; a death
-    compacts an index into the buffer, not the buffer.  Yields, for step
-    ``k``, the inputs applied to and the new states of the trials alive
-    before it, and which of them are still alive; stops when none is.
+    blocks of ``_BLOCK_STEPS`` steps into a trial-major buffer and copied
+    into a step-major one, both allocated once per call; a death compacts
+    an index into the buffer, not the buffer.  Yields, for step ``k``, the
+    inputs applied to and the new states of the trials alive before it, and
+    which of them are still alive; stops when none is.
     """
-    streams = [np.random.Generator(np.random.Philox(
-        key=[cfg.seed & 0xFFFFFFFFFFFFFFFF, i & 0xFFFFFFFFFFFFFFFF])) for i in trials]
+    streams = [np.random.Generator(np.random.Philox(_TrialKey(cfg.seed, i & 0xFFFFFFFFFFFFFFFF)))
+               for i in trials]
     live = np.arange(len(streams))
     X = np.tile(np.asarray(x0, dtype=float), (live.size, 1))
     root_dt = math.sqrt(cfg.dt)
     n = cfg.n_steps
+    drawn, step_major = (np.empty(live.size * min(_BLOCK_STEPS, n) * sys.n_w) for _ in range(2))
     for k in range(n):
         j = k % _BLOCK_STEPS
         if j == 0:
-            block = np.empty((live.size, min(_BLOCK_STEPS, n - k), sys.n_w))
+            shape = (live.size, min(_BLOCK_STEPS, n - k), sys.n_w)
+            block = drawn[:math.prod(shape)].reshape(shape)
             for row, i in enumerate(live):
                 streams[i].standard_normal(out=block[row])
-            noise = np.ascontiguousarray(block.transpose(1, 0, 2))
+            noise = step_major[:block.size].reshape(shape[1], shape[0], shape[2])
+            np.copyto(noise, block.transpose(1, 0, 2))
             slots = None
         W = noise[j] if slots is None else noise[j, slots]
         U = cfg.controller.inputs(sys, k * cfg.dt, X)

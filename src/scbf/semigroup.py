@@ -44,14 +44,24 @@ the upwind one like every other candidate; it is not the argmax of the
 upwind generator over the input interval, which an interior input can beat.
 Rates that no candidate changes form one shared base stencil; each
 candidate keeps rates only on the offsets it changes, and its score
-``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled once per stencil into a
-plan of multiply-adds in offset order.  A rate row that is zero at every
-node is dropped; a row with one value at every node (a box corner moving a
-state at a constant rate) becomes a Python float; any other row stays an
-array, as does every row of the critical input, which is rewritten at each
-step.  A step scores the candidates one at a time and keeps their pairwise
-maximum in candidate order; the argmax policy scores all of them and takes
-``np.argmax``, so ties resolve to the lowest candidate index.
+``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled, as the stencil is built,
+into a plan of multiply-adds in offset order.  A rate row that is zero at
+every node is dropped; a row with one value at every node (a box corner
+moving a state at a constant rate) becomes a Python float; any other row
+becomes one padded array, which every row with the same bytes shares (the
+bicycle's four steering corners turn at ``+-v``, so their eight array terms
+read two arrays).  The critical input keeps its own array per offset,
+since it is rewritten at each step.  A step scores the candidates one at a
+time into two score rows and keeps their pairwise maximum in candidate
+order; the argmax policy does the same with a running index that moves only
+to a strictly greater score, so ties resolve to the lowest candidate index.
+
+A build keeps only what a step, the monotonicity check and the argmax
+read.  The noise Gram is evaluated a block of nodes at a time and kept as
+the entries the rates read; the drift is evaluated one candidate at a time
+with its CFL load folded in at once; and no unpadded copy of a rate lives
+beside its padded one for long.  On the 4-D ``bicycle``
+(31x31x24x11) the traced build peak is 53 MiB and the operator 47 MiB.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -76,14 +86,16 @@ Reuse gives the bits of a new build (:class:`_Operator`).  The key holds
 the model by identity, so a model must not be mutated after its first use,
 which :meth:`~scbf.systems.SystemModel.node_classes` already assumes.
 
-The plan gives the bits of the ``einsum`` over all rows and ``np.max`` it
-replaced: that einsum adds the products in the same offset order; a
-dropped row only added a zero product; a float equal to
-the row at every node gives the same product at every node; and the
-maximum chain compares in the order ``np.max`` reduces.  Two differences
-remain, and neither reaches a result.  At ghost positions inside the span
-a float row gives ``c * d`` where the zero-filled row gave zero, but the
-step's kill mask zeroes those positions and the argmax reads only nodes.
+The plan gives the bits of the ``einsum`` over all rows, ``np.max`` and
+``np.argmax`` it replaced: that einsum adds the products in the same offset
+order; a dropped row only added a zero product; a float equal to the row
+at every node gives the same product at every node; a shared array holds
+the row's bytes; the maximum chain compares in the order ``np.max``
+reduces; and the running index keeps the first maximum, as ``np.argmax``
+does.  Two differences remain, and neither reaches a result.  At ghost
+positions inside the span a float row gives ``c * d`` where the
+zero-filled row gave zero, but the step's kill mask zeroes those positions
+and the argmax reads only nodes.
 And einsum starts each sum from +0.0, so a score whose every term is -0.0
 is +0.0 there and -0.0 here; the step adds it, times ``dt``, to the new
 value, and the two zeros give different sums only for a value of -0.0.
@@ -104,6 +116,7 @@ times between processes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from contextlib import contextmanager
@@ -207,6 +220,10 @@ _WEIGHT_TOL = 1e-10
 # Bytes in a cache line and in a page (the period of 4K aliasing).
 _LINE, _PAGE = 64, 4096
 
+# Nodes per block when a stencil build evaluates the noise Gram: the
+# callbacks' scratch stays near 0.5 MB on a 4-D grid.
+_NODE_BLOCK = 1024
+
 
 def _aligned(shape, dtype=np.float64, lead: int = 0, phase: int | None = None) -> np.ndarray:
     """A zeroed array whose every row along the last axis starts on a cache
@@ -231,12 +248,31 @@ def _offset(n: int, *moves) -> tuple:
     return tuple(steps.get(d, 0) for d in range(n))
 
 
-def _diffusion_load(gram: np.ndarray, h: np.ndarray, pairs) -> np.ndarray:
-    """Per-node diffusion part of the CFL load."""
-    load = np.einsum("kii->ki", gram) @ (1.0 / h**2)
+def _diffusion_load(a, h: np.ndarray, pairs) -> np.ndarray:
+    """Per-node diffusion part of the CFL load; ``a(i, j)`` returns the
+    per-node Gram entry.  The diagonal terms are added in order from zero,
+    the sum a strided ``gram @ (1 / h**2)`` forms (a contiguous ``@`` goes
+    through BLAS and can differ in the last bit)."""
+    w = 1.0 / h**2
+    load = np.zeros(np.shape(a(0, 0)))
+    for i in range(len(h)):
+        load += a(i, i) * w[i]
     for i, j in pairs:
-        load += np.abs(gram[:, i, j]) / (h[i] * h[j])
+        load += np.abs(a(i, j)) / (h[i] * h[j])
     return load
+
+
+def _gram_entries(sys: SystemModel, nodes: np.ndarray, U: np.ndarray) -> dict:
+    """``(i, j) -> `` the noise Gram entry at every node, for ``i <= j``,
+    evaluated ``_NODE_BLOCK`` nodes at a time, so no (nodes, n, n) array is
+    formed."""
+    N, n = len(nodes), sys.n_x
+    entries = {(i, j): np.empty(N) for i in range(n) for j in range(i, n)}
+    for b in range(0, N, _NODE_BLOCK):
+        g = sys.gram(nodes[b:b + _NODE_BLOCK], U[b:b + _NODE_BLOCK])
+        for (i, j), entry in entries.items():
+            entry[b:b + _NODE_BLOCK] = g[:, i, j]
+    return entries
 
 
 def _drift_rates(f, h: np.ndarray, dims) -> dict:
@@ -292,17 +328,23 @@ class _Stencil:
     """``P <- W_0 P + sum_o W_o P[o] + dt mask max_k sum_j C[j,k] (P[o_j] - P)``.
 
     ``base`` holds the rates no candidate input changes; ``fold_step`` makes
-    them weights with ``dt`` and the kill mask folded in.  ``cand[j, k]`` is
+    them weights with ``dt`` and the kill mask folded in.  ``C[j, k]`` is
     candidate ``k``'s rate towards ``offsets[j]``, unmasked so the argmax
     policy is defined on boundary nodes too; ``dynamic`` rewrites the last
     candidate's rates at every evaluation.
 
-    Scoring: ``build_plan`` turns ``cand`` into per-candidate
-    ``(j, coefficient)`` terms (module docstring), and only the differences
-    ``P[o_j] - P`` that some term reads are formed.  ``step`` writes the
-    first candidate's score into ``_scores[0]`` and folds each later one in
-    with ``np.maximum`` while it is still in cache, so a step touches two
-    rows of scores, not one per candidate; ``argmax`` fills every row.
+    Storage: only what a step, the monotonicity check and the argmax read.
+    ``add_candidate`` compiles each candidate's score ``sum_j C[j,k] (P[o_j]
+    - P)`` into ``(j, coefficient)`` terms in offset order (module
+    docstring): a row zero at every node is dropped, a row with one value at
+    every node becomes that float, and any other row is one padded array,
+    shared by every term whose row has the same bytes (``_rows``).  The
+    dynamic candidate keeps one array per offset (``_dynamic_rows``), since
+    it is rewritten at every step.  Only the differences ``P[o_j] - P`` that
+    some term reads are formed.  A step writes the first candidate's score
+    into ``_scores[0]`` and folds each later one, written to ``_scores[1]``,
+    in with ``np.maximum`` while it is still in cache; ``argmax`` does the
+    same with a running index, so two score rows serve any candidate count.
 
     Layout: the grid is padded with one ghost layer on each side of every
     periodic dimension and none elsewhere; per-node arrays live on its flat
@@ -325,10 +367,14 @@ class _Stencil:
     half-page gap keeps away from the step's reads of one buffer and writes
     of the other.  The heap gives no such guarantee: the same step ran up to
     1.5 times slower in one process than in another.
+
+    Build order: ``_Stencil(...)`` pads the base rates, popping each from
+    the caller's dict; ``add_candidate`` once per fixed candidate, in order;
+    ``add_dynamic`` for a dynamic last candidate; then ``compile`` allocates
+    the differences the plan reads and the score rows.
     """
 
-    def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict,
-                 offsets, n_cand: int):
+    def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict, offsets):
         n, shape = spec.dims, spec.shape
         ghost = np.array(spec.periodic, dtype=int)
         self.shape, padded = shape, tuple(int(c) for c in np.add(shape, 2 * ghost))
@@ -338,9 +384,13 @@ class _Stencil:
         self.pos = np.ravel_multi_index(
             tuple(np.indices(shape).reshape(n, -1) + ghost[:, None]), padded) - first
         self._interior_nodes, self.interior = interior, self.pad(interior)
-        self.base = {o: self.pad(r) for o, r in base.items() if np.any(r[interior] != 0.0)}
+        self.base = {}
+        for o in list(base):
+            r = base.pop(o)
+            if np.any(r[interior] != 0.0):
+                self.base[o] = self.pad(r)
         self.offsets = list(offsets)
-        self.cand = _aligned((len(self.offsets), n_cand, self.span))
+        self._plan, self._rows, self._dynamic_rows = [], {}, None
         self.dynamic = self.W = None
         self._centre = (0,) * n
         self._bufs = [_aligned(size + 2 * margin, lead=margin + first, phase=phase)
@@ -359,14 +409,42 @@ class _Stencil:
                     Q = np.moveaxis(P, d, 0)
                     copies += [(Q[:1], Q[-2:-1]), (Q[-1:], Q[1:2])]
             self._ghosts.append(copies)
-        self._tmp, self._diffs = _aligned(self.span), _aligned((len(self.offsets), self.span))
-        self._scores = _aligned((n_cand, self.span))
-        self._plan = self._used = None
+        self._tmp = _aligned(self.span)
 
     def pad(self, node_values: np.ndarray) -> np.ndarray:
         out = _aligned(self.span, node_values.dtype)
         out[self.pos] = node_values
         return out
+
+    def add_candidate(self, rows):
+        """Append a fixed candidate whose rate towards ``offsets[j]`` is
+        ``rows[j]`` at the nodes (an iterable, consumed one row at a time)."""
+        terms = []
+        for j, at in enumerate(rows):
+            if not at.any():
+                continue
+            if np.all(at == at[0]):
+                terms.append((j, float(at[0])))
+                continue
+            at = np.ascontiguousarray(at)
+            key = hashlib.blake2b(at, digest_size=16).digest()
+            if key not in self._rows:
+                self._rows[key] = self.pad(at)
+            terms.append((j, self._rows[key]))
+        self._plan.append(terms)
+
+    def add_dynamic(self) -> np.ndarray:
+        """Append the dynamic last candidate: one row per offset, returned
+        for its owner to rewrite."""
+        self._dynamic_rows = _aligned((len(self.offsets), self.span))
+        self._plan.append(list(enumerate(self._dynamic_rows)))
+        return self._dynamic_rows
+
+    def compile(self):
+        """Allocate the differences the plan reads and the two score rows."""
+        used = sorted({j for terms in self._plan for j, _ in terms})
+        self._diffs = dict(zip(used, _aligned((len(used), self.span)))) if used else {}
+        self._scores = _aligned((2, self.span)) if self.offsets else None
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(
@@ -395,61 +473,55 @@ class _Stencil:
             r *= self.dt_mask
         self.W, self.base = self.base, None
         self._check(None)
-        for k in range(self.cand.shape[1] - (self.dynamic is not None) if self.offsets else 0):
+        for k in range(len(self._plan) - (self.dynamic is not None) if self.offsets else 0):
             self._check(k)
 
     def _check(self, k):
         """Raise on a negative weight at an interior node: of the base for
-        ``k = None``, else of candidate ``k``'s centre and own offsets."""
-        centre, weights = self.W0, (self.W if k is None else {})
-        for j, o in enumerate(self.offsets if k is not None else ()):
-            w = self.dt_mask * self.cand[j, k]
-            centre = centre - w
-            weights[o] = self.W[o] + w if o in self.W else w
-        for o, w in [(self._centre, centre), *weights.items()]:
-            at = int(np.argmin(w))
-            if w[at] < -_WEIGHT_TOL:
-                node = int(np.searchsorted(self.pos, at))
-                index = tuple(int(i) for i in np.unravel_index(node, self.shape))
-                raise StabilityViolation(
-                    f"non-monotone stencil{'' if k is None else f' under candidate {k}'}: "
-                    f"weight {w[at]:.3e} at node {node} {index} "
-                    f"on offset {o}; " + ("the step exceeds the stability bound" if not any(o)
-                    else "the noise Gram matrix is not diagonally dominant "
-                         "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
+        ``k = None``, else of candidate ``k``'s centre and own offsets.  The
+        centre is reported before the offsets, which come in offset order;
+        a dropped row leaves its offset's weight as the base checked."""
+        if k is None:
+            for o, w in [(self._centre, self.W0), *self.W.items()]:
+                self._raise_if_negative(k, o, w)
+            return
+        centre, first = self.W0.copy(), None
+        for j, c in self._plan[k]:
+            o = self.offsets[j]
+            w = self.dt_mask * c
+            centre -= w
+            if o in self.W:
+                w += self.W[o]
+            if first is None and np.min(w) < -_WEIGHT_TOL:
+                first = (o, w)
+        self._raise_if_negative(k, self._centre, centre)
+        if first is not None:
+            self._raise_if_negative(k, *first)
 
-    def build_plan(self):
-        """Compile each candidate's score ``sum_j C[j,k] (P[o_j] - P)`` into
-        ``(j, coefficient)`` terms in offset order, once ``cand`` and
-        ``dynamic`` are set: a row zero at every node is dropped, a row with
-        one value at every node becomes that float, and any other row, or a
-        row of the dynamic candidate, stays an array."""
-        n_cand = self.cand.shape[1]
-        dynamic = n_cand - 1 if self.dynamic is not None else None
-        self._plan = []
-        for k in range(n_cand):
-            terms = []
-            for j, row in enumerate(self.cand[:, k]):
-                at = row[self.pos]
-                if k == dynamic or (at.any() and not np.all(at == at[0])):
-                    terms.append((j, row))
-                elif at.any():
-                    terms.append((j, float(at[0])))
-            self._plan.append(terms)
-        self._used = sorted({j for terms in self._plan for j, _ in terms})
+    def _raise_if_negative(self, k, o: tuple, w: np.ndarray):
+        at = int(np.argmin(w))
+        if w[at] < -_WEIGHT_TOL:
+            node = int(np.searchsorted(self.pos, at))
+            index = tuple(int(i) for i in np.unravel_index(node, self.shape))
+            raise StabilityViolation(
+                f"non-monotone stencil{'' if k is None else f' under candidate {k}'}: "
+                f"weight {w[at]:.3e} at node {node} {index} "
+                f"on offset {o}; " + ("the step exceeds the stability bound" if not any(o)
+                else "the noise Gram matrix is not diagonally dominant "
+                     "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
 
     def _differences(self, src: dict):
         """The differences ``P[o_j] - P`` the plan reads, and the dynamic
         candidate's rates, against the field ``src``."""
         centre = src[self._centre]
-        for j in self._used:
-            np.subtract(src[self.offsets[j]], centre, out=self._diffs[j])
+        for j, diff in self._diffs.items():
+            np.subtract(src[self.offsets[j]], centre, out=diff)
         if self.dynamic is not None:
             self.dynamic.update(src)
             # Its centre weight is covered by the CFL load and drift rates
             # are nonnegative, so only a negative rate needs the full check.
-            if self.W is not None and np.min(self.cand[:, -1]) < 0.0:
-                self._check(self.cand.shape[1] - 1)
+            if self.W is not None and np.min(self._dynamic_rows) < 0.0:
+                self._check(len(self._plan) - 1)
 
     def _score(self, k: int, out: np.ndarray) -> np.ndarray:
         """Candidate ``k``'s score into ``out``, from the differences."""
@@ -468,8 +540,7 @@ class _Stencil:
         """The best candidate's score against ``src``, in ``_scores[0]``: a
         pairwise maximum chain in candidate order, the order in which
         ``np.max(axis=0)`` reduces, folding in each score, written to
-        ``_scores[1]``, while it is still in cache.  ``argmax`` refills
-        every row."""
+        ``_scores[1]``, while it is still in cache."""
         self._differences(src)
         best = self._score(0, self._scores[0])
         for k in range(1, len(self._plan)):
@@ -491,67 +562,108 @@ class _Stencil:
             out += best
 
     def argmax(self) -> np.ndarray:
-        """Index of the best candidate per node against the current field."""
+        """Index of the best candidate per node against the current field: a
+        running index that moves only to a strictly greater score, so ties
+        resolve to the lowest index, as with ``np.argmax``."""
         if not self.offsets:
             return np.zeros(self.pos.size, dtype=np.int64)
         self._refresh_ghosts()
         self._differences(self._views[self._cur])
-        for k, row in enumerate(self._scores):
-            self._score(k, row)
-        return np.argmax(self._scores, axis=0)[self.pos]
+        best, score = self._score(0, self._scores[0]), self._scores[1]
+        arg, better = np.zeros(self.span, dtype=np.int64), np.empty(self.span, dtype=bool)
+        for k in range(1, len(self._plan)):
+            np.greater(self._score(k, score), best, out=better)
+            np.copyto(arg, k, where=better)
+            np.maximum(best, score, out=best)
+        return arg[self.pos]
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     """CFL load and stencil, with the critical-input candidate when
     ``dynamic``, for the candidate input arrays ``inputs``, each (nodes,
     n_u); ``shared`` when the noise does not depend on the input.  Rates no
-    candidate changes go to the base.  Callback arrays are dropped as soon
-    as they are used, to keep the peak memory near the stencil's own."""
+    candidate changes go to the base.
+
+    Memory: the noise Gram is evaluated a block of nodes at a time and kept
+    as the entries the rates read; the drift one candidate at a time, its
+    CFL load folded in at once, keeping the first candidate's drift and, of
+    each later one, only the columns whose bytes differ from it.  Each
+    candidate's columns are dropped once its rows are compiled, so the peak
+    stays near the stencil's own size."""
     spec, interior = sys.grid, sys.interior_mask()
     n, N, h, nodes = spec.dims, spec.size, spec.spacing, spec.nodes()
-    Fs = [sys.drift(nodes, U).reshape((N, n)) for U in inputs]
-    grams = [sys.gram(nodes, U).reshape((N, n, n)) for U in (inputs[:1] if shared else inputs)]
-    quad = _QuadraticInput(sys, nodes, Fs[0], Fs[-1]) if dynamic else None
-    del nodes
+    grams = [_gram_entries(sys, nodes, U) for U in (inputs[:1] if shared else inputs)]
+    quad = _QuadraticInput(sys, nodes) if dynamic else None
     quad_terms = [] if quad is None else [quad.c0, quad.c1, quad.c2]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if any(np.any(g[:, i, j] != 0.0) for g in grams + quad_terms)]
-    diff_loads = [_diffusion_load(g, h, pairs) for g in grams]
-    node_load = 0.0
-    for k, F in enumerate(Fs):
-        node_load = np.maximum(node_load, np.abs(F) @ (1.0 / h) + diff_loads[k % len(grams)])
+             if any(np.any(g[(i, j)] != 0.0) for g in grams)
+             or any(np.any(c[:, i, j] != 0.0) for c in quad_terms)]
+    for g in grams:
+        for i, j in [key for key in g if key[0] != key[1] and key not in pairs]:
+            del g[(i, j)]
+    diff_loads = [_diffusion_load(lambda i, j, g=g: g[(i, j)], h, pairs) for g in grams]
+
+    node_load = drift_peak = 0.0
+    own, drift_var = [], set()
+    for k, U in enumerate(inputs):
+        F = sys.drift(nodes, U).reshape((N, n))
+        if k == 0:
+            F0, cols = F, {}
+        else:
+            cols = {d: F[:, d].copy() for d in range(n) if not _same_bytes(F[:, d], F0[:, d])}
+            drift_var |= {d for d in cols if not np.array_equal(F[:, d], F0[:, d])}
+        own.append(cols)
+        drift_load = np.abs(F) @ (1.0 / h)
+        del F
+        node_load = np.maximum(node_load, drift_load + diff_loads[k % len(grams)])
+        if quad is not None:
+            drift_peak = np.maximum(drift_peak, drift_load)
+        del drift_load
+    del nodes
     if quad is not None:
         # Affine drift peaks at a box corner, so only the critical
         # candidate's noise needs its own (interval max) bound.
-        drift_peak = np.maximum.reduce([np.abs(F) @ (1.0 / h) for F in Fs])
-        node_load = np.maximum(node_load, drift_peak + _diffusion_load(quad.gram_bound(), h, pairs))
+        bound = quad.gram_bound()
+        node_load = np.maximum(node_load, drift_peak + _diffusion_load(
+            lambda i, j: bound[:, i, j], h, pairs))
+        del bound, drift_peak
     load = float(np.max(node_load[interior])) if np.any(interior) else 0.0
-    diff = [_diffusion_rates(lambda i, j, g=g: g[:, i, j], h, pairs) for g in grams]
-    del grams, diff_loads, node_load
+    del diff_loads, node_load
+    diff = []
+    while grams:  # each gram's entries are freed once its rates are formed
+        g = grams.pop(0)
+        diff.append(_diffusion_rates(lambda i, j: g[(i, j)], h, pairs))
+        del g
 
-    drift_var = [d for d in range(n)
-                 if any(not np.array_equal(F[:, d], Fs[0][:, d]) for F in Fs[1:])]
+    drift_var = sorted(drift_var)
     diff_var = {o for o in diff[0]
                 if any(not np.array_equal(r[o], diff[0][o]) for r in diff[1:])}
     if quad is not None:
         diff_var |= quad.touched(n)
     offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
-    base = _drift_rates(lambda d: Fs[0][:, d], h, [d for d in range(n) if d not in drift_var])
+    base = _drift_rates(lambda d: F0[:, d], h, [d for d in range(n) if d not in drift_var])
     for o, r in diff[0].items():
         if o not in diff_var:
             base[o] = base[o] + r if o in base else r
-    Fs = [{d: F[:, d].copy() for d in drift_var} for F in Fs]
+    own[0] = {d: F0[:, d].copy() for d in drift_var}
+    del F0
+    own = [{d: cols.get(d, own[0][d]) for d in drift_var} for cols in own]
     diff = [{o: r[o] for o in diff_var} for r in diff]
-    stencil = _Stencil(spec, interior, base, offsets, len(Fs) + dynamic)
-    for k, F in enumerate(Fs):
-        drift = _drift_rates(F.get, h, drift_var)
-        for j, o in enumerate(offsets):
-            stencil.cand[j, k, stencil.pos] = (drift.get(o, 0.0)
-                                               + (diff[k][o] if o in diff_var else 0.0))
+    stencil = _Stencil(spec, interior, base, offsets)
+    lo, hi = (own[0], own[-1]) if quad is not None else (None, None)
+    for k in range(len(own)):
+        drift, own[k] = _drift_rates(own[k].get, h, drift_var), None
+        stencil.add_candidate(drift.get(o, 0.0) + (diff[k % len(diff)][o] if o in diff_var else 0.0)
+                              for o in offsets)
+        del drift
     if quad is not None:
-        quad.bind(stencil, h, drift_var, diff_var, pairs)
+        quad.bind(stencil, stencil.add_dynamic(), h, lo, hi, drift_var, diff_var, pairs)
         stencil.dynamic = quad
-    stencil.build_plan()
+    stencil.compile()
     return load, stencil
 
 
@@ -740,15 +852,13 @@ class _QuadraticInput:
     generator for a scalar input with affine drift ``f0 + g1 u`` and noise
     Gram ``c0 + c1 u + c2 u^2`` (exact when the Gram is quadratic): one more
     candidate, recomputed at every node and step and scored with the upwind
-    generator like the others."""
+    generator like the others.  The Gram is fitted here; the drift is read
+    from the two corners in :meth:`bind`."""
 
-    def __init__(self, sys: SystemModel, nodes: np.ndarray, F_lo, F_hi):
-        lo, hi = sys.input_lower[0], sys.input_upper[0]
+    def __init__(self, sys: SystemModel, nodes: np.ndarray):
         self.c0, self.c1, self.c2 = sys.fit_quadratic(
             lambda U: [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in U[:, 0]])
-        self.g1 = (F_hi - F_lo) / (hi - lo)
-        self.f0 = F_lo - self.g1 * lo
-        self.lo, self.hi, n = lo, hi, sys.n_x
+        self.lo, self.hi, n = sys.input_lower[0], sys.input_upper[0], sys.n_x
         # Diagonal entries first, as the stationary-point sums are ordered.
         self.varying = sorted(
             [(i, j) for i in range(n) for j in range(i, n)
@@ -772,16 +882,21 @@ class _QuadraticInput:
                 [_offset(n, (d, s)) for d in (i, j) for s in (1, -1)]
                 + [_offset(n, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1) if i != j]}
 
-    def bind(self, stencil: "_Stencil", h, drift_dims, diff_offsets, pairs):
+    def bind(self, stencil: "_Stencil", rows: np.ndarray, h, F_lo: dict, F_hi: dict,
+             drift_dims, diff_offsets, pairs):
         """Compile the per-step work onto the stencil's span, once per apply:
         the offsets, the padded coefficients, the constant products
         ``c * c1`` and ``c * c2``, and one buffer for every per-step array.
-        Rates that none of the candidate's rows reads are not built."""
+        ``rows`` are the candidate's rows on the stencil, ``F_lo`` and
+        ``F_hi`` the drift components ``drift_dims`` at the lower and upper
+        input.  Rates that none of the rows reads are not built."""
         n, span, pad = len(h), stencil.span, stencil.pad
         at = lambda *moves: _offset(n, *moves)
         self.h, self.pairs, self._v0 = h, pairs, (0,) * n
+        g1 = {i: (F_hi[i] - F_lo[i]) / (self.hi - self.lo) for i in drift_dims}
+        f0 = {i: F_lo[i] - g1[i] * self.lo for i in drift_dims}
         # Terms of the stationary-point sums, in their order of addition.
-        self._grads = [(i, at((i, -1)), at((i, 1)), pad(self.g1[:, i])) for i in drift_dims]
+        self._grads = [(i, at((i, -1)), at((i, 1)), pad(g1[i])) for i in drift_dims]
         self._curvs = []
         for i, j in self.varying:
             c = 0.5 if i == j else 1.0
@@ -802,7 +917,7 @@ class _QuadraticInput:
         self._gram = lambda i, j: entries[(i, j)]
         # One diffusion rate per offset up to sign.
         self._rates = {o: _aligned(span) for o in sorted({_unsigned(o) for o in diff_offsets})}
-        self._drift = {i: (pad(self.f0[:, i]), g1, _aligned(span)) for i, _, _, g1 in self._grads}
+        self._drift = {i: (pad(f0[i]), g1, _aligned(span)) for i, _, _, g1 in self._grads}
         # Per candidate offset: its row, the drift component it moves along
         # (with the step's sign and the spacing) or None, and its diffusion
         # rate or 0.0.
@@ -812,8 +927,8 @@ class _QuadraticInput:
             d = moved[0]
             drift = (self._drift[d][2], o[d], h[d]) if len(moved) == 1 and d in self._drift else None
             rate = self._rates[_unsigned(o)] if o in diff_offsets else 0.0
-            self._rows.append((stencil.cand[j, -1], drift, rate))
-        del self.c0, self.c1, self.c2, self.f0, self.g1
+            self._rows.append((rows[j], drift, rate))
+        del self.c0, self.c1, self.c2
 
     def update(self, src: dict):
         """Write the critical input's rates into the stencil's last

@@ -90,11 +90,17 @@ class TestLocatedValues:
         # used to name no file or line
         ("simulate", ["simulation.x0 = a"],
          "2: key 'simulation.x0': expected comma-separated numbers, got 'a'"),
-    ], ids=["repeated_key", "fractional_count", "bad_vector"])
+        # used to FAIL the eigen_residual check and exit 3
+        ("verify", ["verify.residual_tol = nan"],
+         "2: key 'verify.residual_tol': expected a finite nonnegative number, got 'nan'"),
+        ("verify", ["verify.residual_tol = -1e-3"],
+         "2: key 'verify.residual_tol': expected a finite nonnegative number, got '-1e-3'"),
+    ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_tolerance",
+            "negative_tolerance"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
-        extra = ["--artifacts", str(brownian_artifacts)] if command == "simulate" else []
+        extra = ["--artifacts", str(brownian_artifacts)] if command in ("simulate", "verify") else []
         out = tmp_path / "out"
         assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
@@ -317,6 +323,17 @@ class TestSimulate:
         code = run("simulate", "--config", str(cfg),
                    "--artifacts", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o"))
         assert code == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_1(self, tmp_path, capsys, brownian_artifacts, seed):
+        # -1 used to run with the stream of seed 0 (a masked key cast to 0).
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), f"--seed={seed}",
+                   "--artifacts", str(brownian_artifacts), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert not out.exists()
 
     def test_reproducible_and_thread_invariant(self, tmp_path, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"

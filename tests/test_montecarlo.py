@@ -163,6 +163,31 @@ class TestSafetyCurve:
         assert np.array_equal(c1.alive_counts, c2.alive_counts)
         assert not np.array_equal(c1.alive_counts, c3.alive_counts)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimConfig(t_end=0.1, trials=1, seed=seed, controller=OpenLoopController([0.0]))
+
+    def test_trial_streams_use_the_exact_key(self):
+        # Words below 2**63 give the stream Philox(key=...) gives; above,
+        # the key is no longer rounded through a float (2**63 + 5 used to
+        # become 2**63, and 2**64 - 1 became 0).
+        def stream(seed, trial):
+            return np.random.Philox(montecarlo._TrialKey(seed, trial))
+
+        for seed, trial in ((0, 0), (5, 17), (2**63 - 1, 2**63 - 1)):
+            assert np.array_equal(np.random.Generator(stream(seed, trial)).standard_normal(8),
+                                  np.random.Generator(np.random.Philox(key=[seed, trial]))
+                                  .standard_normal(8))
+        for seed in (2**63 + 5, 2**64 - 1):
+            assert stream(seed, 3).state["state"]["key"].tolist() == [seed, 3]
+
+    def test_top_seed_has_its_own_stream(self, brownian):
+        base = dict(t_end=0.3, trials=200, controller=OpenLoopController([0.0]))
+        top = estimate_safety_curve(brownian, SimConfig(seed=2**64 - 1, **base), [0.0])
+        zero = estimate_safety_curve(brownian, SimConfig(seed=0, **base), [0.0])
+        assert not np.array_equal(top.alive_counts, zero.alive_counts)
+
     def test_ci_width_shrinks_like_sqrt_n(self, brownian):
         widths = []
         for trials in (100, 1000, 10000):

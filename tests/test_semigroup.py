@@ -1,6 +1,7 @@
 import math
 import sys as sys_module
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -278,10 +279,12 @@ def test_step_matches_generator_on_every_layout(seed, dims):
 
 def _step_arrays(stencil):
     """Every array a step reads at its own start or writes: weights, candidate
-    rows, scratch (the maximum chain runs in the first two score rows), and
-    the critical-input candidate's coefficients and buffers."""
+    rows, scratch (the maximum chain runs in the two score rows), and the
+    critical-input candidate's coefficients and buffers."""
     arrays = [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
-              *stencil._diffs, *stencil._scores, *(row for rows in stencil.cand for row in rows),
+              *stencil._diffs.values(), *(() if stencil._scores is None else stencil._scores),
+              *stencil._rows.values(),
+              *(() if stencil._dynamic_rows is None else stencil._dynamic_rows),
               *(views[stencil._centre] for views in stencil._views)]
     quad = stencil.dynamic
     if quad is not None:
@@ -317,6 +320,65 @@ def test_step_arrays_start_on_cache_lines(name, counts, optimal):
     assert all(a.ctypes.data % 64 == 0 for a in arrays)
     centres = [views[stencil._centre].ctypes.data for views in stencil._views]
     assert (centres[1] - centres[0]) % 4096 == 2048
+
+
+def _assert_distinct_rows(stencil):
+    """The stencil stores one array per distinct array row of its fixed
+    candidates' plans, and no other candidate row."""
+    fixed = stencil._plan[:len(stencil._plan) - (stencil._dynamic_rows is not None)]
+    used = {id(c) for terms in fixed for _, c in terms if isinstance(c, np.ndarray)}
+    stored = list(stencil._rows.values())
+    assert used == {id(row) for row in stored}
+    assert len({row.tobytes() for row in stored}) == len(stored)
+
+
+@pytest.mark.parametrize("name, counts, kw, array_terms, distinct", [
+    ("bicycle", (13, 13, 12, 7), {}, 8, 2),               # corners, shared turn rates
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 5}, None, None),
+    ("di_input_noise", (21, 41), {}, None, None),          # plus the critical input
+    ("di_omni", (21, 41), {}, 0, 0),                       # constant-rate corners
+])
+def test_stencil_stores_the_plans_distinct_rows(name, counts, kw, array_terms, distinct):
+    # A zero row is dropped, a node-constant one is a float, and array rows
+    # with equal bytes share one array: on the bicycle the steering corners
+    # move the heading at +-v, so 8 array terms read 2 rows.
+    sys = make_benchmark(name, grid_counts=counts)
+    stencil = _Operator(sys, PropagationConfig(horizon=0.01, **kw)).stencil
+    _assert_distinct_rows(stencil)
+    dynamic = stencil._dynamic_rows
+    fixed = stencil._plan[:len(stencil._plan) - (dynamic is not None)]
+    terms = [c for plan in fixed for _, c in plan if isinstance(c, np.ndarray)]
+    if array_terms is not None:
+        assert (len(terms), len(stencil._rows)) == (array_terms, distinct)
+    if dynamic is not None:
+        # The critical input keeps its own row on every offset.
+        assert [j for j, _ in stencil._plan[-1]] == list(range(len(stencil.offsets)))
+        assert all(np.shares_memory(c, dynamic) for _, c in stencil._plan[-1])
+        assert not any(np.shares_memory(row, dynamic) for row in stencil._rows.values())
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("bicycle", (13, 13, 12, 7)),
+    ("wig_aircraft", (14, 14, 14)),
+    ("bicycle", (31, 31, 24, 11)),
+])
+def test_build_peak_stays_near_the_operator_size(name, counts):
+    # The build holds little beside the stencil: the Gram is evaluated in
+    # node blocks, the drift one candidate at a time, and each candidate's
+    # drift columns are dropped once its rows are compiled.  Its traced peak
+    # stays within 1.3 times what the operator keeps (a build holding every
+    # candidate's drift and the full Gram peaked at 1.4 to 1.5 times).
+    sys = make_benchmark(name, grid_counts=counts)
+    sys.node_classes()
+    semigroup._take_idle()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = _Operator(sys, PropagationConfig(horizon=0.5))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.steps > 0 and peak - before <= 1.3 * (held - before)
 
 
 def test_aligned_allocation():
@@ -364,31 +426,37 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
     interior = rng.random(spec.size) < 0.8
     neighbors = [(s1, s2) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1) if s1 or s2]
     offsets = [neighbors[i] for i in rng.choice(len(neighbors), n_off, replace=False)]
-    stencil = _Stencil(spec, interior, {}, offsets, n_cand)
+    stencil = _Stencil(spec, interior, {}, offsets)
     pos, fixed = stencil.pos, n_cand - dynamic
+    # The rows on the span: zero at ghost positions, as the stencil pads them.
+    rows = np.zeros((n_off, n_cand, stencil.span))
     for k in range(fixed):
         if k and rng.random() < 0.3:  # an exact tie with an earlier candidate
-            stencil.cand[:, k, pos] = stencil.cand[:, rng.integers(k), pos]
-            continue
-        for j in range(n_off):
-            kind = rng.integers(3)  # all-zero, node-constant, varying
-            stencil.cand[j, k, pos] = (0.0 if kind == 0 else _wide(rng, 1)[0] if kind == 1
-                                       else _wide(rng, pos.size) * (rng.random(pos.size) < 0.9))
+            rows[:, k] = rows[:, rng.integers(k)]
+        else:
+            for j in range(n_off):
+                kind = rng.integers(3)  # all-zero, node-constant, varying
+                rows[j, k, pos] = (0.0 if kind == 0 else _wide(rng, 1)[0] if kind == 1
+                                   else _wide(rng, pos.size) * (rng.random(pos.size) < 0.9))
+        stencil.add_candidate(rows[:, k, pos])
     if dynamic:
         kinds = rng.integers(3, size=n_off)
-        stencil.dynamic = _FieldRows(stencil.cand[:, -1], _wide(rng, n_off) * (kinds > 0),
+        stencil.dynamic = _FieldRows(stencil.add_dynamic(), _wide(rng, n_off) * (kinds > 0),
                                      _wide(rng, n_off) * (kinds > 1), stencil._centre)
-    stencil.build_plan()
+    stencil.compile()
+    _assert_distinct_rows(stencil)
     values = _wide(rng, spec.size)
     flat = rng.random(spec.size) < 0.3
     values[flat] = values[flat][:1]
     stencil.load(values)
 
     arg = stencil.argmax()
+    if dynamic:
+        rows[:, -1] = stencil._dynamic_rows  # as the argmax rewrote them
     src = stencil._views[stencil._cur]
     diffs = np.array([src[o] - src[stencil._centre] for o in offsets])
-    ref = np.einsum("jkl,jl->kl", stencil.cand, diffs)[:, pos]
-    scores = stencil._scores[:, pos]
+    ref = np.einsum("jkl,jl->kl", rows, diffs)[:, pos]
+    scores = np.array([stencil._score(k, np.empty(stencil.span)) for k in range(n_cand)])[:, pos]
     best = stencil._max_score(src)[pos]
 
     def same_bytes(a, b):
