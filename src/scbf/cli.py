@@ -3,8 +3,8 @@
 Jobs are described by a flat ``key = value`` config file (dotted keys, ``#``
 comments); command-line flags override config keys.  Every output directory
 receives a metadata document that echoes the effective configuration, so a
-job can be re-run bit-exactly from its own metadata file (the ``result.*``
-and ``history.*`` namespaces are ignored on input).
+job can be re-run bit-exactly from its own metadata file (the ``result.*``,
+``history.*`` and ``system.flags.*`` namespaces are ignored on input).
 
 Exit codes: 0 success, 1 config/file errors, 2 synthesis did not converge
 (files are still written), 3 verification failure.
@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys as _sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ _DEFAULTS = {
     "threads": 1,
 }
 
-_IGNORED_PREFIXES = ("result.", "history.")
+_IGNORED_PREFIXES = ("result.", "history.", "system.flags.")
 _OVERRIDES = "system.overrides."
 
 # The metadata keys load_result reads as numbers; every other key is text.
@@ -298,10 +298,14 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
     gammas = [rec.gamma_estimate for rec in result.history]
     tail = gammas[len(gammas) // 2:]
     monotone = int(all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])))
-    # What the last operator application did: candidates scored per node
-    # and step (0 for fixed-policy steps), the step, the steps per apply and
-    # the CFL load.
+    # The structure flags the model probed (booleans as 0 or 1), then what
+    # the last operator application did: candidates scored per node and step
+    # (0 for fixed-policy steps), the step, the steps per apply and the CFL
+    # load.
     result_lines = [
+        f"system.flags.{f.name} = {int(getattr(sys_model.flags, f.name))}"
+        for f in fields(sys_model.flags)
+    ] + [
         f"result.gamma = {result.gamma!r}",
         f"result.converged = {int(result.converged)}",
         f"result.iterations = {result.iterations}",

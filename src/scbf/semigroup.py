@@ -57,11 +57,32 @@ order; the argmax policy does the same with a running index that moves only
 to a strictly greater score, so ties resolve to the lowest candidate index.
 
 A build keeps only what a step, the monotonicity check and the argmax
-read.  The noise Gram is evaluated a block of nodes at a time and kept as
-the entries the rates read; the drift is evaluated one candidate at a time
-with its CFL load folded in at once; and no unpadded copy of a rate lives
-beside its padded one for long.  On the 4-D ``bicycle``
-(31x31x24x11) the traced build peak is 53 MiB and the operator 47 MiB.
+read.  The noise Gram (and the quadratic fit of the critical input) is
+evaluated a block of nodes at a time and kept as the entries the rates
+read; the drift is evaluated one candidate at a time with its CFL load
+folded in at once; a candidate's rows are formed one offset at a time; and
+no unpadded copy of a rate lives beside its padded one for long.  On the
+4-D ``bicycle`` (31x31x24x11) the traced build peak is 43 MiB and the
+operator 34 MiB.
+
+A step, and the argmax, run over the span one block at a time.  Every
+term of a step is elementwise per position, so a block's output reads
+only that block's positions of each array (of the shifted sources too),
+and the blocked step gives the bits of the unblocked one.  Blocking is
+for the cache: on the ``bicycle`` grid above (span 274,824) a step makes
+about 45 passes over some 27 arrays of 2.2 MB each, about 60 MB per step,
+so over the whole span each pass streams from L3 and the step is bound by
+bandwidth.  With blocks of ``2**15`` positions, 256 KiB per array, what
+one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
+2008, on blocking bandwidth-bound stencils); a step there fell from about
+18 to about 10 ms on a 2-core Xeon VM.  Shorter blocks gained little more
+and cost one more numpy call per array and block.  A span of at most
+``2**15`` positions (every 2-D benchmark grid and ``wig_aircraft`` 26^3)
+is one block, the whole span: split, those steps ran slower.  The ghosts
+and the critical input's rates are refreshed over the whole span before
+the blocks.  The difference rows, the score rows and the multiply scratch
+are one block long, shared by all blocks; every other array keeps the
+whole span.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -111,7 +132,8 @@ writes starts on a 64-byte cache line, and the centres of the two ping-pong
 buffers sit half a page apart, because a store that splits a cache line, or
 a load 4K-aliased with a store just issued, makes a streaming multiply about
 twice as slow; left to the heap, the cost of a step varied by up to 1.5
-times between processes.
+times between processes.  Blocks start at whole pages of the span, so
+every block's views keep both placements.
 """
 
 from __future__ import annotations
@@ -224,6 +246,21 @@ _LINE, _PAGE = 64, 4096
 # callbacks' scratch stays near 0.5 MB on a 4-D grid.
 _NODE_BLOCK = 1024
 
+# Span positions per block of a step (module docstring): 256 KiB per array,
+# so the arrays one block of a step touches stay near a 2 MiB L2 cache.
+_SPAN_BLOCK = 2**15
+
+
+def _block_ranges(span: int) -> list:
+    """``(start, stop)`` of the blocks a step runs over: ``ceil(span /
+    _SPAN_BLOCK)`` blocks of equal length, each rounded up to whole pages,
+    so every block starts at the same offset modulo a page as its array;
+    the last one may be shorter.  A span of at most ``_SPAN_BLOCK`` is one
+    block."""
+    per_page, count = _PAGE // 8, -(-span // _SPAN_BLOCK)
+    length = -(-span // (count * per_page)) * per_page
+    return [(a, min(a + length, span)) for a in range(0, span, length)]
+
 
 def _aligned(shape, dtype=np.float64, lead: int = 0, phase: int | None = None) -> np.ndarray:
     """A zeroed array whose every row along the last axis starts on a cache
@@ -324,6 +361,19 @@ def _diffusion_rate(o: tuple, a, h: np.ndarray, pairs, out: np.ndarray,
     return out
 
 
+class _Block:
+    """The views one block of the span gives a step or an argmax, for one
+    parity of the ping-pong buffers: ``src`` and ``out`` are the centre
+    views of the buffer read and of the one written, ``weights`` pairs each
+    base weight with its shifted source, ``diffs`` each difference row with
+    its shifted source, and ``plan`` holds each candidate's terms as
+    ``(difference row, coefficient)``; ``scores`` and ``tmp`` are scratch
+    rows shared by all blocks."""
+
+    __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
+                 "scores", "tmp")
+
+
 class _Stencil:
     """``P <- W_0 P + sum_o W_o P[o] + dt mask max_k sum_j C[j,k] (P[o_j] - P)``.
 
@@ -357,21 +407,32 @@ class _Stencil:
     of the outer layer of a non-periodic dimension is killed (weight zero,
     value zero), as :func:`~scbf.grid.classify_nodes` guarantees.
 
+    Blocks: a step and an argmax run over the span one block at a time
+    (:func:`_block_ranges`), up to ``2**15`` positions, 256 KiB per array,
+    so that what one block of a step touches stays near a 2 MiB L2 (module
+    docstring); a span no longer is one block.  The differences, the two
+    score rows and ``_tmp`` are one block long and shared by all blocks.
+    ``compile`` slices every block's views once, for both buffer parities
+    (``_blocks``).  The ghosts and the dynamic candidate's rates are
+    refreshed over the whole span before the block loop.
+
     Placement (:func:`_aligned`): the centre view of each ping-pong buffer,
     every weight, every candidate row and every scratch array a step reads
     or writes starts on a 64-byte cache line, and the two centre views sit
-    2048 bytes apart modulo 4096.  A vector store that splits a cache line
-    costs about twice one that does not, so a misaligned output doubles the
-    cost of a streaming multiply; and a load whose address matches, modulo
-    4096, that of a store just issued waits for it (4K aliasing), which the
-    half-page gap keeps away from the step's reads of one buffer and writes
-    of the other.  The heap gives no such guarantee: the same step ran up to
-    1.5 times slower in one process than in another.
+    2048 bytes apart modulo 4096.  Blocks start at whole pages of the span,
+    so every block view keeps both properties.  A vector store that splits
+    a cache line costs about twice one that does not, so a misaligned output
+    doubles the cost of a streaming multiply; and a load whose address
+    matches, modulo 4096, that of a store just issued waits for it (4K
+    aliasing), which the half-page gap keeps away from the step's reads of
+    one buffer and writes of the other.  The heap gives no such guarantee:
+    the same step ran up to 1.5 times slower in one process than in another.
 
     Build order: ``_Stencil(...)`` pads the base rates, popping each from
     the caller's dict; ``add_candidate`` once per fixed candidate, in order;
-    ``add_dynamic`` for a dynamic last candidate; then ``compile`` allocates
-    the differences the plan reads and the score rows.
+    ``add_dynamic`` for a dynamic last candidate; ``fold_step`` when the
+    horizon is positive; then ``compile`` allocates the scratch rows and
+    slices the blocks.
     """
 
     def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict, offsets):
@@ -409,7 +470,6 @@ class _Stencil:
                     Q = np.moveaxis(P, d, 0)
                     copies += [(Q[:1], Q[-2:-1]), (Q[-1:], Q[1:2])]
             self._ghosts.append(copies)
-        self._tmp = _aligned(self.span)
 
     def pad(self, node_values: np.ndarray) -> np.ndarray:
         out = _aligned(self.span, node_values.dtype)
@@ -441,10 +501,33 @@ class _Stencil:
         return self._dynamic_rows
 
     def compile(self):
-        """Allocate the differences the plan reads and the two score rows."""
+        """Allocate the block-sized differences the plan reads, the score
+        rows and ``_tmp``, and slice every block's views for both buffer
+        parities."""
+        ranges = _block_ranges(self.span)
+        length = ranges[0][1]
         used = sorted({j for terms in self._plan for j, _ in terms})
-        self._diffs = dict(zip(used, _aligned((len(used), self.span)))) if used else {}
-        self._scores = _aligned((2, self.span)) if self.offsets else None
+        self._diffs = dict(zip(used, _aligned((len(used), length)))) if used else {}
+        self._scores = _aligned((2, length)) if self.offsets else None
+        self._tmp = _aligned(length)
+        # The plan's terms on each block, shared by both buffer parities.
+        plans = [[[(self._diffs[j][:b - a], c if isinstance(c, float) else c[a:b])
+                   for j, c in terms] for terms in self._plan] for a, b in ranges]
+        self._blocks = []
+        for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
+            blocks = []
+            for (a, b), plan in zip(ranges, plans):
+                block, at = _Block(), slice(a, b)
+                block.at, block.plan, block.tmp = at, plan, self._tmp[:b - a]
+                block.src, block.out = src[self._centre][at], out[self._centre][at]
+                block.W0 = self.W0[at] if self.W is not None else None
+                block.dt_mask = self.dt_mask[at] if self.W is not None else None
+                block.weights = [(w[at], src[o][at]) for o, w in (self.W or {}).items()]
+                block.diffs = [(diff[:b - a], src[self.offsets[j]][at])
+                               for j, diff in self._diffs.items()]
+                block.scores = None if self._scores is None else self._scores[:, :b - a]
+                blocks.append(block)
+            self._blocks.append(blocks)
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(
@@ -452,10 +535,6 @@ class _Stencil:
 
     def values(self) -> np.ndarray:
         return self._views[self._cur][self._centre][self.pos]
-
-    def _refresh_ghosts(self):
-        for ghost, node in self._ghosts[self._cur]:
-            np.copyto(ghost, node)
 
     def fold_step(self, dt: float):
         """Fold ``dt`` and the kill mask into the weights and check that the
@@ -510,56 +589,64 @@ class _Stencil:
                 else "the noise Gram matrix is not diagonally dominant "
                      "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
 
-    def _differences(self, src: dict):
-        """The differences ``P[o_j] - P`` the plan reads, and the dynamic
-        candidate's rates, against the field ``src``."""
-        centre = src[self._centre]
-        for j, diff in self._diffs.items():
-            np.subtract(src[self.offsets[j]], centre, out=diff)
+    def _refresh(self):
+        """Over the whole span: the ghosts of the current field, then the
+        dynamic candidate's rates against it."""
+        for ghost, node in self._ghosts[self._cur]:
+            np.copyto(ghost, node)
         if self.dynamic is not None:
-            self.dynamic.update(src)
+            self.dynamic.update(self._views[self._cur])
             # Its centre weight is covered by the CFL load and drift rates
             # are nonnegative, so only a negative rate needs the full check.
             if self.W is not None and np.min(self._dynamic_rows) < 0.0:
                 self._check(len(self._plan) - 1)
 
-    def _score(self, k: int, out: np.ndarray) -> np.ndarray:
-        """Candidate ``k``'s score into ``out``, from the differences."""
-        terms = self._plan[k]
+    @staticmethod
+    def _score(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """A candidate's score into ``out`` from its block terms
+        ``(difference row, coefficient)``."""
         if not terms:
             out.fill(0.0)
             return out
-        (j, c), *rest = terms
-        np.multiply(self._diffs[j], c, out=out)
-        for j, c in rest:
-            np.multiply(self._diffs[j], c, out=self._tmp)
-            out += self._tmp
+        (d, c), *rest = terms
+        np.multiply(d, c, out=out)
+        for d, c in rest:
+            np.multiply(d, c, out=tmp)
+            out += tmp
         return out
 
-    def _max_score(self, src: dict) -> np.ndarray:
-        """The best candidate's score against ``src``, in ``_scores[0]``: a
-        pairwise maximum chain in candidate order, the order in which
-        ``np.max(axis=0)`` reduces, folding in each score, written to
-        ``_scores[1]``, while it is still in cache."""
-        self._differences(src)
-        best = self._score(0, self._scores[0])
-        for k in range(1, len(self._plan)):
-            np.maximum(best, self._score(k, self._scores[1]), out=best)
+    @staticmethod
+    def _differences(block: _Block):
+        """The differences ``P[o_j] - P`` the plan reads, on ``block``."""
+        for diff, shifted in block.diffs:
+            np.subtract(shifted, block.src, out=diff)
+
+    def _max_score(self, block: _Block) -> np.ndarray:
+        """The best candidate's score on ``block``, in its first score row:
+        the differences, then a pairwise maximum chain in candidate order,
+        the order in which ``np.max(axis=0)`` reduces, folding in each
+        score, written to the second row, while it is still in cache."""
+        self._differences(block)
+        best, score = block.scores
+        self._score(block.plan[0], best, block.tmp)
+        for terms in block.plan[1:]:
+            np.maximum(best, self._score(terms, score, block.tmp), out=best)
         return best
 
     def step(self):
-        self._refresh_ghosts()
-        src = self._views[self._cur]
+        self._refresh()
+        blocks = self._blocks[self._cur]
         self._cur ^= 1
-        out = self._views[self._cur][self._centre]
-        np.multiply(self.W0, src[self._centre], out=out)
-        for o, w in self.W.items():
-            np.multiply(w, src[o], out=self._tmp)
-            out += self._tmp
-        if self.offsets:
-            best = self._max_score(src)
-            best *= self.dt_mask
-            out += best
+        for block in blocks:
+            out, tmp = block.out, block.tmp
+            np.multiply(block.W0, block.src, out=out)
+            for w, shifted in block.weights:
+                np.multiply(w, shifted, out=tmp)
+                out += tmp
+            if self.offsets:
+                best = self._max_score(block)
+                best *= block.dt_mask
+                out += best
 
     def argmax(self) -> np.ndarray:
         """Index of the best candidate per node against the current field: a
@@ -567,14 +654,17 @@ class _Stencil:
         resolve to the lowest index, as with ``np.argmax``."""
         if not self.offsets:
             return np.zeros(self.pos.size, dtype=np.int64)
-        self._refresh_ghosts()
-        self._differences(self._views[self._cur])
-        best, score = self._score(0, self._scores[0]), self._scores[1]
-        arg, better = np.zeros(self.span, dtype=np.int64), np.empty(self.span, dtype=bool)
-        for k in range(1, len(self._plan)):
-            np.greater(self._score(k, score), best, out=better)
-            np.copyto(arg, k, where=better)
-            np.maximum(best, score, out=best)
+        self._refresh()
+        arg, better = np.zeros(self.span, dtype=np.int64), np.empty(self._tmp.size, dtype=bool)
+        for block in self._blocks[self._cur]:
+            self._differences(block)
+            best, score = block.scores
+            self._score(block.plan[0], best, block.tmp)
+            index, flag = arg[block.at], better[:best.size]
+            for k in range(1, len(block.plan)):
+                np.greater(self._score(block.plan[k], score, block.tmp), best, out=flag)
+                np.copyto(index, k, where=flag)
+                np.maximum(best, score, out=best)
         return arg[self.pos]
 
 
@@ -591,45 +681,52 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     Memory: the noise Gram is evaluated a block of nodes at a time and kept
     as the entries the rates read; the drift one candidate at a time, its
     CFL load folded in at once, keeping the first candidate's drift and, of
-    each later one, only the columns whose bytes differ from it.  Each
-    candidate's columns are dropped once its rows are compiled, so the peak
-    stays near the stencil's own size."""
+    each later one, only the columns whose bytes differ from it, one copy
+    per distinct column.  A candidate's rows are formed one offset at a
+    time, and its columns are dropped once its rows are compiled, so the
+    peak stays near the stencil's own size."""
     spec, interior = sys.grid, sys.interior_mask()
     n, N, h, nodes = spec.dims, spec.size, spec.spacing, spec.nodes()
     grams = [_gram_entries(sys, nodes, U) for U in (inputs[:1] if shared else inputs)]
     quad = _QuadraticInput(sys, nodes) if dynamic else None
-    quad_terms = [] if quad is None else [quad.c0, quad.c1, quad.c2]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if any(np.any(g[(i, j)] != 0.0) for g in grams)
-             or any(np.any(c[:, i, j] != 0.0) for c in quad_terms)]
+             or (quad is not None and (i, j) in quad.c0)]
     for g in grams:
         for i, j in [key for key in g if key[0] != key[1] and key not in pairs]:
             del g[(i, j)]
     diff_loads = [_diffusion_load(lambda i, j, g=g: g[(i, j)], h, pairs) for g in grams]
 
     node_load = drift_peak = 0.0
-    own, drift_var = [], set()
+    own, drift_var, distinct = [], set(), {}
     for k, U in enumerate(inputs):
         F = sys.drift(nodes, U).reshape((N, n))
         if k == 0:
             F0, cols = F, {}
         else:
-            cols = {d: F[:, d].copy() for d in range(n) if not _same_bytes(F[:, d], F0[:, d])}
-            drift_var |= {d for d in cols if not np.array_equal(F[:, d], F0[:, d])}
+            cols = {}
+            for d in range(n):
+                if not _same_bytes(F[:, d], F0[:, d]):
+                    col = F[:, d].copy()
+                    key = (d, hashlib.blake2b(col, digest_size=16).digest())
+                    cols[d] = distinct.setdefault(key, col)
+            drift_var |= {d for d in cols if not np.array_equal(cols[d], F0[:, d])}
         own.append(cols)
-        drift_load = np.abs(F) @ (1.0 / h)
+        # |F| in place once F's columns are kept: F0 keeps its signs.
+        drift_load = (np.abs(F) if k == 0 else np.abs(F, out=F)) @ (1.0 / h)
         del F
-        node_load = np.maximum(node_load, drift_load + diff_loads[k % len(grams)])
         if quad is not None:
             drift_peak = np.maximum(drift_peak, drift_load)
+        drift_load += diff_loads[k % len(grams)]
+        node_load = np.maximum(node_load, drift_load, out=drift_load)
         del drift_load
-    del nodes
+    del nodes, distinct
     if quad is not None:
         # Affine drift peaks at a box corner, so only the critical
         # candidate's noise needs its own (interval max) bound.
         bound = quad.gram_bound()
         node_load = np.maximum(node_load, drift_peak + _diffusion_load(
-            lambda i, j: bound[:, i, j], h, pairs))
+            lambda i, j: bound[(i, j)], h, pairs))
         del bound, drift_peak
     load = float(np.max(node_load[interior])) if np.any(interior) else 0.0
     del diff_loads, node_load
@@ -646,24 +743,36 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
         diff_var |= quad.touched(n)
     offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
     base = _drift_rates(lambda d: F0[:, d], h, [d for d in range(n) if d not in drift_var])
-    for o, r in diff[0].items():
+    for o in diff[0]:
         if o not in diff_var:
-            base[o] = base[o] + r if o in base else r
+            base[o] = base[o] + diff[0][o] if o in base else diff[0][o]
     own[0] = {d: F0[:, d].copy() for d in drift_var}
     del F0
     own = [{d: cols.get(d, own[0][d]) for d in drift_var} for cols in own]
     diff = [{o: r[o] for o in diff_var} for r in diff]
     stencil = _Stencil(spec, interior, base, offsets)
     lo, hi = (own[0], own[-1]) if quad is not None else (None, None)
+
+    def rows(F: dict, rates: dict):
+        """A candidate's rate towards each offset, one at a time: the upwind
+        drift rate along a moved ``drift_var`` dimension (else 0.0) plus the
+        candidate's diffusion rate on a ``diff_var`` offset."""
+        for o in offsets:
+            moved = [d for d in range(n) if o[d]]
+            d, drift = moved[0], 0.0
+            if len(moved) == 1 and d in F:  # _drift_rates, in place
+                drift = np.multiply(o[d], F[d])
+                np.maximum(drift, 0.0, out=drift)
+                drift /= h[d]
+            yield drift + rates[o] if o in rates else drift
+
     for k in range(len(own)):
-        drift, own[k] = _drift_rates(own[k].get, h, drift_var), None
-        stencil.add_candidate(drift.get(o, 0.0) + (diff[k % len(diff)][o] if o in diff_var else 0.0)
-                              for o in offsets)
-        del drift
+        F, own[k] = own[k], None
+        stencil.add_candidate(rows(F, diff[k % len(diff)]))
+        del F
     if quad is not None:
         quad.bind(stencil, stencil.add_dynamic(), h, lo, hi, drift_var, diff_var, pairs)
         stencil.dynamic = quad
-    stencil.compile()
     return load, stencil
 
 
@@ -713,6 +822,7 @@ class _Operator:
             self.steps = max(1, math.ceil(cfg.horizon / (cfg.dt or bound) - 1e-12))
             self.dt = cfg.horizon / self.steps
             self.stencil.fold_step(self.dt)
+        self.stencil.compile()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``T values`` (``values`` itself at a zero horizon), left in the
@@ -856,25 +966,45 @@ class _QuadraticInput:
     from the two corners in :meth:`bind`."""
 
     def __init__(self, sys: SystemModel, nodes: np.ndarray):
-        self.c0, self.c1, self.c2 = sys.fit_quadratic(
-            lambda U: [sys.gram(nodes, np.full((sys.grid.size, 1), u)) for u in U[:, 0]])
-        self.lo, self.hi, n = sys.input_lower[0], sys.input_upper[0], sys.n_x
+        # The fit, entry by entry and ``_NODE_BLOCK`` nodes at a time, kept
+        # for the diagonal and the off-diagonal entries not zero at every
+        # node (the cross pairs): no (nodes, n, n) array is formed.
+        N, n = len(nodes), sys.n_x
+        coefs = [{(i, j): np.empty(N) for i in range(n) for j in range(i, n)} for _ in range(3)]
+        for b in range(0, N, _NODE_BLOCK):
+            at, size = nodes[b:b + _NODE_BLOCK], len(nodes[b:b + _NODE_BLOCK])
+            fit = sys.fit_quadratic(
+                lambda U: [sys.gram(at, np.full((size, 1), u)) for u in U[:, 0]])
+            for c, entries in zip(fit, coefs):
+                for (i, j), entry in entries.items():
+                    entry[b:b + _NODE_BLOCK] = c[:, i, j]
+        for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)]:
+            if not any(np.any(c[(i, j)] != 0.0) for c in coefs):
+                for c in coefs:
+                    del c[(i, j)]
+        self.c0, self.c1, self.c2 = coefs
+        self.lo, self.hi = sys.input_lower[0], sys.input_upper[0]
         # Diagonal entries first, as the stationary-point sums are ordered.
         self.varying = sorted(
-            [(i, j) for i in range(n) for j in range(i, n)
-             if np.any(self.c1[:, i, j] != 0.0) or np.any(self.c2[:, i, j] != 0.0)],
+            [(i, j) for (i, j) in self.c0
+             if np.any(self.c1[(i, j)] != 0.0) or np.any(self.c2[(i, j)] != 0.0)],
             key=lambda p: p[0] != p[1])
 
-    def gram_bound(self) -> np.ndarray:
-        """Entrywise max of ``|a(u)|`` over the input interval (for the CFL bound)."""
+    def gram_bound(self) -> dict:
+        """Entrywise max of ``|a(u)|`` over the input interval (for the CFL
+        bound), for each kept entry."""
         lo, hi = self.lo, self.hi
-        out = []
-        for c0, c1, c2 in ((self.c0, self.c1, self.c2), (-self.c0, -self.c1, -self.c2)):
-            m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
-            crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
-            inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
-            out.append(np.where(inside, np.maximum(m, c0 + c1 * crit + c2 * crit**2), m))
-        return np.maximum(*out)
+        bound = {}
+        for key in self.c0:
+            out = []
+            for c0, c1, c2 in ((self.c0[key], self.c1[key], self.c2[key]),
+                               (-self.c0[key], -self.c1[key], -self.c2[key])):
+                m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
+                crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
+                inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
+                out.append(np.where(inside, np.maximum(m, c0 + c1 * crit + c2 * crit**2), m))
+            bound[key] = np.maximum(*out)
+        return bound
 
     def touched(self, n: int) -> set:
         """Offsets whose diffusion rate depends on the input."""
@@ -903,17 +1033,17 @@ class _QuadraticInput:
             keys = ([at((i, 1)), at((i, -1))] if i == j else
                     [at((i, 1)), at((i, -1)), at((j, 1)), at((j, -1))]
                     + [at((i, si), (j, sj)) for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))])
-            self._curvs.append((i, j, keys, pad(c * self.c1[:, i, j]), pad(c * self.c2[:, i, j])))
+            self._curvs.append((i, j, keys, pad(c * self.c1[(i, j)]), pad(c * self.c2[(i, j)])))
         self._v2, self._lin, self._quad, self._u = (_aligned(span) for _ in range(4))
         self._t = _aligned((3, span))
         self._safe = _aligned(span, bool)
         self.ustar = self._u
         # Gram entries; input-dependent ones get a buffer.  Every rate the
         # rows read depends on the input (the offsets come from ``touched``).
-        self._coef = {(i, j): tuple(pad(c[:, i, j]) for c in (self.c0, self.c1, self.c2))
+        self._coef = {(i, j): tuple(pad(c[(i, j)]) for c in (self.c0, self.c1, self.c2))
                       for i, j in self.varying}
-        entries = {(i, j): _aligned(span) if (i, j) in self._coef else pad(self.c0[:, i, j])
-                   for i in range(n) for j in range(i, n)}
+        entries = {key: _aligned(span) if key in self._coef else pad(self.c0[key])
+                   for key in self.c0}
         self._gram = lambda i, j: entries[(i, j)]
         # One diffusion rate per offset up to sign.
         self._rates = {o: _aligned(span) for o in sorted({_unsigned(o) for o in diff_offsets})}

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -130,6 +131,23 @@ class TestSynthesize:
         assert meta["result.converged"] == "1"
         assert (brownian_artifacts / "psi.fld").exists()
         assert (brownian_artifacts / "policy_0.fld").exists()
+
+    def test_metadata_records_the_structure_flags(self, tmp_path, brownian_artifacts):
+        # One system.flags.<field> line per StructureFlags field, as probed
+        # (booleans as 0 or 1); a file written before those lines existed
+        # still loads, and the lines do not stop a rerun from the file.
+        meta = read_meta(brownian_artifacts / "metadata.txt")
+        flags = make_benchmark("brownian_1d").flags
+        assert {k: v for k, v in meta.items() if k.startswith("system.flags.")} == {
+            f"system.flags.{f.name}": str(int(getattr(flags, f.name)))
+            for f in dataclasses.fields(flags)}
+        old = _copy_artifacts(brownian_artifacts, tmp_path / "old")
+        lines = (old / "metadata.txt").read_text().splitlines()
+        (old / "metadata.txt").write_text(
+            "".join(l + "\n" for l in lines if not l.startswith("system.flags.")))
+        assert run("verify", "--system", "brownian_1d", "--artifacts", str(old)) == 0
+        assert run("synthesize", "--config", str(brownian_artifacts / "metadata.txt"),
+                   "--out", str(tmp_path / "again")) == 0
 
     @pytest.mark.parametrize("system, grid", [
         ("brownian_1d", "21"), ("di_omni", "11,21"), ("di_velocity", "11,21"),

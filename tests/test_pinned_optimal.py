@@ -9,7 +9,9 @@ on ``wig_aircraft``, and the corners plus the critical input on
 input-dependent cross entry, so the critical input reads the cross stencil)
 and one fixed-policy ``propagate`` on the ``bicycle`` grid.  A rewrite of the stencil's layout or of its candidate scoring must
 reproduce them exactly (``np.array_equal`` and equal bytes), not within a
-tolerance.
+tolerance.  Every case is also rerun with blocks of a step far shorter
+than its span, so the blocked step is pinned on several blocks and a short
+last one.
 
 ``PYTHONPATH=src python tests/test_pinned_optimal.py`` re-records the file
 from the current code; do that only for a deliberate change of outputs.
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scbf import semigroup
 from scbf.grid import GridSpec, ImplicitSet, ScalarField
 from scbf.semigroup import PolicyTable, PropagationConfig, propagate, propagate_optimal
 from scbf.spectral import initial_field
@@ -117,6 +120,38 @@ def test_pinned(pinned, fresh, key):
     assert np.array_equal(value, pinned[key]), key
     # bit-for-bit, so the sign of a zero counts too
     assert value.dtype == pinned[key].dtype and value.tobytes() == pinned[key].tobytes(), key
+
+
+@pytest.mark.parametrize("block", [512, 1024])
+def test_pinned_on_short_blocks(pinned, monkeypatch, block):
+    # Blocks of 512 positions split every case (the 21x41 and 9^3 spans
+    # too); blocks of 1024 split the bicycle into 16 full blocks and a
+    # short one.  Both must give the pinned bytes, values and policies.
+    monkeypatch.setattr(semigroup, "_SPAN_BLOCK", block)
+    ranges, block_ranges = [], semigroup._block_ranges
+
+    def recording(span):
+        ranges.append(block_ranges(span))
+        return ranges[-1]
+
+    monkeypatch.setattr(semigroup, "_block_ranges", recording)
+    semigroup._take_idle()
+    try:
+        fresh = _record()
+    finally:
+        semigroup._take_idle()
+    assert len(ranges) == len(CASES) + 1  # every case built, none reused
+    lengths = [[b - a for a, b in r] for r in ranges]
+    assert all(set(n[:-1]) == {block} and n[-1] <= block for n in lengths if len(n) > 1)
+    # Both bicycle builds (span 16548) end in a short block of 164 positions.
+    bicycle = [n for n in lengths if sum(n) == 16548]
+    assert len(bicycle) == 2
+    assert all(len(n) == -(-16548 // block) and n[-1] == 164 for n in bicycle)
+    if block == 512:
+        assert all(len(n) >= 2 for n in lengths)
+    for key, value in fresh.items():
+        value = np.asarray(value)
+        assert value.dtype == pinned[key].dtype and value.tobytes() == pinned[key].tobytes(), key
 
 
 def test_policies_are_not_trivial(pinned):

@@ -18,6 +18,7 @@ from scbf.semigroup import (
     PolicyTable,
     PropagationConfig,
     _aligned,
+    _block_ranges,
     _Operator,
     _Stencil,
     apply_generator,
@@ -294,8 +295,40 @@ def _step_arrays(stencil):
                    *(c for *_, cc1, cc2 in quad._curvs for c in (cc1, cc2)),
                    *(c for coefs in quad._coef.values() for c in coefs),
                    *(a for f0, g1, f in quad._drift.values() for a in (f0, g1, f)),
-                   *(quad._gram(i, j) for i in range(n) for j in range(i, n))]
+                   *(quad._gram(i, j) for i, j in [(i, i) for i in range(n)] + quad.pairs)]
     return arrays
+
+
+def _assert_placement(stencil):
+    """Every array and every block view a step reads at its own start or
+    writes starts on a cache line, and the written centre sits half a page
+    from the read one."""
+    arrays = _step_arrays(stencil)
+    assert len(arrays) > 8
+    assert all(a.ctypes.data % 64 == 0 for a in arrays)
+    centres = [views[stencil._centre].ctypes.data for views in stencil._views]
+    assert (centres[1] - centres[0]) % 4096 == 2048
+    # Every block view but the shifted sources, which start where a
+    # neighbor's position does.
+    blocks = [b for parity in stencil._blocks for b in parity]
+    views = [v for b in blocks for v in (b.src, b.out, b.W0, b.dt_mask, b.tmp,
+                                         *(() if b.scores is None else b.scores),
+                                         *(w for w, _ in b.weights), *(d for d, _ in b.diffs),
+                                         *(c for terms in b.plan for pair in terms for c in pair
+                                           if isinstance(c, np.ndarray)))]
+    assert all(v.ctypes.data % 64 == 0 for v in views)
+    assert all((b.out.ctypes.data - b.src.ctypes.data) % 4096 == 2048 for b in blocks)
+    return blocks
+
+
+def _stepped_stencil(name, counts, optimal):
+    sys = make_benchmark(name, grid_counts=counts)
+    op = _Operator(sys, PropagationConfig(horizon=0.01),
+                   None if optimal else PolicyTable.zero(sys))
+    op.stencil.load(interior_random_field(sys, 3).values)
+    op.stencil.step()
+    op.stencil.step()
+    return op.stencil
 
 
 @pytest.mark.parametrize("name, counts, optimal", [
@@ -308,18 +341,38 @@ def _step_arrays(stencil):
 def test_step_arrays_start_on_cache_lines(name, counts, optimal):
     # Stores that split a cache line, and loads 4K-aliased with the step's
     # stores, make a step up to 1.5x slower; the layout rules them out.
-    sys = make_benchmark(name, grid_counts=counts)
-    op = _Operator(sys, PropagationConfig(horizon=0.01),
-                   None if optimal else PolicyTable.zero(sys))
-    stencil = op.stencil
-    stencil.load(interior_random_field(sys, 3).values)
-    stencil.step()
-    stencil.step()
-    arrays = _step_arrays(stencil)
-    assert len(arrays) > 8
-    assert all(a.ctypes.data % 64 == 0 for a in arrays)
-    centres = [views[stencil._centre].ctypes.data for views in stencil._views]
-    assert (centres[1] - centres[0]) % 4096 == 2048
+    assert len(_assert_placement(_stepped_stencil(name, counts, optimal))) == 2
+
+
+def test_block_views_start_on_cache_lines(monkeypatch):
+    # Blocks start at whole pages of the span, so on several blocks, the
+    # last one short, every view keeps the placement.
+    monkeypatch.setattr(semigroup, "_SPAN_BLOCK", 1024)
+    stencil = _stepped_stencil("bicycle", (13, 13, 12, 7), True)
+    assert len(_assert_placement(stencil)) == 2 * 17
+
+
+def test_a_span_within_one_block_is_one_block():
+    # A span of at most _SPAN_BLOCK positions is one block, the whole span,
+    # so the step makes the numpy calls of an unblocked one; a longer span
+    # splits into equal blocks of whole pages and a last one no longer.
+    size = semigroup._SPAN_BLOCK
+    for span in (1, 511, 512, 4096, size):
+        assert _block_ranges(span) == [(0, span)]
+    for span, count in ((size + 1, 2), (132651, 5), (274824, 9)):  # wig 51^3, bicycle
+        ranges = _block_ranges(span)
+        lengths = {b - a for a, b in ranges[:-1]}
+        assert len(ranges) == count and ranges[-1][1] == span and len(lengths) == 1
+        assert lengths.pop() % 512 == 0 and ranges[-1][1] - ranges[-1][0] <= size
+        assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+    sys = make_benchmark("di_omni", grid_counts=(81, 161))
+    stencil = _Operator(sys, PropagationConfig(horizon=0.01)).stencil
+    for blocks, views in zip(stencil._blocks, stencil._views):
+        block, = blocks
+        assert block.at == slice(0, stencil.span)
+        assert np.shares_memory(block.src, views[stencil._centre])
+        assert block.src.shape == views[stencil._centre].shape == (stencil.span,)
+        assert block.tmp.shape == stencil._tmp.shape == (stencil.span,)
 
 
 def _assert_distinct_rows(stencil):
@@ -456,8 +509,10 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
     src = stencil._views[stencil._cur]
     diffs = np.array([src[o] - src[stencil._centre] for o in offsets])
     ref = np.einsum("jkl,jl->kl", rows, diffs)[:, pos]
-    scores = np.array([stencil._score(k, np.empty(stencil.span)) for k in range(n_cand)])[:, pos]
-    best = stencil._max_score(src)[pos]
+    block, = stencil._blocks[stencil._cur]  # a span this short is one block
+    scores = np.array([stencil._score(terms, np.empty(stencil.span), np.empty(stencil.span))
+                       for terms in block.plan])[:, pos]
+    best = stencil._max_score(block)[pos]
 
     def same_bytes(a, b):
         return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
