@@ -242,9 +242,9 @@ _WEIGHT_TOL = 1e-10
 # Bytes in a cache line and in a page (the period of 4K aliasing).
 _LINE, _PAGE = 64, 4096
 
-# Nodes per block when a stencil build evaluates the noise Gram: the
-# callbacks' scratch stays near 0.5 MB on a 4-D grid.
-_NODE_BLOCK = 1024
+# Nodes per block when a stencil build evaluates the drift, the noise Gram
+# or its quadratic fit: the callbacks' scratch stays near 2 MB on a 4-D grid.
+_NODE_BLOCK = 4096
 
 # Span positions per block of a step (module docstring): 256 KiB per array,
 # so the arrays one block of a step touches stay near a 2 MiB L2 cache.
@@ -299,24 +299,45 @@ def _diffusion_load(a, h: np.ndarray, pairs) -> np.ndarray:
     return load
 
 
-def _gram_entries(sys: SystemModel, nodes: np.ndarray, U: np.ndarray) -> dict:
-    """``(i, j) -> `` the noise Gram entry at every node, for ``i <= j``,
-    evaluated ``_NODE_BLOCK`` nodes at a time, so no (nodes, n, n) array is
-    formed."""
-    N, n = len(nodes), sys.n_x
-    entries = {(i, j): np.empty(N) for i in range(n) for j in range(i, n)}
-    for b in range(0, N, _NODE_BLOCK):
-        g = sys.gram(nodes[b:b + _NODE_BLOCK], U[b:b + _NODE_BLOCK])
-        for (i, j), entry in entries.items():
-            entry[b:b + _NODE_BLOCK] = g[:, i, j]
+def _node_entries(spec: GridSpec, evaluate, keys) -> list:
+    """Per array that ``evaluate(x, at)`` returns, a dict of its entries
+    ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
+    blocks of at most ``_NODE_BLOCK`` nodes, ``x`` their coordinates and
+    ``at`` their slice: whole rows of the last ``n - m`` axes, ``m`` as small
+    as a block allows, so a block's coordinates are broadcast copies of the
+    axes."""
+    n, N, counts = spec.dims, spec.size, spec.shape
+    axes = [spec.coordinates(d) for d in range(n)]
+    m = next(m for m in range(1, n + 1) if math.prod(counts[m:]) <= _NODE_BLOCK)
+    per = math.prod(counts[m:])
+    rows, step = N // per, _NODE_BLOCK // per
+    entries = None
+    for r in range(0, rows, step):
+        lead = np.unravel_index(np.arange(r, min(r + step, rows)), counts[:m])
+        x = np.empty(lead[0].shape + counts[m:] + (n,))
+        for d in range(n):
+            x[..., d] = (axes[d][lead[d]] if d < m else axes[d]).reshape(
+                (-1,) + (1,) * (n - 1 - max(d, m - 1)))
+        at = slice(r * per, (r + len(lead[0])) * per)
+        values = evaluate(x.reshape(-1, n), at)
+        if entries is None:
+            entries = [{key: np.empty((N,) + v.shape[1 + len(key):]) for key in keys}
+                       for v in values]
+        for entry, v in zip(entries, values):
+            for key, e in entry.items():
+                e[at] = v[(slice(None), *key)]
     return entries
 
 
-def _drift_rates(f, h: np.ndarray, dims) -> dict:
-    """Backward-Kolmogorov upwind rates (the expectation reads values where
-    the state flows to); ``f(d)`` returns the per-node drift component ``d``."""
-    return {_offset(len(h), (d, s)): np.maximum(s * f(d), 0.0) / h[d]
-            for d in dims for s in (1, -1)}
+def _upwind(f: np.ndarray, s: int, h_d: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The upwind rate ``max(s f, 0) / h_d`` towards the neighbor one step
+    ``s`` (+-1) along drift component ``f``, into ``out`` when given: the
+    backward equation reads values where the state flows to."""
+    if s < 0:
+        f = out = np.negative(f, out=out)
+    out = np.maximum(f, 0.0, out=out)
+    out /= h_d
+    return out
 
 
 def _diffusion_rates(a, h: np.ndarray, pairs) -> dict:
@@ -367,11 +388,11 @@ class _Block:
     views of the buffer read and of the one written, ``weights`` pairs each
     base weight with its shifted source, ``diffs`` each difference row with
     its shifted source, and ``plan`` holds each candidate's terms as
-    ``(difference row, coefficient)``; ``scores`` and ``tmp`` are scratch
-    rows shared by all blocks."""
+    ``(difference row, coefficient)``; ``scores``, ``better`` (the argmax's
+    flags) and ``tmp`` are scratch rows shared by all blocks."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
-                 "scores", "tmp")
+                 "scores", "better", "tmp")
 
 
 class _Stencil:
@@ -509,6 +530,7 @@ class _Stencil:
         used = sorted({j for terms in self._plan for j, _ in terms})
         self._diffs = dict(zip(used, _aligned((len(used), length)))) if used else {}
         self._scores = _aligned((2, length)) if self.offsets else None
+        self._better = _aligned(length, bool)
         self._tmp = _aligned(length)
         # The plan's terms on each block, shared by both buffer parities.
         plans = [[[(self._diffs[j][:b - a], c if isinstance(c, float) else c[a:b])
@@ -526,6 +548,7 @@ class _Stencil:
                 block.diffs = [(diff[:b - a], src[self.offsets[j]][at])
                                for j, diff in self._diffs.items()]
                 block.scores = None if self._scores is None else self._scores[:, :b - a]
+                block.better = self._better[:b - a]
                 blocks.append(block)
             self._blocks.append(blocks)
 
@@ -621,16 +644,21 @@ class _Stencil:
         for diff, shifted in block.diffs:
             np.subtract(shifted, block.src, out=diff)
 
-    def _max_score(self, block: _Block) -> np.ndarray:
+    def _max_score(self, block: _Block, index: np.ndarray | None = None) -> np.ndarray:
         """The best candidate's score on ``block``, in its first score row:
         the differences, then a pairwise maximum chain in candidate order,
         the order in which ``np.max(axis=0)`` reduces, folding in each
-        score, written to the second row, while it is still in cache."""
+        score, written to the second row, while it is still in cache.  With
+        ``index``, the argmax too, moved only by a strictly greater score."""
         self._differences(block)
         best, score = block.scores
         self._score(block.plan[0], best, block.tmp)
-        for terms in block.plan[1:]:
-            np.maximum(best, self._score(terms, score, block.tmp), out=best)
+        for k in range(1, len(block.plan)):
+            self._score(block.plan[k], score, block.tmp)
+            if index is not None:
+                np.greater(score, best, out=block.better)
+                np.copyto(index, k, where=block.better)
+            np.maximum(best, score, out=best)
         return best
 
     def step(self):
@@ -649,22 +677,14 @@ class _Stencil:
                 out += best
 
     def argmax(self) -> np.ndarray:
-        """Index of the best candidate per node against the current field: a
-        running index that moves only to a strictly greater score, so ties
-        resolve to the lowest index, as with ``np.argmax``."""
+        """Index of the best candidate per node against the current field,
+        the lowest on a tie (:meth:`_max_score`)."""
         if not self.offsets:
             return np.zeros(self.pos.size, dtype=np.int64)
         self._refresh()
-        arg, better = np.zeros(self.span, dtype=np.int64), np.empty(self._tmp.size, dtype=bool)
+        arg = np.zeros(self.span, dtype=np.int64)
         for block in self._blocks[self._cur]:
-            self._differences(block)
-            best, score = block.scores
-            self._score(block.plan[0], best, block.tmp)
-            index, flag = arg[block.at], better[:best.size]
-            for k in range(1, len(block.plan)):
-                np.greater(self._score(block.plan[k], score, block.tmp), best, out=flag)
-                np.copyto(index, k, where=flag)
-                np.maximum(best, score, out=best)
+            self._max_score(block, arg[block.at])
         return arg[self.pos]
 
 
@@ -678,7 +698,7 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     n_u); ``shared`` when the noise does not depend on the input.  Rates no
     candidate changes go to the base.
 
-    Memory: the noise Gram is evaluated a block of nodes at a time and kept
+    Memory: the Gram and drift are evaluated in node blocks, the Gram kept
     as the entries the rates read; the drift one candidate at a time, its
     CFL load folded in at once, keeping the first candidate's drift and, of
     each later one, only the columns whose bytes differ from it, one copy
@@ -686,9 +706,11 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     time, and its columns are dropped once its rows are compiled, so the
     peak stays near the stencil's own size."""
     spec, interior = sys.grid, sys.interior_mask()
-    n, N, h, nodes = spec.dims, spec.size, spec.spacing, spec.nodes()
-    grams = [_gram_entries(sys, nodes, U) for U in (inputs[:1] if shared else inputs)]
-    quad = _QuadraticInput(sys, nodes) if dynamic else None
+    n, h = spec.dims, spec.spacing
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    grams = [_node_entries(spec, lambda x, at: [sys.gram(x, U[at])], upper)[0]
+             for U in (inputs[:1] if shared else inputs)]
+    quad = _QuadraticInput(sys, upper) if dynamic else None
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if any(np.any(g[(i, j)] != 0.0) for g in grams)
              or (quad is not None and (i, j) in quad.c0)]
@@ -700,7 +722,7 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     node_load = drift_peak = 0.0
     own, drift_var, distinct = [], set(), {}
     for k, U in enumerate(inputs):
-        F = sys.drift(nodes, U).reshape((N, n))
+        F = _node_entries(spec, lambda x, at: [sys.drift(x, U[at])], [()])[0][()]
         if k == 0:
             F0, cols = F, {}
         else:
@@ -720,7 +742,7 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
         drift_load += diff_loads[k % len(grams)]
         node_load = np.maximum(node_load, drift_load, out=drift_load)
         del drift_load
-    del nodes, distinct
+    del distinct
     if quad is not None:
         # Affine drift peaks at a box corner, so only the critical
         # candidate's noise needs its own (interval max) bound.
@@ -742,7 +764,8 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     if quad is not None:
         diff_var |= quad.touched(n)
     offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
-    base = _drift_rates(lambda d: F0[:, d], h, [d for d in range(n) if d not in drift_var])
+    base = {_offset(n, (d, s)): _upwind(F0[:, d], s, h[d])
+            for d in range(n) if d not in drift_var for s in (1, -1)}
     for o in diff[0]:
         if o not in diff_var:
             base[o] = base[o] + diff[0][o] if o in base else diff[0][o]
@@ -759,11 +782,8 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
         candidate's diffusion rate on a ``diff_var`` offset."""
         for o in offsets:
             moved = [d for d in range(n) if o[d]]
-            d, drift = moved[0], 0.0
-            if len(moved) == 1 and d in F:  # _drift_rates, in place
-                drift = np.multiply(o[d], F[d])
-                np.maximum(drift, 0.0, out=drift)
-                drift /= h[d]
+            d = moved[0]
+            drift = _upwind(F[d], o[d], h[d]) if len(moved) == 1 and d in F else 0.0
             yield drift + rates[o] if o in rates else drift
 
     for k in range(len(own)):
@@ -798,14 +818,8 @@ class _Operator:
             self.candidates = 0
             self.load, self.stencil = _split_stencil(sys, [policy.inputs])
         else:
-            dynamic = False
-            if np.all(sys.input_upper == sys.input_lower):
-                self.inputs = sys.input_center()[None, :]
-            elif sys.regime == "nonaffine":
-                self.inputs = sys.input_grid(cfg.candidate_points)
-            else:
-                self.inputs = sys.input_corners()
-                dynamic = sys.regime == "quadratic"
+            self.inputs = sys.input_grid(cfg.candidate_points if sys.regime == "nonaffine" else 2)
+            dynamic = sys.regime == "quadratic" and len(self.inputs) > 1
             self.candidates = len(self.inputs) + dynamic
             self.load, self.stencil = _split_stencil(
                 sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in self.inputs],
@@ -965,21 +979,13 @@ class _QuadraticInput:
     generator like the others.  The Gram is fitted here; the drift is read
     from the two corners in :meth:`bind`."""
 
-    def __init__(self, sys: SystemModel, nodes: np.ndarray):
-        # The fit, entry by entry and ``_NODE_BLOCK`` nodes at a time, kept
-        # for the diagonal and the off-diagonal entries not zero at every
-        # node (the cross pairs): no (nodes, n, n) array is formed.
-        N, n = len(nodes), sys.n_x
-        coefs = [{(i, j): np.empty(N) for i in range(n) for j in range(i, n)} for _ in range(3)]
-        for b in range(0, N, _NODE_BLOCK):
-            at, size = nodes[b:b + _NODE_BLOCK], len(nodes[b:b + _NODE_BLOCK])
-            fit = sys.fit_quadratic(
-                lambda U: [sys.gram(at, np.full((size, 1), u)) for u in U[:, 0]])
-            for c, entries in zip(fit, coefs):
-                for (i, j), entry in entries.items():
-                    entry[b:b + _NODE_BLOCK] = c[:, i, j]
-        for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)]:
-            if not any(np.any(c[(i, j)] != 0.0) for c in coefs):
+    def __init__(self, sys: SystemModel, upper: list):
+        # The fit at the Gram entries ``upper``, kept for the diagonal and
+        # the off-diagonal entries not zero at every node (the cross pairs).
+        coefs = _node_entries(sys.grid, lambda x, at: sys.fit_quadratic(
+            lambda U: [sys.gram(x, np.full((len(x), 1), u)) for u in U[:, 0]]), upper)
+        for i, j in upper:
+            if i != j and not any(np.any(c[(i, j)] != 0.0) for c in coefs):
                 for c in coefs:
                     del c[(i, j)]
         self.c0, self.c1, self.c2 = coefs
@@ -1127,9 +1133,7 @@ class _QuadraticInput:
             if drift is None:
                 np.add(0.0, rate, out=row)
                 continue
-            f, sign, hd = drift
-            np.maximum(f if sign > 0 else np.negative(f, out=row), 0.0, out=row)
-            row /= hd
+            _upwind(*drift, out=row)
             row += rate
 
 

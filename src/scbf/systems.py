@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _PROBE_TOL = 1e-10
-_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -117,19 +116,15 @@ class SystemModel:
     def gram(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """sigma sigma^T at (x, u), shape (..., n_x, n_x): entry (i, j) adds
         ``sigma_ik sigma_jk`` over the noise channels k in order, each
-        product taken on a contiguous column of up to ``_GRAM_BLOCK``
-        states (so the scratch arrays stay small on a full grid)."""
+        product taken on a contiguous column of the states.  Callers pass
+        few states at a time (the operator build one node block)."""
         s = np.asarray(self.diffusion(x, u), dtype=float)
         lead, (n, m) = s.shape[:-2], s.shape[-2:]
-        s = s.reshape(-1, n, m)
-        out = np.empty((s.shape[0], n, n))
-        for b in range(0, s.shape[0], _GRAM_BLOCK):
-            c = np.ascontiguousarray(s[b:b + _GRAM_BLOCK].transpose(2, 1, 0))   # (m, n, block)
-            g = c[0, :, None] * c[0, None, :]
-            for k in range(1, m):
-                g += c[k, :, None] * c[k, None, :]
-            out[b:b + _GRAM_BLOCK] = g.transpose(2, 0, 1)
-        return out.reshape(lead + (n, n))
+        c = np.ascontiguousarray(s.reshape(-1, n, m).transpose(2, 1, 0))   # (m, n, states)
+        g = c[0, :, None] * c[0, None, :]
+        for k in range(1, m):
+            g += c[k, :, None] * c[k, None, :]
+        return np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(lead + (n, n))
 
     def fit_quadratic(self, sample):
         """``(c0, c1, c2)`` with ``c0 + c1 u + c2 u^2`` through the three
@@ -151,15 +146,9 @@ class SystemModel:
     def input_center(self) -> np.ndarray:
         return 0.5 * (self.input_lower + self.input_upper)
 
-    def input_corners(self) -> np.ndarray:
-        """Unique vertices of the input box, shape (K, n_u)."""
-        axes = []
-        for lo, hi in zip(self.input_lower, self.input_upper):
-            axes.append((lo,) if hi == lo else (lo, hi))
-        return np.array(list(itertools.product(*axes)), dtype=float)
-
     def input_grid(self, points_per_dim: int) -> np.ndarray:
-        """Cartesian candidate grid over the input box, shape (K, n_u)."""
+        """Cartesian candidate grid over the input box, shape (K, n_u); one point
+        on a degenerate axis, so 2 points per axis give the unique corners."""
         axes = []
         for lo, hi in zip(self.input_lower, self.input_upper):
             axes.append(np.linspace(lo, hi, 1 if hi == lo else points_per_dim))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys as sys_module
 import threading
@@ -19,6 +20,7 @@ from scbf.semigroup import (
     PropagationConfig,
     _aligned,
     _block_ranges,
+    _node_entries,
     _Operator,
     _Stencil,
     apply_generator,
@@ -284,6 +286,7 @@ def _step_arrays(stencil):
     critical-input candidate's coefficients and buffers."""
     arrays = [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
               *stencil._diffs.values(), *(() if stencil._scores is None else stencil._scores),
+              stencil._better,
               *stencil._rows.values(),
               *(() if stencil._dynamic_rows is None else stencil._dynamic_rows),
               *(views[stencil._centre] for views in stencil._views)]
@@ -410,28 +413,56 @@ def test_stencil_stores_the_plans_distinct_rows(name, counts, kw, array_terms, d
         assert not any(np.shares_memory(row, dynamic) for row in stencil._rows.values())
 
 
-@pytest.mark.parametrize("name, counts", [
-    ("bicycle", (13, 13, 12, 7)),
-    ("wig_aircraft", (14, 14, 14)),
-    ("bicycle", (31, 31, 24, 11)),
-])
-def test_build_peak_stays_near_the_operator_size(name, counts):
-    # The build holds little beside the stencil: the Gram is evaluated in
-    # node blocks, the drift one candidate at a time, and each candidate's
-    # drift columns are dropped once its rows are compiled.  Its traced peak
-    # stays within 1.3 times what the operator keeps (a build holding every
-    # candidate's drift and the full Gram peaked at 1.4 to 1.5 times).
-    sys = make_benchmark(name, grid_counts=counts)
+@pytest.mark.parametrize("block", [1, 5, 30, 4096])
+def test_node_blocks_cover_the_grid_in_order(monkeypatch, block):
+    # The build's one node-block evaluator hands out every node once, in
+    # the order of spec.nodes(), in contiguous blocks of at most _NODE_BLOCK
+    # nodes; with 1 or 5, blocks split the last axis too.
+    monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
+    for counts in [(7,), (5, 6), (3, 4, 5), (7, 7, 6, 5)]:
+        spec = GridSpec([0.0] * len(counts), np.arange(1.0, len(counts) + 1), counts,
+                        periodic=[False] * (len(counts) - 1) + [True])
+        seen = []
+        x, total = _node_entries(
+            spec, lambda x, at: seen.append(at) or [x, x.sum(axis=1)], [()])
+        np.testing.assert_array_equal(x[()], spec.nodes())
+        np.testing.assert_array_equal(total[()], spec.nodes().sum(axis=1))
+        assert [at.start for at in seen] == [0] + [at.stop for at in seen[:-1]]
+        assert seen[-1].stop == spec.size and all(at.stop - at.start <= block for at in seen)
+
+
+def _assert_build_peak_near_operator_size(sys, policy=None):
+    """The traced peak of an operator build stays within 1.3 times what the
+    operator keeps."""
     sys.node_classes()
     semigroup._take_idle()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        op = _Operator(sys, PropagationConfig(horizon=0.5))
+        op = _Operator(sys, PropagationConfig(horizon=0.5), policy)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert op.steps > 0 and peak - before <= 1.3 * (held - before)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("bicycle", (13, 13, 12, 7)),
+    ("wig_aircraft", (14, 14, 14)),
+    ("bicycle", (31, 31, 24, 11)),
+    ("di_input_noise", (41, 81)),                 # the critical input's fit
+])
+def test_build_peak_stays_near_the_operator_size(name, counts):
+    # The build holds little beside the stencil: node coordinates, the Gram
+    # and the drift are evaluated in node blocks, the drift one candidate at
+    # a time, and each candidate's drift columns are dropped once its rows
+    # are compiled.
+    _assert_build_peak_near_operator_size(make_benchmark(name, grid_counts=counts))
+
+
+def test_fixed_policy_build_peak_stays_near_the_operator_size():
+    sys = make_benchmark("bicycle", grid_counts=(31, 31, 24, 11))
+    _assert_build_peak_near_operator_size(sys, PolicyTable.zero(sys))
 
 
 def test_aligned_allocation():
@@ -693,8 +724,12 @@ def test_optimal_policy_attains_candidate_max(name, counts, kw):
     sys = make_benchmark(name, grid_counts=counts)
     cfg = PropagationConfig(horizon=0.05, **kw)
     out, policy = propagate_optimal(interior_random_field(sys, 11), sys, cfg)
-    candidates = (sys.input_grid(cfg.candidate_points) if name == "wig_aircraft"
-                  else sys.input_corners())
+    # The candidates, listed here: the box corners, or the aircraft's input
+    # grid; one point on a degenerate axis.
+    candidates = list(itertools.product(*[
+        (lo,) if lo == hi else np.linspace(lo, hi, cfg.candidate_points)
+        if name == "wig_aircraft" else (lo, hi)
+        for lo, hi in zip(sys.input_lower, sys.input_upper)]))
     rng = np.random.default_rng(5)
     for node in rng.choice(np.nonzero(sys.interior_mask())[0], size=30, replace=False):
         node = int(node)

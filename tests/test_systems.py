@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -213,12 +215,11 @@ class TestInputStructure:
             assert (generator_coefficients(spec, x)[2] is None) == (regime == "affine")
 
         op = _Operator(sys, PropagationConfig(horizon=0.1, candidate_points=3))
-        if np.all(sys.input_lower == sys.input_upper):
-            expected = sys.input_center()[None, :]
-        elif regime == "nonaffine":
-            expected = sys.input_grid(3)
-        else:
-            expected = sys.input_corners()
+        # The candidates, listed here: the box corners, or a 3-point grid per
+        # axis when nonaffine; one point on a degenerate axis.
+        expected = np.array(list(itertools.product(*[
+            (lo,) if lo == hi else np.linspace(lo, hi, 3) if regime == "nonaffine" else (lo, hi)
+            for lo, hi in zip(sys.input_lower, sys.input_upper)])))
         np.testing.assert_array_equal(op.inputs, expected)
         assert (op.stencil.dynamic is not None) == (regime == "quadratic")
         assert op.candidates == len(expected) + (regime == "quadratic")
