@@ -35,13 +35,16 @@ Both are checked whenever a stencil is built: a violation raises
 
 The optimal-control variant integrates ``db/dtau = max_u A^u b`` by scoring
 a finite candidate-input set against the discrete upwind generator at every
-node and step: box corners when the drift is input-affine with
-input-independent noise, a Cartesian candidate grid when there is no such
-structure, and for a scalar input with quadratic-in-input noise Gram the
-corners plus one critical input.  That critical input is the clamped
+node and step.  The set is the model's input grid
+(:meth:`~scbf.systems.SystemModel.input_grid`): ``candidate_points`` per
+axis in the ``nonaffine`` regime, else two, the box corners; a degenerate
+axis gives one point.  The ``quadratic`` regime (a scalar input with
+quadratic-in-input noise Gram) adds one critical input, the clamped
 stationary point in ``u`` of the central-difference generator, scored with
 the upwind one like every other candidate; it is not the argmax of the
 upwind generator over the input interval, which an interior input can beat.
+One function (:func:`_upwind`) forms every upwind drift rate: of the base,
+of a fixed candidate and, at every step, of the critical input.
 Rates that no candidate changes form one shared base stencil; each
 candidate keeps rates only on the offsets it changes, and its score
 ``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled, as the stencil is built,
@@ -51,19 +54,22 @@ moving a state at a constant rate) becomes a Python float; any other row
 becomes one padded array, which every row with the same bytes shares (the
 bicycle's four steering corners turn at ``+-v``, so their eight array terms
 read two arrays).  The critical input keeps its own array per offset,
-since it is rewritten at each step.  A step scores the candidates one at a
-time into two score rows and keeps their pairwise maximum in candidate
-order; the argmax policy does the same with a running index that moves only
-to a strictly greater score, so ties resolve to the lowest candidate index.
+since it is rewritten at each step.  One scoring loop serves the step and
+the argmax policy: it scores the candidates one at a time into two score
+rows and keeps their pairwise maximum in candidate order, and for the
+argmax also a running index that moves only to a strictly greater score,
+so ties resolve to the lowest candidate index.
 
 A build keeps only what a step, the monotonicity check and the argmax
-read.  The noise Gram (and the quadratic fit of the critical input) is
-evaluated a block of nodes at a time and kept as the entries the rates
-read; the drift is evaluated one candidate at a time with its CFL load
-folded in at once; a candidate's rows are formed one offset at a time; and
-no unpadded copy of a rate lives beside its padded one for long.  On the
-4-D ``bicycle`` (31x31x24x11) the traced build peak is 43 MiB and the
-operator 34 MiB.
+read.  One node-block evaluator (:func:`_node_entries`) gives the drift,
+the noise Gram and the quadratic fit of the critical input their node
+coordinates in blocks of at most ``_NODE_BLOCK`` nodes, so no array of all
+node coordinates is formed, and keeps of the Gram and the fit only the
+entries the rates read.  The drift is evaluated one candidate at a time with its
+CFL load folded in at once; a candidate's rows are formed one offset at a
+time; and no unpadded copy of a rate lives beside its padded one for long.
+On the 4-D ``bicycle`` (31x31x24x11) the traced build peak is 41.5 MiB and
+the operator 34 MiB (33 and 28 MiB under a fixed policy).
 
 A step, and the argmax, run over the span one block at a time.  Every
 term of a step is elementwise per position, so a block's output reads
@@ -74,15 +80,14 @@ about 45 passes over some 27 arrays of 2.2 MB each, about 60 MB per step,
 so over the whole span each pass streams from L3 and the step is bound by
 bandwidth.  With blocks of ``2**15`` positions, 256 KiB per array, what
 one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
-2008, on blocking bandwidth-bound stencils); a step there fell from about
-18 to about 10 ms on a 2-core Xeon VM.  Shorter blocks gained little more
+2008, on blocking bandwidth-bound stencils).  Shorter blocks gained little
 and cost one more numpy call per array and block.  A span of at most
 ``2**15`` positions (every 2-D benchmark grid and ``wig_aircraft`` 26^3)
 is one block, the whole span: split, those steps ran slower.  The ghosts
 and the critical input's rates are refreshed over the whole span before
-the blocks.  The difference rows, the score rows and the multiply scratch
-are one block long, shared by all blocks; every other array keeps the
-whole span.
+the blocks.  The difference rows, the score rows, the argmax flags and the
+multiply scratch are one block long, shared by all blocks; every other
+array keeps the whole span.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -107,15 +112,15 @@ Reuse gives the bits of a new build (:class:`_Operator`).  The key holds
 the model by identity, so a model must not be mutated after its first use,
 which :meth:`~scbf.systems.SystemModel.node_classes` already assumes.
 
-The plan gives the bits of the ``einsum`` over all rows, ``np.max`` and
-``np.argmax`` it replaced: that einsum adds the products in the same offset
-order; a dropped row only added a zero product; a float equal to the row
-at every node gives the same product at every node; a shared array holds
-the row's bytes; the maximum chain compares in the order ``np.max``
-reduces; and the running index keeps the first maximum, as ``np.argmax``
-does.  Two differences remain, and neither reaches a result.  At ghost
-positions inside the span a float row gives ``c * d`` where the
-zero-filled row gave zero, but the step's kill mask zeroes those positions
+The plan gives the bits of an ``einsum`` over all zero-filled rows
+followed by ``np.max`` and ``np.argmax``: that einsum adds the products in
+the same offset order; a dropped row only adds a zero product; a float
+equal to the row at every node gives the same product at every node; a
+shared array holds the row's bytes; the maximum chain compares in the order
+``np.max`` reduces; and the running index keeps the first maximum, as
+``np.argmax`` does.  Two differences remain, and neither reaches a result.
+At ghost positions inside the span a float row gives ``c * d`` where the
+zero-filled row gives zero, but the step's kill mask zeroes those positions
 and the argmax reads only nodes.
 And einsum starts each sum from +0.0, so a score whose every term is -0.0
 is +0.0 there and -0.0 here; the step adds it, times ``dt``, to the new

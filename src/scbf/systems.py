@@ -11,11 +11,13 @@ author: they are verified at registration by sampling probes, as is the full
 row rank diagnostic for the diffusion matrix (reported, never enforced,
 because rank-deficient noise is an explicitly supported regime).
 
-The numerics read that structure only through three ``SystemModel``
-members: ``regime`` (``affine``, ``quadratic`` or ``nonaffine``), from which
-power-policy iteration picks its candidate inputs and the safety filter its
-projection; ``gram``, the one ``sigma sigma^T`` formula; and
-``fit_quadratic``, the one exact fit in a scalar input.
+The numerics read that structure through ``regime`` (``affine``,
+``quadratic`` or ``nonaffine``), from which power-policy iteration picks its
+candidate inputs and the safety filter its projection; ``gram``, the one
+``sigma sigma^T`` formula; ``fit_quadratic``, the one exact fit in a scalar
+input; and, in the operator build, the flags ``sigma_u_independent`` and
+``sigma_zero``, under either of which one noise Gram serves every candidate
+input, whatever the regime.
 """
 
 from __future__ import annotations

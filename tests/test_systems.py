@@ -184,9 +184,10 @@ class TestVectorization:
 
 
 class TestInputStructure:
-    """``SystemModel.regime`` and ``SystemModel.gram`` are the only readers
-    of the input structure; the filter and the optimal-control operator
-    follow them."""
+    """The filter and the optimal-control operator read the input structure
+    through ``SystemModel.regime`` and ``SystemModel.gram``; the operator
+    build also reads ``flags.sigma_u_independent`` and ``flags.sigma_zero``
+    to evaluate one noise Gram for all candidates."""
 
     REGIMES = {"di_omni": "affine", "di_velocity": "affine",
                "di_input_noise": "quadratic", "di_deterministic": "affine",
