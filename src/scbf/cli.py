@@ -341,6 +341,12 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     if not psi_path.exists():
         raise ConfigError(f"missing barrier field file: {psi_path}")
     psi = read_field(psi_path)
+    if psi.spec != sys_model.grid:
+        raise ConfigError(
+            f"{psi_path}: barrier field is on a grid of shape {psi.spec.counts}, expected "
+            f"the configured grid of {sys_model.name}, shape {sys_model.grid.counts}"
+            + (" (same shape, other bounds or periodicity)"
+               if psi.spec.counts == sys_model.grid.counts else ""))
     names = [name.strip() for name in get("result.policy_files").split(",") if name.strip()]
     where = meta["result.policy_files"][2]
     if not names:
@@ -458,8 +464,6 @@ def cmd_simulate(args) -> int:
     sys_model = _build_system(job)
     artifacts = Path(args.artifacts)
     result, _ = load_result(artifacts, sys_model)
-    if result.psi.spec != sys_model.grid:
-        raise ConfigError("artifact grid does not match the configured grid")
     x0 = job.sized_vector("simulation.x0", sys_model.n_x, "n_x")
     if x0 is None:
         raise ConfigError("missing required key 'simulation.x0'")

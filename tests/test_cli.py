@@ -571,6 +571,20 @@ class TestArtifactReaders:
         assert (f"{meta}:{line}: policy file 'policy_0.fld' is on a grid of shape (101,), "
                 "expected the grid of psi.fld, shape (201,)") in err, err
 
+    @pytest.mark.parametrize("command", ["verify", "simulate", "filter"])
+    def test_artifacts_on_other_grid(self, tmp_path, brownian_artifacts, capsys, command):
+        # Every reader of stored artifacts checks the grid in load_result;
+        # verify used to end in an IndexError on the kill mask.
+        extra = (["--queries", str(tmp_path / "q.csv"), "--output", str(tmp_path / "o.csv")]
+                 if command == "filter" else [])
+        code = run(command, "--system", "brownian_1d", "--grid", "41",
+                   "--artifacts", str(brownian_artifacts), *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"{brownian_artifacts / 'psi.fld'}: barrier field is on a grid of shape "
+                "(201,), expected the configured grid of brownian_1d, shape (41,)") in err, err
+        assert "Traceback" not in err
+
     def test_repeated_gamma(self, tmp_path, brownian_artifacts, capsys):
         bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
         meta = bad / "metadata.txt"
