@@ -23,6 +23,7 @@ frozen at construction so fields behave as snapshots.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -52,6 +53,15 @@ BOUNDARY = 1
 EXTERIOR = 2
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int (``operator.index``): a float, even a whole one,
+    raises ValueError naming the field ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a rectangular tensor-product grid.
@@ -71,7 +81,7 @@ class GridSpec:
     def __init__(self, lower, upper, counts, periodic=None):
         lower = tuple(float(v) for v in np.atleast_1d(lower))
         upper = tuple(float(v) for v in np.atleast_1d(upper))
-        counts = tuple(int(v) for v in np.atleast_1d(counts))
+        counts = tuple(_index(v, "counts") for v in np.atleast_1d(counts))
         if periodic is None:
             periodic = (False,) * len(lower)
         periodic = tuple(bool(v) for v in np.atleast_1d(periodic))

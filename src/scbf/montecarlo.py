@@ -25,7 +25,6 @@ is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData
-from .grid import ScalarField, _blend, _corners, interpolate, sup_norm
+from .grid import ScalarField, _blend, _corners, _index, interpolate, sup_norm
 from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
 from .semigroup import PolicyTable
 from .systems import SystemModel
@@ -167,9 +166,9 @@ class SimConfig:
                              f"t_end {self.t_end!r}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
-        if self.trials < 1:
+        if _index(self.trials, "trials") < 1:
             raise ValueError("need at least one trial")
-        if not 0 <= operator.index(self.seed) < 2**64:
+        if not 0 <= _index(self.seed, "seed") < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end {self.t_end!r} is not a whole number of steps "

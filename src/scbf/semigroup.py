@@ -152,7 +152,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotInterior, StabilityViolation
-from .grid import INTERIOR, GridSpec, ScalarField
+from .grid import INTERIOR, GridSpec, ScalarField, _index
 from .systems import SystemModel
 
 __all__ = [
@@ -230,7 +230,7 @@ class PropagationConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if self.candidate_points < 2:
+        if _index(self.candidate_points, "candidate_points") < 2:
             raise ValueError(f"candidate_points must be at least 2, got {self.candidate_points}")
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Collapse
-from .grid import ScalarField, interpolate, sup_norm
+from .grid import ScalarField, _index, interpolate, sup_norm
 from .semigroup import PolicyTable, PropagationConfig, _check_specs, _Operator, propagate
 from .systems import SystemModel
 
@@ -186,7 +186,7 @@ def _check_run(cfg: PropagationConfig, tol: float, max_iter: int, name: str):
     """The argument checks shared by the two iterations."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
+    if _index(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if cfg.horizon <= 0:
         raise ValueError(f"{name} needs a positive horizon")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveAirspeed, UnknownParameter
-from .grid import INTERIOR, GridSpec, ImplicitSet, ScalarField, classify_nodes
+from .grid import INTERIOR, GridSpec, ImplicitSet, ScalarField, _index, classify_nodes
 
 __all__ = [
     "StructureFlags",
@@ -529,5 +529,5 @@ def make_benchmark(bench_id: str, overrides: dict | None = None,
             f"{bench_id}: unknown parameter(s) {sorted(unknown)}"
         )
     if grid_counts is not None:
-        grid_counts = tuple(int(c) for c in np.atleast_1d(grid_counts))
+        grid_counts = tuple(_index(c, "grid_counts") for c in np.atleast_1d(grid_counts))
     return BENCHMARKS[bench_id](overrides, grid_counts or _GRID_COUNTS[bench_id])

@@ -282,6 +282,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec([0.0], [1.0], [2])
 
+    @pytest.mark.parametrize("count", [41.7, 41.0, "41"])
+    def test_non_integer_count_rejected(self, count):
+        # int() used to truncate 41.7 to a 41-node grid without a word.
+        with pytest.raises(ValueError, match=f"counts must be an integer, got {count}"):
+            GridSpec([0.0], [1.0], [count])
+        assert GridSpec([0.0], [1.0], np.array([41])).counts == (41,)
+
     def test_periodic_excludes_endpoint(self):
         spec = GridSpec([0.0], [1.0], [4], periodic=[True])
         assert spec.spacing[0] == pytest.approx(0.25)

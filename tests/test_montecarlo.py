@@ -63,6 +63,15 @@ def test_t_end_not_whole_steps_rejected():
     assert SimConfig(t_end=0.3, trials=1, seed=0, controller=ctrl, dt=0.1).n_steps == 3
 
 
+@pytest.mark.parametrize("field, value", [("trials", 2.5), ("seed", 1.5)])
+def test_non_integer_trials_and_seed_rejected(field, value):
+    # 2.5 trials used to fail later with a numpy TypeError, a seed of 1.5
+    # at once with a TypeError that named no field.
+    kw = {"trials": 1, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        SimConfig(t_end=1.0, controller=OpenLoopController([0.0]), **kw)
+
+
 @pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (1e-3, math.inf), (1e-3, math.nan),
                                        (math.inf, 1.0)])
 def test_non_finite_step_or_horizon_rejected(dt, t_end):

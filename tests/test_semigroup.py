@@ -750,6 +750,13 @@ def test_non_finite_horizon_and_dt_rejected(kw):
         PropagationConfig(**kw)
 
 
+def test_non_integer_candidate_points_rejected():
+    # 5.0 used to pass here and, on a nonaffine system, fail in np.linspace
+    # with a TypeError.
+    with pytest.raises(ValueError, match="candidate_points must be an integer, got 5.0"):
+        PropagationConfig(candidate_points=5.0)
+
+
 @pytest.mark.parametrize("points", [0, 1, -3])
 def test_candidate_points_below_two_rejected(points):
     with pytest.raises(ValueError, match="candidate_points must be at least 2"):

@@ -81,6 +81,18 @@ class TestPowerIteration:
                             initial_field(sys, "bump"), tol=1e-8)
 
 
+@pytest.mark.parametrize("algorithm", ["power", "power_policy"])
+def test_non_integer_max_iter_rejected(brownian, algorithm):
+    # max_iter = 3.0 used to fail in range() with a TypeError.
+    cfg = PropagationConfig(horizon=0.5)
+    with pytest.raises(ValueError, match="max_iter must be an integer, got 3.0"):
+        if algorithm == "power":
+            power_iteration(brownian, PolicyTable.zero(brownian), cfg,
+                            initial_field(brownian, "bump"), max_iter=3.0)
+        else:
+            power_policy_iteration(brownian, cfg, max_iter=3.0)
+
+
 @pytest.mark.parametrize("max_iter", [0, -3])
 @pytest.mark.parametrize("algorithm", ["power", "power_policy"])
 def test_max_iter_below_one_rejected(brownian, max_iter, algorithm):

@@ -76,6 +76,11 @@ class TestMakeBenchmark:
         with pytest.raises(UnknownParameter):
             make_benchmark("no_such_system")
 
+    def test_non_integer_grid_counts_rejected(self):
+        with pytest.raises(ValueError, match="grid_counts must be an integer, got 41.7"):
+            make_benchmark("di_omni", grid_counts=(41.7, 81))
+        assert make_benchmark("brownian_1d", grid_counts=(41,)).grid.counts == (41,)
+
     def test_override_applies(self):
         sys = make_benchmark("brownian_1d", {"sigma": 2.0})
         assert sys.diffusion(np.array([0.0]), np.array([0.0]))[0, 0] == 2.0
