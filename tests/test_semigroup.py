@@ -417,7 +417,7 @@ def test_stencil_stores_the_plans_distinct_rows(name, counts, kw, array_terms, d
 def test_node_blocks_cover_the_grid_in_order(monkeypatch, block):
     # The build's one node-block evaluator hands out every node once, in
     # the order of spec.nodes(), in contiguous blocks of at most _NODE_BLOCK
-    # nodes; with 1 or 5, blocks split the last axis too.
+    # nodes; blocks of 1 or 5 nodes cut some rows down to single nodes.
     monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
     for counts in [(7,), (5, 6), (3, 4, 5), (7, 7, 6, 5)]:
         spec = GridSpec([0.0] * len(counts), np.arange(1.0, len(counts) + 1), counts,
