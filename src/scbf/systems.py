@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _PROBE_TOL = 1e-10
+_PROBE_STATES = 24   # probe states, uniform over the grid box
+_PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -157,47 +159,47 @@ class SystemModel:
         return np.array(list(itertools.product(*axes)), dtype=float)
 
 
-def _probe_points(sys: SystemModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(sys.grid.lower)
-    hi = np.asarray(sys.grid.upper)
-    X = lo + (hi - lo) * rng.random((n, sys.n_x))
-    U = sys.input_lower + (sys.input_upper - sys.input_lower) * rng.random((n, sys.n_u))
-    return X, U
+def _fit_exceeds(basis: np.ndarray, V: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per probe state, whether the least-squares fit of ``V`` (states,
+    inputs, k) on ``basis`` (inputs, p) leaves a residual above
+    ``_PROBE_TOL * scale``; one solve serves every state's columns."""
+    states, m, k = V.shape
+    cols = V.transpose(1, 0, 2).reshape(m, states * k)
+    coef, *_ = np.linalg.lstsq(basis, cols, rcond=None)
+    resid = (cols - basis @ coef).reshape(m, states, k)
+    return np.abs(resid).max(axis=(0, 2)) > _PROBE_TOL * scale
 
 
-def probe_structure(sys: SystemModel, samples: int = 24, seed: int = 0) -> StructureFlags:
-    """Verify structural flags by sampling; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    X, _ = _probe_points(sys, samples, rng)
+def probe_structure(sys: SystemModel) -> StructureFlags:
+    """Verify structural flags on fixed random probes; each check makes one
+    model call over every (probe state, probe input) pair."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    lo, hi = np.asarray(sys.grid.lower), np.asarray(sys.grid.upper)
+    X = lo + (hi - lo) * rng.random((_PROBE_STATES, sys.n_x))
+    rng.random((_PROBE_STATES, sys.n_u))   # unused, drawn so the inputs below stay fixed
     width = sys.input_upper - sys.input_lower
     n_u = sys.n_u
 
+    def pairs(fn, states, U):
+        """``fn`` on every (state, input) pair, shaped (states, inputs, -1)."""
+        out = fn(np.repeat(states, len(U), 0), np.tile(U, (len(states), 1)))
+        return np.asarray(out, dtype=float).reshape(len(states), len(U), -1)
+
     # Affine fit of f(x, .) on random input probes: residual below tolerance
-    # for every probe state means the drift is affine in u.
+    # for every probe state, against a scale that runs over the states in
+    # order, means the drift is affine in u.
     m = max(2 * n_u + 2, 6)
     U = sys.input_lower + width * rng.random((m, n_u))
-    basis = np.concatenate([np.ones((m, 1)), U], axis=1)
-    input_affine = True
-    scale = 0.0
-    for x in X:
-        F = sys.drift(np.broadcast_to(x, (m, sys.n_x)), U)
-        coef, *_ = np.linalg.lstsq(basis, F, rcond=None)
-        resid = F - basis @ coef
-        scale = max(scale, float(np.max(np.abs(F))), 1.0)
-        if np.max(np.abs(resid)) > _PROBE_TOL * scale:
-            input_affine = False
-            break
+    F = pairs(sys.drift, X, U)
+    scale = np.maximum.accumulate(np.fmax(np.abs(F).max(axis=(1, 2)), 1.0))
+    input_affine = not _fit_exceeds(np.column_stack([np.ones(m), U]), F, scale).any()
 
     # Noise structure probes.
-    U2 = sys.input_lower + width * rng.random((m, n_u))
-    sigma_zero = True
-    sigma_u_independent = True
-    for x in X:
-        S = sys.diffusion(np.broadcast_to(x, (m, sys.n_x)), U2)
-        if np.max(np.abs(S)) > 1e-14:
-            sigma_zero = False
-        if np.max(np.abs(S - S[0])) > 1e-12 * max(1.0, np.max(np.abs(S))):
-            sigma_u_independent = False
+    S = pairs(sys.diffusion, X, sys.input_lower + width * rng.random((m, n_u)))
+    peak = np.abs(S).max(axis=(1, 2))
+    sigma_zero = not np.any(peak > 1e-14)
+    sigma_u_independent = not np.any(
+        np.abs(S - S[:, :1]).max(axis=(1, 2)) > 1e-12 * np.fmax(peak, 1.0))
 
     # Quadratic fit of the noise Gram matrix entries in u.
     sigma_gram_quadratic = True
@@ -208,25 +210,17 @@ def probe_structure(sys: SystemModel, samples: int = 24, seed: int = 0) -> Struc
         for i in range(n_u):
             for j in range(i, n_u):
                 cols.append((Uq[:, i] * Uq[:, j])[:, None])
-        qbasis = np.concatenate(cols, axis=1)
-        for x in X[:8]:
-            G = sys.gram(np.broadcast_to(x, (mq, sys.n_x)), Uq).reshape(mq, -1)
-            coef, *_ = np.linalg.lstsq(qbasis, G, rcond=None)
-            resid = G - qbasis @ coef
-            gs = max(1.0, float(np.max(np.abs(G))))
-            if np.max(np.abs(resid)) > _PROBE_TOL * gs:
-                sigma_gram_quadratic = False
-                break
+        G = pairs(sys.gram, X[:8], Uq)
+        sigma_gram_quadratic = not _fit_exceeds(
+            np.concatenate(cols, axis=1), G, np.fmax(np.abs(G).max(axis=(1, 2)), 1.0)).any()
 
     noise_rank = 0
     if not sigma_zero:
         # Smallest rank across probes, from singular values of sigma.
-        ranks = []
-        for x in X:
-            S = sys.diffusion(x, sys.input_center())
-            sv = np.linalg.svd(np.atleast_2d(S), compute_uv=False)
-            ranks.append(int(np.sum(sv > 1e-9 * max(1.0, sv[0]))))
-        noise_rank = min(ranks)
+        center = np.tile(sys.input_center(), (len(X), 1))
+        sv = np.linalg.svd(np.asarray(sys.diffusion(X, center), dtype=float),
+                           compute_uv=False)
+        noise_rank = int(np.min(np.sum(sv > 1e-9 * np.fmax(sv[:, :1], 1.0), axis=1)))
     return StructureFlags(
         input_affine=input_affine,
         sigma_u_independent=sigma_u_independent,
