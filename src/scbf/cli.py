@@ -233,9 +233,9 @@ def _load_job(args) -> JobConfig:
         "gamma": "filter.gamma",
     }
     for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            entries[key] = (_cast(key, str(value), _SCHEMA[key], ""), str(value), "")
+        text = getattr(args, flag, None)
+        if text is not None:
+            entries[key] = (_cast(key, text, _SCHEMA[key], ""), text, "")
     env = os.environ.get("SCBF_THREADS")
     if "threads" not in entries and env:
         at = "SCBF_THREADS: "
@@ -650,11 +650,11 @@ def _add_common(p):
     p.add_argument("--config", help="job config file (key = value lines)")
     p.add_argument("--system", help="benchmark system id")
     p.add_argument("--grid", help="nodes per dimension, comma separated")
-    p.add_argument("--horizon", type=float, help="operator horizon")
-    p.add_argument("--tol", type=float, help="iteration convergence tolerance")
-    p.add_argument("--seed", type=int, help="simulation seed")
-    p.add_argument("--trials", type=int, help="simulation trial count")
-    p.add_argument("--threads", type=int, help="worker threads (env SCBF_THREADS)")
+    p.add_argument("--horizon", help="operator horizon")
+    p.add_argument("--tol", help="iteration convergence tolerance")
+    p.add_argument("--seed", help="simulation seed")
+    p.add_argument("--trials", help="simulation trial count")
+    p.add_argument("--threads", help="worker threads (env SCBF_THREADS)")
     p.add_argument("--out", help="output directory")
 
 
@@ -671,14 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo closed-loop survival estimation")
     _add_common(p)
     p.add_argument("--artifacts", required=True, help="directory with synthesize outputs")
-    p.add_argument("--gamma", type=float, help="filter decay rate (scbf_qp controller)")
+    p.add_argument("--gamma", help="filter decay rate (scbf_qp controller)")
 
     p = sub.add_parser("filter", help="answer (t, x, u_ref) queries from a CSV")
     _add_common(p)
     p.add_argument("--artifacts", required=True)
     p.add_argument("--queries", required=True, help="CSV of t, x1..xn, u1..um rows")
     p.add_argument("--output", required=True, help="CSV to write (u, status) rows")
-    p.add_argument("--gamma", type=float, help="filter decay rate")
+    p.add_argument("--gamma", help="filter decay rate")
 
     p = sub.add_parser("verify", help="check the invariant suite on stored artifacts")
     _add_common(p)

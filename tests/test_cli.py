@@ -116,11 +116,29 @@ class TestLocatedValues:
         assert capsys.readouterr().err == (
             "error: SCBF_THREADS: key 'threads': expected int, got 'x'\n")
 
-    def test_flag(self, tmp_path, capsys):
-        assert run("synthesize", "--system", "di_omni", "--grid", "41.7,21",
-                   "--out", str(tmp_path / "o")) == 1
-        assert capsys.readouterr().err == (
-            "error: key 'grid.counts': expected comma-separated integers, got '41.7,21'\n")
+    # A number flag is cast by its key's caster, as a config line is; an
+    # argparse type used to end these in a usage dump and exit code 2.
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("synthesize", "--grid", "41.7,21",
+         "key 'grid.counts': expected comma-separated integers, got '41.7,21'"),
+        ("synthesize", "--seed", "1.5", "key 'simulation.seed': expected int, got '1.5'"),
+        ("synthesize", "--horizon", "abc",
+         "key 'propagation.horizon': expected float, got 'abc'"),
+        ("synthesize", "--tol", "x", "key 'iteration.tol': expected float, got 'x'"),
+        ("synthesize", "--trials", "2.5", "key 'simulation.trials': expected int, got '2.5'"),
+        ("synthesize", "--threads", "2.5", "key 'threads': expected int, got '2.5'"),
+        ("simulate", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
+        ("filter", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
+    ], ids=["grid", "seed", "horizon", "tol", "trials", "threads", "simulate_gamma",
+            "filter_gamma"])
+    def test_flag(self, tmp_path, capsys, command, flag, value, message):
+        extra = {"synthesize": [],
+                 "simulate": ["--artifacts", str(tmp_path)],
+                 "filter": ["--artifacts", str(tmp_path), "--queries", str(tmp_path / "q.csv"),
+                            "--output", str(tmp_path / "a.csv")]}[command]
+        assert run(command, "--system", "di_omni", flag, value,
+                   "--out", str(tmp_path / "o"), *extra) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSynthesize:
