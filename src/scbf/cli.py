@@ -530,11 +530,22 @@ def cmd_filter(args) -> int:
     return 0
 
 
+def _reads_as_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_queries(path: Path, n_x: int, n_u: int):
     """States ``(B, n_x)``, references ``(B, n_u)`` and line numbers of the
     rows ``t, x, u_ref`` of a query CSV (header optional)."""
     lines = _read_text(path, "utf-8").splitlines()
-    start = 1 if lines and lines[0].lstrip()[:1].isalpha() else 0
+    # A header starts with a letter and holds no number (``nan`` and ``inf``
+    # are numbers).
+    start = 1 if lines and lines[0].lstrip()[:1].isalpha() and \
+        not any(_reads_as_number(part) for part in lines[0].split(",")) else 0
     columns = 1 + n_x + n_u
     rows, linenos = [], []
     for lineno, line in enumerate(lines[start:], start=start + 1):

@@ -659,6 +659,19 @@ class TestFilterCommand:
         assert len(lines) == 3
         assert lines[1].endswith(("unmodified", "modified", "backup", "infeasible_fallback"))
 
+    # A first line with a number in it is a row, also when it starts with
+    # a letter: it used to be skipped as a header.
+    @pytest.mark.parametrize("first, answers", [
+        ("nan,0.0,0.0", 2), ("inf,0.0,0.0", 2), ("t,x1,u1", 1)])
+    def test_header_holds_no_number(self, tmp_path, brownian_artifacts, first, answers):
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"{first}\n0.5,0.5,0.0\n")
+        out = tmp_path / "answers.csv"
+        assert run("filter", "--system", "brownian_1d",
+                   "--artifacts", str(brownian_artifacts),
+                   "--queries", str(queries), "--output", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + answers
+
     def test_one_batch_call_per_file(self, tmp_path, di_artifacts, monkeypatch):
         calls = []
         batch = cli.filter_input_batch
