@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -145,6 +146,41 @@ class TestStructureFlags:
         flags = make_benchmark("di_input_noise").flags
         assert not flags.sigma_u_independent
         assert flags.sigma_gram_quadratic
+
+    # (input_affine, sigma_u_independent, sigma_zero, sigma_gram_quadratic,
+    # full_row_rank, noise_rank), recorded from the per-state probe.
+    FLAGS = {"bicycle": (True, True, False, True, False, 2),
+             "brownian_1d": (True, True, False, True, True, 1),
+             "cross_input_noise": (True, False, False, True, True, 3),
+             "di_deterministic": (True, True, True, True, False, 0),
+             "di_input_noise": (True, False, False, True, False, 1),
+             "di_omni": (True, True, False, True, True, 2),
+             "di_velocity": (True, True, False, True, False, 1),
+             "two_input_noise": (True, False, False, True, False, 1),
+             "wig_aircraft": (False, True, False, True, False, 2)}
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_flag_table(self, name):
+        assert dataclasses.astuple(_small(name).flags) == self.FLAGS[name]
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_one_model_call_per_check(self, name):
+        # drift once (affine fit); diffusion once each for the noise flags,
+        # the Gram fit and the rank
+        sys = _small(name)
+        calls = {"drift": 0, "diffusion": 0}
+
+        def counted(key, fn):
+            def wrapper(x, u):
+                calls[key] += 1
+                return fn(x, u)
+            return wrapper
+
+        probed = dataclasses.replace(sys, flags=None, drift=counted("drift", sys.drift),
+                                     diffusion=counted("diffusion", sys.diffusion))
+        assert probed.flags == sys.flags
+        assert calls["drift"] <= 1
+        assert calls["diffusion"] <= 3
 
 
 class TestBicycle:
