@@ -9,7 +9,9 @@ Structural facts the numerics exploit (input-affine drift, input-independent
 or quadratic-in-input noise Gram, zero noise) are not trusted from the model
 author: they are verified at registration by sampling probes, as is the full
 row rank diagnostic for the diffusion matrix (reported, never enforced,
-because rank-deficient noise is an explicitly supported regime).
+because rank-deficient noise is an explicitly supported regime).  Each
+check makes one batched model call over every (probe state, probe input)
+pair.
 
 The numerics read that structure through ``regime`` (``affine``,
 ``quadratic`` or ``nonaffine``), from which power-policy iteration picks its
