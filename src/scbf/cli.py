@@ -323,6 +323,15 @@ def save_result(result: EigenResult, job: JobConfig, out: Path, sys_model):
     _write_metadata(out / "metadata.txt", job, result_lines, result.history)
 
 
+def _check_grid(got, want, subject: str, expected: str):
+    """ConfigError unless ``got == want``; ``subject`` is on ``got``."""
+    if got != want:
+        raise ConfigError(
+            f"{subject} is on a grid of shape {got.counts}, expected {expected}, "
+            f"shape {want.counts}" + (" (same shape, other bounds or periodicity)"
+                                      if got.counts == want.counts else ""))
+
+
 def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     meta_path = artifacts / "metadata.txt"
     if not meta_path.exists():
@@ -341,12 +350,8 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
     if not psi_path.exists():
         raise ConfigError(f"missing barrier field file: {psi_path}")
     psi = read_field(psi_path)
-    if psi.spec != sys_model.grid:
-        raise ConfigError(
-            f"{psi_path}: barrier field is on a grid of shape {psi.spec.counts}, expected "
-            f"the configured grid of {sys_model.name}, shape {sys_model.grid.counts}"
-            + (" (same shape, other bounds or periodicity)"
-               if psi.spec.counts == sys_model.grid.counts else ""))
+    _check_grid(psi.spec, sys_model.grid, f"{psi_path}: barrier field",
+                f"the configured grid of {sys_model.name}")
     names = [name.strip() for name in get("result.policy_files").split(",") if name.strip()]
     where = meta["result.policy_files"][2]
     if not names:
@@ -362,12 +367,8 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         if not fpath.exists():
             raise ConfigError(f"missing policy field file: {fpath}")
         channel = read_field(fpath)
-        if channel.spec != psi.spec:
-            raise ConfigError(
-                f"{where}policy file {name!r} is on a grid of shape {channel.spec.counts}, "
-                f"expected the grid of {psi_path.name}, shape {psi.spec.counts}"
-                + (" (same shape, other bounds or periodicity)"
-                   if channel.spec.counts == psi.spec.counts else ""))
+        _check_grid(channel.spec, psi.spec, f"{where}policy file {name!r}",
+                    f"the grid of {psi_path.name}")
         channels.append(channel.values)
     policy = PolicyTable(psi.spec, np.stack(channels, axis=1),
                          sys_model.input_lower, sys_model.input_upper)
@@ -429,6 +430,11 @@ def _run_iteration(sys_model, cfg, algorithm, init, tol, max_iter) -> EigenResul
     raise ConfigError(f"config key 'iteration.algorithm': unknown value {algorithm!r}")
 
 
+def _filter_spec(job: JobConfig, sys_model, result: EigenResult) -> FilterSpec:
+    return FilterSpec(sys_model, result, gamma=job.get("filter.gamma"),
+                      weight=job.sized_vector("filter.weight", sys_model.n_u, "n_u"))
+
+
 def _build_controller(job: JobConfig, sys_model, result: EigenResult):
     kind = job.get("simulation.controller")
     if kind == "fixed_policy":
@@ -439,8 +445,7 @@ def _build_controller(job: JobConfig, sys_model, result: EigenResult):
             raise ConfigError("open_loop controller needs 'simulation.u_const'")
         return OpenLoopController(np.asarray(u))
     if kind == "scbf_qp":
-        spec = FilterSpec(sys_model, result, gamma=job.get("filter.gamma"),
-                          weight=job.sized_vector("filter.weight", sys_model.n_u, "n_u"))
+        spec = _filter_spec(job, sys_model, result)
         ref_kind = job.get("simulation.reference")
         if ref_kind == "constant":
             u_ref = job.sized_vector("simulation.reference_u", sys_model.n_u, "n_u")
@@ -475,16 +480,15 @@ def cmd_simulate(args) -> int:
         controller=controller,
         dt=job.get("simulation.dt"),
     )
-    bound = result
-    if job.get("simulation.controller") == "scbf_qp":
-        bound = controller.spec
+    filtered = isinstance(controller, ScbfQpController)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     traj = simulate(sys_model, sim, np.asarray(x0), trial=0)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    if isinstance(controller, ScbfQpController):
+    if filtered:
         before = controller.status_counts.copy()
-    curve = estimate_safety_curve(sys_model, sim, np.asarray(x0), bound=bound,
+    curve = estimate_safety_curve(sys_model, sim, np.asarray(x0),
+                                  bound=controller.spec if filtered else result,
                                   threads=job.get("threads"))
     write_safety_curve_csv(curve, out / "curve.csv")
     result_lines = [
@@ -492,7 +496,7 @@ def cmd_simulate(args) -> int:
         "result.curve_file = curve.csv",
         "result.trajectory_file = trajectory.csv",
     ]
-    if isinstance(controller, ScbfQpController):
+    if filtered:
         # how often the filter returned each status over the estimate's
         # trial-steps
         counts = controller.status_counts - before
@@ -507,8 +511,7 @@ def cmd_filter(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
     result, _ = load_result(Path(args.artifacts), sys_model)
-    spec = FilterSpec(sys_model, result, gamma=job.get("filter.gamma"),
-                      weight=job.sized_vector("filter.weight", sys_model.n_u, "n_u"))
+    spec = _filter_spec(job, sys_model, result)
     queries = Path(args.queries)
     if not queries.exists():
         raise ConfigError(f"query file not found: {queries}")
