@@ -73,9 +73,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _switch(text: str) -> int:
+    # 0 or 1 only, so that a larger value stays free to mean a level count.
+    value = int(text)
+    if value not in (0, 1):
+        raise ValueError(text)
+    return value
+
+
 # What a caster reads, for messages (else the caster's name: float, int).
 _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers",
-            _finite: "a finite number", _tolerance: "a finite nonnegative number"}
+            _finite: "a finite number", _tolerance: "a finite nonnegative number",
+            _positive: "a positive integer", _switch: "0 or 1"}
 
 _SCHEMA = {
     "system.id": str,
@@ -88,7 +104,7 @@ _SCHEMA = {
     "iteration.init": str,
     "iteration.algorithm": str,
     "iteration.warm_start": str,
-    "iteration.coarse_ladder": int,
+    "iteration.coarse_ladder": _switch,
     "simulation.dt": float,
     "simulation.t_end": float,
     "simulation.trials": int,
@@ -101,7 +117,7 @@ _SCHEMA = {
     "filter.gamma": float,
     "filter.weight": _floats,
     "verify.residual_tol": _tolerance,
-    "threads": int,
+    "threads": _positive,
 }
 
 _DEFAULTS = {
@@ -239,7 +255,7 @@ def _load_job(args) -> JobConfig:
     env = os.environ.get("SCBF_THREADS")
     if "threads" not in entries and env:
         at = "SCBF_THREADS: "
-        entries["threads"] = (_cast("threads", env, int, at), env, at)
+        entries["threads"] = (_cast("threads", env, _SCHEMA["threads"], at), env, at)
     return JobConfig(entries)
 
 

@@ -299,6 +299,8 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
     EigenResult or a FilterSpec); when given, the theoretical lower bound
     ``psi(x0)/||psi|| * exp(-gamma t)`` is attached to the curve.
     """
+    if _index(threads, "threads") < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     x0 = np.asarray(x0, dtype=float).ravel()
     if not bool(sys.contains(x0)[0]):
         raise ValueError("initial state is outside the safe set")

@@ -43,8 +43,12 @@ quadratic-in-input noise Gram) adds one critical input, the clamped
 stationary point in ``u`` of the central-difference generator, scored with
 the upwind one like every other candidate; it is not the argmax of the
 upwind generator over the input interval, which an interior input can beat.
-One function (:func:`_upwind`) forms every upwind drift rate: of the base,
-of a fixed candidate and, at every step, of the critical input.
+Its numerator and denominator are linear in the field, sums of
+coefficients times the differences ``P(x + o_j) - P(x)`` a step forms for
+its scores, so it is formed on each block of a step from those
+differences (:class:`_QuadraticInput`).  One function (:func:`_upwind`)
+forms every upwind drift rate: of the base, of a fixed candidate and, at
+every step, of the critical input.
 Rates that no candidate changes form one shared base stencil; each
 candidate keeps rates only on the offsets it changes, and its score
 ``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled, as the stencil is built,
@@ -63,7 +67,8 @@ so ties resolve to the lowest candidate index.
 A build keeps only what a step, the monotonicity check and the argmax
 read.  One node-block evaluator (:func:`_node_entries`) gives the drift,
 the noise Gram and the quadratic fit of the critical input their node
-coordinates in blocks of at most ``_NODE_BLOCK`` nodes, so no array of all
+coordinates in blocks of at most ``_NODE_BLOCK`` nodes (an eighth of that
+for the fit, which holds about eight Grams per node), so no array of all
 node coordinates is formed, and keeps of the Gram and the fit only the
 entries the rates read.  The drift is evaluated one candidate at a time with its
 CFL load folded in at once; a candidate's rows are formed one offset at a
@@ -83,11 +88,13 @@ one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
 2008, on blocking bandwidth-bound stencils).  Shorter blocks gained little
 and cost one more numpy call per array and block.  A span of at most
 ``2**15`` positions (every 2-D benchmark grid and ``wig_aircraft`` 26^3)
-is one block, the whole span: split, those steps ran slower.  The ghosts
-and the critical input's rates are refreshed over the whole span before
-the blocks.  The difference rows, the score rows, the argmax flags and the
-multiply scratch are one block long, shared by all blocks; every other
-array keeps the whole span.
+is one block, the whole span: split, those steps ran slower.  Only the
+ghosts are refreshed over the whole span before the blocks; the critical
+input and its rates are formed on each block, just after its differences.
+The difference rows, the score rows, the argmax flags, the multiply
+scratch and the critical input's scratch are one block long, shared by all
+blocks; every other array keeps the whole span, the critical input and its
+rows too.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -304,18 +311,18 @@ def _diffusion_load(a, h: np.ndarray, pairs) -> np.ndarray:
     return load
 
 
-def _node_entries(spec: GridSpec, evaluate, keys) -> list:
+def _node_entries(spec: GridSpec, evaluate, keys, block: int | None = None) -> list:
     """Per array that ``evaluate(x, at)`` returns, a dict of its entries
     ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
-    blocks of at most ``_NODE_BLOCK`` nodes, ``x`` their coordinates and
-    ``at`` their slice: whole rows of the last ``n - m`` axes, ``m`` as small
-    as a block allows, so a block's coordinates are broadcast copies of the
-    axes."""
-    n, N, counts = spec.dims, spec.size, spec.shape
+    blocks of at most ``block`` (default ``_NODE_BLOCK``) nodes, ``x`` their
+    coordinates and ``at`` their slice: whole rows of the last ``n - m``
+    axes, ``m`` as small as a block allows, so a block's coordinates are
+    broadcast copies of the axes."""
+    n, N, counts, block = spec.dims, spec.size, spec.shape, block or _NODE_BLOCK
     axes = [spec.coordinates(d) for d in range(n)]
-    m = next(m for m in range(1, n + 1) if math.prod(counts[m:]) <= _NODE_BLOCK)
+    m = next(m for m in range(1, n + 1) if math.prod(counts[m:]) <= block)
     per = math.prod(counts[m:])
-    rows, step = N // per, _NODE_BLOCK // per
+    rows, step = N // per, block // per
     entries = None
     for r in range(0, rows, step):
         lead = np.unravel_index(np.arange(r, min(r + step, rows)), counts[:m])
@@ -387,6 +394,17 @@ def _diffusion_rate(o: tuple, a, h: np.ndarray, pairs, out: np.ndarray,
     return out
 
 
+def _fold(row: np.ndarray):
+    """A per-node row as a stencil keeps it: ``None`` where it is zero at
+    every node, the float where it has one value at every node, else the
+    row itself."""
+    if not row.any():
+        return None
+    if np.all(row == row[0]):
+        return float(row[0])
+    return row
+
+
 class _Block:
     """The views one block of the span gives a step or an argmax, for one
     parity of the ping-pong buffers: ``src`` and ``out`` are the centre
@@ -394,10 +412,11 @@ class _Block:
     base weight with its shifted source, ``diffs`` each difference row with
     its shifted source, and ``plan`` holds each candidate's terms as
     ``(difference row, coefficient)``; ``scores``, ``better`` (the argmax's
-    flags) and ``tmp`` are scratch rows shared by all blocks."""
+    flags) and ``tmp`` are scratch rows shared by all blocks, and
+    ``dynamic`` is what the dynamic candidate compiled for the block."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
-                 "scores", "better", "tmp")
+                 "scores", "better", "tmp", "dynamic")
 
 
 class _Stencil:
@@ -407,7 +426,8 @@ class _Stencil:
     them weights with ``dt`` and the kill mask folded in.  ``C[j, k]`` is
     candidate ``k``'s rate towards ``offsets[j]``, unmasked so the argmax
     policy is defined on boundary nodes too; ``dynamic`` rewrites the last
-    candidate's rates at every evaluation.
+    candidate's rates on every block of every evaluation, from the block's
+    differences.
 
     Storage: only what a step, the monotonicity check and the argmax read.
     ``add_candidate`` compiles each candidate's score ``sum_j C[j,k] (P[o_j]
@@ -439,8 +459,11 @@ class _Stencil:
     docstring); a span no longer is one block.  The differences, the two
     score rows and ``_tmp`` are one block long and shared by all blocks.
     ``compile`` slices every block's views once, for both buffer parities
-    (``_blocks``).  The ghosts and the dynamic candidate's rates are
-    refreshed over the whole span before the block loop.
+    (``_blocks``), and has the dynamic candidate compile its own per block.
+    Only the ghosts are refreshed over the whole span before the block
+    loop; the dynamic candidate rewrites its rows on each block once its
+    differences are formed, and the check of a rate that went negative runs
+    over the whole span after the loop.
 
     Placement (:func:`_aligned`): the centre view of each ping-pong buffer,
     every weight, every candidate row and every scratch array a step reads
@@ -479,6 +502,7 @@ class _Stencil:
         self.offsets = list(offsets)
         self._plan, self._rows, self._dynamic_rows = [], {}, None
         self.dynamic = self.W = None
+        self._negative = False
         self._centre = (0,) * n
         self._bufs = [_aligned(size + 2 * margin, lead=margin + first, phase=phase)
                       for phase in (0, _PAGE // 2)]
@@ -507,10 +531,11 @@ class _Stencil:
         ``rows[j]`` at the nodes (an iterable, consumed one row at a time)."""
         terms = []
         for j, at in enumerate(rows):
-            if not at.any():
+            at = _fold(at)
+            if at is None:
                 continue
-            if np.all(at == at[0]):
-                terms.append((j, float(at[0])))
+            if isinstance(at, float):
+                terms.append((j, at))
                 continue
             at = np.ascontiguousarray(at)
             key = hashlib.blake2b(at, digest_size=16).digest()
@@ -540,12 +565,14 @@ class _Stencil:
         # The plan's terms on each block, shared by both buffer parities.
         plans = [[[(self._diffs[j][:b - a], c if isinstance(c, float) else c[a:b])
                    for j, c in terms] for terms in self._plan] for a, b in ranges]
+        dynamic = (self.dynamic.blocks(ranges, self._diffs) if self.dynamic is not None
+                   else [None] * len(ranges))
         self._blocks = []
         for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
             blocks = []
-            for (a, b), plan in zip(ranges, plans):
+            for (a, b), plan, dyn in zip(ranges, plans, dynamic):
                 block, at = _Block(), slice(a, b)
-                block.at, block.plan, block.tmp = at, plan, self._tmp[:b - a]
+                block.at, block.plan, block.tmp, block.dynamic = at, plan, self._tmp[:b - a], dyn
                 block.src, block.out = src[self._centre][at], out[self._centre][at]
                 block.W0 = self.W0[at] if self.W is not None else None
                 block.dt_mask = self.dt_mask[at] if self.W is not None else None
@@ -618,15 +645,19 @@ class _Stencil:
                      "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
 
     def _refresh(self):
-        """Over the whole span: the ghosts of the current field, then the
-        dynamic candidate's rates against it."""
+        """The ghosts of the current field, over the whole span."""
         for ghost, node in self._ghosts[self._cur]:
             np.copyto(ghost, node)
-        if self.dynamic is not None:
-            self.dynamic.update(self._views[self._cur])
-            # Its centre weight is covered by the CFL load and drift rates
-            # are nonnegative, so only a negative rate needs the full check.
-            if self.W is not None and np.min(self._dynamic_rows) < 0.0:
+
+    def _check_dynamic(self):
+        """After a block loop, the full check of the dynamic candidate on
+        its rows of every block, when one went negative on some block.  Its
+        centre weight is covered by the CFL load and drift rates are
+        nonnegative, so only a negative rate needs the check; a stencil
+        without ``dt`` folded in has no weights to check."""
+        if self._negative:
+            self._negative = False
+            if self.W is not None:
                 self._check(len(self._plan) - 1)
 
     @staticmethod
@@ -654,8 +685,12 @@ class _Stencil:
         the differences, then a pairwise maximum chain in candidate order,
         the order in which ``np.max(axis=0)`` reduces, folding in each
         score, written to the second row, while it is still in cache.  With
-        ``index``, the argmax too, moved only by a strictly greater score."""
+        ``index``, the argmax too, moved only by a strictly greater score.
+        The dynamic candidate rewrites its rows on the block from the
+        differences first."""
         self._differences(block)
+        if self.dynamic is not None and self.dynamic.update(block):
+            self._negative = True
         best, score = block.scores
         self._score(block.plan[0], best, block.tmp)
         for k in range(1, len(block.plan)):
@@ -680,6 +715,7 @@ class _Stencil:
                 best = self._max_score(block)
                 best *= block.dt_mask
                 out += best
+        self._check_dynamic()
 
     def argmax(self) -> np.ndarray:
         """Index of the best candidate per node against the current field,
@@ -690,6 +726,7 @@ class _Stencil:
         arg = np.zeros(self.span, dtype=np.int64)
         for block in self._blocks[self._cur]:
             self._max_score(block, arg[block.at])
+        self._check_dynamic()
         return arg[self.pos]
 
 
@@ -750,10 +787,11 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     del distinct
     if quad is not None:
         # Affine drift peaks at a box corner, so only the critical
-        # candidate's noise needs its own (interval max) bound.
+        # candidate's noise needs its own (interval max) bound; an entry
+        # the fit folded to a float is broadcast to the nodes.
         bound = quad.gram_bound()
         node_load = np.maximum(node_load, drift_peak + _diffusion_load(
-            lambda i, j: bound[(i, j)], h, pairs))
+            lambda i, j: np.broadcast_to(bound[(i, j)], drift_peak.shape), h, pairs))
         del bound, drift_peak
     load = float(np.max(node_load[interior])) if np.any(interior) else 0.0
     del diff_loads, node_load
@@ -982,24 +1020,43 @@ class _QuadraticInput:
     Gram ``c0 + c1 u + c2 u^2`` (exact when the Gram is quadratic): one more
     candidate, recomputed at every node and step and scored with the upwind
     generator like the others.  The Gram is fitted here; the drift is read
-    from the two corners in :meth:`bind`."""
+    from the two corners in :meth:`bind`.
+
+    The stationary point is ``lin / quad`` (the lower bound where ``quad``
+    vanishes), clamped to the input interval.  Both are linear in the
+    field: ``lin = sum_j L_j (P[o_j] - P)`` and ``quad = sum_j Q_j (P[o_j]
+    - P)`` over the stencil's offsets, from the central gradient, the
+    diagonal and the cross Hessian, which read only stencil offsets.  So
+    :meth:`update` forms them on each block of a step or an argmax from the
+    differences the stencil has just formed there, then the Gram entries
+    that depend on ``u`` (Horner), the diffusion rates through
+    :func:`_diffusion_rate`, the drift and the candidate's rows, into
+    block-long scratch and the block's slice of the span-long ``ustar`` and
+    rows.  :meth:`bind` compiles every coefficient once per operator, and
+    :meth:`blocks` slices them per block when the stencil compiles."""
 
     def __init__(self, sys: SystemModel, upper: list):
-        # The fit at the Gram entries ``upper``, kept for the diagonal and
-        # the off-diagonal entries not zero at every node (the cross pairs).
+        # The fit at the Gram entries ``upper``, each coefficient folded
+        # (:func:`_fold`), kept for the diagonal and the off-diagonal entries
+        # not zero at every node (the cross pairs).  It holds three Gram
+        # samples and their combinations, about eight Grams per node, so it
+        # runs on an eighth of the usual node block.
         coefs = _node_entries(sys.grid, lambda x, at: sys.fit_quadratic(
-            lambda U: [sys.gram(x, np.full((len(x), 1), u)) for u in U[:, 0]]), upper)
+            lambda U: [sys.gram(x, np.full((len(x), 1), u)) for u in U[:, 0]]), upper,
+            _NODE_BLOCK // 8)
+        coefs = [{key: _fold(c.pop(key)) for key in upper} for c in coefs]
         for i, j in upper:
-            if i != j and not any(np.any(c[(i, j)] != 0.0) for c in coefs):
+            if i != j and all(c[(i, j)] is None for c in coefs):
                 for c in coefs:
                     del c[(i, j)]
         self.c0, self.c1, self.c2 = coefs
         self.lo, self.hi = sys.input_lower[0], sys.input_upper[0]
-        # Diagonal entries first, as the stationary-point sums are ordered.
-        self.varying = sorted(
-            [(i, j) for (i, j) in self.c0
-             if np.any(self.c1[(i, j)] != 0.0) or np.any(self.c2[(i, j)] != 0.0)],
-            key=lambda p: p[0] != p[1])
+        self.varying = [key for key in self.c0
+                        if self.c1[key] is not None or self.c2[key] is not None]
+
+    def _coefficients(self, key) -> tuple:
+        """``(c0, c1, c2)`` of Gram entry ``key``, 0.0 for a dropped one."""
+        return tuple(0.0 if c[key] is None else c[key] for c in (self.c0, self.c1, self.c2))
 
     def gram_bound(self) -> dict:
         """Entrywise max of ``|a(u)|`` over the input interval (for the CFL
@@ -1007,9 +1064,8 @@ class _QuadraticInput:
         lo, hi = self.lo, self.hi
         bound = {}
         for key in self.c0:
-            out = []
-            for c0, c1, c2 in ((self.c0[key], self.c1[key], self.c2[key]),
-                               (-self.c0[key], -self.c1[key], -self.c2[key])):
+            out, (c0, c1, c2) = [], self._coefficients(key)
+            for c0, c1, c2 in ((c0, c1, c2), (-c0, -c1, -c2)):
                 m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
                 crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
                 inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
@@ -1025,121 +1081,164 @@ class _QuadraticInput:
 
     def bind(self, stencil: "_Stencil", rows: np.ndarray, h, F_lo: dict, F_hi: dict,
              drift_dims, diff_offsets, pairs):
-        """Compile the per-step work onto the stencil's span, once per apply:
-        the offsets, the padded coefficients, the constant products
-        ``c * c1`` and ``c * c2``, and one buffer for every per-step array.
-        ``rows`` are the candidate's rows on the stencil, ``F_lo`` and
-        ``F_hi`` the drift components ``drift_dims`` at the lower and upper
-        input.  Rates that none of the rows reads are not built."""
-        n, span, pad = len(h), stencil.span, stencil.pad
-        at = lambda *moves: _offset(n, *moves)
-        self.h, self.pairs, self._v0 = h, pairs, (0,) * n
+        """Compile the per-step work once per operator.  ``rows`` are the
+        candidate's rows on the stencil, ``F_lo`` and ``F_hi`` the drift
+        components ``drift_dims`` at the lower and upper input,
+        ``diff_offsets`` the offsets whose diffusion rate depends on the
+        input.  Every coefficient, ``L_j``, ``Q_j``, the Gram's ``c0``,
+        ``c1``, ``c2`` and the drift's ``f0``, ``g1``, is kept as a stencil
+        keeps a candidate row (:func:`_fold`): dropped where zero at every
+        node, a float where it has one value, else padded."""
+        n, offsets = len(h), stencil.offsets
+
+        def kept(c):
+            """``c`` (None, a float or a per-node row) folded and padded."""
+            c = None if c is None else _fold(np.atleast_1d(c))
+            return stencil.pad(c) if isinstance(c, np.ndarray) else c
+
+        def poly(*coefs):
+            """Coefficients, lowest first, without the zero ones on top."""
+            coefs = [kept(c) for c in coefs]
+            while coefs and coefs[-1] is None:
+                coefs.pop()
+            return tuple(coefs)
+
+        self.h, self.pairs, self.ustar = h, pairs, _aligned(stencil.span)
         g1 = {i: (F_hi[i] - F_lo[i]) / (self.hi - self.lo) for i in drift_dims}
         f0 = {i: F_lo[i] - g1[i] * self.lo for i in drift_dims}
-        # Terms of the stationary-point sums, in their order of addition.
-        self._grads = [(i, at((i, -1)), at((i, 1)), pad(g1[i])) for i in drift_dims]
-        self._curvs = []
-        for i, j in self.varying:
-            c = 0.5 if i == j else 1.0
-            keys = ([at((i, 1)), at((i, -1))] if i == j else
-                    [at((i, 1)), at((i, -1)), at((j, 1)), at((j, -1))]
-                    + [at((i, si), (j, sj)) for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1))])
-            self._curvs.append((i, j, keys, pad(c * self.c1[(i, j)]), pad(c * self.c2[(i, j)])))
-        self._v2, self._lin, self._quad, self._u = (_aligned(span) for _ in range(4))
-        self._t = _aligned((3, span))
-        self._safe = _aligned(span, bool)
-        self.ustar = self._u
-        # Gram entries; input-dependent ones get a buffer.  Every rate the
-        # rows read depends on the input (the offsets come from ``touched``).
-        self._coef = {(i, j): tuple(pad(c[(i, j)]) for c in (self.c0, self.c1, self.c2))
-                      for i, j in self.varying}
-        entries = {key: _aligned(span) if key in self._coef else pad(self.c0[key])
-                   for key in self.c0}
-        self._gram = lambda i, j: entries[(i, j)]
-        # One diffusion rate per offset up to sign.
-        self._rates = {o: _aligned(span) for o in sorted({_unsigned(o) for o in diff_offsets})}
-        self._drift = {i: (pad(f0[i]), g1, _aligned(span)) for i, _, _, g1 in self._grads}
-        # Per candidate offset: its row, the drift component it moves along
-        # (with the step's sign and the spacing) or None, and its diffusion
-        # rate or 0.0.
-        self._rows = []
-        for j, o in enumerate(stencil.offsets):
+        # u* = lin / quad, the sign of lin and the factor 2 of quad folded in:
+        #   lin  = -(grad.g1 + 1/2 sum_ij H_ij c1_ij),  quad = sum_ij H_ij c2_ij,
+        # with grad_i = (d+ - d-) / 2h_i, H_ii = (d+ + d-) / h_i^2 and
+        # H_ij = (d++ + d-- - d+- - d-+) / 4 h_i h_j, d_o = P[o] - P.
+        # Per offset also the candidate's row, the drift component it moves
+        # along (with the step's sign and the spacing) or None, and its
+        # diffusion rate (unsigned offset) or None.  Only an axis rate of a
+        # dimension in a cross pair can go negative.
+        self._lin, self._quad, self._rows, self._checked = [], [], [], []
+        for j, o in enumerate(offsets):
             moved = [d for d in range(n) if o[d]]
-            d = moved[0]
-            drift = (self._drift[d][2], o[d], h[d]) if len(moved) == 1 and d in self._drift else None
-            rate = self._rates[_unsigned(o)] if o in diff_offsets else 0.0
+            i, lin, quad = moved[0], 0.0, 0.0
+            if len(moved) == 1:
+                if i in g1:
+                    lin = lin - o[i] * g1[i] / (2.0 * h[i])
+                if (i, i) in self.varying:
+                    _, c1, c2 = self._coefficients((i, i))
+                    lin = lin - 0.5 * c1 / h[i] ** 2
+                    quad = quad + c2 / h[i] ** 2
+            elif tuple(moved) in self.varying:
+                k, s = moved[1], o[i] * o[moved[1]]
+                _, c1, c2 = self._coefficients((i, k))
+                lin = lin - s * c1 / (4.0 * h[i] * h[k])
+                quad = quad + s * c2 / (2.0 * h[i] * h[k])
+            for terms, c in ((self._lin, kept(lin)), (self._quad, kept(quad))):
+                if c is not None:
+                    terms.append((j, c))
+            drift = (i, o[i], h[i]) if len(moved) == 1 and i in g1 else None
+            rate = _unsigned(o) if o in diff_offsets else None
             self._rows.append((rows[j], drift, rate))
+            if len(moved) == 1 and rate is not None and any(i in pair for pair in pairs):
+                self._checked.append(rows[j])
+        # Gram entries: input-dependent ones by Horner in u, the others fixed.
+        self._coefs = {key: poly(self.c0[key], self.c1[key], self.c2[key])
+                       for key in self.varying}
+        self._fixed = {key: 0.0 if c is None else kept(c)
+                       for key, c in self.c0.items() if key not in self._coefs}
+        # One diffusion rate per offset up to sign.
+        self._rates = sorted({_unsigned(o) for o in diff_offsets})
+        # The drift components, None where one is u itself (f0 dropped, g1 1).
+        self._drift = {i: poly(f0[i], g1[i]) for i in drift_dims}
+        for i, c in self._drift.items():
+            if c[0] is None and isinstance(c[1], float) and c[1] == 1.0:
+                self._drift[i] = None
         del self.c0, self.c1, self.c2
 
-    def update(self, src: dict):
-        """Write the critical input's rates into the stencil's last
-        candidate; ``src`` maps offsets to the shifted field."""
-        h, v0, v2, lin, quad, u = self.h, src[self._v0], self._v2, self._lin, self._quad, self._u
-        t, t2, faces = self._t
-        # d/du [ grad.f0 + grad.(g1 u) + 1/2 sum H_ij (c0+c1 u+c2 u^2)_ij ]
-        #   = grad.g1 + 1/2 sum H_ij c1_ij + u sum H_ij c2_ij
-        lin.fill(0.0)
-        quad.fill(0.0)
-        for i, minus, plus, g1 in self._grads:
-            np.subtract(v0, src[minus], out=t)
-            t /= h[i]
-            np.subtract(src[plus], v0, out=t2)
-            t2 /= h[i]
-            t += t2
-            t /= 2.0
-            t *= g1
-            lin += t
-        np.multiply(2.0, v0, out=v2)
-        for i, j, keys, cc1, cc2 in self._curvs:
-            if i == j:
-                np.subtract(src[keys[0]], v2, out=t)
-                t += src[keys[1]]
-                t /= h[i] ** 2
-            else:
-                ip, im, jp, jm, pp, mm, pm, mp = (src[k] for k in keys)
-                denom = 2.0 * h[i] * h[j]
-                np.add(ip, im, out=faces)
-                faces += jp
-                faces += jm
-                np.add(v2, pp, out=t2)
-                t2 += mm
-                t2 -= faces
-                t2 /= denom
-                np.add(v2, pm, out=t)
-                t += mp
-                t -= faces
-                np.negative(t, out=t)
-                t /= denom
-                t += t2
-                t *= 0.5  # the 4-point central stencil
-            np.multiply(cc1, t, out=t2)
-            lin += t2
-            np.multiply(cc2, t, out=t2)
-            quad += t2
-        np.multiply(2.0, quad, out=quad)
-        np.greater(np.abs(quad, out=t), 1e-300, out=self._safe)
-        np.negative(lin, out=lin)
-        u.fill(self.lo)
-        np.divide(lin, quad, out=u, where=self._safe)
-        np.clip(u, self.lo, self.hi, out=u)
+    def blocks(self, ranges, diffs: dict) -> list:
+        """Per block ``(start, stop)`` of the span, the views :meth:`update`
+        reads and writes: the stencil's differences ``diffs`` (offset index
+        to a block-long row), the coefficients' and the rows' slices, and
+        scratch rows one block long, shared by all blocks."""
+        length = ranges[0][1]
+        lin, quad, tmp = _aligned((3, length))
+        safe = _aligned(length, bool)
+        grams = {key: _aligned(length) for key in self._coefs}
+        rates = {o: _aligned(length) for o in self._rates}
+        drift = {i: _aligned(length) for i, c in self._drift.items() if c is not None}
+        out = []
+        for a, b in ranges:
+            m = b - a
+            cut = lambda c: c[a:b] if isinstance(c, np.ndarray) else c
+            block = _CriticalBlock()
+            block.u, block.lin, block.quad = self.ustar[a:b], lin[:m], quad[:m]
+            block.tmp, block.safe = tmp[:m], safe[:m]
+            block.lin_terms = [(diffs[j][:m], cut(c)) for j, c in self._lin]
+            block.quad_terms = [(diffs[j][:m], cut(c)) for j, c in self._quad]
+            block.grams = [(tuple(cut(c) for c in coefs), grams[key][:m])
+                           for key, coefs in self._coefs.items()]
+            entries = {key: g[:m] for key, g in grams.items()}
+            entries.update({key: cut(c) for key, c in self._fixed.items()})
+            block.gram = lambda i, j, entries=entries: entries[(i, j)]
+            block.rates = [(o, rates[o][:m]) for o in self._rates]
+            block.drift = [(tuple(cut(c) for c in self._drift[i]), f[:m])
+                           for i, f in drift.items()]
+            fs = {i: block.u if c is None else drift[i][:m] for i, c in self._drift.items()}
+            block.rows = [(row[a:b], None if d is None else (fs[d[0]], *d[1:]),
+                           0.0 if r is None else rates[r][:m]) for row, d, r in self._rows]
+            block.checked = [row[a:b] for row in self._checked]
+            out.append(block)
+        return out
 
-        for (i, j), (c0, c1, c2) in self._coef.items():
-            a = self._gram(i, j)
-            np.multiply(u, c2, out=a)
-            np.add(c1, a, out=a)
-            a *= u
-            np.add(c0, a, out=a)
-        for o, rate in self._rates.items():
-            _diffusion_rate(o, self._gram, h, self.pairs, rate, t)
-        for f0, g1, f in self._drift.values():
-            np.multiply(g1, u, out=f)
-            np.add(f0, f, out=f)
-        for row, drift, rate in self._rows:
+    def update(self, block: "_Block") -> bool:
+        """Write the critical input and its rates into the stencil's last
+        candidate on ``block``, from the differences the step has just
+        formed there; true when a row that can go negative has."""
+        c = block.dynamic
+        u, lin, quad, tmp = c.u, c.lin, c.quad, c.tmp
+        _Stencil._score(c.lin_terms, lin, tmp)
+        _Stencil._score(c.quad_terms, quad, tmp)
+        np.greater(np.abs(quad, out=tmp), 1e-300, out=c.safe)
+        u.fill(self.lo)
+        np.divide(lin, quad, out=u, where=c.safe)
+        np.clip(u, self.lo, self.hi, out=u)
+        for coefs, a in c.grams:
+            _horner(coefs, u, a)
+        for o, rate in c.rates:
+            _diffusion_rate(o, c.gram, self.h, self.pairs, rate, tmp)
+        for coefs, f in c.drift:
+            _horner(coefs, u, f)
+        for row, drift, rate in c.rows:
             if drift is None:
                 np.add(0.0, rate, out=row)
                 continue
             _upwind(*drift, out=row)
             row += rate
+        return any(np.min(row) < 0.0 for row in c.checked)
+
+
+class _CriticalBlock:
+    """What :class:`_QuadraticInput` compiled for one block of the span:
+    ``u``, the block's slice of the critical input; ``lin`` and ``quad``,
+    the stationary point's numerator and denominator, with their terms
+    ``(difference row, coefficient)``; the Gram entries it forms
+    (``(coefficients, out)``) and ``gram(i, j)`` reading every entry; the
+    rates (``(unsigned offset, out)``); the drift components it forms; the
+    candidate's rows with their drift and rate; the rows that can go
+    negative; and the scratch ``tmp`` and ``safe``."""
+
+    __slots__ = ("u", "lin", "quad", "tmp", "safe", "lin_terms", "quad_terms", "grams",
+                 "gram", "rates", "drift", "rows", "checked")
+
+
+def _horner(coefs: tuple, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_k coefs[k] u**k`` into ``out`` by Horner's rule, from the
+    highest coefficient, which is not ``None``; a lower ``None`` is zero."""
+    *low, top = coefs
+    np.multiply(u, top, out=out)
+    for k in range(len(low) - 1, -1, -1):
+        if low[k] is not None:
+            np.add(low[k], out, out=out)
+        if k:
+            out *= u
+    return out
 
 
 def propagate_optimal(field: ScalarField, sys: SystemModel,

@@ -96,8 +96,13 @@ class TestLocatedValues:
          "2: key 'verify.residual_tol': expected a finite nonnegative number, got 'nan'"),
         ("verify", ["verify.residual_tol = -1e-3"],
          "2: key 'verify.residual_tol': expected a finite nonnegative number, got '-1e-3'"),
+        # used to run one thread, exit 0 and echo the value
+        ("simulate", ["threads = 0"], "2: key 'threads': expected a positive integer, got '0'"),
+        # used to run the single level and echo the value into metadata.txt
+        ("synthesize", ["iteration.coarse_ladder = 2"],
+         "2: key 'iteration.coarse_ladder': expected 0 or 1, got '2'"),
     ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_tolerance",
-            "negative_tolerance"])
+            "negative_tolerance", "threads_below_one", "ladder_levels"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
@@ -114,7 +119,16 @@ class TestLocatedValues:
         assert run("simulate", "--config", str(cfg), "--artifacts", str(brownian_artifacts),
                    "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == (
-            "error: SCBF_THREADS: key 'threads': expected int, got 'x'\n")
+            "error: SCBF_THREADS: key 'threads': expected a positive integer, got 'x'\n")
+
+    def test_threads_env_below_one(self, tmp_path, capsys, brownian_artifacts, monkeypatch):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n")
+        monkeypatch.setenv("SCBF_THREADS", "-3")
+        assert run("simulate", "--config", str(cfg), "--artifacts", str(brownian_artifacts),
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: SCBF_THREADS: key 'threads': expected a positive integer, got '-3'\n")
 
     # A number flag is cast by its key's caster, as a config line is; an
     # argparse type used to end these in a usage dump and exit code 2.
@@ -126,11 +140,13 @@ class TestLocatedValues:
          "key 'propagation.horizon': expected float, got 'abc'"),
         ("synthesize", "--tol", "x", "key 'iteration.tol': expected float, got 'x'"),
         ("synthesize", "--trials", "2.5", "key 'simulation.trials': expected int, got '2.5'"),
-        ("synthesize", "--threads", "2.5", "key 'threads': expected int, got '2.5'"),
+        ("synthesize", "--threads", "2.5",
+         "key 'threads': expected a positive integer, got '2.5'"),
+        ("simulate", "--threads", "-3", "key 'threads': expected a positive integer, got '-3'"),
         ("simulate", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
         ("filter", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
-    ], ids=["grid", "seed", "horizon", "tol", "trials", "threads", "simulate_gamma",
-            "filter_gamma"])
+    ], ids=["grid", "seed", "horizon", "tol", "trials", "threads", "threads_below_one",
+            "simulate_gamma", "filter_gamma"])
     def test_flag(self, tmp_path, capsys, command, flag, value, message):
         extra = {"synthesize": [],
                  "simulate": ["--artifacts", str(tmp_path)],

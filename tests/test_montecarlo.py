@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -140,6 +141,15 @@ class TestSafetyCurve:
         assert len(chunks) == 3
         assert threading.get_ident() not in {c[2] for c in chunks}
         assert np.array_equal(c1.alive_counts, c3.alive_counts)
+
+    @pytest.mark.parametrize("threads, message", [
+        (0, "threads must be at least 1, got 0"), (-3, "threads must be at least 1, got -3"),
+        (2.5, "threads must be an integer, got 2.5")])
+    def test_thread_count_below_one_or_fractional_rejected(self, brownian, threads, message):
+        # These used to run one thread without a word.
+        cfg = SimConfig(t_end=0.1, trials=10, seed=1, controller=OpenLoopController([0.0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_safety_curve(brownian, cfg, [0.0], threads=threads)
 
     def test_noise_block_length_invariance(self, brownian, monkeypatch):
         # Drawing a trial's normals in blocks of any length gives the same

@@ -11,10 +11,14 @@ and one fixed-policy ``propagate`` on the ``bicycle`` grid.  A rewrite of the st
 reproduce them exactly (``np.array_equal`` and equal bytes), not within a
 tolerance.  Every case is also rerun with blocks of a step far shorter
 than its span, so the blocked step is pinned on several blocks and a short
-last one.
+last one.  The critical input is also checked, on one and on several
+blocks, against the vertex of the central-difference generator evaluated
+from the model's callbacks, which is exactly quadratic in the input.
 
-``PYTHONPATH=src python tests/test_pinned_optimal.py`` re-records the file
-from the current code; do that only for a deliberate change of outputs.
+``PYTHONPATH=src python tests/test_pinned_optimal.py KEY...`` re-records the named
+keys from the current code and prints each one's max |delta|; it writes
+nothing and exits 1 if a key not named would change (``rerecord.py``).  Do
+that only for a deliberate change of outputs.
 """
 
 from pathlib import Path
@@ -60,6 +64,31 @@ def _cross_input_noise(counts):
 
     grid = GridSpec([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], counts, periodic=[False, False, True])
     return SystemModel(name="cross_input_noise", n_x=3, n_u=1, n_w=3, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=grid, safe_set=ImplicitSet("box"))
+
+
+def _varying_input_noise(counts=(21, 41)):
+    """A double integrator whose input gain, drift and input noise vary over
+    the state, so every coefficient of the critical input is a row of its
+    own: ``f_v = (1 + 0.5 x) u - 0.2 v`` and ``a_vv = 0.5 + 0.2 x + 0.1 x u +
+    (0.3 + 0.2 v^2) u^2``."""
+
+    def drift(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        return np.stack(np.broadcast_arrays(x[..., 1], (1.0 + 0.5 * x[..., 0]) * u
+                                            - 0.2 * x[..., 1]), axis=-1)
+
+    def diffusion(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        p, v, u = np.broadcast_arrays(x[..., 0], x[..., 1], u)
+        s = np.zeros(p.shape + (2, 2))
+        s[..., 0, 0] = 0.3
+        s[..., 1, 1] = np.sqrt(0.5 + 0.2 * p + 0.1 * p * u + (0.3 + 0.2 * v**2) * u**2)
+        return s
+
+    grid = GridSpec([-1.0, -2.0], [1.0, 2.0], counts)
+    return SystemModel(name="varying_input_noise", n_x=2, n_u=1, n_w=2, drift=drift,
                        diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
                        grid=grid, safe_set=ImplicitSet("box"))
 
@@ -165,6 +194,77 @@ def test_policies_are_not_trivial(pinned):
         assert np.count_nonzero((u > -1.0) & (u < 1.0)) > 10, name
 
 
+def _central_generator(sys, values, u):
+    """The central-difference generator ``grad_c P . f(x, u) + 1/2 tr(H_c
+    a(x, u))`` at every node for the scalar input ``u``, from the model's
+    drift and Gram, and the sum of the absolute values of its terms.  Values
+    beyond the grid read zero in a non-periodic dimension and wrap around in
+    a periodic one."""
+    spec = sys.grid
+    n, h, shape = spec.dims, spec.spacing, spec.shape
+    padded = np.pad(values.reshape(shape), 1, mode="wrap")
+    for d in range(n):
+        if not spec.periodic[d]:
+            padded[(slice(None),) * d + (0,)] = 0.0
+            padded[(slice(None),) * d + (-1,)] = 0.0
+
+    def at(*moves):
+        step = dict(moves)
+        return padded[tuple(slice(1 + step.get(d, 0), 1 + step.get(d, 0) + shape[d])
+                            for d in range(n))].ravel()
+
+    nodes = spec.nodes()
+    U = np.full((spec.size, 1), u)
+    f, a = sys.drift(nodes, U), sys.gram(nodes, U)
+    terms = []
+    for i in range(n):
+        terms.append((at((i, 1)) - at((i, -1))) / (2.0 * h[i]) * f[:, i])
+        terms.append(0.5 * (at((i, 1)) - 2.0 * at() + at((i, -1))) / h[i] ** 2 * a[:, i, i])
+        for j in range(i + 1, n):
+            cross = (at((i, 1), (j, 1)) + at((i, -1), (j, -1))
+                     - at((i, 1), (j, -1)) - at((i, -1), (j, 1)))
+            terms.append(cross / (4.0 * h[i] * h[j]) * a[:, i, j])
+    return np.sum(terms, axis=0), np.sum(np.abs(terms), axis=0)
+
+
+@pytest.mark.parametrize("block", [None, 512])
+@pytest.mark.parametrize("name", ["di_input_noise", "cross_input_noise", "varying_input_noise"])
+def test_critical_input_is_the_clamped_vertex(monkeypatch, name, block):
+    # The central generator is exactly quadratic in a scalar input when the
+    # drift is affine and the Gram quadratic in it; three inputs give its
+    # coefficients, and the critical input is its vertex clamped to the box
+    # (the lower bound where it is flat).  Compared wherever the curvature
+    # exceeds 1e-6 of the terms, where roundoff moves the vertex by about
+    # 1e-10 at most; blocks of 512 positions split both spans.
+    if block is not None:
+        monkeypatch.setattr(semigroup, "_SPAN_BLOCK", block)
+    sys = _varying_input_noise() if name == "varying_input_noise" else _system(name)
+    assert sys.regime == "quadratic"
+    rng = np.random.default_rng(41)
+    values = np.where(sys.interior_mask(), rng.uniform(0.1, 1.0, sys.grid.size), 0.0)
+    op = semigroup._Operator(sys, PropagationConfig(horizon=0.0))
+    assert (len(semigroup._block_ranges(op.stencil.span)) > 1) == (block is not None)
+    op.apply(values)
+    op.stencil.argmax()
+    ustar = op.stencil.dynamic.ustar[op.stencil.pos]
+
+    lo, hi = sys.input_lower[0], sys.input_upper[0]
+    (g_lo, t_lo), (g_mid, t_mid), (g_hi, t_hi) = (
+        _central_generator(sys, values, u) for u in (lo, 0.5 * (lo + hi), hi))
+    width = hi - lo
+    c2 = (g_lo + g_hi - 2.0 * g_mid) * 2.0 / width**2
+    c1 = (g_hi - g_lo) / width - c2 * (lo + hi)
+    scale = np.maximum(np.maximum(t_lo, t_mid), t_hi)
+    well = np.abs(c2) > 1e-6 * scale
+    vertex = np.clip(-c1[well] / (2.0 * c2[well]), lo, hi)
+    assert np.count_nonzero(well) > 0.8 * sys.grid.size
+    np.testing.assert_allclose(ustar[well], vertex, rtol=0.0, atol=1e-9)
+    assert np.count_nonzero((vertex > lo) & (vertex < hi)) > 10  # not all clamped
+
+
 if __name__ == "__main__":
-    np.savez_compressed(DATA, **_record())
-    print(f"wrote {DATA}")
+    import sys
+
+    from rerecord import main
+
+    sys.exit(main(DATA, _record(), sys.argv[1:], np.savez_compressed))

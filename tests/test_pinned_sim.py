@@ -14,8 +14,10 @@ moved to one coefficient path with one summation order (``affine_a0`` 6 of
 ``*_value`` key unchanged).  Any rewrite of those hot paths must reproduce
 them exactly (``np.array_equal``), not within a tolerance.
 
-``PYTHONPATH=src python tests/test_pinned_sim.py`` re-records the file
-from the current code; do that only for a deliberate change of outputs.
+``PYTHONPATH=src python tests/test_pinned_sim.py KEY...`` re-records the named
+keys from the current code and prints each one's max |delta|; it writes
+nothing and exits 1 if a key not named would change (``rerecord.py``).  Do
+that only for a deliberate change of outputs.
 """
 
 import math
@@ -211,5 +213,8 @@ def test_interpolation(pinned):
 
 
 if __name__ == "__main__":
-    np.savez(DATA, **_record())
-    print(f"wrote {DATA}")
+    import sys
+
+    from rerecord import main
+
+    sys.exit(main(DATA, _record(), sys.argv[1:], np.savez))

@@ -280,6 +280,17 @@ def test_step_matches_generator_on_every_layout(seed, dims):
         assert (out[node] - f.values[node]) / dt == pytest.approx(gen, rel=1e-9, abs=1e-9)
 
 
+def _critical_arrays(c):
+    """Every array one block of the critical input reads or writes: its
+    slice of the input, its scratch, coefficients, rates and rows."""
+    found = [c.u, c.lin, c.quad, c.tmp, c.safe]
+    found += [x for terms in (c.lin_terms, c.quad_terms) for pair in terms for x in pair]
+    found += [x for coefs, out in c.grams + c.drift for x in (*coefs, out)]
+    found += [out for _, out in c.rates] + c.checked
+    found += [x for row, drift, rate in c.rows for x in (row, *(drift or ())[:1], rate)]
+    return [x for x in found if isinstance(x, np.ndarray)]
+
+
 def _step_arrays(stencil):
     """Every array a step reads at its own start or writes: weights, candidate
     rows, scratch (the maximum chain runs in the two score rows), and the
@@ -292,13 +303,11 @@ def _step_arrays(stencil):
               *(views[stencil._centre] for views in stencil._views)]
     quad = stencil.dynamic
     if quad is not None:
-        n = len(quad.h)
-        arrays += [quad._v2, quad._lin, quad._quad, quad._u, quad._safe, *quad._t,
-                   *quad._rates.values(), *(g1 for *_, g1 in quad._grads),
-                   *(c for *_, cc1, cc2 in quad._curvs for c in (cc1, cc2)),
-                   *(c for coefs in quad._coef.values() for c in coefs),
-                   *(a for f0, g1, f in quad._drift.values() for a in (f0, g1, f)),
-                   *(quad._gram(i, j) for i, j in [(i, i) for i in range(n)] + quad.pairs)]
+        coefs = [c for _, c in quad._lin + quad._quad] + list(quad._fixed.values())
+        coefs += [c for poly in [*quad._coefs.values(), *quad._drift.values()] if poly
+                  for c in poly]
+        arrays += [quad.ustar, *(c for c in coefs if isinstance(c, np.ndarray)),
+                   *_critical_arrays(stencil._blocks[0][0].dynamic)]
     return arrays
 
 
@@ -318,7 +327,8 @@ def _assert_placement(stencil):
                                          *(() if b.scores is None else b.scores),
                                          *(w for w, _ in b.weights), *(d for d, _ in b.diffs),
                                          *(c for terms in b.plan for pair in terms for c in pair
-                                           if isinstance(c, np.ndarray)))]
+                                           if isinstance(c, np.ndarray)),
+                                         *(_critical_arrays(b.dynamic) if b.dynamic else ()))]
     assert all(v.ctypes.data % 64 == 0 for v in views)
     assert all((b.out.ctypes.data - b.src.ctypes.data) % 4096 == 2048 for b in blocks)
     return blocks
@@ -476,17 +486,21 @@ def test_aligned_allocation():
 
 
 class _FieldRows:
-    """A dynamic last candidate: rewrites its rows from the field at every
-    evaluation, as the critical input does; row ``j`` is
+    """A dynamic last candidate: rewrites its rows from the field on every
+    block of every evaluation, as the critical input does; row ``j`` is
     ``a[j] + b[j] * P``, so a zero ``b[j]`` gives a node-constant row and a
     zero pair an all-zero one."""
 
-    def __init__(self, rows, a, b, centre):
-        self.rows, self.a, self.b, self.centre = rows, a, b, centre
+    def __init__(self, rows, a, b):
+        self.rows, self.a, self.b = rows, a, b
 
-    def update(self, src):
+    def blocks(self, ranges, diffs):
+        return [None] * len(ranges)
+
+    def update(self, block):
         for row, a, b in zip(self.rows, self.a, self.b):
-            np.multiply(src[self.centre], b, out=row)
+            row = row[block.at]
+            np.multiply(block.src, b, out=row)
             row += a
 
 
@@ -526,7 +540,7 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
     if dynamic:
         kinds = rng.integers(3, size=n_off)
         stencil.dynamic = _FieldRows(stencil.add_dynamic(), _wide(rng, n_off) * (kinds > 0),
-                                     _wide(rng, n_off) * (kinds > 1), stencil._centre)
+                                     _wide(rng, n_off) * (kinds > 1))
     stencil.compile()
     _assert_distinct_rows(stencil)
     values = _wide(rng, spec.size)
@@ -711,6 +725,55 @@ class TestMixedDerivativeStencil:
         for node in rng.choice(np.nonzero(sys.interior_mask())[0], size=40, replace=False):
             gen = apply_generator(f, sys, u, int(node))
             assert quotient[node] == pytest.approx(gen, rel=1e-9, abs=1e-9)
+
+
+def thin_input_noise_system():
+    """A quadratic-regime system on a (21, 41) grid over [-1, 1]^2 (h = 0.1,
+    0.05) with noise Gram ``[[2, c], [c, 0.1 + 0.5 u^2]]``, ``c = 0.2 (1 + x)``:
+    diagonally dominant (``a_vv / h_v >= |c| / h_x``) at the box corners
+    ``u = +-1`` but not near ``u = 0``, most of all at large ``x``."""
+
+    def drift(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        return np.stack(np.broadcast_arrays(x[..., 1], u), axis=-1)
+
+    def diffusion(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        c, u = np.broadcast_arrays(0.2 * (1.0 + x[..., 0]), u)
+        s = np.zeros(c.shape + (2, 2))
+        s[..., 0, 0], s[..., 1, 0] = np.sqrt(2.0), c / np.sqrt(2.0)
+        s[..., 1, 1] = np.sqrt(0.1 + 0.5 * u**2 - 0.5 * c**2)
+        return s
+
+    return SystemModel(name="thin_input_noise", n_x=2, n_u=1, n_w=2, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=GridSpec([-1.0, -1.0], [1.0, 1.0], (21, 41)),
+                       safe_set=ImplicitSet("box"))
+
+
+@pytest.mark.parametrize("block", [None, 512])
+def test_critical_input_with_non_dominant_noise_raises(monkeypatch, block):
+    # The critical input of a bump is near 0 along v = 0, where the axis
+    # rate towards (0, -+1) is negative; the step reports the worst node of
+    # the whole span, also when the span is split into blocks and the worst
+    # node lies in the second one.
+    if block is not None:
+        monkeypatch.setattr(semigroup, "_SPAN_BLOCK", block)
+    sys = thin_input_noise_system()
+    assert sys.regime == "quadratic"
+    nodes = sys.grid.nodes()
+    bump = (1.0 - nodes[:, 0] ** 2) * (1.0 - nodes[:, 1] ** 2)
+    f = ScalarField(sys.grid, np.where(sys.interior_mask(), bump, 0.0))
+    semigroup._take_idle()
+    try:
+        with pytest.raises(StabilityViolation) as raised:
+            propagate_optimal(f, sys, PropagationConfig(horizon=0.05))
+    finally:
+        semigroup._take_idle()
+    assert str(raised.value) == (
+        "non-monotone stencil under candidate 2: weight -2.571e-02 at node 799 (19, 20) "
+        "on offset (0, -1); the noise Gram matrix is not diagonally dominant "
+        "(a_ii/h_i >= sum_j |a_ij|/h_j)")
 
 
 @pytest.mark.parametrize("name, counts, kw", [

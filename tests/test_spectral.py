@@ -200,6 +200,70 @@ class TestPowerPolicyIteration:
         assert np.min(res.psi.values) >= 0.0
 
 
+def exact_optimal(sys, cfg):
+    """The exact discrete optimum over the optimal operator's candidates:
+    Howard policy iteration on the dense one-step matrices.  Each round
+    forms the fixed policy's one-step matrix ``S`` on the interior nodes
+    (one step of the optimal operator's ``dt``, one column per unit
+    vector), takes its Perron pair with ``np.linalg.eig``, and moves a node
+    to another candidate only where that candidate's one-step value beats
+    the current one's by more than roundoff, so tied nodes cannot flip back
+    and forth.  Returns ``gamma = -log(rho) / dt``, the Perron vector
+    (nodes, sup 1, zero off the interior), the candidate index per node and
+    the rounds taken."""
+    optimal = semigroup._Operator(sys, cfg)
+    inputs, dt = optimal.inputs, optimal.dt
+    step = PropagationConfig(horizon=dt, dt=dt, cfl_safety=cfg.cfl_safety,
+                             candidate_points=cfg.candidate_points)
+    interior = np.nonzero(sys.interior_mask())[0]
+
+    def one_step(policy_inputs):
+        op = semigroup._Operator(sys, step, PolicyTable(sys.grid, policy_inputs,
+                                                        sys.input_lower, sys.input_upper))
+        assert op.steps == 1
+        return op
+
+    def matrix(op):
+        S = np.empty((interior.size, interior.size))
+        unit = np.zeros(sys.grid.size)
+        for col, node in enumerate(interior):
+            unit[node] = 1.0
+            S[:, col] = op.apply(unit)[interior]
+            unit[node] = 0.0
+        return S
+
+    singles = [one_step(np.tile(u, (sys.grid.size, 1))) for u in inputs]
+    choice = np.zeros(sys.grid.size, dtype=np.int64)
+    for rounds in range(1, 50):
+        values, vectors = np.linalg.eig(matrix(one_step(inputs[choice])))
+        k = int(np.argmax(values.real))
+        assert abs(values[k].imag) <= 1e-12 and np.max(np.abs(vectors[:, k].imag)) <= 1e-12
+        psi = np.zeros(sys.grid.size)
+        psi[interior] = vectors[:, k].real
+        psi /= psi[np.argmax(np.abs(psi))]
+        scores = np.array([op.apply(psi) for op in singles])
+        current = scores[choice, np.arange(sys.grid.size)]
+        better = np.max(scores, axis=0) > current + 1e-12 * np.max(np.abs(scores))
+        if not np.any(better[interior]):
+            return -math.log(values[k].real) / dt, psi, choice, rounds
+        choice = np.where(better, np.argmax(scores, axis=0), choice)
+    raise AssertionError("Howard iteration did not stop")
+
+
+def test_power_policy_iteration_matches_the_exact_optimum():
+    # On di_omni 21x41 the spectral gap is wide, so power-policy iteration
+    # at a tight tol reaches the exact discrete optimum over the box
+    # corners: the Perron root of the optimal policy's one-step matrix.
+    sys = make_benchmark("di_omni", grid_counts=(21, 41))
+    cfg = PropagationConfig(horizon=0.5)
+    gamma, psi, choice, rounds = exact_optimal(sys, cfg)
+    res = power_policy_iteration(sys, cfg, tol=1e-11)
+    assert res.converged and rounds > 1
+    assert round(gamma, 6) == 1.360249
+    assert abs(res.gamma - gamma) <= 1e-10 * gamma
+    assert np.max(np.abs(res.psi.values - psi)) <= 1e-12
+
+
 class TestEigenResidual:
     def test_brownian_certificate(self, brownian, brownian_result):
         cfg = PropagationConfig(horizon=0.5)
