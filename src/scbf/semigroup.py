@@ -311,14 +311,14 @@ def _diffusion_load(a, h: np.ndarray, pairs) -> np.ndarray:
     return load
 
 
-def _node_entries(spec: GridSpec, evaluate, keys, block: int | None = None) -> list:
+def _node_entries(spec: GridSpec, evaluate, keys, block: int = _NODE_BLOCK) -> list:
     """Per array that ``evaluate(x, at)`` returns, a dict of its entries
     ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
-    blocks of at most ``block`` (default ``_NODE_BLOCK``) nodes, ``x`` their
+    blocks of at most ``block`` nodes, ``x`` their
     coordinates and ``at`` their slice: whole rows of the last ``n - m``
     axes, ``m`` as small as a block allows, so a block's coordinates are
     broadcast copies of the axes."""
-    n, N, counts, block = spec.dims, spec.size, spec.shape, block or _NODE_BLOCK
+    n, N, counts = spec.dims, spec.size, spec.shape
     axes = [spec.coordinates(d) for d in range(n)]
     m = next(m for m in range(1, n + 1) if math.prod(counts[m:]) <= block)
     per = math.prod(counts[m:])
@@ -1145,11 +1145,8 @@ class _QuadraticInput:
                        for key, c in self.c0.items() if key not in self._coefs}
         # One diffusion rate per offset up to sign.
         self._rates = sorted({_unsigned(o) for o in diff_offsets})
-        # The drift components, None where one is u itself (f0 dropped, g1 1).
+        # The drift components, by Horner in u.
         self._drift = {i: poly(f0[i], g1[i]) for i in drift_dims}
-        for i, c in self._drift.items():
-            if c[0] is None and isinstance(c[1], float) and c[1] == 1.0:
-                self._drift[i] = None
         del self.c0, self.c1, self.c2
 
     def blocks(self, ranges, diffs: dict) -> list:
@@ -1162,7 +1159,7 @@ class _QuadraticInput:
         safe = _aligned(length, bool)
         grams = {key: _aligned(length) for key in self._coefs}
         rates = {o: _aligned(length) for o in self._rates}
-        drift = {i: _aligned(length) for i, c in self._drift.items() if c is not None}
+        drift = {i: _aligned(length) for i in self._drift}
         out = []
         for a, b in ranges:
             m = b - a
@@ -1180,8 +1177,7 @@ class _QuadraticInput:
             block.rates = [(o, rates[o][:m]) for o in self._rates]
             block.drift = [(tuple(cut(c) for c in self._drift[i]), f[:m])
                            for i, f in drift.items()]
-            fs = {i: block.u if c is None else drift[i][:m] for i, c in self._drift.items()}
-            block.rows = [(row[a:b], None if d is None else (fs[d[0]], *d[1:]),
+            block.rows = [(row[a:b], None if d is None else (drift[d[0]][:m], *d[1:]),
                            0.0 if r is None else rates[r][:m]) for row, d, r in self._rows]
             block.checked = [row[a:b] for row in self._checked]
             out.append(block)

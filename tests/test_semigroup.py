@@ -424,17 +424,16 @@ def test_stencil_stores_the_plans_distinct_rows(name, counts, kw, array_terms, d
 
 
 @pytest.mark.parametrize("block", [1, 5, 30, 4096])
-def test_node_blocks_cover_the_grid_in_order(monkeypatch, block):
+def test_node_blocks_cover_the_grid_in_order(block):
     # The build's one node-block evaluator hands out every node once, in
-    # the order of spec.nodes(), in contiguous blocks of at most _NODE_BLOCK
+    # the order of spec.nodes(), in contiguous blocks of at most ``block``
     # nodes; blocks of 1 or 5 nodes cut some rows down to single nodes.
-    monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
     for counts in [(7,), (5, 6), (3, 4, 5), (7, 7, 6, 5)]:
         spec = GridSpec([0.0] * len(counts), np.arange(1.0, len(counts) + 1), counts,
                         periodic=[False] * (len(counts) - 1) + [True])
         seen = []
         x, total = _node_entries(
-            spec, lambda x, at: seen.append(at) or [x, x.sum(axis=1)], [()])
+            spec, lambda x, at: seen.append(at) or [x, x.sum(axis=1)], [()], block)
         np.testing.assert_array_equal(x[()], spec.nodes())
         np.testing.assert_array_equal(total[()], spec.nodes().sum(axis=1))
         assert [at.start for at in seen] == [0] + [at.stop for at in seen[:-1]]
