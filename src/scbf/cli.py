@@ -46,7 +46,7 @@ from .spectral import (
     power_policy_iteration,
     warm_start_field,
 )
-from .systems import _GRID_COUNTS, make_benchmark
+from .systems import BENCHMARKS, make_benchmark
 
 # --- config schema ------------------------------------------------------------
 
@@ -93,50 +93,35 @@ _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers
             _finite: "a finite number", _tolerance: "a finite nonnegative number",
             _positive: "a positive integer", _switch: "0 or 1"}
 
-_SCHEMA = {
-    "system.id": str,
-    "grid.counts": _ints,
-    "propagation.horizon": float,
-    "propagation.cfl_safety": float,
-    "propagation.candidate_points": int,
-    "iteration.tol": float,
-    "iteration.max_iter": int,
-    "iteration.init": str,
-    "iteration.algorithm": str,
-    "iteration.warm_start": str,
-    "iteration.coarse_ladder": _switch,
-    "simulation.dt": float,
-    "simulation.t_end": float,
-    "simulation.trials": int,
-    "simulation.seed": int,
-    "simulation.x0": _floats,
-    "simulation.controller": str,
-    "simulation.reference": str,
-    "simulation.reference_u": _floats,
-    "simulation.u_const": _floats,
-    "filter.gamma": float,
-    "filter.weight": _floats,
-    "verify.residual_tol": _tolerance,
-    "threads": _positive,
-}
-
-_DEFAULTS = {
-    "propagation.horizon": 0.5,
-    "propagation.cfl_safety": 0.8,
-    "propagation.candidate_points": 9,
-    "iteration.tol": 1e-4,
-    "iteration.max_iter": 500,
-    "iteration.init": "bump",
-    "iteration.algorithm": "power_policy",
-    "iteration.coarse_ladder": 0,
-    "simulation.dt": 1e-3,
-    "simulation.t_end": 3.0,
-    "simulation.trials": 1000,
-    "simulation.seed": 0,
-    "simulation.controller": "fixed_policy",
-    "simulation.reference": "zero",
-    "verify.residual_tol": 5e-3,
-    "threads": 1,
+# Every config key: the caster that reads its value, its default (None
+# for none: a key without one is echoed only when set) and the flag that
+# sets it (None for none).  Flags are read in table order, so of two bad
+# flags the first here is reported.
+_KEYS = {
+    "system.id": (str, None, "system"),
+    "grid.counts": (_ints, None, "grid"),
+    "propagation.horizon": (float, 0.5, "horizon"),
+    "propagation.cfl_safety": (float, 0.8, None),
+    "propagation.candidate_points": (int, 9, None),
+    "iteration.tol": (float, 1e-4, "tol"),
+    "iteration.max_iter": (int, 500, None),
+    "iteration.init": (str, "bump", None),
+    "iteration.algorithm": (str, "power_policy", None),
+    "iteration.warm_start": (str, None, None),
+    "iteration.coarse_ladder": (_switch, 0, None),
+    "simulation.dt": (float, 1e-3, None),
+    "simulation.t_end": (float, 3.0, None),
+    "simulation.seed": (int, 0, "seed"),
+    "simulation.trials": (int, 1000, "trials"),
+    "simulation.x0": (_floats, None, None),
+    "simulation.controller": (str, "fixed_policy", None),
+    "simulation.reference": (str, "zero", None),
+    "simulation.reference_u": (_floats, None, None),
+    "simulation.u_const": (_floats, None, None),
+    "verify.residual_tol": (_tolerance, 5e-3, None),
+    "threads": (_positive, 1, "threads"),
+    "filter.gamma": (float, None, "gamma"),
+    "filter.weight": (_floats, None, None),
 }
 
 _IGNORED_PREFIXES = ("result.", "history.", "system.flags.")
@@ -189,9 +174,9 @@ def _config_caster(key: str, at: str):
         return None
     if key.startswith(_OVERRIDES):
         return float
-    if key not in _SCHEMA:
+    if key not in _KEYS:
         raise ConfigError(f"{at}unknown config key {key!r}")
-    return _SCHEMA[key]
+    return _KEYS[key][0]
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -208,10 +193,10 @@ class JobConfig:
     def __init__(self, entries: dict):
         self.entries = entries  # key -> (value, text, origin prefix), as _read_pairs
 
-    def get(self, key, default=None):
+    def get(self, key):
         if key in self.entries:
             return self.entries[key][0]
-        return _DEFAULTS.get(key, default)
+        return _KEYS[key][1]
 
     def overrides(self) -> dict:
         return {key[len(_OVERRIDES):]: value for key, (value, _, _) in self.entries.items()
@@ -227,8 +212,10 @@ class JobConfig:
         return vec
 
     def echo_lines(self) -> list[str]:
-        return [f"{key} = {self.entries[key][1] if key in self.entries else _DEFAULTS[key]}"
-                for key in sorted(set(self.entries) | set(_DEFAULTS))]
+        keys = set(self.entries) | {key for key, (_, default, _) in _KEYS.items()
+                                    if default is not None}
+        return [f"{key} = {self.entries[key][1] if key in self.entries else _KEYS[key][1]}"
+                for key in sorted(keys)]
 
 
 def _load_job(args) -> JobConfig:
@@ -238,24 +225,14 @@ def _load_job(args) -> JobConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         entries = _read_pairs(_read_text(path, "utf-8"), str(path), _config_caster)
-    flag_map = {
-        "system": "system.id",
-        "grid": "grid.counts",
-        "horizon": "propagation.horizon",
-        "tol": "iteration.tol",
-        "seed": "simulation.seed",
-        "trials": "simulation.trials",
-        "threads": "threads",
-        "gamma": "filter.gamma",
-    }
-    for flag, key in flag_map.items():
-        text = getattr(args, flag, None)
+    for key, (caster, _, flag) in _KEYS.items():
+        text = getattr(args, flag, None) if flag else None
         if text is not None:
-            entries[key] = (_cast(key, text, _SCHEMA[key], ""), text, "")
+            entries[key] = (_cast(key, text, caster, ""), text, "")
     env = os.environ.get("SCBF_THREADS")
     if "threads" not in entries and env:
         at = "SCBF_THREADS: "
-        entries["threads"] = (_cast("threads", env, _SCHEMA["threads"], at), env, at)
+        entries["threads"] = (_cast("threads", env, _KEYS["threads"][0], at), env, at)
     return JobConfig(entries)
 
 
@@ -264,9 +241,9 @@ def _build_system(job: JobConfig):
     if bench is None:
         raise ConfigError("missing required key 'system.id'")
     # An unknown id gets no counts, so make_benchmark names the id.
-    counts = (job.sized_vector("grid.counts", len(_GRID_COUNTS[bench]),
+    counts = (job.sized_vector("grid.counts", len(BENCHMARKS[bench].counts),
                                f"one per dimension of {bench}")
-              if bench in _GRID_COUNTS else None)
+              if bench in BENCHMARKS else None)
     return make_benchmark(bench, job.overrides(), counts)
 
 
@@ -394,7 +371,7 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         policy=policy,
         history=[],
         converged=bool(get("result.converged", 0)),
-        horizon=get("result.horizon", _DEFAULTS["propagation.horizon"]),
+        horizon=get("result.horizon", _KEYS["propagation.horizon"][1]),
     )
     return result, {key: value for key, (value, _, _) in meta.items()}
 
@@ -469,6 +446,10 @@ def _build_controller(job: JobConfig, sys_model, result: EigenResult):
                 raise ConfigError("constant reference needs 'simulation.reference_u'")
             reference = constant_reference(u_ref)
         elif ref_kind == "circle":
+            if sys_model.name != "bicycle":
+                raise ConfigError(f"{job.entries['simulation.reference'][2]}config key "
+                                  "'simulation.reference': circle steers the bicycle, "
+                                  f"not {sys_model.name}")
             reference = bicycle_circle_reference()
         elif ref_kind == "zero":
             reference = constant_reference(np.zeros(sys_model.n_u))

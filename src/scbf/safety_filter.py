@@ -104,7 +104,6 @@ class FilterSpec:
         self.psi = result.psi
         self.policy = result.policy
         self.gamma = float(gamma)
-        self.gamma_synthesis = float(result.gamma)
         weight = np.ones(sys.n_u) if weight is None else np.asarray(weight, dtype=float).ravel()
         if weight.size != sys.n_u or not np.all(np.isfinite(weight) & (weight > 0.0)):
             raise ValueError("weights must be finite and positive, one per input channel")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -266,9 +267,7 @@ def _di_input_noise_diffusion(x, u):
     return out
 
 
-def _make_double_integrator(case, overrides, counts):
-    params = {"u_max": 1.0}
-    params.update(overrides)
+def _make_double_integrator(case, params, counts):
     u_max = float(params["u_max"])
     grid = GridSpec([-1.0, -2.0], [1.0, 2.0], counts)
     sigmas = {
@@ -344,9 +343,7 @@ def wig_forces(x, u, params=None):
     return F, q * CL, q * CD
 
 
-def _make_wig(overrides, counts):
-    params = dict(WIG_DEFAULTS)
-    params.update(overrides)
+def _make_wig(params, counts):
     m, g = params["m"], params["g"]
     SigmaL = math.sqrt(params["SigmaL2"])
     SigmaD = math.sqrt(params["SigmaD2"])
@@ -393,15 +390,7 @@ def _make_wig(overrides, counts):
 # --- kinematic bicycle --------------------------------------------------------
 
 
-def _make_bicycle(overrides, counts):
-    params = {
-        "obstacle_radius": 1.0,
-        "pos_extent": 3.0,
-        "v_max": 2.0,
-        "sigma_theta": 0.5,
-        "sigma_v": 0.5,
-    }
-    params.update(overrides)
+def _make_bicycle(params, counts):
     R = float(params["obstacle_radius"])
     E = float(params["pos_extent"])
     vmax = float(params["v_max"])
@@ -449,9 +438,7 @@ def _make_bicycle(overrides, counts):
 # --- 1-D Brownian motion (analytic oracle) -----------------------------------
 
 
-def _make_brownian(overrides, counts):
-    params = {"sigma": 1.0, "a": -1.0, "b": 1.0}
-    params.update(overrides)
+def _make_brownian(params, counts):
     s = float(params["sigma"])
 
     def drift(x, u):
@@ -476,35 +463,25 @@ def _make_brownian(overrides, counts):
     )
 
 
+@dataclass(frozen=True)
+class Benchmark:
+    """A built-in model: ``make(params, counts)`` builds it from every
+    parameter in ``defaults`` (the names an override may set) and from its
+    nodes per dimension, ``counts`` by default (one per dimension)."""
+
+    make: callable
+    defaults: dict
+    counts: tuple
+
+
 BENCHMARKS = {
-    "di_omni": lambda ov, gc: _make_double_integrator("di_omni", ov, gc),
-    "di_velocity": lambda ov, gc: _make_double_integrator("di_velocity", ov, gc),
-    "di_input_noise": lambda ov, gc: _make_double_integrator("di_input_noise", ov, gc),
-    "di_deterministic": lambda ov, gc: _make_double_integrator("di_deterministic", ov, gc),
-    "wig_aircraft": _make_wig,
-    "bicycle": _make_bicycle,
-    "brownian_1d": _make_brownian,
-}
-
-# Default nodes per dimension; their number is the system's dimension count.
-_GRID_COUNTS = {
-    "di_omni": (81, 161),
-    "di_velocity": (81, 161),
-    "di_input_noise": (81, 161),
-    "di_deterministic": (81, 161),
-    "wig_aircraft": (51, 51, 51),
-    "bicycle": (31, 31, 24, 11),
-    "brownian_1d": (201,),
-}
-
-_KNOWN_PARAMS = {
-    "di_omni": {"u_max"},
-    "di_velocity": {"u_max"},
-    "di_input_noise": {"u_max"},
-    "di_deterministic": {"u_max"},
-    "wig_aircraft": set(WIG_DEFAULTS),
-    "bicycle": {"obstacle_radius", "pos_extent", "v_max", "sigma_theta", "sigma_v"},
-    "brownian_1d": {"sigma", "a", "b"},
+    **{case: Benchmark(partial(_make_double_integrator, case), {"u_max": 1.0}, (81, 161))
+       for case in ("di_omni", "di_velocity", "di_input_noise", "di_deterministic")},
+    "wig_aircraft": Benchmark(_make_wig, WIG_DEFAULTS, (51, 51, 51)),
+    "bicycle": Benchmark(_make_bicycle, {"obstacle_radius": 1.0, "pos_extent": 3.0,
+                                         "v_max": 2.0, "sigma_theta": 0.5, "sigma_v": 0.5},
+                         (31, 31, 24, 11)),
+    "brownian_1d": Benchmark(_make_brownian, {"sigma": 1.0, "a": -1.0, "b": 1.0}, (201,)),
 }
 
 
@@ -518,12 +495,18 @@ def make_benchmark(bench_id: str, overrides: dict | None = None,
     """
     if bench_id not in BENCHMARKS:
         raise UnknownParameter(f"unknown benchmark id {bench_id!r}")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - _KNOWN_PARAMS[bench_id]
+    bench = BENCHMARKS[bench_id]
+    overrides = overrides or {}
+    unknown = set(overrides) - bench.defaults.keys()
     if unknown:
         raise UnknownParameter(
             f"{bench_id}: unknown parameter(s) {sorted(unknown)}"
         )
+    counts = bench.counts
     if grid_counts is not None:
-        grid_counts = tuple(_index(c, "grid_counts") for c in np.atleast_1d(grid_counts))
-    return BENCHMARKS[bench_id](overrides, grid_counts or _GRID_COUNTS[bench_id])
+        counts = tuple(_index(c, "grid_counts") for c in np.atleast_1d(grid_counts))
+        if len(counts) != len(bench.counts):
+            raise ValueError(f"{bench_id}: grid_counts has {len(counts)} "
+                             f"value{'' if len(counts) == 1 else 's'}, expected "
+                             f"{len(bench.counts)} (one per dimension)")
+    return bench.make({**bench.defaults, **overrides}, counts)

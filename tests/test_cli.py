@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scbf import cli, montecarlo, semigroup
-from scbf.cli import _SCHEMA, main, parse_config_text
+from scbf.cli import _KEYS, main, parse_config_text
 from scbf.errors import ConfigError
 from scbf.grid import GridSpec, read_field, write_field, ScalarField
 from scbf.safety_filter import FilterSpec, FilterStatus, filter_input
@@ -67,14 +67,23 @@ class TestConfigParsing:
 
     def test_readme_table_lists_the_schema(self):
         # Every key in the first column of the README's config table, and
-        # nothing else, so the table and the schema cannot drift apart.
+        # nothing else, so the table and the schema cannot drift apart; a
+        # key with a default ends its row with it in parentheses, as its
+        # caster reads it.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
-        keys = set()
+        keys, defaults = set(), {}
         for row in section.splitlines():
             if row.startswith("| `"):
-                keys |= set(re.findall(r"`([^`]+)`", row.split("|")[1]))
-        assert keys == set(_SCHEMA) | {"system.overrides.<name>"}
+                _, first, meaning, _ = row.split("|")
+                named = re.findall(r"`([^`]+)`", first)
+                keys |= set(named)
+                if len(named) == 1 and named[0] in _KEYS and _KEYS[named[0]][1] is not None:
+                    caster = _KEYS[named[0]][0]
+                    defaults[named[0]] = caster(re.findall(r"\(([^()]*)\)", meaning)[-1])
+        assert keys == set(_KEYS) | {"system.overrides.<name>"}
+        assert defaults == {key: default for key, (_, default, _) in _KEYS.items()
+                            if default is not None}
 
 
 class TestLocatedValues:
@@ -101,8 +110,12 @@ class TestLocatedValues:
         # used to run the single level and echo the value into metadata.txt
         ("synthesize", ["iteration.coarse_ladder = 2"],
          "2: key 'iteration.coarse_ladder': expected 0 or 1, got '2'"),
+        # used to end in an IndexError traceback in the reference
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
+                      "simulation.reference = circle"],
+         "4: config key 'simulation.reference': circle steers the bicycle, not brownian_1d"),
     ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_tolerance",
-            "negative_tolerance", "threads_below_one", "ladder_levels"])
+            "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
@@ -457,6 +470,115 @@ class TestSimulate:
         assert code == 1
 
 
+class TestControllers:
+    """Every ``simulation.controller`` and ``simulation.reference`` a job can
+    name runs; a job that names another, or lacks what its choice needs,
+    exits 1 with the reason."""
+
+    BASE = ["simulation.trials = 20", "simulation.t_end = 0.1"]
+
+    @pytest.mark.parametrize("lines, filtered", [
+        (["simulation.controller = open_loop", "simulation.u_const = 0.5"], False),
+        (["simulation.controller = scbf_qp"], True),   # the default zero reference
+    ], ids=["open_loop", "scbf_qp_zero"])
+    def test_runs(self, tmp_path, di_artifacts, lines, filtered):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("\n".join(["system.id = di_omni", "grid.counts = 21,41",
+                                  "simulation.x0 = 0.0,0.0"] + self.BASE + lines) + "\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), "--artifacts", str(di_artifacts),
+                   "--out", str(out)) == 0
+        meta = read_meta(out / "sim_metadata.txt")
+        assert ("result.filter.unmodified_fraction" in meta) == filtered
+        rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+        assert rows[0][3] == "u1"
+        if not filtered:   # the constant input at every step (the last row takes none)
+            assert {row[3] for row in rows[1:-1]} == {"0.5"}
+
+    def test_circle_on_bicycle(self, tmp_path):
+        artifacts = tmp_path / "bike"
+        assert run("synthesize", "--system", "bicycle", "--grid", "7,7,6,5",
+                   "--out", str(artifacts)) in (0, 2)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("\n".join(["system.id = bicycle", "grid.counts = 7,7,6,5",
+                                  "simulation.x0 = 2.0,0.0,1.5,0.5",
+                                  "simulation.controller = scbf_qp",
+                                  "simulation.reference = circle"] + self.BASE) + "\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), "--artifacts", str(artifacts),
+                   "--out", str(out)) == 0
+        meta = read_meta(out / "sim_metadata.txt")
+        assert meta["simulation.reference"] == "circle"
+        assert "result.filter.unmodified_fraction" in meta
+
+    @pytest.mark.parametrize("command, lines, message", [
+        ("simulate", ["simulation.controller = bogus"],
+         "config key 'simulation.controller': unknown value 'bogus'"),
+        ("simulate", ["simulation.controller = scbf_qp", "simulation.reference = bogus"],
+         "config key 'simulation.reference': unknown value 'bogus'"),
+        ("simulate", ["simulation.controller = open_loop"],
+         "open_loop controller needs 'simulation.u_const'"),
+        ("simulate", ["simulation.controller = scbf_qp", "simulation.reference = constant"],
+         "constant reference needs 'simulation.reference_u'"),
+        ("synthesize", ["iteration.algorithm = bogus"],
+         "config key 'iteration.algorithm': unknown value 'bogus'"),
+    ], ids=["controller", "reference", "open_loop_without_input",
+            "constant_without_input", "algorithm"])
+    def test_rejected(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("\n".join(["system.id = brownian_1d", "simulation.x0 = 0.0"] + lines)
+                       + "\n")
+        extra = ["--artifacts", str(brownian_artifacts)] if command == "simulate" else []
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestMissingInputs:
+    """A missing key, file or flag target exits 1 and names what is missing."""
+
+    def test_missing_x0(self, tmp_path, capsys, brownian_artifacts):
+        out = tmp_path / "o"
+        assert run("simulate", "--system", "brownian_1d", "--artifacts",
+                   str(brownian_artifacts), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: missing required key 'simulation.x0'\n"
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "nowhere.cfg"
+        assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {cfg}\n"
+
+    def test_missing_query_file(self, tmp_path, capsys, brownian_artifacts):
+        queries = tmp_path / "q.csv"
+        answers = tmp_path / "a.csv"
+        assert run("filter", "--system", "brownian_1d", "--artifacts", str(brownian_artifacts),
+                   "--queries", str(queries), "--output", str(answers)) == 1
+        assert capsys.readouterr().err == f"error: query file not found: {queries}\n"
+        assert not answers.exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("psi.fld", "missing barrier field file: {dir}/psi.fld"),
+        ("policy_0.fld", "missing policy field file: {dir}/policy_0.fld"),
+    ])
+    def test_missing_artifact_file(self, tmp_path, capsys, brownian_artifacts, name, message):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        (bad / name).unlink()
+        assert run("verify", "--system", "brownian_1d", "--artifacts", str(bad)) == 1
+        assert capsys.readouterr().err == f"error: {message.format(dir=bad)}\n"
+
+    def test_no_policy_files_recorded(self, tmp_path, capsys, brownian_artifacts):
+        bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")
+        meta = bad / "metadata.txt"
+        lines = meta.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("result.policy_files ="))
+        lines[at] = "result.policy_files = "
+        meta.write_text("\n".join(lines) + "\n")
+        assert run("verify", "--system", "brownian_1d", "--artifacts", str(bad)) == 1
+        assert capsys.readouterr().err == f"error: {meta}:{at + 1}: no policy files recorded\n"
+
+
 class TestVectorKeyLengths:
     BASE = {"system.id": "di_omni", "grid.counts": "21,41", "simulation.x0": "0.0,0.0",
             "simulation.trials": "10", "simulation.t_end": "0.1"}
@@ -805,10 +927,10 @@ def _assert_names_line(code, err, path, line):
     assert "Traceback" not in err
 
 
-_TYPED = sorted(k for k, t in _SCHEMA.items() if t is not str)
-_VECTORS = sorted(k for k, t in _SCHEMA.items() if t in (cli._ints, cli._floats))
+_TYPED = sorted(k for k, (t, _, _) in _KEYS.items() if t is not str)
+_VECTORS = sorted(k for k, (t, _, _) in _KEYS.items() if t in (cli._ints, cli._floats))
 # keys the fuzzed config does not already hold
-_FREE_KEYS = sorted(set(_SCHEMA) - {"system.id", "iteration.tol", "iteration.max_iter"}) + [
+_FREE_KEYS = sorted(set(_KEYS) - {"system.id", "iteration.tol", "iteration.max_iter"}) + [
     "system.overrides.sigma", "result.gamma"]
 
 
@@ -823,7 +945,7 @@ def _bad_config_line(draw):
         return [junk]
     if kind == "unknown_key":
         key = junk.replace("=", "").replace("#", "").strip()
-        assume(key and key not in _SCHEMA
+        assume(key and key not in _KEYS
                and not key.startswith(("result.", "history.", "system.overrides.")))
         return [f"{key} = 1"]
     if kind == "repeated_key":
@@ -839,7 +961,7 @@ def _bad_config_line(draw):
         assume(element and not _parses(element, int if key == "grid.counts" else float))
         return [f"{key} = 1,{element},2"]
     key = draw(st.sampled_from(_TYPED))
-    assume(not _parses(value.strip(), _SCHEMA[key]))
+    assume(not _parses(value.strip(), _KEYS[key][0]))
     return [f"{key} = {value}"]
 
 

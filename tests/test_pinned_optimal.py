@@ -93,6 +93,28 @@ def _varying_input_noise(counts=(21, 41)):
                        grid=grid, safe_set=ImplicitSet("box"))
 
 
+def _linear_cross_noise(counts=(21, 41)):
+    """A double integrator whose noise is sheared by the input, ``sigma =
+    [[1, 0], [0.3 u, 1]]``: the cross entry ``a_01 = 0.3 u`` is exactly
+    linear in ``u``, so its fitted ``u^2`` coefficient is zero."""
+
+    def drift(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        return np.stack(np.broadcast_arrays(x[..., 1], u), axis=-1)
+
+    def diffusion(x, u):
+        u = np.asarray(u, dtype=float)[..., 0]
+        u = np.broadcast_to(u, np.broadcast_shapes(np.asarray(x)[..., 0].shape, u.shape))
+        s = np.zeros(u.shape + (2, 2))
+        s[..., 0, 0], s[..., 1, 0], s[..., 1, 1] = 1.0, 0.3 * u, 1.0
+        return s
+
+    grid = GridSpec([-1.0, -2.0], [1.0, 2.0], counts)
+    return SystemModel(name="linear_cross_noise", n_x=2, n_u=1, n_w=2, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=grid, safe_set=ImplicitSet("box"))
+
+
 def _system(name):
     counts = CASES[name][0]
     if name == "cross_input_noise":
@@ -228,7 +250,8 @@ def _central_generator(sys, values, u):
 
 
 @pytest.mark.parametrize("block", [None, 512])
-@pytest.mark.parametrize("name", ["di_input_noise", "cross_input_noise", "varying_input_noise"])
+@pytest.mark.parametrize("name", ["di_input_noise", "cross_input_noise", "varying_input_noise",
+                                  "linear_cross_noise"])
 def test_critical_input_is_the_clamped_vertex(monkeypatch, name, block):
     # The central generator is exactly quadratic in a scalar input when the
     # drift is affine and the Gram quadratic in it; three inputs give its
@@ -238,7 +261,8 @@ def test_critical_input_is_the_clamped_vertex(monkeypatch, name, block):
     # 1e-10 at most; blocks of 512 positions split both spans.
     if block is not None:
         monkeypatch.setattr(semigroup, "_SPAN_BLOCK", block)
-    sys = _varying_input_noise() if name == "varying_input_noise" else _system(name)
+    sys = {"varying_input_noise": _varying_input_noise,
+           "linear_cross_noise": _linear_cross_noise}.get(name, lambda: _system(name))()
     assert sys.regime == "quadratic"
     rng = np.random.default_rng(41)
     values = np.where(sys.interior_mask(), rng.uniform(0.1, 1.0, sys.grid.size), 0.0)

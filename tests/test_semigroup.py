@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys as sys_module
 import threading
 import tracemalloc
@@ -839,6 +840,21 @@ class TestPolicyTable:
         fields = pol.channel_fields()
         assert len(fields) == 1
         assert_allclose(fields[0].values, pol.inputs[:, 0])
+
+    def test_one_dimensional_inputs_are_one_channel(self, di_small):
+        values = np.linspace(-2.0, 2.0, di_small.grid.size)
+        pol = PolicyTable(di_small.grid, values, di_small.input_lower, di_small.input_upper)
+        assert pol.inputs.shape == (di_small.grid.size, 1)
+        assert_allclose(pol.inputs[:, 0], np.clip(values, -1.0, 1.0))
+
+    # a 1-D array is read as one channel, so its shape is shown with it
+    @pytest.mark.parametrize("shape, shown", [
+        ((861, 2), "(861, 2)"), ((860, 1), "(860, 1)"), ((860,), "(860, 1)")])
+    def test_shape_must_be_nodes_by_channels(self, di_small, shape, shown):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"policy shape {shown} != (nodes=861, n_u=1)")):
+            PolicyTable(di_small.grid, np.zeros(shape), di_small.input_lower,
+                        di_small.input_upper)
 
 
 # --- the idle operator of the one-shot calls --------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,44 @@ class TestMakeBenchmark:
         with pytest.raises(ValueError, match="grid_counts must be an integer, got 41.7"):
             make_benchmark("di_omni", grid_counts=(41.7, 81))
         assert make_benchmark("brownian_1d", grid_counts=(41,)).grid.counts == (41,)
+
+    @pytest.mark.parametrize("name, counts, message", [
+        # used to build the default 81x161 grid, since () is falsy
+        ("di_omni", [], "di_omni: grid_counts has 0 values, expected 2"),
+        # these used to fail in GridSpec without naming the model
+        ("di_omni", (41,), "di_omni: grid_counts has 1 value, expected 2"),
+        ("bicycle", (9, 9, 8), "bicycle: grid_counts has 3 values, expected 4"),
+    ], ids=["empty", "short", "short_bicycle"])
+    def test_grid_counts_length_checked(self, name, counts, message):
+        with pytest.raises(ValueError, match=re.escape(f"{message} (one per dimension)")):
+            make_benchmark(name, grid_counts=counts)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_table_entry_builds_the_model(self, name):
+        # The table's parameters, each overridden in turn, reach the model,
+        # and its default counts give one grid dimension each.
+        entry = BENCHMARKS[name]
+        counts = SMALL_GRIDS.get(name, (11, 21))
+        assert len(counts) == len(entry.counts)
+        assert make_benchmark(name, grid_counts=counts).params == entry.defaults
+        for key, value in entry.defaults.items():
+            sys = make_benchmark(name, {key: 0.9 * value + 0.1}, counts)
+            assert sys.params == {**entry.defaults, key: 0.9 * value + 0.1}
+        assert make_benchmark(name).grid.counts == entry.counts
+
+    def test_readme_lists_the_table(self):
+        # README's table of built-in ids gives each id's parameters and
+        # default nodes as BENCHMARKS holds them, and every id once.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = {}
+        for row in readme.split("| id | model |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]:
+            ids, _, params, counts = (re.findall(r"`([^`]+)`", cell)
+                                      for cell in row.split("|")[1:5])
+            for name in ids:
+                assert name not in listed, name
+                listed[name] = (params, tuple(int(c) for c in counts[0].split(",")))
+        assert listed == {name: (list(entry.defaults), entry.counts)
+                          for name, entry in BENCHMARKS.items()}
 
     def test_override_applies(self):
         sys = make_benchmark("brownian_1d", {"sigma": 2.0})
