@@ -28,10 +28,9 @@ from .montecarlo import (
     OpenLoopController,
     ScbfQpController,
     SimConfig,
+    _estimate,
     bicycle_circle_reference,
     constant_reference,
-    estimate_safety_curve,
-    simulate,
     write_safety_curve_csv,
     write_trajectory_csv,
 )
@@ -93,6 +92,18 @@ _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers
             _finite: "a finite number", _tolerance: "a finite nonnegative number",
             _positive: "a positive integer", _switch: "0 or 1"}
 
+
+def _one_of(*choices: str):
+    """A caster that reads exactly one of ``choices``."""
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+
+    _EXPECTS[choice] = "one of " + ", ".join(choices)
+    return choice
+
+
 # Every config key: the caster that reads its value, its default (None
 # for none: a key without one is echoed only when set) and the flag that
 # sets it (None for none).  Flags are read in table order, so of two bad
@@ -105,8 +116,9 @@ _KEYS = {
     "propagation.candidate_points": (int, 9, None),
     "iteration.tol": (float, 1e-4, "tol"),
     "iteration.max_iter": (int, 500, None),
-    "iteration.init": (str, "bump", None),
-    "iteration.algorithm": (str, "power_policy", None),
+    "iteration.init": (_one_of("bump", "gauss", "plateau"), "bump", None),
+    "iteration.algorithm": (_one_of("power_policy", "power_policy_two_step", "power_fixed"),
+                            "power_policy", None),
     "iteration.warm_start": (str, None, None),
     "iteration.coarse_ladder": (_switch, 0, None),
     "simulation.dt": (float, 1e-3, None),
@@ -114,8 +126,9 @@ _KEYS = {
     "simulation.seed": (int, 0, "seed"),
     "simulation.trials": (int, 1000, "trials"),
     "simulation.x0": (_floats, None, None),
-    "simulation.controller": (str, "fixed_policy", None),
-    "simulation.reference": (str, "zero", None),
+    "simulation.controller": (_one_of("fixed_policy", "scbf_qp", "open_loop"),
+                              "fixed_policy", None),
+    "simulation.reference": (_one_of("zero", "constant", "circle"), "zero", None),
     "simulation.reference_u": (_floats, None, None),
     "simulation.u_const": (_floats, None, None),
     "verify.residual_tol": (_tolerance, 5e-3, None),
@@ -417,10 +430,8 @@ def _run_iteration(sys_model, cfg, algorithm, init, tol, max_iter) -> EigenResul
     if algorithm == "power_policy_two_step":
         return power_policy_iteration(sys_model, cfg, init_psi=init, tol=tol,
                                       max_iter=max_iter, accelerated=False)
-    if algorithm == "power_fixed":
-        return power_iteration(sys_model, PolicyTable.zero(sys_model), cfg,
-                               init, tol=tol, max_iter=max_iter)
-    raise ConfigError(f"config key 'iteration.algorithm': unknown value {algorithm!r}")
+    return power_iteration(sys_model, PolicyTable.zero(sys_model), cfg,
+                           init, tol=tol, max_iter=max_iter)
 
 
 def _filter_spec(job: JobConfig, sys_model, result: EigenResult) -> FilterSpec:
@@ -437,28 +448,22 @@ def _build_controller(job: JobConfig, sys_model, result: EigenResult):
         if u is None:
             raise ConfigError("open_loop controller needs 'simulation.u_const'")
         return OpenLoopController(np.asarray(u))
-    if kind == "scbf_qp":
-        spec = _filter_spec(job, sys_model, result)
-        ref_kind = job.get("simulation.reference")
-        if ref_kind == "constant":
-            u_ref = job.sized_vector("simulation.reference_u", sys_model.n_u, "n_u")
-            if u_ref is None:
-                raise ConfigError("constant reference needs 'simulation.reference_u'")
-            reference = constant_reference(u_ref)
-        elif ref_kind == "circle":
-            if sys_model.name != "bicycle":
-                raise ConfigError(f"{job.entries['simulation.reference'][2]}config key "
-                                  "'simulation.reference': circle steers the bicycle, "
-                                  f"not {sys_model.name}")
-            reference = bicycle_circle_reference()
-        elif ref_kind == "zero":
-            reference = constant_reference(np.zeros(sys_model.n_u))
-        else:
-            raise ConfigError(
-                f"config key 'simulation.reference': unknown value {ref_kind!r}"
-            )
-        return ScbfQpController(spec, reference)
-    raise ConfigError(f"config key 'simulation.controller': unknown value {kind!r}")
+    spec = _filter_spec(job, sys_model, result)
+    ref_kind = job.get("simulation.reference")
+    if ref_kind == "constant":
+        u_ref = job.sized_vector("simulation.reference_u", sys_model.n_u, "n_u")
+        if u_ref is None:
+            raise ConfigError("constant reference needs 'simulation.reference_u'")
+        reference = constant_reference(u_ref)
+    elif ref_kind == "circle":
+        if sys_model.name != "bicycle":
+            raise ConfigError(f"{job.entries['simulation.reference'][2]}config key "
+                              "'simulation.reference': circle steers the bicycle, "
+                              f"not {sys_model.name}")
+        reference = bicycle_circle_reference()
+    else:
+        reference = constant_reference(np.zeros(sys_model.n_u))
+    return ScbfQpController(spec, reference)
 
 
 def cmd_simulate(args) -> int:
@@ -480,13 +485,11 @@ def cmd_simulate(args) -> int:
     filtered = isinstance(controller, ScbfQpController)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    traj = simulate(sys_model, sim, np.asarray(x0), trial=0)
+    # trial 0's path is the estimate's own trial 0, stepped once
+    curve, traj = _estimate(sys_model, sim, np.asarray(x0),
+                            bound=controller.spec if filtered else result,
+                            threads=job.get("threads"), with_path=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    if filtered:
-        before = controller.status_counts.copy()
-    curve = estimate_safety_curve(sys_model, sim, np.asarray(x0),
-                                  bound=controller.spec if filtered else result,
-                                  threads=job.get("threads"))
     write_safety_curve_csv(curve, out / "curve.csv")
     result_lines = [
         f"result.survival_end = {float(curve.survival_fraction[-1])!r}",
@@ -496,7 +499,7 @@ def cmd_simulate(args) -> int:
     if filtered:
         # how often the filter returned each status over the estimate's
         # trial-steps
-        counts = controller.status_counts - before
+        counts = controller.status_counts
         result_lines += [f"result.filter.{status.value}_fraction = {float(n / counts.sum())!r}"
                          for status, n in zip(STATUS_BY_CODE, counts)]
     _write_metadata(out / "sim_metadata.txt", job, result_lines)

@@ -149,6 +149,10 @@ class GridSpec:
         return tuple(np.asarray(v)[:, None] for v in
                      (self.lower, self.spacing, top, _flat_strides(self.counts)))
 
+    @cached_property
+    def _periodic_dims(self) -> tuple[int, ...]:
+        return tuple(d for d, p in enumerate(self.periodic) if p)
+
     def _locate_by_dim(self, x) -> tuple[np.ndarray, np.ndarray]:
         """``locate`` with dimension-major results, shape ``(dims, B)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -156,10 +160,9 @@ class GridSpec:
             raise ValueError(f"expected {self.dims}-dimensional points")
         lower, h, top, _ = self._columns
         x = x.T.copy()
-        for d in range(self.dims):
-            if self.periodic[d]:
-                lo = self.lower[d]
-                x[d] = lo + np.mod(x[d] - lo, self.upper[d] - lo)
+        for d in self._periodic_dims:
+            lo = self.lower[d]
+            x[d] = lo + np.mod(x[d] - lo, self.upper[d] - lo)
         # fmin/fmax skip NaN, so a NaN beside an outside point still fails.
         low = np.fmin.reduce(x, axis=1, initial=np.inf).tolist()
         high = np.fmax.reduce(x, axis=1, initial=-np.inf).tolist()
@@ -175,7 +178,8 @@ class GridSpec:
         cell = t.astype(np.int64)
         np.maximum(cell, 0, out=cell)
         np.minimum(cell, top, out=cell)
-        return cell, t - cell
+        t -= cell
+        return cell, t
 
 
 def _flat_strides(counts: tuple[int, ...]) -> np.ndarray:
@@ -328,20 +332,20 @@ def _corners(spec: GridSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, so a blend is bit-identical to one built corner by corner.
     """
     cell, frac = spec._locate_by_dim(x)
-    B = cell.shape[1]
+    dims, B = cell.shape
     strides = spec._columns[3]
     # per dimension, the flat offset and the weight factor of the lower
     # (index 0) and upper (index 1) corner
-    index = np.empty((spec.dims, 2, B), dtype=np.int64)
+    index = np.empty((dims, 2, B), dtype=np.int64)
     np.multiply(cell, strides, out=index[:, 0])
     np.add(index[:, 0], strides, out=index[:, 1])
-    for d in np.flatnonzero(spec.periodic):
+    for d in spec._periodic_dims:
         index[d, 1] = (cell[d] + 1) % spec.counts[d] * strides[d, 0]
-    factor = np.empty((spec.dims, 2, B))
+    factor = np.empty((dims, 2, B))
     np.subtract(1.0, frac, out=factor[:, 0])
     factor[:, 1] = frac
     flat, weight = index[0], factor[0]
-    for d in range(1, spec.dims):
+    for d in range(1, dims):
         flat = (flat[:, None] + index[d]).reshape(2 ** (d + 1), B)
         weight = (weight[:, None] * factor[d]).reshape(2 ** (d + 1), B)
     return flat, weight
@@ -349,13 +353,24 @@ def _corners(spec: GridSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _blend(table: np.ndarray, corners) -> np.ndarray:
     """Multilinear blend of a node-major table ``(size, K)`` at located
-    points; returns ``(B, K)``."""
+    points; returns ``(B, K)``.  The corner terms are summed in corner order
+    from +0.0 (so a blend is never -0.0)."""
     flat, weight = corners
     terms = table.take(flat, axis=0)
     terms *= weight[:, :, None]
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
+    out = terms[0] + 0.0
+    for term in terms[1:]:
         out += term
+    return out
+
+
+def _blend_clamped(table: np.ndarray, corners, lower, upper) -> np.ndarray:
+    """``_blend`` clamped into the box ``[lower, upper]`` in place.  A zero
+    that meets a zero bound of the other sign may keep either sign, as it
+    may under ``np.clip``."""
+    out = _blend(table, corners)
+    np.maximum(out, lower, out=out)
+    np.minimum(out, upper, out=out)
     return out
 
 

@@ -18,6 +18,16 @@ share its batch, on the chunking, or on the thread count: ``simulate``,
 the chunked batch path and any thread count give bit-identical results.
 Survival is aggregated as integer counts per time sample.
 
+Each chunk of trials is stepped by one call that allocates, once, its
+noise buffers (``_BLOCK_STEPS`` steps of every live trial, drawn
+trial-major and copied step-major) and two step buffers that take
+``F dt`` and ``(S W) sqrt(dt)``.  The update
+``x + F dt + (S W) sqrt(dt)`` is summed in that order, in place, into the
+states the call owns; no array a model or controller callback returned is
+written.  A killed trial's row is dropped and the others keep their
+order, so a chunk's first trial is row 0 while it lives; ``scbf simulate``
+records trial 0's path there instead of stepping it a second time.
+
 The survival curve carries Wilson confidence intervals and, when a barrier
 is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
 """
@@ -33,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientData
-from .grid import ScalarField, _blend, _corners, _index, interpolate, sup_norm
+from .grid import ScalarField, _blend_clamped, _corners, _index, interpolate, sup_norm
 from .safety_filter import STATUS_BY_CODE, FilterSpec, filter_input_batch
 from .semigroup import PolicyTable
 from .systems import SystemModel
@@ -63,6 +73,9 @@ _Z = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 # (each trial owns an independent stream and aggregation is integer counts).
 _CHUNK_TRIALS = 4096
 _BLOCK_STEPS = 256
+# Trials per tile when a noise block is copied step-major: the tile's rows
+# of the trial-major block stay in cache while they are read.
+_TILE_TRIALS = 64
 
 
 def constant_reference(u):
@@ -106,8 +119,8 @@ class FixedPolicyController:
     policy: PolicyTable
 
     def inputs(self, sys, t, X):
-        u = _blend(self.policy.inputs, _corners(self.policy.spec, X))
-        return np.clip(u, sys.input_lower, sys.input_upper)
+        return _blend_clamped(self.policy.inputs, _corners(self.policy.spec, X),
+                              sys.input_lower, sys.input_upper)
 
 
 @dataclass(frozen=True)
@@ -217,24 +230,40 @@ class _TrialKey(np.random.bit_generator.ISeedSequence):
         return self.key.copy()
 
 
+def _step_major(block: np.ndarray, out: np.ndarray) -> None:
+    """Copy a trial-major noise block ``(trials, steps, n_w)`` into ``out``,
+    shaped ``(steps, trials, n_w)``.  A trial-step's ``n_w`` normals move as
+    one element, a tile of ``_TILE_TRIALS`` trials at a time."""
+    normals = np.dtype((np.void, block.itemsize * block.shape[2]))
+    src, dst = block.view(normals)[..., 0], out.view(normals)[..., 0]
+    for lo in range(0, len(src), _TILE_TRIALS):
+        np.copyto(dst[:, lo:lo + _TILE_TRIALS], src[lo:lo + _TILE_TRIALS].T)
+
+
 def _live_steps(sys, cfg, x0, trials):
     """Euler-Maruyama steps of a batch of trials that share ``x0``.
 
     Only live trials are stepped: states are kept compact and a killed
-    trial's row is dropped.  Noise is drawn from each trial's own stream in
-    blocks of ``_BLOCK_STEPS`` steps into a trial-major buffer and copied
-    into a step-major one, both allocated once per call; a death compacts
-    an index into the buffer, not the buffer.  Yields, for step ``k``, the
-    inputs applied to and the new states of the trials alive before it, and
-    which of them are still alive; stops when none is.
+    trial's row is dropped, so the rows keep their trial order.  Noise is
+    drawn from each trial's own stream in blocks of ``_BLOCK_STEPS`` steps
+    into a trial-major buffer and copied into a step-major one, both
+    allocated once per call; a death compacts an index into the buffer, not
+    the buffer.  ``X + F dt + (S W) sqrt(dt)`` is summed in that order into
+    the states, with ``F dt`` and ``(S W) sqrt(dt)`` in two step buffers the
+    call owns, so no array a callback returned is written.  Yields, for
+    step ``k``, the inputs applied to and the new states of the trials alive
+    before it, and which of them are still alive; stops when none is.  The
+    next step updates the yielded states in place.
     """
     streams = [np.random.Generator(np.random.Philox(_TrialKey(cfg.seed, i & 0xFFFFFFFFFFFFFFFF)))
                for i in trials]
     live = np.arange(len(streams))
     X = np.tile(np.asarray(x0, dtype=float), (live.size, 1))
-    root_dt = math.sqrt(cfg.dt)
+    dt, inputs = cfg.dt, cfg.controller.inputs
+    root_dt = math.sqrt(dt)
     n = cfg.n_steps
     drawn, step_major = (np.empty(live.size * min(_BLOCK_STEPS, n) * sys.n_w) for _ in range(2))
+    drift_step, noise_step = (np.empty(X.shape) for _ in range(2))
     for k in range(n):
         j = k % _BLOCK_STEPS
         if j == 0:
@@ -243,13 +272,18 @@ def _live_steps(sys, cfg, x0, trials):
             for row, i in enumerate(live):
                 streams[i].standard_normal(out=block[row])
             noise = step_major[:block.size].reshape(shape[1], shape[0], shape[2])
-            np.copyto(noise, block.transpose(1, 0, 2))
+            _step_major(block, noise)
             slots = None
         W = noise[j] if slots is None else noise[j, slots]
-        U = cfg.controller.inputs(sys, k * cfg.dt, X)
+        U = inputs(sys, k * dt, X)
         F = sys.drift(X, U)
         S = sys.diffusion(X, U)
-        X = X + F * cfg.dt + np.einsum("bij,bj->bi", S, W) * root_dt
+        Fdt, SW = drift_step[:len(X)], noise_step[:len(X)]
+        np.multiply(F, dt, out=Fdt)
+        np.einsum("bij,bj->bi", S, W, out=SW)
+        SW *= root_dt
+        X += Fdt
+        X += SW
         still = sys.contains(X)
         yield U, X, still
         if not still.all():
@@ -261,32 +295,53 @@ def _live_steps(sys, cfg, x0, trials):
             X = X[keep]
 
 
-def simulate(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
-             trial: int = 0) -> Trajectory:
-    """One killed closed-loop path; deterministic in (seed, trial)."""
+def _start(sys: SystemModel, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).ravel()
     if not bool(sys.contains(x0)[0]):
         raise ValueError("initial state is outside the safe set")
+    return x0
+
+
+def _unstarted_path(sys: SystemModel, cfg: SimConfig, x0: np.ndarray) -> Trajectory:
     n = cfg.n_steps
-    times = np.arange(n + 1) * cfg.dt
     states = np.empty((n + 1, sys.n_x))
-    inputs = np.zeros((n + 1, sys.n_u))
-    alive = np.ones(n + 1, dtype=bool)
     states[0] = x0
+    return Trajectory(np.arange(n + 1) * cfg.dt, states, np.zeros((n + 1, sys.n_u)),
+                      np.ones(n + 1, dtype=bool))
+
+
+def _record(path: Trajectory, k: int, U, X, still) -> bool:
+    """Write row 0 of ``_live_steps``' step ``k`` into ``path``; False once
+    that row's trial is killed, which completes the path."""
+    path.inputs[k] = U[0]
+    path.states[k + 1] = X[0]
+    if still[0]:
+        return True
+    path.states[k + 1:] = X[0]
+    path.alive[k + 1:] = False
+    return False
+
+
+def simulate(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
+             trial: int = 0) -> Trajectory:
+    """One killed closed-loop path; deterministic in (seed, trial)."""
+    x0 = _start(sys, x0)
+    path = _unstarted_path(sys, cfg, x0)
     for k, (U, X, still) in enumerate(_live_steps(sys, cfg, x0, [trial])):
-        inputs[k] = U[0]
-        states[k + 1] = X[0]
-        if not still[0]:
-            states[k + 1:] = X[0]
-            alive[k + 1:] = False
-    return Trajectory(times, states, inputs, alive)
+        _record(path, k, U, X, still)
+    return path
 
 
-def _curve_chunk(sys, cfg, x0, lo_trial, hi_trial):
+def _curve_chunk(sys, cfg, x0, lo_trial, hi_trial, path=None):
+    """Alive counts per time sample of trials ``[lo_trial, hi_trial)``.
+    Given ``path``, also records trial ``lo_trial`` into it: that trial is
+    row 0 for as long as it lives, since compaction keeps the row order."""
     counts = np.zeros(cfg.n_steps + 1, dtype=np.int64)
     counts[0] = hi_trial - lo_trial
-    for k, (_, _, still) in enumerate(_live_steps(sys, cfg, x0, range(lo_trial, hi_trial))):
+    for k, (U, X, still) in enumerate(_live_steps(sys, cfg, x0, range(lo_trial, hi_trial))):
         counts[k + 1] = np.count_nonzero(still)
+        if path is not None and not _record(path, k, U, X, still):
+            path = None
     return counts
 
 
@@ -299,22 +354,32 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
     EigenResult or a FilterSpec); when given, the theoretical lower bound
     ``psi(x0)/||psi|| * exp(-gamma t)`` is attached to the curve.
     """
+    return _estimate(sys, cfg, x0, bound, threads, confidence)[0]
+
+
+def _estimate(sys, cfg, x0, bound=None, threads=1, confidence=0.95, with_path=False):
+    """``estimate_safety_curve``, and with ``with_path`` also trial 0's
+    path, taken from the estimate's own steps: bit for bit what
+    ``simulate(sys, cfg, x0, trial=0)`` returns, without stepping it twice."""
     if _index(threads, "threads") < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if not bool(sys.contains(x0)[0]):
-        raise ValueError("initial state is outside the safe set")
+    x0 = _start(sys, x0)
     n = cfg.n_steps
     chunk = min(cfg.trials, _CHUNK_TRIALS)
     ranges = [(lo, min(lo + chunk, cfg.trials))
               for lo in range(0, cfg.trials, chunk)]
+    path = _unstarted_path(sys, cfg, x0) if with_path else None
+
+    def run(r):
+        if r[0] == 0 and path is not None:
+            return _curve_chunk(sys, cfg, x0, *r, path)
+        return _curve_chunk(sys, cfg, x0, *r)
+
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda r: _curve_chunk(sys, cfg, x0, r[0], r[1]), ranges
-            ))
+            parts = list(pool.map(run, ranges))
     else:
-        parts = [_curve_chunk(sys, cfg, x0, lo, hi) for lo, hi in ranges]
+        parts = [run(r) for r in ranges]
     counts = np.sum(parts, axis=0, dtype=np.int64)
     times = np.arange(n + 1) * cfg.dt
     frac = counts / cfg.trials
@@ -324,7 +389,7 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
         psi: ScalarField = bound.psi
         level = interpolate(psi, x0) / sup_norm(psi)
         theo = level * np.exp(-bound.gamma * times)
-    return SafetyCurve(times, frac, low, high, cfg.trials, counts, theo)
+    return SafetyCurve(times, frac, low, high, cfg.trials, counts, theo), path
 
 
 def wilson_interval(successes, n: int, confidence: float = 0.95):

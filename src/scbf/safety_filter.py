@@ -47,7 +47,7 @@ import itertools
 import numpy as np
 
 from .errors import OutOfDomain, StructureError
-from .grid import _blend, _corners, _derivative_table, _unpack_hessian
+from .grid import _blend, _blend_clamped, _corners, _derivative_table, _unpack_hessian
 from .spectral import EigenResult
 from .systems import SystemModel
 
@@ -115,8 +115,8 @@ class FilterSpec:
 
     def _backup_at(self, corners) -> np.ndarray:
         """Interpolated backup-policy input, clamped into the box."""
-        u = _blend(self.policy.inputs, corners)
-        return np.clip(u, self.sys.input_lower, self.sys.input_upper)
+        return _blend_clamped(self.policy.inputs, corners,
+                              self.sys.input_lower, self.sys.input_upper)
 
     def cost(self, u: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
         d = np.asarray(u) - np.asarray(u_ref)

@@ -234,13 +234,19 @@ def probe_structure(sys: SystemModel) -> StructureFlags:
     )
 
 
+def _batch_shape(x: np.ndarray, u: np.ndarray) -> tuple:
+    """The batch shape states ``x (..., n_x)`` and inputs ``u (..., n_u)``
+    broadcast to."""
+    return np.broadcast(x[..., 0], u[..., 0]).shape
+
+
 # --- double integrator ------------------------------------------------------
 
 
 def _di_drift(x, u):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    out = np.empty(np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape) + (2,))
+    out = np.empty(_batch_shape(x, u) + (2,))
     out[..., 0] = x[..., 1]
     out[..., 1] = u[..., 0]
     return out
@@ -252,8 +258,9 @@ def _const_diffusion(matrix):
     def sigma(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        return np.broadcast_to(matrix, shape + matrix.shape).copy()
+        out = np.empty(_batch_shape(x, u) + matrix.shape)
+        out[...] = matrix
+        return out
 
     return sigma
 
@@ -261,7 +268,7 @@ def _const_diffusion(matrix):
 def _di_input_noise_diffusion(x, u):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
+    shape = _batch_shape(x, u)
     out = np.zeros(shape + (2, 1))
     out[..., 1, 0] = np.sqrt(1.0 + np.broadcast_to(u[..., 0], shape) ** 2)
     return out
@@ -364,7 +371,7 @@ def _make_wig(params, counts):
     def diffusion(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
+        shape = _batch_shape(x, u)
         V = np.broadcast_to(x[..., 1], shape)
         out = np.zeros(shape + (3, 2))
         out[..., 1, 0] = SigmaD / m
@@ -398,7 +405,7 @@ def _make_bicycle(params, counts):
     def drift(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
+        shape = _batch_shape(x, u)
         th = np.broadcast_to(x[..., 2], shape)
         v = np.broadcast_to(x[..., 3], shape)
         out = np.empty(shape + (4,))
@@ -444,7 +451,7 @@ def _make_brownian(params, counts):
     def drift(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
+        shape = _batch_shape(x, u)
         return np.zeros(shape + (1,))
 
     grid = GridSpec([params["a"]], [params["b"]], counts)

@@ -114,8 +114,23 @@ class TestLocatedValues:
         ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
                       "simulation.reference = circle"],
          "4: config key 'simulation.reference': circle steers the bicycle, not brownian_1d"),
+        # The enumerated keys used to be checked only where they were used,
+        # after the system was built (and, for simulate, the artifacts
+        # read), and without file or line.
+        ("synthesize", ["iteration.init = bogus"],
+         "2: key 'iteration.init': expected one of bump, gauss, plateau, got 'bogus'"),
+        ("synthesize", ["iteration.algorithm = bogus"],
+         "2: key 'iteration.algorithm': expected one of power_policy, "
+         "power_policy_two_step, power_fixed, got 'bogus'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = bogus"],
+         "3: key 'simulation.controller': expected one of fixed_policy, scbf_qp, open_loop, "
+         "got 'bogus'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
+                      "simulation.reference = bogus"],
+         "4: key 'simulation.reference': expected one of zero, constant, circle, got 'bogus'"),
     ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_tolerance",
-            "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle"])
+            "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle",
+            "init_choice", "algorithm_choice", "controller_choice", "reference_choice"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
@@ -124,6 +139,17 @@ class TestLocatedValues:
         assert run(command, "--config", str(cfg), *extra, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
         assert not out.exists()
+
+    def test_choice_checked_before_system_and_artifacts(self, tmp_path, capsys):
+        # Neither the system id nor the artifacts exist; the bad choice is
+        # reported first.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("system.id = no_such_system\nsimulation.controller = Scbf_qp\n")
+        assert run("simulate", "--config", str(cfg), "--artifacts", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: key 'simulation.controller': expected one of fixed_policy, "
+            "scbf_qp, open_loop, got 'Scbf_qp'\n")
 
     def test_threads_env(self, tmp_path, capsys, brownian_artifacts, monkeypatch):
         cfg = tmp_path / "sim.cfg"
@@ -437,6 +463,53 @@ class TestSimulate:
         assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
         assert fractions[0] > 0 and fractions[1] > 0   # unmodified and modified
 
+    @pytest.mark.parametrize("lines, x0, threads, chunk", [
+        (["simulation.controller = fixed_policy"], "0.6,1.2", "1", None),
+        (["simulation.controller = scbf_qp"], "0.6,1.2", "1", None),
+        (["simulation.controller = open_loop", "simulation.u_const = 0.3"], "0.6,1.2", "1", None),
+        (["simulation.controller = open_loop", "simulation.u_const = 1.0"], "0.9,1.8", "1", None),
+        (["simulation.controller = scbf_qp"], "0.6,1.2", "2", 16),
+    ], ids=["fixed_policy", "scbf_qp", "open_loop", "killed", "two_threads_four_chunks"])
+    def test_trajectory_is_the_estimates_trial_0(self, tmp_path, monkeypatch, di_artifacts,
+                                                 lines, x0, threads, chunk):
+        # trajectory.csv comes from the estimate's own trial 0, which is
+        # stepped once; it equals the file of a lone simulate(trial=0).
+        if chunk:
+            monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+        stepped = []
+        live_steps = montecarlo._live_steps
+
+        def recording(sys, cfg, start, trials):
+            stepped.extend(trials)
+            return live_steps(sys, cfg, start, trials)
+
+        monkeypatch.setattr(montecarlo, "_live_steps", recording)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("\n".join(["system.id = di_omni", "grid.counts = 21,41",
+                                  f"simulation.x0 = {x0}", "simulation.trials = 50",
+                                  "simulation.t_end = 0.5", "simulation.seed = 7"] + lines) + "\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), "--threads", threads,
+                   "--artifacts", str(di_artifacts), "--out", str(out)) == 0
+        assert sorted(stepped) == list(range(50))
+
+        sys_model = make_benchmark("di_omni", grid_counts=(21, 41))
+        result, _ = cli.load_result(di_artifacts, sys_model)
+        kind = lines[0].split(" = ")[1]
+        controller = {
+            "fixed_policy": lambda: montecarlo.FixedPolicyController(result.policy),
+            "scbf_qp": lambda: montecarlo.ScbfQpController(
+                FilterSpec(sys_model, result), montecarlo.constant_reference([0.0])),
+            "open_loop": lambda: montecarlo.OpenLoopController(
+                np.array([float(lines[1].split(" = ")[1])])),
+        }[kind]()
+        sim = montecarlo.SimConfig(t_end=0.5, trials=50, seed=7, controller=controller)
+        lone = montecarlo.simulate(sys_model, sim, np.array([float(v) for v in x0.split(",")]))
+        montecarlo.write_trajectory_csv(lone, tmp_path / "lone.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "lone.csv").read_bytes()
+        if x0 == "0.9,1.8":
+            assert lone.killed and lone.alive.sum() < 100
+
     def test_t_end_not_whole_steps_exit_1(self, tmp_path, capsys, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"
@@ -511,19 +584,14 @@ class TestControllers:
         assert meta["simulation.reference"] == "circle"
         assert "result.filter.unmodified_fraction" in meta
 
+    # An unknown controller, reference or algorithm is a TestLocatedValues
+    # case: its caster rejects it where the config is read.
     @pytest.mark.parametrize("command, lines, message", [
-        ("simulate", ["simulation.controller = bogus"],
-         "config key 'simulation.controller': unknown value 'bogus'"),
-        ("simulate", ["simulation.controller = scbf_qp", "simulation.reference = bogus"],
-         "config key 'simulation.reference': unknown value 'bogus'"),
         ("simulate", ["simulation.controller = open_loop"],
          "open_loop controller needs 'simulation.u_const'"),
         ("simulate", ["simulation.controller = scbf_qp", "simulation.reference = constant"],
          "constant reference needs 'simulation.reference_u'"),
-        ("synthesize", ["iteration.algorithm = bogus"],
-         "config key 'iteration.algorithm': unknown value 'bogus'"),
-    ], ids=["controller", "reference", "open_loop_without_input",
-            "constant_without_input", "algorithm"])
+    ], ids=["open_loop_without_input", "constant_without_input"])
     def test_rejected(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d", "simulation.x0 = 0.0"] + lines)
@@ -950,7 +1018,10 @@ def _bad_config_line(draw):
         return [f"{key} = 1"]
     if kind == "repeated_key":
         key = draw(st.sampled_from(_FREE_KEYS))
-        return [f"{key} = 1", f"{key} = 1"]
+        # a value the key reads: an enumerated key's default, else 1
+        default = _KEYS.get(key, (None, None))[1]
+        value = default if isinstance(default, str) else "1"
+        return [f"{key} = {value}", f"{key} = {value}"]
     value = junk.replace("#", "")
     if kind == "bad_override":
         assume(not _parses(value.strip()))

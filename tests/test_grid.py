@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,92 @@ def corner_by_corner(spec, stack, x):
             w *= frac[:, d] if c else (1.0 - frac[:, d])
         out += w[:, None] * stack[:, idx @ strides].T
     return out
+
+
+def located_reference(spec, table, x):
+    """Multilinear blend of a node-major ``(size, K)`` table at points ``x``,
+    written apart from ``GridSpec``'s locate: each point is located one
+    coordinate at a time in Python floats, and each corner of its cell in
+    ``itertools.product`` order adds ``table[node] * weight`` to a sum that
+    starts at 0.0, the weight multiplied in dimension order."""
+    h = spec.spacing
+    out = np.empty((len(x), table.shape[1]))
+    for b, point in enumerate(x):
+        cell, frac = [], []
+        for d in range(spec.dims):
+            lo, hi, n = spec.lower[d], spec.upper[d], spec.counts[d]
+            v = float(point[d])
+            if spec.periodic[d]:
+                v = lo + float(np.mod(v - lo, hi - lo))
+            t = (v - lo) / float(h[d])
+            i = min(max(int(t), 0), n - 1 if spec.periodic[d] else n - 2)
+            cell.append(i)
+            frac.append(t - i)
+        total = np.zeros(table.shape[1])
+        for corner in itertools.product((0, 1), repeat=spec.dims):
+            node, weight = 0, None
+            for d, c in enumerate(corner):
+                i = cell[d] + c
+                if spec.periodic[d]:
+                    i %= spec.counts[d]
+                node = node * spec.counts[d] + i
+                f = frac[d] if c else 1.0 - frac[d]
+                weight = f if weight is None else weight * f
+            total = total + table[node] * weight
+        out[b] = total
+    return out
+
+
+@st.composite
+def grids_and_points(draw):
+    """A 1-D to 4-D grid with at least one periodic axis, and points on it:
+    anywhere in a cell, on a node, on the upper face and, along a periodic
+    axis, up to three periods outside the box."""
+    dims = draw(st.integers(1, 4))
+    periodic = draw(st.lists(st.booleans(), min_size=dims, max_size=dims))
+    periodic[draw(st.integers(0, dims - 1))] = True
+    lower = [draw(st.floats(-2.0, 1.0)) for _ in range(dims)]
+    spec = GridSpec(lower, [lo + draw(st.floats(0.5, 3.0)) for lo in lower],
+                    [draw(st.integers(3, 6)) for _ in range(dims)], periodic)
+
+    def coordinate(d):
+        lo, hi = spec.lower[d], spec.upper[d]
+        kind = draw(st.sampled_from(["cell", "node", "upper"]
+                                    + ["outside"] * spec.periodic[d]))
+        if kind == "node":
+            return float(spec.coordinates(d)[draw(st.integers(0, spec.counts[d] - 1))])
+        if kind == "upper":
+            return hi
+        if kind == "outside":
+            return draw(st.floats(lo - 3.0 * (hi - lo), hi + 3.0 * (hi - lo)))
+        return draw(st.floats(lo, hi))
+
+    points = [[coordinate(d) for d in range(dims)] for _ in range(draw(st.integers(1, 6)))]
+    return spec, np.array(points)
+
+
+class TestCornersAgainstReference:
+    @given(grids_and_points(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_blend_bit_identical(self, grid_points, seed, channels):
+        spec, x = grid_points
+        table = np.random.default_rng(seed).normal(size=(spec.size, channels))
+        got = _blend(table, _corners(spec, x))
+        assert got.tobytes() == located_reference(spec, table, x).tobytes()
+
+    @given(grids_and_points(), st.floats(1e-9, 10.0), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_outside_point_names_its_coordinate(self, grid_points, by, below):
+        spec, x = grid_points
+        bounded = [d for d in range(spec.dims) if not spec.periodic[d]]
+        if not bounded:
+            return
+        d, j = bounded[0], len(x) - 1
+        lo, hi = spec.lower[d], spec.upper[d]
+        x[j, d] = lo - by if below else hi + by
+        message = f"coordinate {d} = {np.float64(x[j, d])} outside [{lo}, {hi}]"
+        with pytest.raises(OutOfDomain, match=f"^{re.escape(message)}$"):
+            _corners(spec, x)
 
 
 class TestSupNorm:

@@ -12,6 +12,7 @@ from scbf.montecarlo import (
     FixedPolicyController,
     OpenLoopController,
     SafetyCurve,
+    ScbfQpController,
     SimConfig,
     bicycle_circle_reference,
     constant_reference,
@@ -22,8 +23,9 @@ from scbf.montecarlo import (
     write_safety_curve_csv,
     write_trajectory_csv,
 )
+from scbf.safety_filter import FilterSpec
 from scbf.semigroup import PolicyTable, PropagationConfig
-from scbf.spectral import initial_field, power_iteration
+from scbf.spectral import initial_field, power_iteration, power_policy_iteration
 from scbf.systems import make_benchmark
 
 
@@ -54,6 +56,12 @@ def split_into_chunks(monkeypatch, size):
 @pytest.fixture(scope="module")
 def brownian():
     return make_benchmark("brownian_1d")
+
+
+@pytest.fixture(scope="module")
+def di_omni_barrier():
+    sys = make_benchmark("di_omni", grid_counts=(21, 41))
+    return sys, power_policy_iteration(sys, PropagationConfig(horizon=0.5), tol=1e-4)
 
 
 def test_t_end_not_whole_steps_rejected():
@@ -173,6 +181,27 @@ class TestSafetyCurve:
             alive += simulate(brownian, cfg, [0.0], trial=i).alive
         curve = estimate_safety_curve(brownian, cfg, [0.0])
         assert np.array_equal(curve.alive_counts, alive)
+
+    @pytest.mark.parametrize("kind", ["fixed_policy", "scbf_qp"])
+    def test_batch_row_matches_lone_path(self, di_omni_barrier, kind):
+        # A trial stepped as row 0 of a batch, beside rows that die while it
+        # lives, takes its lone path's states and inputs bit for bit: the
+        # policy blend, the filter and the two-channel noise product read
+        # each row on its own.  (Alive counts on brownian_1d, one noise
+        # channel, cannot show a noise product that depends on the batch.)
+        sys, res = di_omni_barrier
+        controller = (FixedPolicyController(res.policy) if kind == "fixed_policy" else
+                      ScbfQpController(FilterSpec(sys, res), constant_reference([0.5])))
+        cfg = SimConfig(t_end=1.0, trials=40, seed=46, controller=controller)
+        x0 = np.array([0.6, 1.2])
+        for lo in (0, 5, 17):
+            path = montecarlo._unstarted_path(sys, cfg, x0)
+            counts = montecarlo._curve_chunk(sys, cfg, x0, lo, lo + 20, path)
+            lone = simulate(sys, cfg, x0, trial=lo)
+            assert path.states.tobytes() == lone.states.tobytes()
+            assert path.inputs.tobytes() == lone.inputs.tobytes()
+            assert np.array_equal(path.alive, lone.alive)
+            assert counts[int(path.alive.sum()) - 1] < 20   # rows died beside it
 
     def test_seed_determinism_and_sensitivity(self, brownian):
         base = dict(t_end=0.3, trials=500, controller=OpenLoopController([0.0]))
