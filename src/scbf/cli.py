@@ -28,9 +28,9 @@ from .montecarlo import (
     OpenLoopController,
     ScbfQpController,
     SimConfig,
-    _estimate,
     bicycle_circle_reference,
     constant_reference,
+    estimate_safety_curve,
     write_safety_curve_csv,
     write_trajectory_csv,
 )
@@ -485,11 +485,10 @@ def cmd_simulate(args) -> int:
     filtered = isinstance(controller, ScbfQpController)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    # trial 0's path is the estimate's own trial 0, stepped once
-    curve, traj = _estimate(sys_model, sim, np.asarray(x0),
-                            bound=controller.spec if filtered else result,
-                            threads=job.get("threads"), with_path=True)
-    write_trajectory_csv(traj, out / "trajectory.csv")
+    curve = estimate_safety_curve(sys_model, sim, np.asarray(x0),
+                                  bound=controller.spec if filtered else result,
+                                  threads=job.get("threads"))
+    write_trajectory_csv(curve.trajectory, out / "trajectory.csv")
     write_safety_curve_csv(curve, out / "curve.csv")
     result_lines = [
         f"result.survival_end = {float(curve.survival_fraction[-1])!r}",

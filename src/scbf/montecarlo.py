@@ -14,19 +14,22 @@ counter-based Philox stream keyed by the two 64-bit words ``(seed, i)``, in
 step order, a block of steps at a time and only while the trial is alive.
 Consecutive draws from one stream equal one draw of the whole horizon, so a
 trial's path does not depend on the block length, on which other trials
-share its batch, on the chunking, or on the thread count: ``simulate``,
-the chunked batch path and any thread count give bit-identical results.
-Survival is aggregated as integer counts per time sample.
+share its batch, on the chunking, or on the thread count.  Survival is
+aggregated as integer counts per time sample.
 
-Each chunk of trials is stepped by one call that allocates, once, its
-noise buffers (``_BLOCK_STEPS`` steps of every live trial, drawn
-trial-major and copied step-major) and two step buffers that take
-``F dt`` and ``(S W) sqrt(dt)``.  The update
+One loop steps every trial: each chunk of trials is stepped by one call
+that allocates, once, its noise buffers (``_BLOCK_STEPS`` steps of every
+live trial, drawn trial-major and copied step-major) and two step buffers
+that take ``F dt`` and ``(S W) sqrt(dt)``.  The update
 ``x + F dt + (S W) sqrt(dt)`` is summed in that order, in place, into the
 states the call owns; no array a model or controller callback returned is
 written.  A killed trial's row is dropped and the others keep their
-order, so a chunk's first trial is row 0 while it lives; ``scbf simulate``
-records trial 0's path there instead of stepping it a second time.
+order, so a chunk's first trial is row 0 while it lives, and the chunk
+records that trial's path there.  ``simulate`` is a one-trial chunk, and
+``estimate_safety_curve`` returns the path of chunk 0, trial 0's, as
+``SafetyCurve.trajectory``, bit for bit what ``simulate`` gives for trial
+0; ``scbf simulate`` writes it to ``trajectory.csv`` without stepping
+trial 0 a second time.
 
 The survival curve carries Wilson confidence intervals and, when a barrier
 is supplied, the probabilistic lower bound  psi(x0)/||psi|| * exp(-gamma t).
@@ -213,6 +216,7 @@ class SafetyCurve:
     trials: int
     alive_counts: np.ndarray
     theoretical_bound: np.ndarray | None = None
+    trajectory: Trajectory | None = None
 
 
 class _TrialKey(np.random.bit_generator.ISeedSequence):
@@ -302,47 +306,36 @@ def _start(sys: SystemModel, x0) -> np.ndarray:
     return x0
 
 
-def _unstarted_path(sys: SystemModel, cfg: SimConfig, x0: np.ndarray) -> Trajectory:
+def _curve_chunk(sys, cfg, x0, lo_trial, hi_trial):
+    """Alive counts per time sample of trials ``[lo_trial, hi_trial)``, and
+    the path of trial ``lo_trial``: that trial is row 0 for as long as it
+    lives, since compaction keeps the row order."""
     n = cfg.n_steps
-    states = np.empty((n + 1, sys.n_x))
-    states[0] = x0
-    return Trajectory(np.arange(n + 1) * cfg.dt, states, np.zeros((n + 1, sys.n_u)),
-                      np.ones(n + 1, dtype=bool))
-
-
-def _record(path: Trajectory, k: int, U, X, still) -> bool:
-    """Write row 0 of ``_live_steps``' step ``k`` into ``path``; False once
-    that row's trial is killed, which completes the path."""
-    path.inputs[k] = U[0]
-    path.states[k + 1] = X[0]
-    if still[0]:
-        return True
-    path.states[k + 1:] = X[0]
-    path.alive[k + 1:] = False
-    return False
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = hi_trial - lo_trial
+    path = Trajectory(np.arange(n + 1) * cfg.dt, np.empty((n + 1, sys.n_x)),
+                      np.zeros((n + 1, sys.n_u)), np.ones(n + 1, dtype=bool))
+    path.states[0] = x0
+    recording = True
+    for k, (U, X, still) in enumerate(_live_steps(sys, cfg, x0, range(lo_trial, hi_trial))):
+        counts[k + 1] = np.count_nonzero(still)
+        if recording:
+            path.inputs[k] = U[0]
+            path.states[k + 1] = X[0]
+            if not still[0]:
+                path.states[k + 1:] = X[0]
+                path.alive[k + 1:] = False
+                recording = False
+    return counts, path
 
 
 def simulate(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
              trial: int = 0) -> Trajectory:
-    """One killed closed-loop path; deterministic in (seed, trial)."""
-    x0 = _start(sys, x0)
-    path = _unstarted_path(sys, cfg, x0)
-    for k, (U, X, still) in enumerate(_live_steps(sys, cfg, x0, [trial])):
-        _record(path, k, U, X, still)
-    return path
+    """One killed closed-loop path; deterministic in (seed, trial).
 
-
-def _curve_chunk(sys, cfg, x0, lo_trial, hi_trial, path=None):
-    """Alive counts per time sample of trials ``[lo_trial, hi_trial)``.
-    Given ``path``, also records trial ``lo_trial`` into it: that trial is
-    row 0 for as long as it lives, since compaction keeps the row order."""
-    counts = np.zeros(cfg.n_steps + 1, dtype=np.int64)
-    counts[0] = hi_trial - lo_trial
-    for k, (U, X, still) in enumerate(_live_steps(sys, cfg, x0, range(lo_trial, hi_trial))):
-        counts[k + 1] = np.count_nonzero(still)
-        if path is not None and not _record(path, k, U, X, still):
-            path = None
-    return counts
+    The path is stepped as a one-trial chunk of the estimate, so it equals
+    that trial's row in any batch bit for bit."""
+    return _curve_chunk(sys, cfg, _start(sys, x0), trial, trial + 1)[1]
 
 
 def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
@@ -352,27 +345,18 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
 
     ``bound`` is any object with ``psi`` and ``gamma`` attributes (an
     EigenResult or a FilterSpec); when given, the theoretical lower bound
-    ``psi(x0)/||psi|| * exp(-gamma t)`` is attached to the curve.
+    ``psi(x0)/||psi|| * exp(-gamma t)`` is attached to the curve.  The
+    curve's ``trajectory`` is trial 0's path, taken from the estimate's own
+    steps: bit for bit what ``simulate(sys, cfg, x0, trial=0)`` returns.
     """
-    return _estimate(sys, cfg, x0, bound, threads, confidence)[0]
-
-
-def _estimate(sys, cfg, x0, bound=None, threads=1, confidence=0.95, with_path=False):
-    """``estimate_safety_curve``, and with ``with_path`` also trial 0's
-    path, taken from the estimate's own steps: bit for bit what
-    ``simulate(sys, cfg, x0, trial=0)`` returns, without stepping it twice."""
     if _index(threads, "threads") < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     x0 = _start(sys, x0)
-    n = cfg.n_steps
     chunk = min(cfg.trials, _CHUNK_TRIALS)
     ranges = [(lo, min(lo + chunk, cfg.trials))
               for lo in range(0, cfg.trials, chunk)]
-    path = _unstarted_path(sys, cfg, x0) if with_path else None
 
     def run(r):
-        if r[0] == 0 and path is not None:
-            return _curve_chunk(sys, cfg, x0, *r, path)
         return _curve_chunk(sys, cfg, x0, *r)
 
     if threads > 1 and len(ranges) > 1:
@@ -380,16 +364,16 @@ def _estimate(sys, cfg, x0, bound=None, threads=1, confidence=0.95, with_path=Fa
             parts = list(pool.map(run, ranges))
     else:
         parts = [run(r) for r in ranges]
-    counts = np.sum(parts, axis=0, dtype=np.int64)
-    times = np.arange(n + 1) * cfg.dt
+    counts = np.sum([c for c, _ in parts], axis=0, dtype=np.int64)
+    path = parts[0][1]
     frac = counts / cfg.trials
     low, high = wilson_interval(counts, cfg.trials, confidence)
     theo = None
     if bound is not None:
         psi: ScalarField = bound.psi
         level = interpolate(psi, x0) / sup_norm(psi)
-        theo = level * np.exp(-bound.gamma * times)
-    return SafetyCurve(times, frac, low, high, cfg.trials, counts, theo), path
+        theo = level * np.exp(-bound.gamma * path.times)
+    return SafetyCurve(path.times, frac, low, high, cfg.trials, counts, theo, path)
 
 
 def wilson_interval(successes, n: int, confidence: float = 0.95):
@@ -429,32 +413,29 @@ def fit_decay_rate(curve: SafetyCurve, window: float = 0.5) -> float:
 # --- CSV emission ---------------------------------------------------------------
 
 
+def _write_rows(path, header, columns) -> None:
+    """A CSV of equal-length ``columns`` under ``header``: the ``alive``
+    column (a count or a flag) as integers, every other one as the ``repr``
+    of its floats."""
+    cells = [[str(int(v)) for v in c] if name == "alive" else [repr(float(v)) for v in c]
+             for name, c in zip(header, columns)]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     n_x = traj.states.shape[1]
     n_u = traj.inputs.shape[1]
     header = (["t"] + [f"x{i + 1}" for i in range(n_x)]
               + [f"u{j + 1}" for j in range(n_u)] + ["alive"])
-    lines = [",".join(header)]
-    for k in range(traj.times.size):
-        row = [repr(float(traj.times[k]))]
-        row += [repr(float(v)) for v in traj.states[k]]
-        row += [repr(float(v)) for v in traj.inputs[k]]
-        row.append(str(int(traj.alive[k])))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_rows(path, header, [traj.times, *traj.states.T, *traj.inputs.T, traj.alive])
 
 
 def write_safety_curve_csv(curve: SafetyCurve, path) -> None:
     header = ["t", "alive", "survival", "wilson_low", "wilson_high"]
+    columns = [curve.times, curve.alive_counts, curve.survival_fraction,
+               curve.wilson_low, curve.wilson_high]
     if curve.theoretical_bound is not None:
         header.append("bound")
-    lines = [",".join(header)]
-    for k in range(curve.times.size):
-        row = [repr(float(curve.times[k])), str(int(curve.alive_counts[k])),
-               repr(float(curve.survival_fraction[k])),
-               repr(float(curve.wilson_low[k])),
-               repr(float(curve.wilson_high[k]))]
-        if curve.theoretical_bound is not None:
-            row.append(repr(float(curve.theoretical_bound[k])))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        columns.append(curve.theoretical_bound)
+    _write_rows(path, header, columns)

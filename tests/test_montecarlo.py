@@ -195,8 +195,7 @@ class TestSafetyCurve:
         cfg = SimConfig(t_end=1.0, trials=40, seed=46, controller=controller)
         x0 = np.array([0.6, 1.2])
         for lo in (0, 5, 17):
-            path = montecarlo._unstarted_path(sys, cfg, x0)
-            counts = montecarlo._curve_chunk(sys, cfg, x0, lo, lo + 20, path)
+            counts, path = montecarlo._curve_chunk(sys, cfg, x0, lo, lo + 20)
             lone = simulate(sys, cfg, x0, trial=lo)
             assert path.states.tobytes() == lone.states.tobytes()
             assert path.inputs.tobytes() == lone.inputs.tobytes()
