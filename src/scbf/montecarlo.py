@@ -259,7 +259,7 @@ def _live_steps(sys, cfg, x0, trials):
     before it, and which of them are still alive; stops when none is.  The
     next step updates the yielded states in place.
     """
-    streams = [np.random.Generator(np.random.Philox(_TrialKey(cfg.seed, i & 0xFFFFFFFFFFFFFFFF)))
+    streams = [np.random.Generator(np.random.Philox(_TrialKey(cfg.seed, i)))
                for i in trials]
     live = np.arange(len(streams))
     X = np.tile(np.asarray(x0, dtype=float), (live.size, 1))
@@ -301,6 +301,8 @@ def _live_steps(sys, cfg, x0, trials):
 
 def _start(sys: SystemModel, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.size != sys.n_x:
+        raise ValueError(f"x0 has {x0.size} entries, {sys.name} has {sys.n_x} states")
     if not bool(sys.contains(x0)[0]):
         raise ValueError("initial state is outside the safe set")
     return x0
@@ -333,8 +335,12 @@ def simulate(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
              trial: int = 0) -> Trajectory:
     """One killed closed-loop path; deterministic in (seed, trial).
 
-    The path is stepped as a one-trial chunk of the estimate, so it equals
-    that trial's row in any batch bit for bit."""
+    ``trial`` is an integer in ``[0, 2**64)``, the second word of the
+    trial's Philox key.  The path is stepped as a one-trial chunk of the
+    estimate, so it equals that trial's row in any batch bit for bit."""
+    trial = _index(trial, "trial")
+    if not 0 <= trial < 2**64:
+        raise ValueError(f"trial must lie in [0, 2**64), got {trial!r}")
     return _curve_chunk(sys, cfg, _start(sys, x0), trial, trial + 1)[1]
 
 

@@ -90,6 +90,26 @@ def test_non_finite_step_or_horizon_rejected(dt, t_end):
         SimConfig(t_end=t_end, trials=1, seed=0, controller=OpenLoopController([0.0]), dt=dt)
 
 
+@pytest.mark.parametrize("dt, t_end, trials, message", [
+    (0.5, 0.3, 1, "dt must not exceed t_end"), (1e-3, 1.0, 0, "need at least one trial")])
+def test_step_above_horizon_or_no_trials_rejected(dt, t_end, trials, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(t_end=t_end, trials=trials, seed=0, controller=OpenLoopController([0.0]), dt=dt)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "estimate_safety_curve"])
+@pytest.mark.parametrize("x0, message", [
+    ([3.0, 0.0], "initial state is outside the safe set"),
+    # These used to end in an IndexError and a numpy broadcast error.
+    ([0.0], "x0 has 1 entries, di_omni has 2 states"),
+    ([0.0, 0.0, 5.0], "x0 has 3 entries, di_omni has 2 states")])
+def test_bad_start_rejected(entry, x0, message):
+    sys = make_benchmark("di_omni", grid_counts=(21, 41))
+    cfg = SimConfig(t_end=0.1, trials=5, seed=0, controller=OpenLoopController([0.0]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(montecarlo, entry)(sys, cfg, x0)
+
+
 class TestSimulate:
     def test_frozen_dynamics(self):
         sys = make_benchmark("brownian_1d", {"sigma": 0.0})
@@ -118,6 +138,22 @@ class TestSimulate:
         c = simulate(brownian, cfg, [0.1], trial=3)
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.states, c.states)
+
+    @pytest.mark.parametrize("trial, message", [
+        (-1, "trial must lie in [0, 2**64), got -1"),
+        (2**64, f"trial must lie in [0, 2**64), got {2**64}"),
+        (2.0, "trial must be an integer, got 2.0")])
+    def test_trial_out_of_range_rejected(self, brownian, trial, message):
+        # 2**64 used to give trial 0's path and -1 that of trial 2**64 - 1.
+        cfg = SimConfig(t_end=0.1, trials=1, seed=3, controller=OpenLoopController([0.0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(brownian, cfg, [0.0], trial=trial)
+
+    def test_last_trial_key_is_its_own(self, brownian):
+        cfg = SimConfig(t_end=0.1, trials=1, seed=3, controller=OpenLoopController([0.0]))
+        last = simulate(brownian, cfg, [0.0], trial=2**64 - 1).states
+        assert not np.array_equal(last, simulate(brownian, cfg, [0.0], trial=0).states)
+        assert not np.array_equal(last, simulate(brownian, cfg, [0.0], trial=2**63 - 1).states)
 
 
 class TestSafetyCurve:
@@ -270,6 +306,14 @@ class TestFitDecayRate:
         curve = SafetyCurve(t, s, s, s, 1, (s > 0).astype(np.int64))
         with pytest.raises(InsufficientData):
             fit_decay_rate(curve, 0.5)
+
+    @pytest.mark.parametrize("window", [0.0, -0.5, 1.5, math.nan])
+    def test_window_outside_unit_interval_rejected(self, window):
+        t = np.linspace(0.0, 3.0, 400)
+        s = np.exp(-t)
+        curve = SafetyCurve(t, s, s, s, 1, np.ones_like(t, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"^window must lie in \(0, 1\]$"):
+            fit_decay_rate(curve, window)
 
     def test_brownian_rate(self, brownian):
         cfg = SimConfig(t_end=3.0, trials=10000, seed=6,
