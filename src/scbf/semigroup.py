@@ -734,11 +734,12 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
-    """CFL load and stencil, with the critical-input candidate when
-    ``dynamic``, for the candidate input arrays ``inputs``, each (nodes,
-    n_u); ``shared`` when the noise does not depend on the input.  Rates no
-    candidate changes go to the base.
+def _split_stencil(sys: SystemModel, inputs: list):
+    """CFL load and stencil for the candidate input arrays ``inputs``, each
+    (nodes, n_u), with the critical-input candidate in the quadratic regime
+    when there is more than one input (a fixed policy passes one).  When the
+    noise does not depend on the input, one Gram serves every candidate.
+    Rates no candidate changes go to the base.
 
     Memory: the Gram and drift are evaluated in node blocks, the Gram kept
     as the entries the rates read; the drift one candidate at a time, its
@@ -750,6 +751,8 @@ def _split_stencil(sys: SystemModel, inputs: list, shared=False, dynamic=False):
     spec, interior = sys.grid, sys.interior_mask()
     n, h = spec.dims, spec.spacing
     upper = [(i, j) for i in range(n) for j in range(i, n)]
+    shared = sys.flags.sigma_u_independent or sys.flags.sigma_zero
+    dynamic = sys.regime == "quadratic" and len(inputs) > 1
     grams = [_node_entries(spec, lambda x, at: [sys.gram(x, U[at])], upper)[0]
              for U in (inputs[:1] if shared else inputs)]
     quad = _QuadraticInput(sys, upper) if dynamic else None
@@ -862,11 +865,9 @@ class _Operator:
             self.load, self.stencil = _split_stencil(sys, [policy.inputs])
         else:
             self.inputs = sys.input_grid(cfg.candidate_points if sys.regime == "nonaffine" else 2)
-            dynamic = sys.regime == "quadratic" and len(self.inputs) > 1
-            self.candidates = len(self.inputs) + dynamic
             self.load, self.stencil = _split_stencil(
-                sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in self.inputs],
-                sys.flags.sigma_u_independent or sys.flags.sigma_zero, dynamic)
+                sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in self.inputs])
+            self.candidates = len(self.inputs) + (self.stencil.dynamic is not None)
         self.steps, self.dt = 0, 0.0
         if cfg.horizon > 0.0:
             bound = math.inf if self.load <= 0.0 else cfg.cfl_safety / self.load
