@@ -510,6 +510,28 @@ class TestSimulate:
         if x0 == "0.9,1.8":
             assert lone.killed and lone.alive.sum() < 100
 
+    def test_runs_through_the_public_estimate(self, tmp_path, monkeypatch, di_artifacts):
+        # scbf simulate takes its curve and trial 0's path from one call of
+        # the public estimate_safety_curve, the name a tracer can wrap; the
+        # wrapped run writes the same trajectory.csv.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("system.id = di_omni\ngrid.counts = 21,41\nsimulation.x0 = 0.6,1.2\n"
+                       "simulation.trials = 30\nsimulation.t_end = 0.3\n")
+        argv = ["simulate", "--config", str(cfg), "--artifacts", str(di_artifacts), "--out"]
+        assert run(*argv, str(tmp_path / "plain")) == 0
+        calls = []
+        estimate = cli.estimate_safety_curve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_safety_curve", counting)
+        assert run(*argv, str(tmp_path / "wrapped")) == 0
+        assert len(calls) == 1
+        assert ((tmp_path / "wrapped" / "trajectory.csv").read_bytes()
+                == (tmp_path / "plain" / "trajectory.csv").read_bytes())
+
     def test_t_end_not_whole_steps_exit_1(self, tmp_path, capsys, brownian_artifacts):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n"

@@ -214,6 +214,23 @@ class TestFilterInput:
         with pytest.raises(ValueError, match="decay rate must be finite"):
             FilterSpec(di, di_result, gamma=gamma)
 
+    def test_result_on_another_grid_rejected(self, di):
+        coarse = make_benchmark("di_omni", grid_counts=(21, 41))
+        res = EigenResult(gamma=0.0, psi=ScalarField(coarse.grid, np.zeros(coarse.grid.size)),
+                          policy=PolicyTable.zero(coarse), history=[], converged=True,
+                          horizon=0.5)
+        with pytest.raises(ValueError, match="^barrier grid does not match the system grid$"):
+            FilterSpec(di, res)
+
+    def test_state_outside_safe_set_rejected(self, di_filter):
+        with pytest.raises(OutOfDomain, match="^state is outside the safe set; treat as killed$"):
+            filter_input(di_filter, np.array([3.0, 0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("u_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_rejected(self, di_filter, u_ref):
+        with pytest.raises(ValueError, match="^reference input must be finite$"):
+            filter_input(di_filter, np.array([0.0, 0.0]), np.array([u_ref]))
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, di, di_result, weight):
         with pytest.raises(ValueError, match="weights must be finite and positive"):
