@@ -136,7 +136,8 @@ class GridSpec:
         """Containing cell index and fractional offset for each query point.
 
         Accepts shape ``(dims,)`` or ``(B, dims)``.  Raises OutOfDomain if a
-        point leaves the closed box in a non-periodic dimension.
+        point leaves the closed box in a non-periodic dimension; a last node
+        that ``lower + h (n - 1)`` rounds above ``upper`` counts as inside.
         """
         cell, frac = self._locate_by_dim(x)
         return cell.T.copy(), frac.T.copy()
@@ -148,6 +149,12 @@ class GridSpec:
         top = [n - 1 if p else n - 2 for n, p in zip(self.counts, self.periodic)]
         return tuple(np.asarray(v)[:, None] for v in
                      (self.lower, self.spacing, top, _flat_strides(self.counts)))
+
+    @cached_property
+    def _reach(self) -> tuple[float, ...]:
+        """Largest coordinate located per dimension: ``upper``, or the last
+        node where rounding puts it above ``upper``."""
+        return tuple(max(hi, float(self.coordinates(d)[-1])) for d, hi in enumerate(self.upper))
 
     @cached_property
     def _periodic_dims(self) -> tuple[int, ...]:
@@ -167,10 +174,10 @@ class GridSpec:
         low = np.fmin.reduce(x, axis=1, initial=np.inf).tolist()
         high = np.fmax.reduce(x, axis=1, initial=-np.inf).tolist()
         for d in range(self.dims):
-            lo, hi = self.lower[d], self.upper[d]
+            lo, hi = self.lower[d], self._reach[d]
             if not self.periodic[d] and (low[d] < lo or high[d] > hi):
                 j = int(np.argmax((x[d] < lo) | (x[d] > hi)))
-                raise OutOfDomain(f"coordinate {d} = {x[d, j]} outside [{lo}, {hi}]")
+                raise OutOfDomain(f"coordinate {d} = {x[d, j]} outside [{lo}, {self.upper[d]}]")
         t = x
         t -= lower
         t /= h

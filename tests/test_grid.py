@@ -134,6 +134,16 @@ class TestCornersAgainstReference:
         with pytest.raises(OutOfDomain, match=f"^{re.escape(message)}$"):
             _corners(spec, x)
 
+    def test_last_node_rounded_above_upper_is_located(self):
+        # lower + h (n - 1) rounds one ulp above upper here; that node was
+        # rejected as outside the grid it belongs to.
+        spec = GridSpec((0.0, 0.0), (1.5545545667235758, 1.0), (4, 3), (False, True))
+        assert spec.coordinates(0)[-1] > spec.upper[0]
+        table = np.arange(spec.size, dtype=float)[:, None]
+        assert np.array_equal(_blend(table, _corners(spec, spec.nodes()))[:, 0], table[:, 0])
+        with pytest.raises(OutOfDomain, match=r"^coordinate 0 = 1\.6 outside"):
+            spec.locate(np.array([1.6, 0.0]))
+
 
 class TestSupNorm:
     def test_constant_field(self):
