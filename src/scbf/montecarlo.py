@@ -379,7 +379,7 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
         psi: ScalarField = bound.psi
         level = interpolate(psi, x0) / sup_norm(psi)
         theo = level * np.exp(-bound.gamma * path.times)
-    return SafetyCurve(path.times, frac, low, high, cfg.trials, counts, theo, path)
+    return SafetyCurve(path.times.copy(), frac, low, high, cfg.trials, counts, theo, path)
 
 
 def wilson_interval(successes, n: int, confidence: float = 0.95):
