@@ -7,7 +7,9 @@ candidate regimes of ``propagate_optimal`` (box corners on the 4-D
 on ``wig_aircraft``, and the corners plus the critical input on
 ``di_input_noise``, and on a 3-D system whose noise Gram has an
 input-dependent cross entry, so the critical input reads the cross stencil)
-and one fixed-policy ``propagate`` on the ``bicycle`` grid.  A rewrite of the stencil's layout or of its candidate scoring must
+and one fixed-policy ``propagate`` on the ``bicycle`` grid.  The two box
+corners of ``di_omni`` and ``di_velocity``, each one term at one shared
+rate, pin the step that takes one maximum over the shifted field.  A rewrite of the stencil's layout or of its candidate scoring must
 reproduce them exactly (``np.array_equal`` and equal bytes), not within a
 tolerance.  Every case is also rerun with blocks of a step far shorter
 than its span, so the blocked step is pinned on several blocks and a short
@@ -39,7 +41,12 @@ CASES = {
     "wig_aircraft": ((9, 9, 9), PropagationConfig(horizon=0.5, candidate_points=5)),
     "di_input_noise": ((21, 41), PropagationConfig(horizon=0.5)),
     "cross_input_noise": ((11, 13, 9), PropagationConfig(horizon=0.2)),
+    "di_omni": ((21, 41), PropagationConfig(horizon=0.5)),
+    "di_velocity": ((17, 33), PropagationConfig(horizon=0.5)),
 }
+
+# The cases whose candidates are the two corners of a scalar input box.
+CORNER_CASES = ("di_omni", "di_velocity")
 
 
 def _cross_input_noise(counts):
@@ -165,7 +172,9 @@ def fresh():
 @pytest.mark.parametrize("key", ["bicycle_field", "bicycle_policy", "bicycle_fixed_field",
                                  "wig_aircraft_field", "wig_aircraft_policy",
                                  "di_input_noise_field", "di_input_noise_policy",
-                                 "cross_input_noise_field", "cross_input_noise_policy"])
+                                 "cross_input_noise_field", "cross_input_noise_policy",
+                                 "di_omni_field", "di_omni_policy",
+                                 "di_velocity_field", "di_velocity_policy"])
 def test_pinned(pinned, fresh, key):
     value = np.asarray(fresh[key])
     assert np.array_equal(value, pinned[key]), key
@@ -206,11 +215,16 @@ def test_pinned_on_short_blocks(pinned, monkeypatch, block):
 
 
 def test_policies_are_not_trivial(pinned):
-    # Each pinned policy takes several values, and the critical input is
-    # taken at some nodes, so a regression in candidate scoring cannot hide
-    # behind a constant policy.
+    # Each pinned policy takes several values (both corners, each at many
+    # nodes, where the corners are the only candidates), and the critical
+    # input is taken at some nodes, so a regression in candidate scoring
+    # cannot hide behind a constant policy.
     for name in CASES:
-        assert np.unique(pinned[f"{name}_policy"], axis=0).shape[0] > 2, name
+        values, counts = np.unique(pinned[f"{name}_policy"], axis=0, return_counts=True)
+        if name in CORNER_CASES:
+            assert values.ravel().tolist() == [-1.0, 1.0] and counts.min() > 10, name
+        else:
+            assert values.shape[0] > 2, name
     for name in ("di_input_noise", "cross_input_noise"):
         u = pinned[f"{name}_policy"][:, 0]
         assert np.count_nonzero((u > -1.0) & (u < 1.0)) > 10, name
