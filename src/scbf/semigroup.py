@@ -64,6 +64,24 @@ rows and keeps their pairwise maximum in candidate order, and for the
 argmax also a running index that moves only to a strictly greater score,
 so ties resolve to the lowest candidate index.
 
+A step skips that loop when there are at least two candidates and each
+one's plan is one term at one shared float rate ``c >= 1``, as the box
+corners of the double integrators are (``di_omni``, ``di_velocity`` and
+``di_deterministic``: ``[[(0, c)], [(1, c)]]``).  It then forms the best
+score as ``c (max_k P[o_k] - P)``: one maximum over the shifted sources in
+candidate order, one subtraction and one scaling, in place of a difference,
+a score and a maximum per candidate.  That gives the bits of the score
+chain.  ``fl(x - P)`` is nondecreasing in ``x`` and so is ``fl(c y)`` in
+``y`` for ``c > 0``, so the maximum commutes with both in value.  Two
+scores of equal value differ in bits only as +0 and -0.  With ``c >= 1``
+no product underflows, so a score is zero exactly where its source equals
+``P``; the same candidates tie in both chains, ``np.maximum`` picks between
+equal values by operand position alone, and the sign of the chosen zero
+follows from that candidate's source and ``P``.  Below ``c = 1`` a tiny
+negative difference scales to -0 and can tie a +0 from a greater source, so
+such a plan keeps the scoring loop, as do the argmax, a fixed policy, the
+critical input and any plan with array terms or unequal rates.
+
 A build keeps only what a step, the monotonicity check and the argmax
 read.  One node-block evaluator (:func:`_node_entries`) gives the drift,
 the noise Gram and the quadratic fit of the critical input their node
@@ -413,10 +431,13 @@ class _Block:
     its shifted source, and ``plan`` holds each candidate's terms as
     ``(difference row, coefficient)``; ``scores``, ``better`` (the argmax's
     flags) and ``tmp`` are scratch rows shared by all blocks, and
-    ``dynamic`` is what the dynamic candidate compiled for the block."""
+    ``dynamic`` is what the dynamic candidate compiled for the block.  When
+    every candidate is one term at one rate (:meth:`_Stencil._shared_rate`),
+    ``corners`` holds each candidate's shifted source in candidate order and
+    ``rate`` that rate; else ``corners`` is empty."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
-                 "scores", "better", "tmp", "dynamic")
+                 "scores", "better", "tmp", "dynamic", "corners", "rate")
 
 
 class _Stencil:
@@ -441,6 +462,9 @@ class _Stencil:
     into ``_scores[0]`` and folds each later one, written to ``_scores[1]``,
     in with ``np.maximum`` while it is still in cache; ``argmax`` does the
     same with a running index, so two score rows serve any candidate count.
+    When every candidate is one term at one rate ``c >= 1`` (``_shared_rate``),
+    a step writes ``c (max_k P[o_k] - P)`` into ``_scores[0]`` instead, with
+    the same bits (module docstring).
 
     Layout: the grid is padded with one ghost layer on each side of every
     periodic dimension and none elsewhere; per-node arrays live on its flat
@@ -567,6 +591,8 @@ class _Stencil:
                    for j, c in terms] for terms in self._plan] for a, b in ranges]
         dynamic = (self.dynamic.blocks(ranges, self._diffs) if self.dynamic is not None
                    else [None] * len(ranges))
+        rate = self._shared_rate()
+        corners = [] if rate is None else [self.offsets[j] for (j, _), in self._plan]
         self._blocks = []
         for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
             blocks = []
@@ -581,8 +607,22 @@ class _Stencil:
                                for j, diff in self._diffs.items()]
                 block.scores = None if self._scores is None else self._scores[:, :b - a]
                 block.better = self._better[:b - a]
+                block.corners, block.rate = [src[o][at] for o in corners], rate
                 blocks.append(block)
             self._blocks.append(blocks)
+
+    def _shared_rate(self) -> float | None:
+        """``c`` when there are at least two candidates and each one's score
+        is one term ``c (P[o_k] - P)`` with one finite float ``c >= 1``
+        shared by all, else None; a step then takes the maximum over the
+        shifted field before it subtracts and scales (:meth:`_max_shifted`)."""
+        if len(self._plan) < 2 or any(len(terms) != 1 for terms in self._plan):
+            return None
+        rates = [c for (_, c), in self._plan]
+        c = rates[0]
+        if not (isinstance(c, float) and 1.0 <= c < math.inf):
+            return None
+        return c if all(isinstance(r, float) and r == c for r in rates) else None
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(
@@ -701,6 +741,20 @@ class _Stencil:
             np.maximum(best, score, out=best)
         return best
 
+    @staticmethod
+    def _max_shifted(block: _Block) -> np.ndarray:
+        """The best candidate's score on ``block`` when every candidate is
+        one term at one shared rate, in its first score row: ``c (max_k
+        P[o_k] - P)``, the maximum taken in candidate order.  It has the
+        bits of :meth:`_max_score` (module docstring)."""
+        best, shifted = block.scores[0], block.corners
+        np.maximum(shifted[0], shifted[1], out=best)
+        for source in shifted[2:]:
+            np.maximum(best, source, out=best)
+        best -= block.src
+        best *= block.rate
+        return best
+
     def step(self):
         self._refresh()
         blocks = self._blocks[self._cur]
@@ -712,7 +766,7 @@ class _Stencil:
                 np.multiply(w, shifted, out=tmp)
                 out += tmp
             if self.offsets:
-                best = self._max_score(block)
+                best = self._max_shifted(block) if block.corners else self._max_score(block)
                 best *= block.dt_mask
                 out += best
         self._check_dynamic()
