@@ -620,9 +620,8 @@ class _Stencil:
             return None
         rates = [c for (_, c), in self._plan]
         c = rates[0]
-        if not (isinstance(c, float) and 1.0 <= c < math.inf):
-            return None
-        return c if all(isinstance(r, float) and r == c for r in rates) else None
+        same = all(isinstance(r, float) and r == c for r in rates)
+        return c if same and 1.0 <= c < math.inf else None
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(

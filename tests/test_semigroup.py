@@ -573,6 +573,84 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
     assert np.array_equal(arg, np.argmax(ref, axis=0))
 
 
+def _di_box(lower, upper, counts=(9, 17)):
+    """``di_omni`` with the input box ``[lower, upper]``."""
+    di = make_benchmark("di_omni", grid_counts=counts)
+    return SystemModel(name="di_box", n_x=2, n_u=1, n_w=2, drift=di.drift,
+                       diffusion=di.diffusion, input_lower=[lower], input_upper=[upper],
+                       grid=di.grid, safe_set=di.safe_set)
+
+
+@pytest.fixture(scope="module")
+def corner_operators():
+    """``di_omni`` 9x17, both corners at rate 4.0, built twice: once with
+    the one maximum over the shifted field, once with the general scorer."""
+    sys, cfg = make_benchmark("di_omni", grid_counts=(9, 17)), PropagationConfig(horizon=0.1)
+    one_max = _Operator(sys, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Stencil, "_shared_rate", lambda self: None)
+        general = _Operator(sys, cfg)
+    block, = one_max.stencil._blocks[0]
+    assert block.rate == 4.0 and len(block.corners) == 2
+    assert not general.stencil._blocks[0][0].corners
+    return one_max, general
+
+
+# Values whose differences tie, cancel to either signed zero and reach the
+# subnormals; the killed nodes read +0.0.
+_TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.0**-1022]
+
+
+@given(st.lists(st.sampled_from(_TIE_VALUES), min_size=153, max_size=153))
+@settings(max_examples=150, deadline=None)
+def test_one_max_step_matches_the_general_scorer_bytes(corner_operators, values):
+    # c (max_k P[o_k] - P) has the bits of max_k c (P[o_k] - P), with ties
+    # between the two neighbours, exact zeros and -0.0 entries (semigroup
+    # module docstring): the candidate part and the whole step.
+    parts, fields = [], []
+    for op in corner_operators:
+        op.stencil.load(np.array(values))
+        block, = op.stencil._blocks[op.stencil._cur]
+        best = op.stencil._max_shifted(block) if block.corners else op.stencil._max_score(block)
+        parts.append(best.copy())
+        op.stencil.step()
+        fields.append(op.stencil.values())
+    assert parts[0].tobytes() == parts[1].tobytes()
+    assert fields[0].tobytes() == fields[1].tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _di_box(-1.0, 2.0),  # unequal corner rates, 4.0 and 8.0
+    lambda: make_benchmark("di_input_noise", grid_counts=(9, 17)),  # array terms
+    lambda: _di_box(-0.1, 0.1),  # one rate, 0.4
+], ids=["asymmetric_box", "di_input_noise", "rate_below_one"])
+def test_other_plans_keep_the_general_scorer(build):
+    op = _Operator(build(), PropagationConfig(horizon=0.1))
+    assert op.stencil._shared_rate() is None
+    assert all(not block.corners for blocks in op.stencil._blocks for block in blocks)
+
+
+def test_one_max_below_rate_one_would_move_a_zero():
+    # Why a shared rate below 1 keeps the general scorer: there a subnormal
+    # difference can scale to -0.0 and tie the +0.0 score of a greater
+    # source, and the maximum of the scores and the maximum of the sources
+    # then keep different zeros.
+    sys = _di_box(-0.1, 0.1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Stencil, "_shared_rate", lambda self: self._plan[0][0][1])
+        op = _Operator(sys, PropagationConfig(horizon=0.0))
+    assert op.stencil._plan == [[(0, 0.4)], [(1, 0.4)]]
+    assert op.stencil.offsets == [(0, -1), (0, 1)]
+    values = np.zeros(sys.grid.shape)
+    values[4, 8], values[4, 9] = -0.0, -5e-324  # P and its neighbour above
+    op.stencil.load(values.ravel())
+    block, = op.stencil._blocks[op.stencil._cur]
+    at = op.stencil.pos[np.ravel_multi_index((4, 8), sys.grid.shape)]
+    general = op.stencil._max_score(block)[at]
+    one_max = op.stencil._max_shifted(block)[at]
+    assert general == one_max == 0.0 and np.signbit(general) != np.signbit(one_max)
+
+
 class TestPropagateOptimal:
     def test_dominates_fixed_policies(self, di_small):
         sys = di_small
