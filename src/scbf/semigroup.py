@@ -613,7 +613,7 @@ class _Stencil:
 
     def _shared_rate(self) -> float | None:
         """``c`` when there are at least two candidates and each one's score
-        is one term ``c (P[o_k] - P)`` with one finite float ``c >= 1``
+        is one term ``c (P[o_k] - P)`` with one float ``c >= 1``
         shared by all, else None; a step then takes the maximum over the
         shifted field before it subtracts and scales (:meth:`_max_shifted`)."""
         if len(self._plan) < 2 or any(len(terms) != 1 for terms in self._plan):
@@ -621,7 +621,7 @@ class _Stencil:
         rates = [c for (_, c), in self._plan]
         c = rates[0]
         same = all(isinstance(r, float) and r == c for r in rates)
-        return c if same and 1.0 <= c < math.inf else None
+        return c if same and c >= 1.0 else None
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(

@@ -626,7 +626,6 @@ def test_one_max_step_matches_the_general_scorer_bytes(corner_operators, values)
 ], ids=["asymmetric_box", "di_input_noise", "rate_below_one"])
 def test_other_plans_keep_the_general_scorer(build):
     op = _Operator(build(), PropagationConfig(horizon=0.1))
-    assert op.stencil._shared_rate() is None
     assert all(not block.corners for blocks in op.stencil._blocks for block in blocks)
 
 
