@@ -13,7 +13,6 @@ from .errors import (
     DegenerateSet,
     InsufficientData,
     NonPositiveAirspeed,
-    NotInterior,
     OutOfDomain,
     ScbfError,
     StabilityViolation,
@@ -48,6 +47,8 @@ from .montecarlo import (
     fit_decay_rate,
     simulate,
     wilson_interval,
+    write_safety_curve_csv,
+    write_trajectory_csv,
 )
 from .safety_filter import (
     FilterSpec,
@@ -60,8 +61,8 @@ from .safety_filter import (
 from .semigroup import (
     PolicyTable,
     PropagationConfig,
-    apply_generator,
     argmax_policy,
+    generator_field,
     propagate,
     propagate_optimal,
 )
@@ -77,6 +78,7 @@ from .spectral import (
 )
 from .systems import (
     BENCHMARKS,
+    WIG_DEFAULTS,
     StructureFlags,
     SystemModel,
     make_benchmark,

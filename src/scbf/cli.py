@@ -54,15 +54,15 @@ def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(text)
     return value
+
+
+def _floats(text: str) -> list[float]:
+    return [_finite(part) for part in text.split(",") if part.strip()]
 
 
 def _tolerance(text: str) -> float:
@@ -88,7 +88,7 @@ def _switch(text: str) -> int:
 
 
 # What a caster reads, for messages (else the caster's name: float, int).
-_EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated numbers",
+_EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated finite numbers",
             _finite: "a finite number", _tolerance: "a finite nonnegative number",
             _positive: "a positive integer", _switch: "0 or 1"}
 
@@ -186,7 +186,7 @@ def _config_caster(key: str, at: str):
     if key.startswith(_IGNORED_PREFIXES):
         return None
     if key.startswith(_OVERRIDES):
-        return float
+        return _finite
     if key not in _KEYS:
         raise ConfigError(f"{at}unknown config key {key!r}")
     return _KEYS[key][0]

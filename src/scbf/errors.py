@@ -13,10 +13,6 @@ class DegenerateSet(ScbfError):
     """A safe-set description admits no interior grid node."""
 
 
-class NotInterior(ScbfError):
-    """A node-local operation was asked about a boundary or exterior node."""
-
-
 class StabilityViolation(ScbfError):
     """The explicit scheme cannot honor both the stability bound and the step
     floor, or its stencil has a negative (non-monotone) weight."""

@@ -33,6 +33,13 @@ noise diagonally dominant in the scaled sense ``a_ii/h_i >= sum_j |a_ij|/h_j``
 Both are checked whenever a stencil is built: a violation raises
 :class:`StabilityViolation` naming the node and the offset.
 
+The generator ``A^u b = sum_o q_o (b[o] - b)`` (:func:`generator_field`)
+is read from the same stencil: a step without ``dt``, taken on an operator
+built at zero horizon, whose rates are not folded
+(:meth:`_Stencil.generator`).  So it has no cancellation from
+``(S b - b) / dt``, and there is no second, per-node copy of the stencil
+here; the tests keep one as the reference the stencil is checked against.
+
 The optimal-control variant integrates ``db/dtau = max_u A^u b`` by scoring
 a finite candidate-input set against the discrete upwind generator at every
 node and step.  The set is the model's input grid
@@ -176,14 +183,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotInterior, StabilityViolation
-from .grid import INTERIOR, GridSpec, ScalarField, _index
+from .errors import StabilityViolation
+from .grid import GridSpec, ScalarField, _index
 from .systems import SystemModel
 
 __all__ = [
     "PolicyTable",
     "PropagationConfig",
-    "apply_generator",
+    "generator_field",
     "propagate",
     "propagate_optimal",
     "argmax_policy",
@@ -782,6 +789,23 @@ class _Stencil:
         self._check_dynamic()
         return arg[self.pos]
 
+    def generator(self) -> np.ndarray:
+        """``sum_o q_o (P[o] - P) + max_k sum_j C[j,k] (P[o_j] - P)`` per
+        node against the current field, zero off the interior: a step
+        without ``dt``, so only on a stencil whose rates are not folded
+        (zero horizon)."""
+        self._refresh()
+        views = self._views[self._cur]
+        out = np.zeros(self.span)
+        for o, q in self.base.items():
+            out += q * (views[o] - views[self._centre])
+        if self.offsets:
+            for block in self._blocks[self._cur]:
+                out[block.at] += self._max_score(block)
+            self._check_dynamic()
+        out[~self.interior] = 0.0
+        return out[self.pos]
+
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -989,67 +1013,6 @@ def _check_specs(field, sys: SystemModel, what: str = "field"):
         raise ValueError(f"{what} grid does not match the system grid")
 
 
-# --- generator at a single node ----------------------------------------------
-
-
-def apply_generator(field: ScalarField, sys: SystemModel, u: np.ndarray,
-                    node: int) -> float:
-    """Discrete generator value at one interior node for a fixed input.
-
-    Uses the same upwind/central stencil as :func:`propagate`, with
-    boundary/exterior neighbor values read as zero (the killed process
-    assigns zero outside the interior).
-    """
-    _check_specs(field, sys)
-    spec = field.spec
-    cls = sys.node_classes()
-    node = int(node)
-    if cls[node] != INTERIOR:
-        raise NotInterior(f"node {node} is not interior")
-    shape = spec.shape
-    idx = np.array(np.unravel_index(node, shape))
-    vals = field.values
-    h = spec.spacing
-
-    def read(mi):
-        mi = list(mi)
-        for d in range(spec.dims):
-            if spec.periodic[d]:
-                mi[d] %= shape[d]
-            elif mi[d] < 0 or mi[d] >= shape[d]:
-                return 0.0
-        flat = int(np.ravel_multi_index(mi, shape))
-        return vals[flat] if cls[flat] == INTERIOR else 0.0
-
-    x = np.array([spec.coordinates(d)[idx[d]] for d in range(spec.dims)])
-    u = np.asarray(u, dtype=float).ravel()
-    f = np.asarray(sys.drift(x, u), dtype=float).ravel()
-    a = np.asarray(sys.gram(x, u), dtype=float)
-
-    v0 = vals[node]
-    total = 0.0
-    for i in range(spec.dims):
-        ip = idx.copy(); ip[i] += 1
-        im = idx.copy(); im[i] -= 1
-        vp, vm = read(ip), read(im)
-        total += max(f[i], 0.0) * (vp - v0) / h[i]
-        total += min(f[i], 0.0) * (v0 - vm) / h[i]
-        total += 0.5 * a[i, i] * (vp - 2.0 * v0 + vm) / h[i] ** 2
-    for i in range(spec.dims):
-        for j in range(i + 1, spec.dims):
-            if a[i, j] == 0.0:
-                continue
-            def read2(oi, oj):
-                mi = idx.copy(); mi[i] += oi; mi[j] += oj
-                return read(mi)
-            faces = read2(1, 0) + read2(-1, 0) + read2(0, 1) + read2(0, -1)
-            denom = 2.0 * h[i] * h[j]
-            spos = (2.0 * v0 + read2(1, 1) + read2(-1, -1) - faces) / denom
-            sneg = -(2.0 * v0 + read2(1, -1) + read2(-1, 1) - faces) / denom
-            total += max(a[i, j], 0.0) * spos + min(a[i, j], 0.0) * sneg
-    return float(total)
-
-
 # --- fixed-policy propagation --------------------------------------------------
 
 
@@ -1063,6 +1026,19 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
     _check_specs(field, sys)
     with _one_shot(sys, cfg, policy) as op:
         return ScalarField(sys.grid, op.apply(field.values))
+
+
+def generator_field(field: ScalarField, sys: SystemModel, policy: PolicyTable) -> ScalarField:
+    """The discrete generator ``A^u field`` at every node under a fixed
+    policy: the stencil :func:`propagate` steps with, without ``dt``.
+
+    Values off the interior read as zero (the killed process), and the
+    result is zero there.
+    """
+    _check_specs(field, sys)
+    op = _Operator(sys, PropagationConfig(horizon=0.0), policy)
+    op.stencil.load(field.values)
+    return ScalarField(sys.grid, op.stencil.generator())
 
 
 # --- optimal-control propagation ----------------------------------------------

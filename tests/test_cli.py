@@ -99,7 +99,22 @@ class TestLocatedValues:
          "2: key 'grid.counts': expected comma-separated integers, got '41.7'"),
         # used to name no file or line
         ("simulate", ["simulation.x0 = a"],
-         "2: key 'simulation.x0': expected comma-separated numbers, got 'a'"),
+         "2: key 'simulation.x0': expected comma-separated finite numbers, got 'a'"),
+        # used to exit 0: survival 0.0 with every filter query unmodified,
+        # and a trajectory whose inputs read nan
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
+                      "simulation.reference = constant", "simulation.reference_u = nan"],
+         "5: key 'simulation.reference_u': expected comma-separated finite numbers, got 'nan'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = open_loop",
+                      "simulation.u_const = 0.5,nan"],
+         "4: key 'simulation.u_const': expected comma-separated finite numbers, got '0.5,nan'"),
+        # used to end in an error from inside the model or a solver:
+        # "cannot convert float NaN to integer", or on di_omni, u_max = inf,
+        # "SVD did not converge" after LAPACK and runtime warnings
+        ("synthesize", ["system.overrides.sigma = nan"],
+         "2: key 'system.overrides.sigma': expected a finite number, got 'nan'"),
+        ("synthesize", ["system.overrides.sigma = inf"],
+         "2: key 'system.overrides.sigma': expected a finite number, got 'inf'"),
         # used to FAIL the eigen_residual check and exit 3
         ("verify", ["verify.residual_tol = nan"],
          "2: key 'verify.residual_tol': expected a finite nonnegative number, got 'nan'"),
@@ -128,7 +143,8 @@ class TestLocatedValues:
         ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
                       "simulation.reference = bogus"],
          "4: key 'simulation.reference': expected one of zero, constant, circle, got 'bogus'"),
-    ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_tolerance",
+    ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_reference_u",
+            "nan_u_const", "nan_override", "inf_override", "nan_tolerance",
             "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle",
             "init_choice", "algorithm_choice", "controller_choice", "reference_choice"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):

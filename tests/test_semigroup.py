@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scbf import semigroup
-from scbf.errors import NotInterior, StabilityViolation
-from scbf.grid import GridSpec, ImplicitSet, ScalarField, sup_norm
+from scbf.errors import StabilityViolation
+from scbf.grid import INTERIOR, GridSpec, ImplicitSet, ScalarField, sup_norm
 from scbf.semigroup import (
     PolicyTable,
     PropagationConfig,
@@ -24,13 +24,13 @@ from scbf.semigroup import (
     _node_entries,
     _Operator,
     _Stencil,
-    apply_generator,
     argmax_policy,
+    generator_field,
     propagate,
     propagate_optimal,
 )
 from scbf.spectral import power_iteration, power_policy_iteration
-from scbf.systems import SystemModel, make_benchmark
+from scbf.systems import BENCHMARKS, SystemModel, make_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,75 @@ def sine_mode(sys):
     return ScalarField(spec, np.where(sys.interior_mask(), vals, 0.0))
 
 
+def apply_generator(field: ScalarField, sys: SystemModel, u: np.ndarray,
+                    node: int) -> float:
+    """Discrete generator value at one interior node for a fixed input: the
+    reference the stencil is checked against, one node at a time.
+
+    Uses the same upwind/central stencil as :func:`propagate`, with
+    boundary/exterior neighbor values read as zero (the killed process
+    assigns zero outside the interior).
+    """
+    assert field.spec == sys.grid
+    spec = field.spec
+    cls = sys.node_classes()
+    node = int(node)
+    if cls[node] != INTERIOR:
+        raise ValueError(f"node {node} is not interior")
+    shape = spec.shape
+    idx = np.array(np.unravel_index(node, shape))
+    vals = field.values
+    h = spec.spacing
+
+    def read(mi):
+        mi = list(mi)
+        for d in range(spec.dims):
+            if spec.periodic[d]:
+                mi[d] %= shape[d]
+            elif mi[d] < 0 or mi[d] >= shape[d]:
+                return 0.0
+        flat = int(np.ravel_multi_index(mi, shape))
+        return vals[flat] if cls[flat] == INTERIOR else 0.0
+
+    x = np.array([spec.coordinates(d)[idx[d]] for d in range(spec.dims)])
+    u = np.asarray(u, dtype=float).ravel()
+    f = np.asarray(sys.drift(x, u), dtype=float).ravel()
+    a = np.asarray(sys.gram(x, u), dtype=float)
+
+    v0 = vals[node]
+    total = 0.0
+    for i in range(spec.dims):
+        ip = idx.copy(); ip[i] += 1
+        im = idx.copy(); im[i] -= 1
+        vp, vm = read(ip), read(im)
+        total += max(f[i], 0.0) * (vp - v0) / h[i]
+        total += min(f[i], 0.0) * (v0 - vm) / h[i]
+        total += 0.5 * a[i, i] * (vp - 2.0 * v0 + vm) / h[i] ** 2
+    for i in range(spec.dims):
+        for j in range(i + 1, spec.dims):
+            if a[i, j] == 0.0:
+                continue
+            def read2(oi, oj):
+                mi = idx.copy(); mi[i] += oi; mi[j] += oj
+                return read(mi)
+            faces = read2(1, 0) + read2(-1, 0) + read2(0, 1) + read2(0, -1)
+            denom = 2.0 * h[i] * h[j]
+            spos = (2.0 * v0 + read2(1, 1) + read2(-1, -1) - faces) / denom
+            sneg = -(2.0 * v0 + read2(1, -1) + read2(-1, 1) - faces) / denom
+            total += max(a[i, j], 0.0) * spos + min(a[i, j], 0.0) * sneg
+    return float(total)
+
+
 class TestApplyGenerator:
+    """Closed forms of the discrete generator, through the public
+    ``generator_field`` and the per-node reference ``apply_generator``."""
+
+    @staticmethod
+    def both(field, sys, u, node):
+        u = np.array(u)
+        return (generator_field(field, sys, PolicyTable.constant(sys, u)).values[node],
+                apply_generator(field, sys, u, node))
+
     def test_ito_by_hand(self, di_small):
         # [DERIVED] beta = x1^2 + x2^2, f = (x2, u), sigma = I, x = (0.5, 1), u = 0:
         # grad.f + Tr(hess)/2 = 2*0.5*1 + 0 + 2 = 3, up to O(h) upwind error.
@@ -66,9 +134,9 @@ class TestApplyGenerator:
         beta = ScalarField(sys.grid, nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
         node = int(np.argmin(np.sum((nodes - [0.5, 1.0]) ** 2, axis=1)))
         h = sys.grid.spacing
-        val = apply_generator(beta, sys, np.array([0.0]), node)
         # one-sided error of the drift term: (h/2)|f1| * d2(beta)/dx1^2 = h/2 * 1 * 2
-        assert val == pytest.approx(3.0, abs=2.0 * h[0] + 1e-9)
+        for val in self.both(beta, sys, [0.0], node):
+            assert val == pytest.approx(3.0, abs=2.0 * h[0] + 1e-9)
 
     def test_constant_field(self, di_small):
         c = np.where(di_small.interior_mask(), 0.7, 0.0)
@@ -77,7 +145,8 @@ class TestApplyGenerator:
         cls = di_small.node_classes().reshape(di_small.grid.shape)
         node = np.ravel_multi_index((10, 20), di_small.grid.shape)
         assert cls[10, 20] == 0
-        assert apply_generator(beta, di_small, np.array([0.3]), node) == pytest.approx(0.0, abs=1e-12)
+        for val in self.both(beta, di_small, [0.3], node):
+            assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_brownian_sine_mode(self, brownian):
         # [DERIVED] (sigma^2/2) d2/dx2 sin(pi (x-a)/l) at the midpoint = -(sigma^2/2)(pi/l)^2
@@ -86,13 +155,8 @@ class TestApplyGenerator:
         node = spec.size // 2
         h = spec.spacing[0]
         exact = -0.5 * (np.pi / 2.0) ** 2
-        val = apply_generator(beta, brownian, np.array([0.0]), node)
-        assert val == pytest.approx(exact, abs=exact * exact * h * h)
-
-    def test_not_interior(self, brownian):
-        beta = sine_mode(brownian)
-        with pytest.raises(NotInterior):
-            apply_generator(beta, brownian, np.array([0.0]), 0)
+        for val in self.both(beta, brownian, [0.0], node):
+            assert val == pytest.approx(exact, abs=exact * exact * h * h)
 
 
 class TestPropagateFixed:
@@ -275,10 +339,13 @@ def test_step_matches_generator_on_every_layout(seed, dims):
     out = propagate(f, sys, PolicyTable.zero(sys), PropagationConfig(horizon=dt, dt=dt)).values
     interior = sys.interior_mask()
     assert np.all(out[~interior] == 0.0)
+    field = generator_field(f, sys, PolicyTable.zero(sys)).values
+    assert np.all(field[~interior] == 0.0)
     u = np.array([0.0])
     for node in np.nonzero(interior)[0]:
         gen = apply_generator(f, sys, u, int(node))
         assert (out[node] - f.values[node]) / dt == pytest.approx(gen, rel=1e-9, abs=1e-9)
+        assert field[node] == pytest.approx(gen, rel=1e-12, abs=1e-12)
 
 
 def _critical_arrays(c):
@@ -876,6 +943,47 @@ def test_optimal_policy_attains_candidate_max(name, counts, kw):
         chosen = apply_generator(out, sys, policy.inputs[node], node)
         best = max(apply_generator(out, sys, u, node) for u in candidates)
         assert chosen == pytest.approx(max(best, chosen), rel=1e-9, abs=1e-9)
+
+
+# Small grids of every built-in system, and the two test systems with cross
+# noise: constant (either sign) and input-dependent.
+_SMALL_COUNTS = {"wig_aircraft": (9, 9, 9), "bicycle": (9, 9, 8, 5), "brownian_1d": (41,)}
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda name=name: make_benchmark(name, grid_counts=_SMALL_COUNTS.get(name, (21, 41)))
+      for name in sorted(BENCHMARKS)],
+    lambda: correlated_noise_system(0.4),
+    lambda: correlated_noise_system(-0.4),
+    thin_input_noise_system,
+], ids=[*sorted(BENCHMARKS), "correlated_0.4", "correlated_-0.4", "thin_input_noise"])
+def test_generator_field_matches_the_reference(build):
+    # Under a random input at every node, the stencil's generator is the
+    # per-node reference's at every interior node, and zero elsewhere.
+    sys = build()
+    rng = np.random.default_rng(3)
+    inputs = rng.uniform(sys.input_lower, sys.input_upper, size=(sys.grid.size, sys.n_u))
+    policy = PolicyTable(sys.grid, inputs, sys.input_lower, sys.input_upper)
+    f = interior_random_field(sys, 9)
+    gen = generator_field(f, sys, policy).values
+    interior = sys.interior_mask()
+    assert np.all(gen[~interior] == 0.0)
+    ref = [apply_generator(f, sys, inputs[node], node) for node in np.nonzero(interior)[0]]
+    assert np.max(np.abs(gen[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_candidate_generator_is_the_generator_under_its_argmax(name):
+    # max_k over the candidates, read from an optimal operator at zero
+    # horizon, is the fixed-policy generator under the argmax policy: the
+    # critical input of the quadratic regime too.
+    sys = make_benchmark(name, grid_counts=_SMALL_COUNTS.get(name, (21, 41)))
+    f = interior_random_field(sys, 13)
+    op = _Operator(sys, PropagationConfig(horizon=0.0, candidate_points=5))
+    op.apply(f.values)
+    best = op.stencil.generator()
+    fixed = generator_field(f, sys, op.policy()).values
+    assert np.max(np.abs(best - fixed)) <= 1e-12 * np.max(np.abs(fixed))
 
 
 @pytest.mark.parametrize("kw", [
