@@ -72,6 +72,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _finite_positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise ValueError(text)
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # nan too
+        raise ValueError(text)
+    return value
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -87,9 +101,10 @@ def _switch(text: str) -> int:
     return value
 
 
-# What a caster reads, for messages (else the caster's name: float, int).
+# What a caster reads, for messages (else the caster's name, as for int).
 _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated finite numbers",
             _finite: "a finite number", _tolerance: "a finite nonnegative number",
+            _finite_positive: "a finite positive number", _fraction: "a number in (0, 1]",
             _positive: "a positive integer", _switch: "0 or 1"}
 
 
@@ -111,18 +126,18 @@ def _one_of(*choices: str):
 _KEYS = {
     "system.id": (str, None, "system"),
     "grid.counts": (_ints, None, "grid"),
-    "propagation.horizon": (float, 0.5, "horizon"),
-    "propagation.cfl_safety": (float, 0.8, None),
+    "propagation.horizon": (_finite_positive, 0.5, "horizon"),
+    "propagation.cfl_safety": (_fraction, 0.8, None),
     "propagation.candidate_points": (int, 9, None),
-    "iteration.tol": (float, 1e-4, "tol"),
+    "iteration.tol": (_finite_positive, 1e-4, "tol"),
     "iteration.max_iter": (int, 500, None),
     "iteration.init": (_one_of("bump", "gauss", "plateau"), "bump", None),
     "iteration.algorithm": (_one_of("power_policy", "power_policy_two_step", "power_fixed"),
                             "power_policy", None),
     "iteration.warm_start": (str, None, None),
     "iteration.coarse_ladder": (_switch, 0, None),
-    "simulation.dt": (float, 1e-3, None),
-    "simulation.t_end": (float, 3.0, None),
+    "simulation.dt": (_finite_positive, 1e-3, None),
+    "simulation.t_end": (_finite_positive, 3.0, None),
     "simulation.seed": (int, 0, "seed"),
     "simulation.trials": (int, 1000, "trials"),
     "simulation.x0": (_floats, None, None),
@@ -133,7 +148,7 @@ _KEYS = {
     "simulation.u_const": (_floats, None, None),
     "verify.residual_tol": (_tolerance, 5e-3, None),
     "threads": (_positive, 1, "threads"),
-    "filter.gamma": (float, None, "gamma"),
+    "filter.gamma": (_finite, None, "gamma"),
     "filter.weight": (_floats, None, None),
 }
 

@@ -90,16 +90,29 @@ such a plan keeps the scoring loop, as do the argmax, a fixed policy, the
 critical input and any plan with array terms or unequal rates.
 
 A build keeps only what a step, the monotonicity check and the argmax
-read.  One node-block evaluator (:func:`_node_entries`) gives the drift,
-the noise Gram and the quadratic fit of the critical input their node
-coordinates in blocks of at most ``_NODE_BLOCK`` nodes (an eighth of that
-for the fit, which holds about eight Grams per node), so no array of all
-node coordinates is formed, and keeps of the Gram and the fit only the
-entries the rates read.  The drift is evaluated one candidate at a time with its
-CFL load folded in at once; a candidate's rows are formed one offset at a
-time; and no unpadded copy of a rate lives beside its padded one for long.
-On the 4-D ``bicycle`` (31x31x24x11) the traced build peak is 41.5 MiB and
-the operator 34 MiB (33 and 28 MiB under a fixed policy).
+read, and makes one pass over the nodes (:func:`_split_stencil`).  Each
+block of the pass (:func:`_node_blocks`) forms its node coordinates once
+and evaluates there the noise Gram and, in one call, the drift of every
+candidate, the inputs stacked ahead of the nodes as the ``(..., n_x)``
+broadcasting contract of the models allows; a block holds at most
+``_NODE_BLOCK`` nodes and ``_CALLBACK_ROWS`` candidate rows, so no array of
+all node coordinates is formed and a callback's scratch stays a few MB.
+The CFL load is reduced to the block's maximum while the block is in
+cache.  Every model value and load is formed per node, so the pass has the
+bits of evaluating each candidate over the whole grid however the grid is
+cut into blocks; the tests check blocks down to one node.  Of the Gram the pass keeps the entries the rates read, a cross
+entry from the first block where it is not +0.0; of the drift, one column
+per byte-equality class of each component, the classes refined block by
+block (:class:`_DriftColumns`).  A rate row is formed once per drift class,
+sign and diffusion rate and shared by every candidate with that key; any
+other row with the bytes of a kept one is found by a sampled fingerprint
+and an exact comparison (:meth:`_Stencil.keep`), so no row is hashed whole.
+A class's column is dropped once its last candidate's rows are compiled,
+and no unpadded copy of a rate lives beside its padded one for long.  The
+quadratic fit of the critical input runs on its own node blocks, an eighth
+of ``_NODE_BLOCK`` (it holds about eight Grams per node).  On the 4-D
+``bicycle`` (31x31x24x11) the traced build peak is 38.4 MiB and the
+operator 34 MiB (33 and 28 MiB under a fixed policy).
 
 A step, and the argmax, run over the span one block at a time.  Every
 term of a step is elementwise per position, so a block's output reads
@@ -175,7 +188,7 @@ every block's views keep both placements.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -283,6 +296,11 @@ _LINE, _PAGE = 64, 4096
 # or its quadratic fit: the callbacks' scratch stays near 2 MB on a 4-D grid.
 _NODE_BLOCK = 4096
 
+# Rows per drift call of a stencil build, one row per candidate and node:
+# with many candidates the node block shrinks below _NODE_BLOCK, so one call
+# serves every candidate of a block and its scratch stays a few MB.
+_CALLBACK_ROWS = 2**15
+
 # Span positions per block of a step (module docstring): 256 KiB per array,
 # so the arrays one block of a step touches stay near a 2 MiB L2 cache.
 _SPAN_BLOCK = 2**15
@@ -336,27 +354,32 @@ def _diffusion_load(a, h: np.ndarray, pairs) -> np.ndarray:
     return load
 
 
-def _node_entries(spec: GridSpec, evaluate, keys, block: int = _NODE_BLOCK) -> list:
-    """Per array that ``evaluate(x, at)`` returns, a dict of its entries
-    ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
-    blocks of at most ``block`` nodes, ``x`` their
-    coordinates and ``at`` their slice: whole rows of the last ``n - m``
-    axes, ``m`` as small as a block allows, so a block's coordinates are
-    broadcast copies of the axes."""
+def _node_blocks(spec: GridSpec, block: int):
+    """``(x, at)`` for each block of at most ``block`` nodes, in node order:
+    ``x`` their coordinates and ``at`` their slice.  A block is whole rows of
+    the last ``n - m`` axes, ``m`` as small as a block allows, so its
+    coordinates are broadcast copies of the axes."""
     n, N, counts = spec.dims, spec.size, spec.shape
     axes = [spec.coordinates(d) for d in range(n)]
     m = next(m for m in range(1, n + 1) if math.prod(counts[m:]) <= block)
     per = math.prod(counts[m:])
     rows, step = N // per, block // per
-    entries = None
     for r in range(0, rows, step):
         lead = np.unravel_index(np.arange(r, min(r + step, rows)), counts[:m])
         x = np.empty(lead[0].shape + counts[m:] + (n,))
         for d in range(n):
             x[..., d] = (axes[d][lead[d]] if d < m else axes[d]).reshape(
                 (-1,) + (1,) * (n - 1 - max(d, m - 1)))
-        at = slice(r * per, (r + len(lead[0])) * per)
-        values = evaluate(x.reshape(-1, n), at)
+        yield x.reshape(-1, n), slice(r * per, (r + len(lead[0])) * per)
+
+
+def _node_entries(spec: GridSpec, evaluate, keys, block: int = _NODE_BLOCK) -> list:
+    """Per array that ``evaluate(x, at)`` returns, a dict of its entries
+    ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
+    the node blocks of :func:`_node_blocks`."""
+    N, entries = spec.size, None
+    for x, at in _node_blocks(spec, block):
+        values = evaluate(x, at)
         if entries is None:
             entries = [{key: np.empty((N,) + v.shape[1 + len(key):]) for key in keys}
                        for v in values]
@@ -460,11 +483,12 @@ class _Stencil:
     Storage: only what a step, the monotonicity check and the argmax read.
     ``add_candidate`` compiles each candidate's score ``sum_j C[j,k] (P[o_j]
     - P)`` into ``(j, coefficient)`` terms in offset order (module
-    docstring): a row zero at every node is dropped, a row with one value at
-    every node becomes that float, and any other row is one padded array,
-    shared by every term whose row has the same bytes (``_rows``).  The
-    dynamic candidate keeps one array per offset (``_dynamic_rows``), since
-    it is rewritten at every step.  Only the differences ``P[o_j] - P`` that
+    docstring), each row kept by ``keep``: a row zero at every node is
+    dropped, a row with one value at every node becomes that float, and any
+    other row is one padded array, shared by every term whose row has the
+    same bytes (``_rows``, keyed by a fingerprint of sampled bytes and a
+    serial number).  The dynamic candidate keeps one array per offset
+    (``_dynamic_rows``), since it is rewritten at every step.  Only the differences ``P[o_j] - P`` that
     some term reads are formed.  A step writes the first candidate's score
     into ``_scores[0]`` and folds each later one, written to ``_scores[1]``,
     in with ``np.maximum`` while it is still in cache; ``argmax`` does the
@@ -509,7 +533,8 @@ class _Stencil:
     the same step ran up to 1.5 times slower in one process than in another.
 
     Build order: ``_Stencil(...)`` pads the base rates, popping each from
-    the caller's dict; ``add_candidate`` once per fixed candidate, in order;
+    the caller's dict; ``add_candidate`` once per fixed candidate, in order,
+    with its rows as ``keep`` returns them;
     ``add_dynamic`` for a dynamic last candidate; ``fold_step`` when the
     horizon is positive; then ``compile`` allocates the scratch rows and
     slices the blocks.
@@ -522,13 +547,13 @@ class _Stencil:
         strides = [int(np.prod(padded[d + 1:])) for d in range(n)]
         first, margin, size = int(np.dot(ghost, strides)), sum(strides), int(np.prod(padded))
         self.span = sum((c - 1) * s for c, s in zip(shape, strides)) + 1
-        self.pos = np.ravel_multi_index(
-            tuple(np.indices(shape).reshape(n, -1) + ghost[:, None]), padded) - first
+        self._strides = strides
+        self.pos = self._nodes(np.arange(self.span)).ravel()
         self._interior_nodes, self.interior = interior, self.pad(interior)
         self.base = {}
         for o in list(base):
             r = base.pop(o)
-            if np.any(r[interior] != 0.0):
+            if np.any((r != 0.0) & interior):
                 self.base[o] = self.pad(r)
         self.offsets = list(offsets)
         self._plan, self._rows, self._dynamic_rows = [], {}, None
@@ -552,28 +577,36 @@ class _Stencil:
                     copies += [(Q[:1], Q[-2:-1]), (Q[-1:], Q[1:2])]
             self._ghosts.append(copies)
 
+    def _nodes(self, a: np.ndarray) -> np.ndarray:
+        """The nodes of span array ``a`` as a strided view shaped like the
+        grid: node ``i`` sits at ``sum_d i_d strides_d`` (``pos``)."""
+        return np.lib.stride_tricks.as_strided(
+            a, self.shape, [s * a.itemsize for s in self._strides])
+
     def pad(self, node_values: np.ndarray) -> np.ndarray:
         out = _aligned(self.span, node_values.dtype)
-        out[self.pos] = node_values
+        self._nodes(out)[...] = node_values.reshape(self.shape)
         return out
 
-    def add_candidate(self, rows):
+    def keep(self, row: np.ndarray):
+        """A per-node rate row as a plan keeps it (:func:`_fold`): None, a
+        float, or one padded array shared by every kept row with its bytes.
+        A new row is compared exactly only with kept rows whose sampled
+        bytes match its own."""
+        row = _fold(row)
+        if not isinstance(row, np.ndarray):
+            return row
+        row = self.pad(row)
+        sample = hash(row[::-(-self.span // 64)].tobytes())
+        for i in itertools.count():
+            kept = self._rows.setdefault((sample, i), row)
+            if kept is row or _same_bytes(kept, row):
+                return kept
+
+    def add_candidate(self, terms):
         """Append a fixed candidate whose rate towards ``offsets[j]`` is
-        ``rows[j]`` at the nodes (an iterable, consumed one row at a time)."""
-        terms = []
-        for j, at in enumerate(rows):
-            at = _fold(at)
-            if at is None:
-                continue
-            if isinstance(at, float):
-                terms.append((j, at))
-                continue
-            at = np.ascontiguousarray(at)
-            key = hashlib.blake2b(at, digest_size=16).digest()
-            if key not in self._rows:
-                self._rows[key] = self.pad(at)
-            terms.append((j, self._rows[key]))
-        self._plan.append(terms)
+        ``terms[j]``, as :meth:`keep` returns it."""
+        self._plan.append([(j, c) for j, c in enumerate(terms) if c is not None])
 
     def add_dynamic(self) -> np.ndarray:
         """Append the dynamic last candidate: one row per offset, returned
@@ -670,10 +703,13 @@ class _Stencil:
             o = self.offsets[j]
             w = self.dt_mask * c
             centre -= w
-            if o in self.W:
-                w += self.W[o]
-            if first is None and np.min(w) < -_WEIGHT_TOL:
-                first = (o, w)
+            # A rate nonnegative at every position leaves the base weight,
+            # checked already, no lower.
+            if first is None and np.min(c) < 0.0:
+                if o in self.W:
+                    w += self.W[o]
+                if np.min(w) < -_WEIGHT_TOL:
+                    first = (o, w)
         self._raise_if_negative(k, self._centre, centre)
         if first is not None:
             self._raise_if_negative(k, *first)
@@ -811,108 +847,168 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _split_stencil(sys: SystemModel, inputs: list):
-    """CFL load and stencil for the candidate input arrays ``inputs``, each
-    (nodes, n_u), with the critical-input candidate in the quadratic regime
-    when there is more than one input (a fixed policy passes one).  When the
-    noise does not depend on the input, one Gram serves every candidate.
+class _DriftColumns:
+    """Every candidate's drift at every node, one column per byte-equality
+    class of each component: candidate ``k`` is in class ``cls[d][k]`` along
+    component ``d``, whose column is ``cols[d][c]``.  A class's first
+    candidate is its representative, so class 0 is candidate 0's.  A block
+    is compared laid out as rows ``(d, k)``; ``rep`` holds each row's
+    representative row and ``others`` the rows that are not their own."""
+
+    def __init__(self, n: int, K: int, N: int):
+        self.cls = [np.zeros(K, dtype=np.intp) for _ in range(n)]
+        self.first = [[0] for _ in range(n)]
+        self.cols = [[np.empty(N)] for _ in range(n)]
+        self.rep = np.repeat(np.arange(n) * K, K)
+        self.others = np.flatnonzero(self.rep != np.arange(n * K))
+
+    def add(self, F: np.ndarray, at: slice):
+        """Sort the drift ``F`` (candidates, nodes ``at``, n) of one node
+        block, blocks in node order.  A candidate whose bytes differ from its
+        representative's joins the class split from its own on this block
+        with its bytes, or starts it, its column taking the earlier blocks
+        from the old class."""
+        F = np.ascontiguousarray(F.transpose(2, 0, 1))  # (n, candidates, nodes)
+        K = F.shape[1]
+        for Fd, first, cols in zip(F, self.first, self.cols):
+            for c, k in enumerate(first):
+                cols[c][at] = Fd[k]
+        rows, others = F.reshape(self.rep.size, -1), self.others
+        bits = rows.view(np.uint64)
+        moved = others[~np.all(bits[others] == bits[self.rep[others]], axis=1)]
+        split = {}
+        for i in moved:
+            d, k = divmod(i, K)
+            cls, first, cols = self.cls[d], self.first[d], self.cols[d]
+            key = (d, cls[k], rows[i].tobytes())
+            if key not in split:
+                col = np.empty_like(cols[cls[k]])
+                col[:at.start], col[at] = cols[cls[k]][:at.start], rows[i]
+                split[key] = len(cols)
+                first.append(k)
+                cols.append(col)
+            cls[k] = split[key]
+            self.rep[i] = d * K + first[cls[k]]
+        if moved.size:
+            self.others = np.flatnonzero(self.rep != np.arange(self.rep.size))
+
+    def varying(self) -> list:
+        """The components whose value is not the same for every candidate."""
+        return [d for d, cols in enumerate(self.cols)
+                if any(not np.array_equal(col, cols[0]) for col in cols[1:])]
+
+
+def _split_stencil(sys: SystemModel, inputs: np.ndarray):
+    """CFL load and stencil for the candidate inputs ``inputs`` (candidates,
+    nodes, n_u), the node axis of length one for inputs the same at every
+    node, with the critical-input candidate in the quadratic regime
+    when there is more than one candidate (a fixed policy passes one).  When
+    the noise does not depend on the input, one Gram serves every candidate.
     Rates no candidate changes go to the base.
 
-    Memory: the Gram and drift are evaluated in node blocks, the Gram kept
-    as the entries the rates read; the drift one candidate at a time, its
-    CFL load folded in at once, keeping the first candidate's drift and, of
-    each later one, only the columns whose bytes differ from it, one copy
-    per distinct column.  A candidate's rows are formed one offset at a
-    time, and its columns are dropped once its rows are compiled, so the
-    peak stays near the stencil's own size."""
+    One pass over the nodes, in blocks of at most ``_NODE_BLOCK`` nodes and
+    ``_CALLBACK_ROWS`` candidate rows (:func:`_node_blocks`), gives each
+    block one Gram call and one drift call for all its candidates, and
+    forms the CFL load's maximum there.  It keeps the Gram entries the rates
+    read and, of the drift, one column per byte-equality class of each
+    component (:class:`_DriftColumns`).  A candidate's rows are formed one
+    offset at a time, each once per drift class, sign and diffusion rate and
+    shared by every candidate with that key, and a class's column is dropped
+    once its last candidate's rows are compiled, so the peak stays near the
+    stencil's own size."""
     spec, interior = sys.grid, sys.interior_mask()
-    n, h = spec.dims, spec.spacing
+    n, h, N, K = spec.dims, spec.spacing, spec.size, len(inputs)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
+    cross = [(i, j) for i, j in upper if i != j]
     shared = sys.flags.sigma_u_independent or sys.flags.sigma_zero
-    dynamic = sys.regime == "quadratic" and len(inputs) > 1
-    grams = [_node_entries(spec, lambda x, at: [sys.gram(x, U[at])], upper)[0]
-             for U in (inputs[:1] if shared else inputs)]
-    quad = _QuadraticInput(sys, upper) if dynamic else None
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if any(np.any(g[(i, j)] != 0.0) for g in grams)
-             or (quad is not None and (i, j) in quad.c0)]
-    for g in grams:
-        for i, j in [key for key in g if key[0] != key[1] and key not in pairs]:
-            del g[(i, j)]
-    diff_loads = [_diffusion_load(lambda i, j, g=g: g[(i, j)], h, pairs) for g in grams]
-
-    node_load = drift_peak = 0.0
-    own, drift_var, distinct = [], set(), {}
-    for k, U in enumerate(inputs):
-        F = _node_entries(spec, lambda x, at: [sys.drift(x, U[at])], [()])[0][()]
-        if k == 0:
-            F0, cols = F, {}
-        else:
-            cols = {}
-            for d in range(n):
-                if not _same_bytes(F[:, d], F0[:, d]):
-                    col = F[:, d].copy()
-                    key = (d, hashlib.blake2b(col, digest_size=16).digest())
-                    cols[d] = distinct.setdefault(key, col)
-            drift_var |= {d for d in cols if not np.array_equal(cols[d], F0[:, d])}
-        own.append(cols)
-        # |F| in place once F's columns are kept: F0 keeps its signs.
-        drift_load = (np.abs(F) if k == 0 else np.abs(F, out=F)) @ (1.0 / h)
+    quad = _QuadraticInput(sys, upper) if sys.regime == "quadratic" and K > 1 else None
+    # Affine drift peaks at a box corner, so only the critical candidate's
+    # noise needs its own (interval max) bound; an entry the fit folded to a
+    # float is broadcast to the block.
+    bound = quad.gram_bound() if quad is not None else {}
+    bound_pairs = [key for key in bound if key in cross]
+    # A cross entry is stored from the first block where it has a byte other
+    # than those of +0.0; until then it is +0.0 at every node.
+    grams = [{(i, i): np.empty(N) for i in range(n)} for _ in range(1 if shared else K)]
+    drift, peaks = _DriftColumns(n, K, N), []
+    for x, at in _node_blocks(spec, max(1, min(_NODE_BLOCK, _CALLBACK_ROWS // K))):
+        U = inputs[:, at] if inputs.shape[1] > 1 else inputs
+        G = sys.gram_entries(x, U[:1] if shared else U)  # (n, n, grams, nodes)
+        for k, g in enumerate(grams):
+            for i, j in upper:
+                if (i, j) not in g and G[i, j, k].view(np.uint64).any():
+                    g[(i, j)] = np.zeros(N)
+                if (i, j) in g:
+                    g[(i, j)][at] = G[i, j, k]
+        # A cross entry not stored yet is +0.0 here and would add +0.0.
+        noise_load = _diffusion_load(lambda i, j: G[i, j], h,
+                                     [key for key in cross if any(key in g for g in grams)])
+        del G
+        F = np.broadcast_to(np.asarray(sys.drift(x, U), dtype=float), (K, len(x), n))
+        drift_load = np.abs(F, order="C") @ (1.0 / h)
+        drift.add(F, at)
         del F
+        node_load = np.max(drift_load + noise_load, axis=0)
         if quad is not None:
-            drift_peak = np.maximum(drift_peak, drift_load)
-        drift_load += diff_loads[k % len(grams)]
-        node_load = np.maximum(node_load, drift_load, out=drift_load)
-        del drift_load
-    del distinct
-    if quad is not None:
-        # Affine drift peaks at a box corner, so only the critical
-        # candidate's noise needs its own (interval max) bound; an entry
-        # the fit folded to a float is broadcast to the nodes.
-        bound = quad.gram_bound()
-        node_load = np.maximum(node_load, drift_peak + _diffusion_load(
-            lambda i, j: np.broadcast_to(bound[(i, j)], drift_peak.shape), h, pairs))
-        del bound, drift_peak
-    load = float(np.max(node_load[interior])) if np.any(interior) else 0.0
-    del diff_loads, node_load
+            top = np.max(drift_load, axis=0)
+            np.maximum(node_load, top + _diffusion_load(lambda i, j: np.broadcast_to(
+                bound[(i, j)][at] if np.ndim(bound[(i, j)]) else bound[(i, j)], top.shape),
+                h, bound_pairs), out=node_load)
+        inner = interior[at]
+        if np.any(inner):
+            peaks.append(np.max(node_load[inner]))
+    del bound
+    load = float(np.max(peaks)) if peaks else 0.0
+    pairs = [key for key in cross if key in bound_pairs
+             or any(key in g and np.any(g[key] != 0.0) for g in grams)]
     diff = []
     while grams:  # each gram's entries are freed once its rates are formed
         g = grams.pop(0)
-        diff.append(_diffusion_rates(lambda i, j: g[(i, j)], h, pairs))
+        diff.append(_diffusion_rates(lambda i, j: g.get((i, j), 0.0), h, pairs))
         del g
 
-    drift_var = sorted(drift_var)
+    drift_var = drift.varying()
     diff_var = {o for o in diff[0]
                 if any(not np.array_equal(r[o], diff[0][o]) for r in diff[1:])}
     if quad is not None:
         diff_var |= quad.touched(n)
     offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
-    base = {_offset(n, (d, s)): _upwind(F0[:, d], s, h[d])
+    base = {_offset(n, (d, s)): _upwind(drift.cols[d][0], s, h[d])
             for d in range(n) if d not in drift_var for s in (1, -1)}
     for o in diff[0]:
         if o not in diff_var:
             base[o] = base[o] + diff[0][o] if o in base else diff[0][o]
-    own[0] = {d: F0[:, d].copy() for d in drift_var}
-    del F0
-    own = [{d: cols.get(d, own[0][d]) for d in drift_var} for cols in own]
+    cls, cols = drift.cls, drift.cols
+    for d in range(n):
+        if d not in drift_var:
+            cols[d] = None
     diff = [{o: r[o] for o in diff_var} for r in diff]
     stencil = _Stencil(spec, interior, base, offsets)
-    lo, hi = (own[0], own[-1]) if quad is not None else (None, None)
+    lo, hi = (({d: cols[d][cls[d][k]] for d in drift_var} for k in (0, -1))
+              if quad is not None else (None, None))
 
-    def rows(F: dict, rates: dict):
-        """A candidate's rate towards each offset, one at a time: the upwind
-        drift rate along a moved ``drift_var`` dimension (else 0.0) plus the
-        candidate's diffusion rate on a ``diff_var`` offset."""
-        for o in offsets:
-            moved = [d for d in range(n) if o[d]]
-            d = moved[0]
-            drift = _upwind(F[d], o[d], h[d]) if len(moved) == 1 and d in F else 0.0
-            yield drift + rates[o] if o in rates else drift
+    kept = {}
 
-    for k in range(len(own)):
-        F, own[k] = own[k], None
-        stencil.add_candidate(rows(F, diff[k % len(diff)]))
-        del F
+    def row(o, k):
+        """Candidate ``k``'s rate towards ``o`` as the stencil keeps it: the
+        upwind drift rate along a moved ``drift_var`` dimension (else 0.0)
+        plus the candidate's diffusion rate on a ``diff_var`` offset, formed
+        once per drift class and sign and diffusion rate (``kept``)."""
+        moved = [d for d in range(n) if o[d]]
+        d, g = moved[0], k % len(diff)
+        key = ((d, o[d], cls[d][k]) if len(moved) == 1 and d in drift_var else None,
+               (g, _unsigned(o)) if o in diff[g] else None)
+        if key not in kept:
+            rate = _upwind(cols[d][key[0][2]], o[d], h[d]) if key[0] else 0.0
+            kept[key] = stencil.keep(rate + diff[g][o] if key[1] else rate)
+        return kept[key]
+
+    last = {(d, c): k for k in range(K) for d in drift_var for c in [cls[d][k]]}
+    for k in range(K):
+        stencil.add_candidate([row(o, k) for o in offsets])
+        for d in drift_var:
+            if last[(d, cls[d][k])] == k:
+                cols[d][cls[d][k]] = None
     if quad is not None:
         quad.bind(stencil, stencil.add_dynamic(), h, lo, hi, drift_var, diff_var, pairs)
         stencil.dynamic = quad
@@ -939,11 +1035,10 @@ class _Operator:
         if policy is not None:
             _check_specs(policy, sys, "policy")
             self.candidates = 0
-            self.load, self.stencil = _split_stencil(sys, [policy.inputs])
+            self.load, self.stencil = _split_stencil(sys, policy.inputs[None])
         else:
             self.inputs = sys.input_grid(cfg.candidate_points if sys.regime == "nonaffine" else 2)
-            self.load, self.stencil = _split_stencil(
-                sys, [np.broadcast_to(u, (sys.grid.size, sys.n_u)) for u in self.inputs])
+            self.load, self.stencil = _split_stencil(sys, self.inputs[:, None])
             self.candidates = len(self.inputs) + (self.stencil.dynamic is not None)
         self.steps, self.dt = 0, 0.0
         if cfg.horizon > 0.0:
@@ -1073,7 +1168,7 @@ class _QuadraticInput:
         # runs on an eighth of the usual node block.
         coefs = _node_entries(sys.grid, lambda x, at: sys.fit_quadratic(
             lambda U: [sys.gram(x, np.full((len(x), 1), u)) for u in U[:, 0]]), upper,
-            _NODE_BLOCK // 8)
+            max(1, _NODE_BLOCK // 8))
         coefs = [{key: _fold(c.pop(key)) for key in upper} for c in coefs]
         for i, j in upper:
             if i != j and all(c[(i, j)] is None for c in coefs):

@@ -15,9 +15,10 @@ pair.
 
 The numerics read that structure through ``regime`` (``affine``,
 ``quadratic`` or ``nonaffine``), from which power-policy iteration picks its
-candidate inputs and the safety filter its projection; ``gram``, the one
-``sigma sigma^T`` formula; ``fit_quadratic``, the one exact fit in a scalar
-input; and, in the operator build, the flags ``sigma_u_independent`` and
+candidate inputs and the safety filter its projection; ``gram`` and
+``gram_entries``, one ``sigma sigma^T`` formula laid out node-major or
+entry-major; ``fit_quadratic``, the one exact fit in a scalar input; and,
+in the operator build, the flags ``sigma_u_independent`` and
 ``sigma_zero``, under either of which one noise Gram serves every candidate
 input, whatever the regime.
 """
@@ -121,17 +122,29 @@ class SystemModel:
         return "nonaffine"
 
     def gram(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """sigma sigma^T at (x, u), shape (..., n_x, n_x): entry (i, j) adds
-        ``sigma_ik sigma_jk`` over the noise channels k in order, each
-        product taken on a contiguous column of the states.  Callers pass
-        few states at a time (the operator build one node block)."""
+        """sigma sigma^T at (x, u), shape (..., n_x, n_x) (:meth:`_gram`)."""
+        g, lead = self._gram(x, u)
+        return np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(lead + g.shape[:2])
+
+    def gram_entries(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """sigma sigma^T at (x, u) with the entry axes first, shape (n_x,
+        n_x, ...), each entry contiguous (:meth:`_gram`)."""
+        g, lead = self._gram(x, u)
+        return g.reshape(g.shape[:2] + lead)
+
+    def _gram(self, x: np.ndarray, u: np.ndarray) -> tuple:
+        """sigma sigma^T at (x, u) as (n_x, n_x, states), and the batch
+        shape: entry (i, j) adds ``sigma_ik sigma_jk`` over the noise
+        channels k in order, each product taken on a contiguous column of
+        the states.  Callers pass few states at a time (the operator build
+        one node block)."""
         s = np.asarray(self.diffusion(x, u), dtype=float)
         lead, (n, m) = s.shape[:-2], s.shape[-2:]
         c = np.ascontiguousarray(s.reshape(-1, n, m).transpose(2, 1, 0))   # (m, n, states)
         g = c[0, :, None] * c[0, None, :]
         for k in range(1, m):
             g += c[k, :, None] * c[k, None, :]
-        return np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(lead + (n, n))
+        return g, lead
 
     def fit_quadratic(self, sample):
         """``(c0, c1, c2)`` with ``c0 + c1 u + c2 u^2`` through the three
@@ -406,9 +419,10 @@ def _make_bicycle(params, counts):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         shape = _batch_shape(x, u)
-        th = np.broadcast_to(x[..., 2], shape)
-        v = np.broadcast_to(x[..., 3], shape)
+        th, v = x[..., 2], x[..., 3]
         out = np.empty(shape + (4,))
+        # The heading terms on the states alone: inputs stacked ahead of
+        # them (one per candidate) broadcast the result, not the cosine.
         out[..., 0] = v * np.cos(th)
         out[..., 1] = v * np.sin(th)
         out[..., 2] = v * np.broadcast_to(u[..., 0], shape)

@@ -143,10 +143,27 @@ class TestLocatedValues:
         ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
                       "simulation.reference = bogus"],
          "4: key 'simulation.reference': expected one of zero, constant, circle, got 'bogus'"),
+        # The scalar number keys used to be cast with float and left their
+        # ranges to the library, whose message named no file or line.
+        ("synthesize", ["propagation.horizon = 0"],
+         "2: key 'propagation.horizon': expected a finite positive number, got '0'"),
+        ("synthesize", ["propagation.cfl_safety = nan"],
+         "2: key 'propagation.cfl_safety': expected a number in (0, 1], got 'nan'"),
+        ("synthesize", ["iteration.tol = nan"],
+         "2: key 'iteration.tol': expected a finite positive number, got 'nan'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.dt = -1e-3"],
+         "3: key 'simulation.dt': expected a finite positive number, got '-1e-3'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.t_end = inf"],
+         "3: key 'simulation.t_end': expected a finite positive number, got 'inf'"),
+        ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
+                      "filter.gamma = nan"],
+         "4: key 'filter.gamma': expected a finite number, got 'nan'"),
     ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_reference_u",
             "nan_u_const", "nan_override", "inf_override", "nan_tolerance",
             "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle",
-            "init_choice", "algorithm_choice", "controller_choice", "reference_choice"])
+            "init_choice", "algorithm_choice", "controller_choice", "reference_choice",
+            "zero_horizon", "nan_cfl_safety", "nan_tol", "negative_dt", "inf_t_end",
+            "nan_gamma"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
@@ -192,16 +209,19 @@ class TestLocatedValues:
          "key 'grid.counts': expected comma-separated integers, got '41.7,21'"),
         ("synthesize", "--seed", "1.5", "key 'simulation.seed': expected int, got '1.5'"),
         ("synthesize", "--horizon", "abc",
-         "key 'propagation.horizon': expected float, got 'abc'"),
-        ("synthesize", "--tol", "x", "key 'iteration.tol': expected float, got 'x'"),
+         "key 'propagation.horizon': expected a finite positive number, got 'abc'"),
+        ("synthesize", "--tol", "x", "key 'iteration.tol': expected a finite positive number, "
+         "got 'x'"),
+        ("synthesize", "--tol", "nan", "key 'iteration.tol': expected a finite positive number, "
+         "got 'nan'"),
         ("synthesize", "--trials", "2.5", "key 'simulation.trials': expected int, got '2.5'"),
         ("synthesize", "--threads", "2.5",
          "key 'threads': expected a positive integer, got '2.5'"),
         ("simulate", "--threads", "-3", "key 'threads': expected a positive integer, got '-3'"),
-        ("simulate", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
-        ("filter", "--gamma", "x", "key 'filter.gamma': expected float, got 'x'"),
-    ], ids=["grid", "seed", "horizon", "tol", "trials", "threads", "threads_below_one",
-            "simulate_gamma", "filter_gamma"])
+        ("simulate", "--gamma", "x", "key 'filter.gamma': expected a finite number, got 'x'"),
+        ("filter", "--gamma", "inf", "key 'filter.gamma': expected a finite number, got 'inf'"),
+    ], ids=["grid", "seed", "horizon", "tol", "nan_tol", "trials", "threads",
+            "threads_below_one", "simulate_gamma", "filter_gamma"])
     def test_flag(self, tmp_path, capsys, command, flag, value, message):
         extra = {"synthesize": [],
                  "simulate": ["--artifacts", str(tmp_path)],
@@ -329,7 +349,9 @@ class TestSynthesize:
         out = tmp_path / "out"
         assert run("synthesize", "--config", str(cfg), *flag, "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "horizon must be finite and nonnegative" in err
+        at = "" if flag else f"{cfg}:2: "
+        assert err.startswith(f"error: {at}key 'propagation.horizon': expected a finite "
+                              "positive number, got ")
         assert "Traceback" not in err
         assert not (out / "psi.fld").exists()
 
@@ -568,7 +590,9 @@ class TestSimulate:
                    "--artifacts", str(brownian_artifacts), "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: dt and t_end must be finite and positive"), err
+        key = entry.split(" = ")[0]
+        assert err.startswith(f"error: {cfg}:3: key {key!r}: expected a finite positive "
+                              "number, got "), err
         assert "Traceback" not in err
 
     def test_filter_gamma_below_synthesized_exit_1(self, tmp_path, brownian_artifacts):
@@ -950,7 +974,8 @@ class TestFilterCommand:
                    "--artifacts", str(brownian_artifacts),
                    "--queries", str(queries), "--output", str(out))
         assert code == 1
-        assert capsys.readouterr().err == f"error: decay rate must be finite, got {gamma}\n"
+        assert capsys.readouterr().err == (
+            f"error: key 'filter.gamma': expected a finite number, got {gamma!r}\n")
         assert not out.exists()
 
     def test_bad_column_count(self, tmp_path, brownian_artifacts, capsys):

@@ -13,9 +13,10 @@ rate, pin the step that takes one maximum over the shifted field.  A rewrite of 
 reproduce them exactly (``np.array_equal`` and equal bytes), not within a
 tolerance.  Every case is also rerun with blocks of a step far shorter
 than its span, so the blocked step is pinned on several blocks and a short
-last one.  The critical input is also checked, on one and on several
-blocks, against the vertex of the central-difference generator evaluated
-from the model's callbacks, which is exactly quadratic in the input.
+last one, and with builds over node blocks far smaller than the grid.  The
+critical input is also checked, on one and on several blocks, against
+the vertex of the central-difference generator evaluated from the model's
+callbacks, which is exactly quadratic in the input.
 
 ``PYTHONPATH=src python tests/test_pinned_optimal.py KEY...`` re-records the named
 keys from the current code and prints each one's max |delta|; it writes
@@ -209,6 +210,33 @@ def test_pinned_on_short_blocks(pinned, monkeypatch, block):
     assert all(len(n) == -(-16548 // block) and n[-1] == 164 for n in bicycle)
     if block == 512:
         assert all(len(n) >= 2 for n in lengths)
+    for key, value in fresh.items():
+        value = np.asarray(value)
+        assert value.dtype == pinned[key].dtype and value.tobytes() == pinned[key].tobytes(), key
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+def test_pinned_on_short_node_blocks(pinned, monkeypatch, block):
+    # The build evaluates the models on node blocks of at most _NODE_BLOCK
+    # nodes; blocks of 64 nodes split every case, blocks of 1000 the 3-D
+    # and 4-D ones.  A drift column sorted block by block, a Gram entry
+    # stored from a later block and the CFL load taken per block must give
+    # the pinned bytes, values and policies.
+    monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
+    counts, node_blocks = [], semigroup._node_blocks
+
+    def recording(spec, size):
+        counts.append((spec.size, len(list(node_blocks(spec, size)))))
+        return node_blocks(spec, size)
+
+    monkeypatch.setattr(semigroup, "_node_blocks", recording)
+    semigroup._take_idle()
+    try:
+        fresh = _record()
+    finally:
+        semigroup._take_idle()
+    assert all(n > 1 for size, n in counts if block == 64 or size > 1000)
+    assert any(size > 1000 and n > 1 for size, n in counts)
     for key, value in fresh.items():
         value = np.asarray(value)
         assert value.dtype == pinned[key].dtype and value.tobytes() == pinned[key].tobytes(), key

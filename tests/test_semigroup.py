@@ -508,6 +508,96 @@ def test_node_blocks_cover_the_grid_in_order(block):
         assert seen[-1].stop == spec.size and all(at.stop - at.start <= block for at in seen)
 
 
+def _build_bytes(op) -> dict:
+    """Every number an operator build produced, as bytes: the CFL load and
+    step, the weights, and each candidate's plan with its rows' bytes."""
+    s = op.stencil
+    rows = lambda terms: [(j, c if isinstance(c, float) else c.tobytes()) for j, c in terms]
+    return {"load": op.load, "dt": op.dt, "offsets": s.offsets,
+            "W0": s.W0.tobytes(), "W": {o: w.tobytes() for o, w in s.W.items()},
+            "plan": [rows(terms) for terms in s._plan]}
+
+
+def _late_split_system():
+    """A 2-D system whose candidates share their drift bytes where ``x0 <=
+    0`` and whose noise gains a cross entry only where ``x0 > 0.3``: in node
+    order the drift classes split, and the cross Gram entry is first stored,
+    after the first node blocks."""
+
+    def drift(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)[..., 0]
+        return np.stack(np.broadcast_arrays(x[..., 1], np.where(x[..., 0] > 0.0,
+                                                                 u * x[..., 0], 0.0)), axis=-1)
+
+    def diffusion(x, u):
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(x[..., 0].shape, np.asarray(u)[..., 0].shape)
+        s = np.zeros(shape + (2, 2))
+        s[..., 0, 0], s[..., 1, 1] = 1.0, 1.0
+        s[..., 1, 0] = np.where(x[..., 0] > 0.3, 0.2 * x[..., 0], 0.0)
+        return s
+
+    return SystemModel(name="late_split", n_x=2, n_u=1, n_w=2, drift=drift,
+                       diffusion=diffusion, input_lower=[-1.0], input_upper=[1.0],
+                       grid=GridSpec([-1.0, -1.0], [1.0, 1.0], (21, 21)),
+                       safe_set=ImplicitSet("box"))
+
+
+@pytest.mark.parametrize("block", [1, 64, 1000])
+@pytest.mark.parametrize("name, counts, kw", [
+    ("late_split", None, {}),
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 5}),
+    ("bicycle", (13, 13, 12, 7), {}),
+    ("di_input_noise", (21, 41), {}),
+])
+def test_build_on_short_node_blocks_matches_one_block(monkeypatch, name, counts, kw, block):
+    # The build sorts each drift component's candidates into byte-equality
+    # classes block by block and stores a cross Gram entry from its first
+    # block with a nonzero byte; however the grid is cut, the operator has
+    # the bytes of a build over one node block.
+    sys = (_late_split_system() if name == "late_split"
+           else make_benchmark(name, grid_counts=counts))
+    cfg = PropagationConfig(horizon=0.05, **kw)
+    monkeypatch.setattr(semigroup, "_NODE_BLOCK", 10**9)
+    monkeypatch.setattr(semigroup, "_CALLBACK_ROWS", 10**9)
+    whole = _build_bytes(_Operator(sys, cfg))
+    monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
+    cut = _Operator(sys, cfg)
+    assert _build_bytes(cut) == whole
+    if name == "late_split":
+        # The corners move the second state apart, and the cross entry
+        # gives the diagonal offsets base rates.
+        assert cut.stencil.offsets == [(0, -1), (0, 1)]
+        assert {(1, 1), (-1, -1)} <= set(cut.stencil.W)
+
+
+@pytest.mark.parametrize("name, counts, kw", [
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 5}),
+    ("bicycle", (13, 13, 12, 7), {}),
+])
+def test_one_drift_call_serves_the_candidates_of_a_node_block(name, counts, kw):
+    # A build used to call the drift once per candidate per node block
+    # (25 calls on the aircraft, 20 on the bicycle); the counted model gives
+    # the operator of the plain one.
+    sys = make_benchmark(name, grid_counts=counts)
+    calls = []
+
+    def drift(x, u):
+        calls.append(len(x))
+        return sys.drift(x, u)
+
+    cfg = PropagationConfig(horizon=0.05, **kw)
+    op = _Operator(replace(sys, drift=drift), cfg)
+    blocks = []
+    _node_entries(sys.grid, lambda x, at: blocks.append(at) or [x], [()])
+    assert 0 < len(calls) < len(op.inputs) * len(blocks)
+    plain = _Operator(sys, cfg)
+    assert _build_bytes(op) == _build_bytes(plain)
+    field = interior_random_field(sys, 5).values
+    assert op.apply(field).tobytes() == plain.apply(field).tobytes()
+    assert op.policy().inputs.tobytes() == plain.policy().inputs.tobytes()
+
+
 def _assert_build_peak_near_operator_size(sys, policy=None):
     """The traced peak of an operator build stays within 1.3 times what the
     operator keeps."""
@@ -531,9 +621,9 @@ def _assert_build_peak_near_operator_size(sys, policy=None):
 ])
 def test_build_peak_stays_near_the_operator_size(name, counts):
     # The build holds little beside the stencil: node coordinates, the Gram
-    # and the drift are evaluated in node blocks, the drift one candidate at
-    # a time, and each candidate's drift columns are dropped once its rows
-    # are compiled.
+    # and the drift of every candidate are evaluated in node blocks, the
+    # drift kept as one column per byte-equality class, and a class's column
+    # is dropped once its last candidate's rows are compiled.
     _assert_build_peak_near_operator_size(make_benchmark(name, grid_counts=counts))
 
 
@@ -603,7 +693,7 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
                 kind = rng.integers(3)  # all-zero, node-constant, varying
                 rows[j, k, pos] = (0.0 if kind == 0 else _wide(rng, 1)[0] if kind == 1
                                    else _wide(rng, pos.size) * (rng.random(pos.size) < 0.9))
-        stencil.add_candidate(rows[:, k, pos])
+        stencil.add_candidate([stencil.keep(row) for row in rows[:, k, pos]])
     if dynamic:
         kinds = rng.integers(3, size=n_off)
         stencil.dynamic = _FieldRows(stencil.add_dynamic(), _wide(rng, n_off) * (kinds > 0),
