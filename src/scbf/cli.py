@@ -86,26 +86,26 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
-def _switch(text: str) -> int:
-    # 0 or 1 only, so that a larger value stays free to mean a level count.
-    value = int(text)
-    if value not in (0, 1):
-        raise ValueError(text)
-    return value
-
-
 # What a caster reads, for messages (else the caster's name, as for int).
 _EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated finite numbers",
             _finite: "a finite number", _tolerance: "a finite nonnegative number",
-            _finite_positive: "a finite positive number", _fraction: "a number in (0, 1]",
-            _positive: "a positive integer", _switch: "0 or 1"}
+            _finite_positive: "a finite positive number", _fraction: "a number in (0, 1]"}
+
+
+def _integer(low: int, high: float, expects: str):
+    """A caster that reads an integer in ``[low, high)``, which messages
+    call ``expects``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value < high:
+            raise ValueError(text)
+        return value
+
+    _EXPECTS[integer] = expects
+    return integer
+
+
+_positive = _integer(1, math.inf, "a positive integer")
 
 
 def _one_of(*choices: str):
@@ -128,18 +128,19 @@ _KEYS = {
     "grid.counts": (_ints, None, "grid"),
     "propagation.horizon": (_finite_positive, 0.5, "horizon"),
     "propagation.cfl_safety": (_fraction, 0.8, None),
-    "propagation.candidate_points": (int, 9, None),
+    "propagation.candidate_points": (_integer(2, math.inf, "an integer of at least 2"), 9, None),
     "iteration.tol": (_finite_positive, 1e-4, "tol"),
-    "iteration.max_iter": (int, 500, None),
+    "iteration.max_iter": (_positive, 500, None),
     "iteration.init": (_one_of("bump", "gauss", "plateau"), "bump", None),
     "iteration.algorithm": (_one_of("power_policy", "power_policy_two_step", "power_fixed"),
                             "power_policy", None),
     "iteration.warm_start": (str, None, None),
-    "iteration.coarse_ladder": (_switch, 0, None),
+    # 0 or 1 only, so that a larger value stays free to mean a level count.
+    "iteration.coarse_ladder": (_integer(0, 2, "0 or 1"), 0, None),
     "simulation.dt": (_finite_positive, 1e-3, None),
     "simulation.t_end": (_finite_positive, 3.0, None),
-    "simulation.seed": (int, 0, "seed"),
-    "simulation.trials": (int, 1000, "trials"),
+    "simulation.seed": (_integer(0, 2**64, "an integer in [0, 2**64)"), 0, "seed"),
+    "simulation.trials": (_positive, 1000, "trials"),
     "simulation.x0": (_floats, None, None),
     "simulation.controller": (_one_of("fixed_policy", "scbf_qp", "open_loop"),
                               "fixed_policy", None),
@@ -732,7 +733,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError, ScbfError) as exc:
+    except (OSError, ValueError, ScbfError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

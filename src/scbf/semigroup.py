@@ -27,10 +27,15 @@ Each step is the Markov chain of Kushner & Dupuis (2001),
 ``W_0 = 1 - dt sum_o q_o``: ``q_o`` is the stencil's rate to the neighbor at
 offset ``o`` (``+-e_d`` and the four diagonals of each cross pair with a
 nonzero ``a_ij``), and the kill mask zeroes all weights off the interior.
-Monotonicity means no negative weight.  For mixed derivatives that needs
-noise diagonally dominant in the scaled sense ``a_ii/h_i >= sum_j |a_ij|/h_j``
-(all built-in benchmarks have diagonal ``a``); ``W_0 >= 0`` is the CFL cap.
-Both are checked whenever a stencil is built: a violation raises
+Monotonicity means no negative weight, and each weight has one owner.  The
+CFL cap owns the centre: a candidate's total rate, base plus own rows,
+``sum_i |f_i|/h_i + sum_i a_ii/h_i^2 - sum_{i<j} |a_ij|/(h_i h_j)``, is
+never above the load, so ``W_0 >= 1 - cfl_safety`` up to roundoff for every
+candidate, which the tests check.  The stencil check owns the rest: a rate
+goes negative only with noise not diagonally dominant in the scaled sense
+``a_ii/h_i >= sum_j |a_ij|/h_j`` (all built-in benchmarks have diagonal
+``a``); such a rate plus its base weight is checked when ``dt`` is folded
+in and, for the critical input, after a step, and a violation raises
 :class:`StabilityViolation` naming the node and the offset.
 
 The generator ``A^u b = sum_o q_o (b[o] - b)`` (:func:`generator_field`)
@@ -532,6 +537,9 @@ class _Stencil:
     one buffer and writes of the other.  The heap gives no such guarantee:
     the same step ran up to 1.5 times slower in one process than in another.
 
+    Monotonicity: centre weights are the CFL cap's, unchecked here;
+    ``_check`` owns the off-centre ones (module docstring).
+
     Build order: ``_Stencil(...)`` pads the base rates, popping each from
     the caller's dict; ``add_candidate`` once per fixed candidate, in order,
     with its rows as ``keep`` returns them;
@@ -671,8 +679,9 @@ class _Stencil:
         return self._views[self._cur][self._centre][self.pos]
 
     def fold_step(self, dt: float):
-        """Fold ``dt`` and the kill mask into the weights and check that the
-        stencil is monotone under every fixed candidate."""
+        """Fold ``dt`` and the kill mask into the weights and check the
+        off-centre weights of the base and of every fixed candidate; the
+        CFL cap keeps the centre weights nonnegative (module docstring)."""
         self.dt_mask, self.W0 = _aligned(self.span), _aligned(self.span)
         np.copyto(self.dt_mask, dt, where=self.interior)
         # W0 = 1 - dt * (sum of base rates) and W_o = dt_mask * rate, built in
@@ -686,45 +695,30 @@ class _Stencil:
             r *= self.dt_mask
         self.W, self.base = self.base, None
         self._check(None)
-        for k in range(len(self._plan) - (self.dynamic is not None) if self.offsets else 0):
+        for k in range(len(self._plan) - (self.dynamic is not None)):
             self._check(k)
 
     def _check(self, k):
-        """Raise on a negative weight at an interior node: of the base for
-        ``k = None``, else of candidate ``k``'s centre and own offsets.  The
-        centre is reported before the offsets, which come in offset order;
-        a dropped row leaves its offset's weight as the base checked."""
+        """Raise on a negative off-centre weight at an interior node, in
+        offset order: of the base for ``k = None``, else of candidate ``k``'s
+        rows that go negative somewhere, each plus the base weight at its
+        offset.  A row nonnegative at every position, or a dropped one,
+        leaves its offset's weight no lower than the base checked; centre
+        weights are the CFL cap's (module docstring)."""
         if k is None:
-            for o, w in [(self._centre, self.W0), *self.W.items()]:
-                self._raise_if_negative(k, o, w)
-            return
-        centre, first = self.W0.copy(), None
-        for j, c in self._plan[k]:
-            o = self.offsets[j]
-            w = self.dt_mask * c
-            centre -= w
-            # A rate nonnegative at every position leaves the base weight,
-            # checked already, no lower.
-            if first is None and np.min(c) < 0.0:
-                if o in self.W:
-                    w += self.W[o]
-                if np.min(w) < -_WEIGHT_TOL:
-                    first = (o, w)
-        self._raise_if_negative(k, self._centre, centre)
-        if first is not None:
-            self._raise_if_negative(k, *first)
-
-    def _raise_if_negative(self, k, o: tuple, w: np.ndarray):
-        at = int(np.argmin(w))
-        if w[at] < -_WEIGHT_TOL:
-            node = int(np.searchsorted(self.pos, at))
-            index = tuple(int(i) for i in np.unravel_index(node, self.shape))
-            raise StabilityViolation(
-                f"non-monotone stencil{'' if k is None else f' under candidate {k}'}: "
-                f"weight {w[at]:.3e} at node {node} {index} "
-                f"on offset {o}; " + ("the step exceeds the stability bound" if not any(o)
-                else "the noise Gram matrix is not diagonally dominant "
-                     "(a_ii/h_i >= sum_j |a_ij|/h_j)"))
+            weights = self.W.items()
+        else:
+            rows = [(self.offsets[j], c) for j, c in self._plan[k] if np.min(c) < 0.0]
+            weights = ((o, self.dt_mask * c + self.W.get(o, 0.0)) for o, c in rows)
+        for o, w in weights:
+            at = int(np.argmin(w))
+            if w[at] < -_WEIGHT_TOL:
+                node = int(np.searchsorted(self.pos, at))
+                index = tuple(int(i) for i in np.unravel_index(node, self.shape))
+                raise StabilityViolation(
+                    f"non-monotone stencil{'' if k is None else f' under candidate {k}'}: "
+                    f"weight {w[at]:.3e} at node {node} {index} on offset {o}; the noise "
+                    "Gram matrix is not diagonally dominant (a_ii/h_i >= sum_j |a_ij|/h_j)")
 
     def _refresh(self):
         """The ghosts of the current field, over the whole span."""
@@ -732,11 +726,11 @@ class _Stencil:
             np.copyto(ghost, node)
 
     def _check_dynamic(self):
-        """After a block loop, the full check of the dynamic candidate on
-        its rows of every block, when one went negative on some block.  Its
-        centre weight is covered by the CFL load and drift rates are
-        nonnegative, so only a negative rate needs the check; a stencil
-        without ``dt`` folded in has no weights to check."""
+        """After a block loop, :meth:`_check` of the dynamic candidate on its
+        rows of every block, when one went negative on some block.  Its
+        centre weight is the CFL cap's, like every candidate's, and drift
+        rates are nonnegative, so only a negative rate needs the check; a
+        stencil without ``dt`` folded in has no weights to check."""
         if self._negative:
             self._negative = False
             if self.W is not None:

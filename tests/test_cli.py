@@ -158,12 +158,18 @@ class TestLocatedValues:
         ("simulate", ["simulation.x0 = 0.0", "simulation.controller = scbf_qp",
                       "filter.gamma = nan"],
          "4: key 'filter.gamma': expected a finite number, got 'nan'"),
+        # The integer keys used to be cast with int and left their ranges to
+        # the library, whose message named no file or line.
+        ("simulate", ["simulation.x0 = 0.0", "simulation.trials = 0"],
+         "3: key 'simulation.trials': expected a positive integer, got '0'"),
+        ("simulate", ["simulation.x0 = 0.0", f"simulation.seed = {2**64}"],
+         f"3: key 'simulation.seed': expected an integer in [0, 2**64), got '{2**64}'"),
     ], ids=["repeated_key", "fractional_count", "bad_vector", "nan_reference_u",
             "nan_u_const", "nan_override", "inf_override", "nan_tolerance",
             "negative_tolerance", "threads_below_one", "ladder_levels", "circle_off_bicycle",
             "init_choice", "algorithm_choice", "controller_choice", "reference_choice",
             "zero_horizon", "nan_cfl_safety", "nan_tol", "negative_dt", "inf_t_end",
-            "nan_gamma"])
+            "nan_gamma", "zero_trials", "seed_above_range"])
     def test_config_line(self, tmp_path, capsys, brownian_artifacts, command, lines, message):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("\n".join(["system.id = brownian_1d"] + lines) + "\n")
@@ -207,14 +213,16 @@ class TestLocatedValues:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("synthesize", "--grid", "41.7,21",
          "key 'grid.counts': expected comma-separated integers, got '41.7,21'"),
-        ("synthesize", "--seed", "1.5", "key 'simulation.seed': expected int, got '1.5'"),
+        ("synthesize", "--seed", "1.5",
+         "key 'simulation.seed': expected an integer in [0, 2**64), got '1.5'"),
         ("synthesize", "--horizon", "abc",
          "key 'propagation.horizon': expected a finite positive number, got 'abc'"),
         ("synthesize", "--tol", "x", "key 'iteration.tol': expected a finite positive number, "
          "got 'x'"),
         ("synthesize", "--tol", "nan", "key 'iteration.tol': expected a finite positive number, "
          "got 'nan'"),
-        ("synthesize", "--trials", "2.5", "key 'simulation.trials': expected int, got '2.5'"),
+        ("synthesize", "--trials", "2.5",
+         "key 'simulation.trials': expected a positive integer, got '2.5'"),
         ("synthesize", "--threads", "2.5",
          "key 'threads': expected a positive integer, got '2.5'"),
         ("simulate", "--threads", "-3", "key 'threads': expected a positive integer, got '-3'"),
@@ -316,14 +324,15 @@ class TestSynthesize:
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_candidate_points_below_two_exit_1(self, tmp_path, capsys, points):
         # 0 used to end in a TypeError traceback, 1 in a silent synthesis
-        # against the lower input corner only.
+        # against the lower input corner only; the library's check named no
+        # file or line.
         cfg = tmp_path / "job.cfg"
         cfg.write_text("system.id = wig_aircraft\ngrid.counts = 5,5,5\n"
                        f"propagation.candidate_points = {points}\n")
         assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "candidate_points must be at least 2" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: key 'propagation.candidate_points': expected an integer of "
+            f"at least 2, got '{points}'\n")
         assert not (tmp_path / "out" / "psi.fld").exists()
 
     @pytest.mark.parametrize("max_iter", ["0", "-3"])
@@ -333,9 +342,9 @@ class TestSynthesize:
         cfg = tmp_path / "job.cfg"
         cfg.write_text(f"system.id = brownian_1d\niteration.max_iter = {max_iter}\n")
         assert run("synthesize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"max_iter must be at least 1, got {max_iter}" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: key 'iteration.max_iter': expected a positive integer, "
+            f"got '{max_iter}'\n")
         assert not (tmp_path / "out" / "psi.fld").exists()
 
     @pytest.mark.parametrize("flag, config", [
@@ -455,13 +464,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exit_1(self, tmp_path, capsys, brownian_artifacts, seed):
-        # -1 used to run with the stream of seed 0 (a masked key cast to 0).
+        # -1 used to run with the stream of seed 0 (a masked key cast to 0);
+        # the flag is now read by the key's caster.
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n")
         out = tmp_path / "o"
         assert run("simulate", "--config", str(cfg), f"--seed={seed}",
                    "--artifacts", str(brownian_artifacts), "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert capsys.readouterr().err == (
+            f"error: key 'simulation.seed': expected an integer in [0, 2**64), got '{seed}'\n")
         assert not out.exists()
 
     def test_reproducible_and_thread_invariant(self, tmp_path, brownian_artifacts):
@@ -687,6 +698,25 @@ class TestMissingInputs:
                    "--queries", str(queries), "--output", str(answers)) == 1
         assert capsys.readouterr().err == f"error: query file not found: {queries}\n"
         assert not answers.exists()
+
+    @pytest.mark.parametrize("target", ["config", "warm_start", "queries"])
+    def test_directory_for_a_file(self, tmp_path, capsys, brownian_artifacts, target):
+        # Reading a directory raises IsADirectoryError, an OSError but not a
+        # FileNotFoundError: it used to end in a traceback.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"system.id = brownian_1d\niteration.warm_start = {folder}\n")
+        out = tmp_path / "out"
+        argv = {"config": ["synthesize", "--config", str(folder), "--out", str(out)],
+                "warm_start": ["synthesize", "--config", str(cfg), "--out", str(out)],
+                "queries": ["filter", "--system", "brownian_1d", "--artifacts",
+                            str(brownian_artifacts), "--queries", str(folder),
+                            "--output", str(out)]}[target]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(folder) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, message", [
         ("psi.fld", "missing barrier field file: {dir}/psi.fld"),
@@ -1081,9 +1111,10 @@ def _bad_config_line(draw):
         return [f"{key} = 1"]
     if kind == "repeated_key":
         key = draw(st.sampled_from(_FREE_KEYS))
-        # a value the key reads: an enumerated key's default, else 1
+        # a value the key reads: its default, else 1 (candidate_points reads
+        # no 1)
         default = _KEYS.get(key, (None, None))[1]
-        value = default if isinstance(default, str) else "1"
+        value = "1" if default is None else str(default)
         return [f"{key} = {value}", f"{key} = {value}"]
     value = junk.replace("#", "")
     if kind == "bad_override":

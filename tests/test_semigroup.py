@@ -31,6 +31,7 @@ from scbf.semigroup import (
 )
 from scbf.spectral import power_iteration, power_policy_iteration
 from scbf.systems import BENCHMARKS, SystemModel, make_benchmark
+from test_pinned_optimal import _cross_input_noise, _linear_cross_noise, _varying_input_noise
 
 
 @pytest.fixture(scope="module")
@@ -1074,6 +1075,55 @@ def test_candidate_generator_is_the_generator_under_its_argmax(name):
     best = op.stencil.generator()
     fixed = generator_field(f, sys, op.policy()).values
     assert np.max(np.abs(best - fixed)) <= 1e-12 * np.max(np.abs(fixed))
+
+
+def _smallest_centre_weights(stencil) -> list:
+    """Per candidate, the smallest centre weight ``W0 - dt_mask sum_j
+    C[j,k]`` over the interior nodes, the dynamic candidate's as its rows
+    last stood."""
+    smallest = []
+    for terms in stencil._plan:
+        centre = stencil.W0.copy()
+        for _, c in terms:
+            centre -= stencil.dt_mask * c
+        smallest.append(float(np.min(centre[stencil.interior])))
+    return smallest
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["cfl_1", "dt_at_bound"])
+@pytest.mark.parametrize("build", [
+    *[lambda name=name: make_benchmark(name, grid_counts=_SMALL_COUNTS.get(name, (21, 41)))
+      for name in sorted(BENCHMARKS)],
+    lambda: correlated_noise_system(0.4),
+    lambda: correlated_noise_system(-0.4),
+    lambda: _cross_input_noise((7, 9, 6)),
+    _linear_cross_noise,
+    _varying_input_noise,
+], ids=[*sorted(BENCHMARKS), "correlated_0.4", "correlated_-0.4", "cross_input_noise",
+        "linear_cross_noise", "varying_input_noise"])
+def test_cfl_cap_keeps_every_centre_weight_nonnegative(build, pinned):
+    # No build or step checks a centre weight: the CFL load is never below
+    # a candidate's total rate (base plus own rows), so at cfl_safety = 1,
+    # with dt at the bound too, every candidate's centre weight, the
+    # critical input's after a step and a fixed policy's included, stays
+    # above -_WEIGHT_TOL at every interior node.
+    sys = build()
+    rng = np.random.default_rng(8)
+    random = PolicyTable(sys.grid, rng.uniform(sys.input_lower, sys.input_upper,
+                                               size=(sys.grid.size, sys.n_u)),
+                         sys.input_lower, sys.input_upper)
+    cfg = PropagationConfig(horizon=0.05, cfl_safety=1.0, candidate_points=5)
+    for policy in (None, random):
+        op = _Operator(sys, cfg, policy)
+        if pinned:
+            bound = 1.0 / op.load
+            op = _Operator(sys, replace(cfg, horizon=3.0 * bound, dt=bound), policy)
+            assert op.steps == 3 and op.dt == pytest.approx(bound, rel=1e-15)
+        op.stencil.load(interior_random_field(sys, 4).values)
+        op.stencil.step()
+        smallest = _smallest_centre_weights(op.stencil)
+        assert len(smallest) == (1 if policy is not None else op.candidates)
+        assert min(smallest) >= -semigroup._WEIGHT_TOL
 
 
 @pytest.mark.parametrize("kw", [
