@@ -465,7 +465,7 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exit_1(self, tmp_path, capsys, brownian_artifacts, seed):
         # -1 used to run with the stream of seed 0 (a masked key cast to 0);
-        # the flag is now read by the key's caster.
+        # the flag is read by the key's caster.
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("system.id = brownian_1d\nsimulation.x0 = 0.0\n")
         out = tmp_path / "o"
