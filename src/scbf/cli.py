@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ScbfError
-from .grid import _read_text, read_field, sup_norm, write_field
+from .errors import ConfigError, OutOfDomain, ScbfError
+from .grid import ScalarField, _read_text, read_field, sup_norm, write_field
 from .montecarlo import (
     FixedPolicyController,
     OpenLoopController,
@@ -408,6 +408,21 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
 # --- subcommands -----------------------------------------------------------------
 
 
+def _warm_start(job: JobConfig, sys_model) -> ScalarField:
+    """The field ``iteration.warm_start`` names, resampled onto the system
+    grid; a file that cannot be read or resampled raises ConfigError naming
+    the key and its ``file:line``."""
+    path = Path(job.get("iteration.warm_start"))
+    try:
+        return warm_start_field(read_field(path), sys_model)
+    except OSError as exc:
+        message = f"cannot read {path}: {exc.strerror or exc}"
+    except (ValueError, OutOfDomain) as exc:
+        message = str(exc)
+    raise ConfigError(f"{job.entries['iteration.warm_start'][2]}config key "
+                      f"'iteration.warm_start': {message}")
+
+
 def cmd_synthesize(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
@@ -419,8 +434,7 @@ def cmd_synthesize(args) -> int:
     init = None
     warm = job.get("iteration.warm_start")
     if warm:
-        coarse = read_field(Path(warm))
-        init = warm_start_field(coarse, sys_model)
+        init = _warm_start(job, sys_model)
     elif job.get("iteration.coarse_ladder"):
         coarse_counts = [max(3, (c + 1) // 2) for c in sys_model.grid.counts]
         coarse_sys = make_benchmark(job.get("system.id"), job.overrides(), coarse_counts)

@@ -252,9 +252,10 @@ def _live_steps(sys, cfg, x0, trials):
     drawn from each trial's own stream in blocks of ``_BLOCK_STEPS`` steps
     into a trial-major buffer and copied into a step-major one, both
     allocated once per call; a death compacts an index into the buffer, not
-    the buffer.  ``X + F dt + (S W) sqrt(dt)`` is summed in that order into
-    the states, with ``F dt`` and ``(S W) sqrt(dt)`` in two step buffers the
-    call owns, so no array a callback returned is written.  Yields, for
+    the buffer, and a step gathers its live rows (``np.take``) into a third
+    buffer the call owns.  ``X + F dt + (S W) sqrt(dt)`` is summed in that
+    order into the states, with ``F dt`` and ``(S W) sqrt(dt)`` in two step
+    buffers the call owns, so no array a callback returned is written.  Yields, for
     step ``k``, the inputs applied to and the new states of the trials alive
     before it, and which of them are still alive; stops when none is.  The
     next step updates the yielded states in place.
@@ -268,6 +269,7 @@ def _live_steps(sys, cfg, x0, trials):
     n = cfg.n_steps
     drawn, step_major = (np.empty(live.size * min(_BLOCK_STEPS, n) * sys.n_w) for _ in range(2))
     drift_step, noise_step = (np.empty(X.shape) for _ in range(2))
+    live_noise = np.empty((live.size, sys.n_w))
     for k in range(n):
         j = k % _BLOCK_STEPS
         if j == 0:
@@ -278,7 +280,8 @@ def _live_steps(sys, cfg, x0, trials):
             noise = step_major[:block.size].reshape(shape[1], shape[0], shape[2])
             _step_major(block, noise)
             slots = None
-        W = noise[j] if slots is None else noise[j, slots]
+        W = (noise[j] if slots is None
+             else np.take(noise[j], slots, axis=0, out=live_noise[:slots.size]))
         U = inputs(sys, k * dt, X)
         F = sys.drift(X, U)
         S = sys.diffusion(X, U)
@@ -296,7 +299,7 @@ def _live_steps(sys, cfg, x0, trials):
                 return
             live = live[keep]
             slots = keep if slots is None else slots[keep]
-            X = X[keep]
+            X = np.take(X, keep, axis=0)
 
 
 def _start(sys: SystemModel, x0) -> np.ndarray:

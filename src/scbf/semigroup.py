@@ -76,28 +76,56 @@ rows and keeps their pairwise maximum in candidate order, and for the
 argmax also a running index that moves only to a strictly greater score,
 so ties resolve to the lowest candidate index.
 
-A step skips that loop when there are at least two candidates and each
-one's plan is one term at one shared float rate ``c >= 1``, as the box
-corners of the double integrators are (``di_omni``, ``di_velocity`` and
-``di_deterministic``: ``[[(0, c)], [(1, c)]]``).  It then forms the best
-score as ``c (max_k P[o_k] - P)``: one maximum over the shifted sources in
-candidate order, one subtraction and one scaling, in place of a difference,
-a score and a maximum per candidate.  That gives the bits of the score
-chain.  ``fl(x - P)`` is nondecreasing in ``x`` and so is ``fl(c y)`` in
-``y`` for ``c > 0``, so the maximum commutes with both in value.  Two
-scores of equal value differ in bits only as +0 and -0.  With ``c >= 1``
-no product underflows, so a score is zero exactly where its source equals
-``P``; the same candidates tie in both chains, ``np.maximum`` picks between
-equal values by operand position alone, and the sign of the chosen zero
-follows from that candidate's source and ``P``.  Below ``c = 1`` a tiny
-negative difference scales to -0 and can tie a +0 from a greater source, so
-such a plan keeps the scoring loop, as do the argmax, a fixed policy, the
-critical input and any plan with array terms or unequal rates.
+A step skips that loop when the candidates are the product of per-channel
+input values and each channel moves the state to offsets of its own
+(:meth:`_Stencil._groups`).  Such a channel is a group ``g``: at each node
+its values go to distinct offsets ``O_g``, one value per offset, all at
+one rate ``R_g``, and a step forms the best score as ``sum_g R_g (max_{o
+in O_g} P[o] - P)`` over at most two groups, in place of a difference, a
+score and a maximum per candidate.  The box corners of the double
+integrators (``di_omni``, ``di_velocity``, ``di_deterministic``: ``[[(0,
+c)], [(1, c)]]``) are one group at a float rate, and run one maximum over
+the shifted sources in candidate order, one subtraction and one scaling.
+The ``bicycle``'s four corners are two groups, since ``theta' = v u1`` and
+``v' = u2``: the speed channel sends ``u2 = -+1`` to opposite speed
+neighbours at the float ``1/h_v``, and the heading channel sends ``u1 =
+-+1`` to opposite heading neighbours at ``R = |v|/h_theta``, the sum of the
+two disjoint rows ``max(+-v, 0)/h_theta`` that the two steering values
+swap.  That sum is formed on each block of a step, an exact ``np.add``, so
+no third row is kept.
+
+That gives the bits of the score chain.  ``fl`` is monotone: ``fl(x - P)``
+is nondecreasing in ``x``, ``fl(c y)`` in ``y`` for ``c > 0`` and ``fl(a +
+b)`` in each argument, so the maximum commutes with each in value, and the
+maximum of ``fl(a_i + b_j)`` over a product set is ``fl(max a + max b)``.
+With two groups every corner score has at most two nonzero terms, so its
+value does not depend on the order of summation.  What is left is the sign
+of a zero: two scores of equal value differ in bits only as +0 and -0.
+The chain keeps, of the candidates tied for the maximum, the last, as
+``np.maximum`` returns its second operand on a tie.  Every nonzero rate is
+at least 1 (the zero-sign gate), so no product underflows: a term is zero
+exactly where its source equals ``P``, with the sign of ``P[o] - P``.  In a
+float group each value's score is its one term, so the kept zero has the
+sign of the last tied value's difference, which the maximum over the
+sources in value order gives.  In the heading group each value also
+carries a +0.0-rate term towards the other heading neighbour, and a sum of
+zeros is -0 only when every term is, so a zero score there is -0 only
+where both heading differences are -0 or negative, whichever corner is
+kept; the same holds where ``R`` is 0 (the ``v = 0`` plane and the ghost
+positions), where both terms are +0 times a difference.  ``np.maximum`` of
+the sources alone keeps the second of a +0/-0 tie, so that group adds +0.0
+times each source but the last, and its maximum is -0 only where every
+tied source is.  Below rate 1 a tiny negative difference scales to -0 and
+can tie a +0 from a greater source, so a plan with a nonzero rate below 1
+keeps the scoring loop, as do the argmax, :meth:`_Stencil.generator`, a
+fixed policy, the critical input, ``wig_aircraft``'s input grid (both its
+channels move every offset) and any plan with unequal rates.
 
 A build keeps only what a step, the monotonicity check and the argmax
 read, and makes one pass over the nodes (:func:`_split_stencil`).  Each
 block of the pass (:func:`_node_blocks`) forms its node coordinates once
-and evaluates there the noise Gram and, in one call, the drift of every
+and evaluates there the noise Gram (formed once instead when the diffusion
+declares one constant matrix) and, in one call, the drift of every
 candidate, the inputs stacked ahead of the nodes as the ``(..., n_x)``
 broadcasting contract of the models allows; a block holds at most
 ``_NODE_BLOCK`` nodes and ``_CALLBACK_ROWS`` candidate rows, so no array of
@@ -124,9 +152,9 @@ term of a step is elementwise per position, so a block's output reads
 only that block's positions of each array (of the shifted sources too),
 and the blocked step gives the bits of the unblocked one.  Blocking is
 for the cache: on the ``bicycle`` grid above (span 274,824) a step makes
-about 45 passes over some 27 arrays of 2.2 MB each, about 60 MB per step,
-so over the whole span each pass streams from L3 and the step is bound by
-bandwidth.  With blocks of ``2**15`` positions, 256 KiB per array, what
+about 29 passes over some 22 arrays of 2.2 MB each (45 over 27 with the
+scoring loop), about 50 MB per step, so over the whole span each pass
+streams from L3 and the step is bound by bandwidth.  With blocks of ``2**15`` positions, 256 KiB per array, what
 one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
 2008, on blocking bandwidth-bound stencils).  Shorter blocks gained little
 and cost one more numpy call per array and block.  A span of at most
@@ -467,12 +495,13 @@ class _Block:
     ``(difference row, coefficient)``; ``scores``, ``better`` (the argmax's
     flags) and ``tmp`` are scratch rows shared by all blocks, and
     ``dynamic`` is what the dynamic candidate compiled for the block.  When
-    every candidate is one term at one rate (:meth:`_Stencil._shared_rate`),
-    ``corners`` holds each candidate's shifted source in candidate order and
-    ``rate`` that rate; else ``corners`` is empty."""
+    a step takes one shifted maximum per input channel
+    (:meth:`_Stencil._groups`), ``groups`` holds each group's shifted
+    sources, its rate (a float, or the rows whose sum it is) and whether its
+    maximum prefers +0.0; else ``groups`` is empty."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
-                 "scores", "better", "tmp", "dynamic", "corners", "rate")
+                 "scores", "better", "tmp", "dynamic", "groups")
 
 
 class _Stencil:
@@ -498,9 +527,11 @@ class _Stencil:
     into ``_scores[0]`` and folds each later one, written to ``_scores[1]``,
     in with ``np.maximum`` while it is still in cache; ``argmax`` does the
     same with a running index, so two score rows serve any candidate count.
-    When every candidate is one term at one rate ``c >= 1`` (``_shared_rate``),
-    a step writes ``c (max_k P[o_k] - P)`` into ``_scores[0]`` instead, with
-    the same bits (module docstring).
+    When the candidates are the product of per-channel values and each
+    channel moves the state to its own offsets at one rate ``R_g``
+    (``_groups``, from ``channels``), a step writes ``sum_g R_g (max_{o in
+    O_g} P[o] - P)`` over at most two groups into ``_scores[0]`` instead,
+    with the same bits (module docstring).
 
     Layout: the grid is padded with one ghost layer on each side of every
     periodic dimension and none elsewhere; per-node arrays live on its flat
@@ -565,7 +596,8 @@ class _Stencil:
                 self.base[o] = self.pad(r)
         self.offsets = list(offsets)
         self._plan, self._rows, self._dynamic_rows = [], {}, None
-        self.dynamic = self.W = None
+        # Each candidate's value index per input channel (_product_indices).
+        self.dynamic = self.W = self.channels = None
         self._negative = False
         self._centre = (0,) * n
         self._bufs = [_aligned(size + 2 * margin, lead=margin + first, phase=phase)
@@ -639,8 +671,7 @@ class _Stencil:
                    for j, c in terms] for terms in self._plan] for a, b in ranges]
         dynamic = (self.dynamic.blocks(ranges, self._diffs) if self.dynamic is not None
                    else [None] * len(ranges))
-        rate = self._shared_rate()
-        corners = [] if rate is None else [self.offsets[j] for (j, _), in self._plan]
+        groups = self._groups() or []
         self._blocks = []
         for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
             blocks = []
@@ -655,21 +686,72 @@ class _Stencil:
                                for j, diff in self._diffs.items()]
                 block.scores = None if self._scores is None else self._scores[:, :b - a]
                 block.better = self._better[:b - a]
-                block.corners, block.rate = [src[o][at] for o in corners], rate
+                block.groups = [([src[self.offsets[j]][at] for j in sources],
+                                 rate if isinstance(rate, float) else [r[at] for r in rate],
+                                 signed) for sources, rate, signed in groups]
                 blocks.append(block)
             self._blocks.append(blocks)
 
-    def _shared_rate(self) -> float | None:
-        """``c`` when there are at least two candidates and each one's score
-        is one term ``c (P[o_k] - P)`` with one float ``c >= 1``
-        shared by all, else None; a step then takes the maximum over the
-        shifted field before it subtracts and scales (:meth:`_max_shifted`)."""
-        if len(self._plan) < 2 or any(len(terms) != 1 for terms in self._plan):
+    def _groups(self) -> list | None:
+        """The groups of a step's shifted maxima, one per input channel
+        whose values move the state (module docstring), or None when the
+        plan keeps the scoring loop: ``(sources, rate, signed)`` per group,
+        with the offset indices its maximum runs over, in order, its float
+        rate or the rows whose sum is its rate, and whether its maximum
+        must prefer +0.0 to -0.0.  The candidates must be the product of
+        the channels' values (``channels``), each offset's rows must depend
+        on one channel only, and each group must pass :meth:`_group`; at
+        most two groups."""
+        idx = self.channels
+        if idx is None or self.dynamic is not None or len(self._plan) < 2:
             return None
-        rates = [c for (_, c), in self._plan]
-        c = rates[0]
-        same = all(isinstance(r, float) and r == c for r in rates)
-        return c if same and c >= 1.0 else None
+        terms = [dict(t) for t in self._plan]
+        # Per channel with two values or more, the first candidate of each.
+        firsts = {c: [int(np.argmax(col == v)) for v in range(col.max() + 1)]
+                  for c, col in enumerate(idx.T) if col.max() > 0}
+        owned = {c: [] for c in firsts}
+        for j in sorted({j for t in terms for j in t}):
+            owners = [c for c, first in firsts.items()
+                      if all(_same(t.get(j), terms[first[i[c]]].get(j)) for t, i in zip(terms, idx))]
+            if len(owners) != 1:
+                return None
+            owned[owners[0]].append(j)
+        groups = [self._group([terms[k] for k in firsts[c]], js) for c, js in owned.items() if js]
+        return groups if len(groups) <= 2 and None not in groups else None
+
+    def _group(self, values: list, offsets: list):
+        """One channel's group, ``(sources, rate, signed)`` as
+        :meth:`_groups` returns it, or None: ``values`` holds each value's
+        terms (offset index to coefficient), ``offsets`` the offset indices
+        its rows reach, one per value.  Either every value has one term, all
+        at one float ``c >= 1``, on an offset of its own (the maximum runs
+        in value order); or every value has an array on every offset, the
+        first value's arrays in some order, the values' arrays on each
+        offset distinct, and those arrays are +0.0 or at least 1 at every
+        position, at most one of them nonzero there (the rate is their sum,
+        and the maximum prefers +0.0)."""
+        if len(values) != len(offsets):
+            return None
+        rows = [[t.get(j) for j in offsets] for t in values]
+        kept = [[c for c in r if c is not None] for r in rows]
+        if all(len(c) == 1 and isinstance(c[0], float) for c in kept):
+            rate = kept[0][0]
+            sources = [next(j for j, c in zip(offsets, r) if c is not None) for r in rows]
+            if rate >= 1.0 and all(c[0] == rate for c in kept) and len(set(sources)) == len(offsets):
+                return sources, rate, False
+            return None
+        first = sorted(map(id, rows[0]))
+        if not (all(isinstance(c, np.ndarray) for c in rows[0])
+                and all(sorted(map(id, r)) == first for r in rows)
+                and all(len({id(c) for c in column}) == len(rows) for column in zip(*rows))):
+            return None
+        moved = np.zeros(self.span, dtype=np.uint8)
+        for c in rows[0]:
+            at_least_one = c >= 1.0
+            if not np.all(at_least_one | (c.view(np.uint64) == 0)):
+                return None
+            moved += at_least_one
+        return (offsets, rows[0], True) if moved.max() <= 1 else None
 
     def load(self, flat_values: np.ndarray):
         self._views[self._cur][self._centre][self.pos] = np.where(
@@ -778,17 +860,33 @@ class _Stencil:
         return best
 
     @staticmethod
-    def _max_shifted(block: _Block) -> np.ndarray:
-        """The best candidate's score on ``block`` when every candidate is
-        one term at one shared rate, in its first score row: ``c (max_k
-        P[o_k] - P)``, the maximum taken in candidate order.  It has the
-        bits of :meth:`_max_score` (module docstring)."""
-        best, shifted = block.scores[0], block.corners
-        np.maximum(shifted[0], shifted[1], out=best)
-        for source in shifted[2:]:
-            np.maximum(best, source, out=best)
-        best -= block.src
-        best *= block.rate
+    def _max_grouped(block: _Block) -> np.ndarray:
+        """The best candidate's score on ``block``, in its first score row,
+        from its groups (:meth:`_groups`): per group, ``R_g (max_{o in O_g}
+        P[o] - P)``, the maximum taken in the group's order, into a score row
+        of its own, then the sum of the two rows.  A group whose maximum
+        prefers +0.0 adds ``+0.0`` times each source but the last, so its
+        maximum is -0.0 only where every tied source is.  It has the bits of
+        :meth:`_max_score` (module docstring)."""
+        tmp = block.tmp
+        for row, (shifted, rate, signed) in zip(block.scores, block.groups):
+            np.maximum(shifted[0], shifted[1], out=row)
+            for source in shifted[2:]:
+                np.maximum(row, source, out=row)
+            if signed:
+                for source in shifted[:-1]:
+                    np.multiply(source, 0.0, out=tmp)
+                    row += tmp
+            row -= block.src
+            if not isinstance(rate, float):
+                np.add(rate[0], rate[1], out=tmp)
+                for r in rate[2:]:
+                    tmp += r
+                rate = tmp
+            row *= rate
+        best = block.scores[0]
+        if len(block.groups) > 1:
+            best += block.scores[1]
         return best
 
     def step(self):
@@ -802,7 +900,7 @@ class _Stencil:
                 np.multiply(w, shifted, out=tmp)
                 out += tmp
             if self.offsets:
-                best = self._max_shifted(block) if block.corners else self._max_score(block)
+                best = self._max_grouped(block) if block.groups else self._max_score(block)
                 best *= block.dt_mask
                 out += best
         self._check_dynamic()
@@ -839,6 +937,23 @@ class _Stencil:
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same(a, b) -> bool:
+    """Whether two plan coefficients as :meth:`_Stencil.keep` returns them
+    are one row: the same kept array, equal floats, or both None."""
+    return a is b or (isinstance(a, float) and isinstance(b, float) and a == b)
+
+
+def _product_indices(points: np.ndarray):
+    """Each point's value index per input channel, ``(K, n_u)``, when the
+    points are the product of per-channel values in ``itertools.product``
+    order, as :meth:`~scbf.systems.SystemModel.input_grid` makes them, else
+    None."""
+    axes = [list(dict.fromkeys(col.tolist())) for col in points.T]
+    if not np.array_equal(np.array(list(itertools.product(*axes))), points):
+        return None
+    return np.array(list(itertools.product(*(range(len(a)) for a in axes))))
 
 
 class _DriftColumns:
@@ -903,9 +1018,11 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     One pass over the nodes, in blocks of at most ``_NODE_BLOCK`` nodes and
     ``_CALLBACK_ROWS`` candidate rows (:func:`_node_blocks`), gives each
     block one Gram call and one drift call for all its candidates, and
-    forms the CFL load's maximum there.  It keeps the Gram entries the rates
-    read and, of the drift, one column per byte-equality class of each
-    component (:class:`_DriftColumns`).  A candidate's rows are formed one
+    forms the CFL load's maximum there; a model whose diffusion declares
+    its one matrix (:meth:`~scbf.systems.SystemModel.constant_gram`) has
+    its Gram formed once and broadcast to every block instead.  It keeps
+    the Gram entries the rates read and, of the drift, one column per
+    byte-equality class of each component (:class:`_DriftColumns`).  A candidate's rows are formed one
     offset at a time, each once per drift class, sign and diffusion rate and
     shared by every candidate with that key, and a class's column is dropped
     once its last candidate's rows are compiled, so the peak stays near the
@@ -924,10 +1041,14 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     # A cross entry is stored from the first block where it has a byte other
     # than those of +0.0; until then it is +0.0 at every node.
     grams = [{(i, i): np.empty(N) for i in range(n)} for _ in range(1 if shared else K)]
+    # A diffusion that declares its one matrix gives every block the same
+    # entries: formed once, broadcast to each block.
+    const = sys.constant_gram() if shared else None
     drift, peaks = _DriftColumns(n, K, N), []
     for x, at in _node_blocks(spec, max(1, min(_NODE_BLOCK, _CALLBACK_ROWS // K))):
         U = inputs[:, at] if inputs.shape[1] > 1 else inputs
-        G = sys.gram_entries(x, U[:1] if shared else U)  # (n, n, grams, nodes)
+        G = (sys.gram_entries(x, U[:1] if shared else U) if const is None  # (n, n, grams, nodes)
+             else np.broadcast_to(const[:, :, None, None], (n, n, 1, len(x))))
         for k, g in enumerate(grams):
             for i, j in upper:
                 if (i, j) not in g and G[i, j, k].view(np.uint64).any():
@@ -978,6 +1099,8 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
             cols[d] = None
     diff = [{o: r[o] for o in diff_var} for r in diff]
     stencil = _Stencil(spec, interior, base, offsets)
+    if quad is None and K > 1 and inputs.shape[1] == 1:
+        stencil.channels = _product_indices(inputs[:, 0])
     lo, hi = (({d: cols[d][cls[d][k]] for d in drift_var} for k in (0, -1))
               if quad is not None else (None, None))
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import Collapse
 from .grid import ScalarField, _index, interpolate, sup_norm
-from .semigroup import PolicyTable, PropagationConfig, _check_specs, _Operator, propagate
+from .semigroup import (_NODE_BLOCK, PolicyTable, PropagationConfig, _check_specs,
+                        _node_blocks, _Operator, propagate)
 from .systems import SystemModel
 
 __all__ = [
@@ -103,18 +104,21 @@ def initial_field(sys: SystemModel, kind: str = "bump") -> ScalarField:
     plateau  indicator of the interior node set
     """
     spec = sys.grid
-    nodes = sys.grid.nodes()
     lo = np.asarray(spec.lower)
     hi = np.asarray(spec.upper)
     width = hi - lo
     center = 0.5 * (lo + hi)
     if kind == "bump":
-        vals = np.ones(spec.size)
+        # One bump per axis, multiplied in in dimension order and broadcast
+        # over the grid: the products an array of all node coordinates gives.
+        vals = np.ones(spec.shape)
         for d in range(spec.dims):
-            vals *= np.maximum(0.0, 1.0 - (2.0 * (nodes[:, d] - center[d]) / width[d]) ** 2)
+            bump = np.maximum(0.0, 1.0 - (2.0 * (spec.coordinates(d) - center[d]) / width[d]) ** 2)
+            vals *= bump.reshape((-1,) + (1,) * (spec.dims - 1 - d))
+        vals = vals.ravel()
     elif kind == "gauss":
         c = center + 0.25 * width
-        vals = np.exp(-8.0 * np.sum(((nodes - c) / width) ** 2, axis=1))
+        vals = np.exp(-8.0 * np.sum(((spec.nodes() - c) / width) ** 2, axis=1))
     elif kind == "plateau":
         vals = np.ones(spec.size)
     else:
@@ -129,8 +133,16 @@ def initial_field(sys: SystemModel, kind: str = "bump") -> ScalarField:
 def warm_start_field(field: ScalarField, sys: SystemModel) -> ScalarField:
     """Resample a field (e.g. a coarser converged barrier) onto a system's
     grid as an initial guess: interpolated, clipped nonnegative, zeroed
-    outside the interior."""
-    vals = interpolate(field, sys.grid.nodes())
+    outside the interior.  The nodes are interpolated in blocks of at most
+    ``_NODE_BLOCK`` (:func:`~scbf.semigroup._node_blocks`), so no array of
+    all node coordinates and no corner table of all nodes is formed; each
+    node's value does not depend on its block."""
+    if field.spec.dims != sys.grid.dims:
+        raise ValueError(f"a {field.spec.dims}-dimensional field cannot start "
+                         f"a {sys.grid.dims}-dimensional system")
+    vals = np.empty(sys.grid.size)
+    for x, at in _node_blocks(sys.grid, _NODE_BLOCK):
+        vals[at] = interpolate(field, x)
     vals = np.where(sys.interior_mask(), np.maximum(vals, 0.0), 0.0)
     return ScalarField(sys.grid, vals)
 

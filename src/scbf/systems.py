@@ -134,17 +134,20 @@ class SystemModel:
 
     def _gram(self, x: np.ndarray, u: np.ndarray) -> tuple:
         """sigma sigma^T at (x, u) as (n_x, n_x, states), and the batch
-        shape: entry (i, j) adds ``sigma_ik sigma_jk`` over the noise
-        channels k in order, each product taken on a contiguous column of
-        the states.  Callers pass few states at a time (the operator build
-        one node block)."""
-        s = np.asarray(self.diffusion(x, u), dtype=float)
-        lead, (n, m) = s.shape[:-2], s.shape[-2:]
-        c = np.ascontiguousarray(s.reshape(-1, n, m).transpose(2, 1, 0))   # (m, n, states)
-        g = c[0, :, None] * c[0, None, :]
-        for k in range(1, m):
-            g += c[k, :, None] * c[k, None, :]
-        return g, lead
+        shape (:func:`_gram_of`).  Callers pass few states at a time (the
+        operator build one node block)."""
+        return _gram_of(np.asarray(self.diffusion(x, u), dtype=float))
+
+    def constant_gram(self) -> np.ndarray | None:
+        """sigma sigma^T as (n_x, n_x) when the diffusion callable declares
+        one sigma for every state and input (its ``matrix`` attribute, as
+        the built-in constant noise has), else None; the same bytes as
+        :meth:`gram_entries` gives at every node.  Nothing is probed: a
+        callable that declares no matrix gets None."""
+        matrix = getattr(self.diffusion, "matrix", None)
+        if matrix is None:
+            return None
+        return _gram_of(np.asarray(matrix, dtype=float))[0][..., 0]
 
     def fit_quadratic(self, sample):
         """``(c0, c1, c2)`` with ``c0 + c1 u + c2 u^2`` through the three
@@ -173,6 +176,18 @@ class SystemModel:
         for lo, hi in zip(self.input_lower, self.input_upper):
             axes.append(np.linspace(lo, hi, 1 if hi == lo else points_per_dim))
         return np.array(list(itertools.product(*axes)), dtype=float)
+
+
+def _gram_of(s: np.ndarray) -> tuple:
+    """sigma sigma^T of ``s`` (..., n, m) as (n, n, states), and the batch
+    shape: entry (i, j) adds ``sigma_ik sigma_jk`` over the noise channels k
+    in order, each product taken on a contiguous column of the states."""
+    lead, (n, m) = s.shape[:-2], s.shape[-2:]
+    c = np.ascontiguousarray(s.reshape(-1, n, m).transpose(2, 1, 0))   # (m, n, states)
+    g = c[0, :, None] * c[0, None, :]
+    for k in range(1, m):
+        g += c[k, :, None] * c[k, None, :]
+    return g, lead
 
 
 def _fit_exceeds(basis: np.ndarray, V: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -266,7 +281,10 @@ def _di_drift(x, u):
 
 
 def _const_diffusion(matrix):
-    matrix = np.asarray(matrix, dtype=float)
+    """sigma = ``matrix`` at every state and input; the callable declares
+    it as its ``matrix`` attribute (:meth:`SystemModel.constant_gram`)."""
+    matrix = np.array(matrix, dtype=float)
+    matrix.setflags(write=False)
 
     def sigma(x, u):
         x = np.asarray(x, dtype=float)
@@ -275,6 +293,7 @@ def _const_diffusion(matrix):
         out[...] = matrix
         return out
 
+    sigma.matrix = matrix
     return sigma
 
 
@@ -439,8 +458,11 @@ def _make_bicycle(params, counts):
         counts,
         periodic=[False, False, True, False],
     )
-    nodes = grid.nodes()
-    sdf = ScalarField(grid, R - np.hypot(nodes[:, 0], nodes[:, 1]))
+    # The signed distance from the x and y axes, broadcast over heading and
+    # speed: no array of all node coordinates.
+    x, y = grid.coordinates(0), grid.coordinates(1)
+    plane = (R - np.hypot(x[:, None], y[None, :]))[:, :, None, None]
+    sdf = ScalarField(grid, np.broadcast_to(plane, grid.shape))
     return SystemModel(
         name="bicycle",
         n_x=4,

@@ -716,6 +716,27 @@ class TestMissingInputs:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(folder) in err
+        if target == "warm_start":
+            assert err.startswith(f"error: {cfg}:2: config key 'iteration.warm_start': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, detail", [
+        (None, "cannot read {fld}: No such file or directory"),
+        ("dims 1\n0 1 x 0\n", "{fld}:2: invalid literal for int() with base 10: 'x'"),
+        ("dims 2\n0 1 3 0\n0 1 3 0\n" + "0\n" * 9,
+         "a 2-dimensional field cannot start a 1-dimensional system"),
+    ], ids=["missing", "malformed", "other_dimension"])
+    def test_unreadable_warm_start(self, tmp_path, capsys, body, detail):
+        # The key and its file:line come first, then what is wrong with the file.
+        fld = tmp_path / "coarse.fld"
+        if body is not None:
+            fld.write_text(body)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"system.id = brownian_1d\n# a comment\niteration.warm_start = {fld}\n")
+        out = tmp_path / "out"
+        assert run("synthesize", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}:3: config key 'iteration.warm_start': "
+                                           f"{detail.format(fld=fld)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name, message", [

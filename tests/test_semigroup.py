@@ -599,6 +599,33 @@ def test_one_drift_call_serves_the_candidates_of_a_node_block(name, counts, kw):
     assert op.policy().inputs.tobytes() == plain.policy().inputs.tobytes()
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("bicycle", (13, 13, 12, 7)), ("di_omni", (21, 41)), ("brownian_1d", (41,)),
+    ("di_deterministic", (21, 41)),
+])
+def test_declared_constant_noise_forms_the_gram_once(monkeypatch, name, counts):
+    # A diffusion that declares its matrix is not called by the build, whose
+    # node blocks take the Gram formed once; the same callable behind a
+    # wrapper that declares nothing is called once per node block.  Both
+    # give the same operator bytes.
+    monkeypatch.setattr(semigroup, "_NODE_BLOCK", 64)
+    sys = make_benchmark(name, grid_counts=counts)
+    calls = []
+
+    def counted(x, u):
+        calls.append(len(x))
+        return sys.diffusion(x, u)
+
+    wrapped = replace(sys, diffusion=counted)
+    wrapped.node_classes()
+    field = interior_random_field(sys, 0)
+    ops = [_Operator(model, PropagationConfig(horizon=0.05)) for model in (sys, wrapped)]
+    assert len(calls) == len(list(semigroup._node_blocks(sys.grid, 64)))
+    results = [(op.load, op.dt, op.apply(field.values).tobytes(), op.policy().inputs.tobytes())
+               for op in ops]
+    assert results[0] == results[1]
+
+
 def _assert_build_peak_near_operator_size(sys, policy=None):
     """The traced peak of an operator build stays within 1.3 times what the
     operator keeps."""
@@ -739,24 +766,64 @@ def _di_box(lower, upper, counts=(9, 17)):
                        grid=di.grid, safe_set=di.safe_set)
 
 
+def _with_and_without_groups(sys, cfg):
+    """``sys``'s optimal operator built twice: once as it compiles, once
+    with the scoring loop (no groups)."""
+    grouped = _Operator(sys, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Stencil, "_groups", lambda self: None)
+        general = _Operator(sys, cfg)
+    assert all(not block.groups for blocks in general.stencil._blocks for block in blocks)
+    return grouped, general
+
+
 @pytest.fixture(scope="module")
 def corner_operators():
     """``di_omni`` 9x17, both corners at rate 4.0, built twice: once with
     the one maximum over the shifted field, once with the general scorer."""
-    sys, cfg = make_benchmark("di_omni", grid_counts=(9, 17)), PropagationConfig(horizon=0.1)
-    one_max = _Operator(sys, cfg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Stencil, "_shared_rate", lambda self: None)
-        general = _Operator(sys, cfg)
+    one_max, general = _with_and_without_groups(
+        make_benchmark("di_omni", grid_counts=(9, 17)), PropagationConfig(horizon=0.1))
     block, = one_max.stencil._blocks[0]
-    assert block.rate == 4.0 and len(block.corners) == 2
-    assert not general.stencil._blocks[0][0].corners
+    (shifted, rate, signed), = block.groups
+    assert rate == 4.0 and len(shifted) == 2 and not signed
     return one_max, general
+
+
+@pytest.fixture(scope="module")
+def bicycle_operators():
+    """``bicycle`` 9x9x8x5 built twice, with its two channel groups and
+    with the general scorer: the heading group at ``|v|/h_theta`` (0 on the
+    ``v = 0`` plane, else at least 1.27) from its two disjoint rows, the
+    speed group at the float ``1/h_v = 1``."""
+    grouped, general = _with_and_without_groups(
+        make_benchmark("bicycle", grid_counts=(9, 9, 8, 5)), PropagationConfig(horizon=0.1))
+    block, = grouped.stencil._blocks[0]
+    (heading, rows, signed), (speed, rate, plain) = block.groups
+    assert len(heading) == len(rows) == 2 and signed
+    assert len(speed) == 2 and rate == 1.0 and not plain
+    return grouped, general
 
 
 # Values whose differences tie, cancel to either signed zero and reach the
 # subnormals; the killed nodes read +0.0.
 _TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.0**-1022]
+
+
+def _candidate_parts_and_steps(operators, values, steps=1):
+    """Per operator, the candidate part of each of ``steps`` steps from
+    ``values`` and the field after each, as bytes."""
+    out = []
+    for op in operators:
+        op.stencil.load(np.array(values))
+        got = []
+        for _ in range(steps):
+            part = [(op.stencil._max_grouped(block) if block.groups
+                     else op.stencil._max_score(block)).copy()
+                    for block in op.stencil._blocks[op.stencil._cur]]
+            op.stencil.step()
+            got += [np.concatenate(part).tobytes(), op.stencil.values().tobytes()]
+        out.append(got)
+    return out
 
 
 @given(st.lists(st.sampled_from(_TIE_VALUES), min_size=153, max_size=153))
@@ -765,26 +832,37 @@ def test_one_max_step_matches_the_general_scorer_bytes(corner_operators, values)
     # c (max_k P[o_k] - P) has the bits of max_k c (P[o_k] - P), with ties
     # between the two neighbours, exact zeros and -0.0 entries (semigroup
     # module docstring): the candidate part and the whole step.
-    parts, fields = [], []
-    for op in corner_operators:
-        op.stencil.load(np.array(values))
-        block, = op.stencil._blocks[op.stencil._cur]
-        best = op.stencil._max_shifted(block) if block.corners else op.stencil._max_score(block)
-        parts.append(best.copy())
-        op.stencil.step()
-        fields.append(op.stencil.values())
-    assert parts[0].tobytes() == parts[1].tobytes()
-    assert fields[0].tobytes() == fields[1].tobytes()
+    grouped, general = _candidate_parts_and_steps(corner_operators, values)
+    assert grouped == general
+
+
+@given(st.lists(st.sampled_from(_TIE_VALUES), min_size=1, max_size=4, unique=True),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_grouped_step_matches_the_general_scorer_bytes(bicycle_operators, palette, seed):
+    # sum_g R_g (max_{o in O_g} P[o] - P) over the bicycle's heading and
+    # speed groups has the bits of the four corners' score chain, on fields
+    # drawn from a few of the tie values, so that ties between signed zeros
+    # are common: the candidate part and the whole step, twice.
+    values = np.random.default_rng(seed).choice(palette, size=9 * 9 * 8 * 5)
+    grouped, general = _candidate_parts_and_steps(bicycle_operators, values, steps=2)
+    assert grouped == general
 
 
 @pytest.mark.parametrize("build", [
     lambda: _di_box(-1.0, 2.0),  # unequal corner rates, 4.0 and 8.0
     lambda: make_benchmark("di_input_noise", grid_counts=(9, 17)),  # array terms
     lambda: _di_box(-0.1, 0.1),  # one rate, 0.4
-], ids=["asymmetric_box", "di_input_noise", "rate_below_one"])
+    # 25 candidates whose two channels both move every offset
+    lambda: make_benchmark("wig_aircraft", grid_counts=(9, 9, 9)),
+    # |v|/h_theta is 0.1/(pi/4) = 0.13 next to the v = 0 plane
+    lambda: make_benchmark("bicycle", grid_counts=(9, 9, 8, 41)),
+], ids=["asymmetric_box", "di_input_noise", "rate_below_one", "wig_aircraft",
+        "bicycle_fine_speed"])
 def test_other_plans_keep_the_general_scorer(build):
-    op = _Operator(build(), PropagationConfig(horizon=0.1))
-    assert all(not block.corners for blocks in op.stencil._blocks for block in blocks)
+    op = _Operator(build(), PropagationConfig(horizon=0.1, candidate_points=5))
+    assert op.stencil._groups() is None
+    assert all(not block.groups for blocks in op.stencil._blocks for block in blocks)
 
 
 def test_one_max_below_rate_one_would_move_a_zero():
@@ -794,7 +872,7 @@ def test_one_max_below_rate_one_would_move_a_zero():
     # then keep different zeros.
     sys = _di_box(-0.1, 0.1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Stencil, "_shared_rate", lambda self: self._plan[0][0][1])
+        patch.setattr(_Stencil, "_groups", lambda self: [([0, 1], self._plan[0][0][1], False)])
         op = _Operator(sys, PropagationConfig(horizon=0.0))
     assert op.stencil._plan == [[(0, 0.4)], [(1, 0.4)]]
     assert op.stencil.offsets == [(0, -1), (0, 1)]
@@ -804,8 +882,36 @@ def test_one_max_below_rate_one_would_move_a_zero():
     block, = op.stencil._blocks[op.stencil._cur]
     at = op.stencil.pos[np.ravel_multi_index((4, 8), sys.grid.shape)]
     general = op.stencil._max_score(block)[at]
-    one_max = op.stencil._max_shifted(block)[at]
+    one_max = op.stencil._max_grouped(block)[at]
     assert general == one_max == 0.0 and np.signbit(general) != np.signbit(one_max)
+
+
+def test_grouped_maximum_must_prefer_positive_zero():
+    # Why a heading group adds +0.0 times its sources: each corner's score
+    # carries a +0.0-rate term towards the heading neighbour it does not
+    # turn to, so where the field is +0.0 and the two heading neighbours are
+    # +0.0 and -0.0 every corner scores +0.0; np.maximum of the sources
+    # alone keeps the second, -0.0, and the step's candidate part would be
+    # -0.0.
+    sys = make_benchmark("bicycle", grid_counts=(9, 9, 8, 5))
+    with pytest.MonkeyPatch.context() as patch:
+        plain = _Stencil._groups
+        patch.setattr(_Stencil, "_groups",
+                      lambda self: [(s, r, False) for s, r, _ in plain(self)])
+        op = _Operator(sys, PropagationConfig(horizon=0.0))
+    theta_minus, theta_plus = (op.stencil.offsets.index(o) for o in ((0, 0, -1, 0), (0, 0, 1, 0)))
+    (sources, _, _), _ = op.stencil._groups()
+    assert sources == [theta_minus, theta_plus]
+    node = (1, 1, 3, 1)  # v = -1, clear of the obstacle and of the killed layers
+    values = np.zeros(sys.grid.shape)
+    values[1, 1, 4, 1] = -0.0  # the theta + 1 neighbour
+    values[1, 1, 3, 2] = -0.0  # the v + 1 neighbour, so the speed group is -0.0 too
+    op.stencil.load(values.ravel())
+    block, = op.stencil._blocks[op.stencil._cur]
+    at = op.stencil.pos[np.ravel_multi_index(node, sys.grid.shape)]
+    general = op.stencil._max_score(block)[at]
+    unsigned = op.stencil._max_grouped(block)[at]
+    assert general == unsigned == 0.0 and not np.signbit(general) and np.signbit(unsigned)
 
 
 class TestPropagateOptimal:

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from scbf import semigroup
+from scbf import semigroup, spectral
 from scbf.errors import Collapse
-from scbf.grid import GridSpec, ScalarField, sup_norm
+from scbf.grid import GridSpec, ScalarField, interpolate, sup_norm
 from scbf.semigroup import PolicyTable, PropagationConfig, propagate
 from scbf.spectral import (
     eigen_residual,
     initial_field,
     power_iteration,
     power_policy_iteration,
+    warm_start_field,
 )
-from scbf.systems import make_benchmark
+from scbf.systems import BENCHMARKS, make_benchmark
 
 LAMBDA_1 = math.pi**2 / 8.0  # Dirichlet rate of (1/2) d^2/dx^2 on [-1, 1]
 
@@ -301,3 +302,35 @@ def hausdorff_cells(shape, mask_a, mask_b):
         return worst
 
     return max(directed(A, B), directed(B, A))
+
+
+@pytest.mark.parametrize("block", [64, 1])
+def test_warm_start_on_short_node_blocks(monkeypatch, block):
+    # The nodes are interpolated block by block; each node's value does not
+    # depend on its block, so any block length gives the bytes of
+    # interpolating at every node at once.
+    coarse = make_benchmark("bicycle", grid_counts=(5, 5, 4, 3))
+    fine = make_benchmark("bicycle", grid_counts=(9, 9, 8, 5))
+    field = initial_field(coarse, "gauss")
+    whole = interpolate(field, fine.grid.nodes())
+    expected = np.where(fine.interior_mask(), np.maximum(whole, 0.0), 0.0)
+    monkeypatch.setattr(spectral, "_NODE_BLOCK", block)
+    assert warm_start_field(field, fine).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_bump_is_the_product_of_axis_bumps_at_every_node(name):
+    # The per-axis bumps, multiplied in dimension order and broadcast, give
+    # the bytes of evaluating the product at an array of all node
+    # coordinates.
+    counts = (9, 9, 8, 5) if name == "bicycle" else (9, 9, 9) if name == "wig_aircraft" else None
+    sys = make_benchmark(name, grid_counts=counts)
+    spec, nodes = sys.grid, sys.grid.nodes()
+    lo, hi = np.asarray(spec.lower), np.asarray(spec.upper)
+    vals = np.ones(spec.size)
+    for d in range(spec.dims):
+        vals *= np.maximum(0.0, 1.0 - (2.0 * (nodes[:, d] - 0.5 * (lo[d] + hi[d]))
+                                       / (hi[d] - lo[d])) ** 2)
+    vals = np.where(sys.interior_mask(), vals, 0.0)
+    expected = vals / np.max(np.abs(vals))
+    assert initial_field(sys, "bump").values.tobytes() == expected.tobytes()

@@ -237,6 +237,14 @@ class TestBicycle:
         assert not bool(sys.contains(np.array([0.0, 0.0, 0.0, 0.0]))[0])
         assert bool(sys.contains(np.array([2.0, 0.0, 0.0, 0.0]))[0])
 
+    def test_sdf_from_the_axes(self):
+        # The signed distance is formed on the x and y axes and broadcast:
+        # the bytes of evaluating it at every node.
+        sys = make_benchmark("bicycle", grid_counts=(13, 11, 6, 5))
+        nodes = sys.grid.nodes()
+        expected = 1.0 - np.hypot(nodes[:, 0], nodes[:, 1])
+        assert sys.safe_set.sdf.values.tobytes() == expected.tobytes()
+
     def test_noise_matrix(self):
         sys = make_benchmark("bicycle", grid_counts=(7, 7, 6, 5))
         S = sys.diffusion(np.array([2.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0]))
@@ -317,6 +325,21 @@ class TestInputStructure:
         assert g.shape == (4, 5, sys.n_x, sys.n_x)
         np.testing.assert_array_equal(g, np.einsum("...ik,...jk->...ij", s, s))
         np.testing.assert_array_equal(sys.gram(X[0, 0], U[0, 0]), g[0, 0])
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_constant_gram_is_declared_not_probed(self, name):
+        # A constant diffusion declares its matrix, and its Gram has the
+        # bytes of the per-node one; the same callable behind a wrapper
+        # declares nothing and gets None.
+        sys = _small(name)
+        gram = sys.constant_gram()
+        assert (gram is None) == (name in ("di_input_noise", "wig_aircraft"))
+        if gram is not None:
+            X, U = _random_points(sys, (6,), seed=5)
+            expected = sys.gram_entries(X, U)
+            assert np.broadcast_to(gram[:, :, None], expected.shape).tobytes() == expected.tobytes()
+            wrapped = dataclasses.replace(sys, diffusion=lambda x, u: sys.diffusion(x, u))
+            assert wrapped.constant_gram() is None
 
     def test_gram_cross_input_noise(self):
         # Two entries of this model's Gram sum two nonzero products, which
