@@ -253,7 +253,9 @@ def _live_steps(sys, cfg, x0, trials):
     into a trial-major buffer and copied into a step-major one, both
     allocated once per call; a death compacts an index into the buffer, not
     the buffer, and a step gathers its live rows (``np.take``) into a third
-    buffer the call owns.  ``X + F dt + (S W) sqrt(dt)`` is summed in that
+    buffer the call owns, with ``mode="clip"``: the slots come from
+    ``np.flatnonzero`` and are always in range, and the default mode
+    buffers the output.  ``X + F dt + (S W) sqrt(dt)`` is summed in that
     order into the states, with ``F dt`` and ``(S W) sqrt(dt)`` in two step
     buffers the call owns, so no array a callback returned is written.  Yields, for
     step ``k``, the inputs applied to and the new states of the trials alive
@@ -281,7 +283,7 @@ def _live_steps(sys, cfg, x0, trials):
             _step_major(block, noise)
             slots = None
         W = (noise[j] if slots is None
-             else np.take(noise[j], slots, axis=0, out=live_noise[:slots.size]))
+             else np.take(noise[j], slots, axis=0, out=live_noise[:slots.size], mode="clip"))
         U = inputs(sys, k * dt, X)
         F = sys.drift(X, U)
         S = sys.diffusion(X, U)

@@ -94,32 +94,31 @@ two disjoint rows ``max(+-v, 0)/h_theta`` that the two steering values
 swap.  That sum is formed on each block of a step, an exact ``np.add``, so
 no third row is kept.
 
-That gives the bits of the score chain.  ``fl`` is monotone: ``fl(x - P)``
-is nondecreasing in ``x``, ``fl(c y)`` in ``y`` for ``c > 0`` and ``fl(a +
-b)`` in each argument, so the maximum commutes with each in value, and the
-maximum of ``fl(a_i + b_j)`` over a product set is ``fl(max a + max b)``.
-With two groups every corner score has at most two nonzero terms, so its
-value does not depend on the order of summation.  What is left is the sign
-of a zero: two scores of equal value differ in bits only as +0 and -0.
-The chain keeps, of the candidates tied for the maximum, the last, as
-``np.maximum`` returns its second operand on a tie.  Every nonzero rate is
-at least 1 (the zero-sign gate), so no product underflows: a term is zero
-exactly where its source equals ``P``, with the sign of ``P[o] - P``.  In a
-float group each value's score is its one term, so the kept zero has the
-sign of the last tied value's difference, which the maximum over the
-sources in value order gives.  In the heading group each value also
-carries a +0.0-rate term towards the other heading neighbour, and a sum of
-zeros is -0 only when every term is, so a zero score there is -0 only
-where both heading differences are -0 or negative, whichever corner is
-kept; the same holds where ``R`` is 0 (the ``v = 0`` plane and the ghost
-positions), where both terms are +0 times a difference.  ``np.maximum`` of
-the sources alone keeps the second of a +0/-0 tie, so that group adds +0.0
-times each source but the last, and its maximum is -0 only where every
-tied source is.  Below rate 1 a tiny negative difference scales to -0 and
-can tie a +0 from a greater source, so a plan with a nonzero rate below 1
-keeps the scoring loop, as do the argmax, :meth:`_Stencil.generator`, a
-fixed policy, the critical input, ``wig_aircraft``'s input grid (both its
-channels move every offset) and any plan with unequal rates.
+That gives the values of the score chain.  ``fl`` is monotone: ``fl(x -
+P)`` is nondecreasing in ``x``, ``fl(c y)`` in ``y`` for ``c > 0`` and
+``fl(a + b)`` in each argument, so the maximum commutes with each in value
+at any rate ``c > 0``, and the maximum of ``fl(a_i + b_j)`` over a product
+set is ``fl(max a + max b)``; with two groups a corner score has at most
+two nonzero terms, so the order of summation does not matter.  The sign of
+a zero can differ: at ``c = 0.4``, from ``P = 5e-324`` to neighbours
+``1e-323`` and ``0``, the scores are +0.0 and -0.0, the chain keeps the
+later, and the grouped part is +0.0.  A step sums ``W_0 P``, the base
+terms ``W_o P[o]`` and the part times ``dt``, and a sum rounded to nearest
+is -0.0 only where every addend is, so that sign reaches the output only
+where ``W_0 P`` is -0.0.  On a field with no negative entry and no -0.0
+(:meth:`_Stencil.load` stores -0.0 as +0.0) that needs ``W_0 < 0``.  The
+``W_0`` condition is ``W_0 >= 0``; the CFL cap breaks it only by roundoff
+at ``cfl_safety = 1`` (-2.2e-16 under a fixed ``bicycle`` policy with
+``dt`` on the bound), so :meth:`_Stencil.fold_step` clamps ``W_0`` at
++0.0.  So from such a field a step writes the loop's bytes and no -0.0;
+from a signed field only its values, as ``W_0 * -5e-324`` is -0.0 where
+``W_0 < 0.5``.  The fields stepped are nonnegative:
+:func:`~scbf.spectral.power_iteration` rejects a negative start, and a
+monotone step keeps a field nonnegative, up to a rounding at ``cfl_safety
+= 1`` or in the subnormal range.  The argmax, :meth:`_Stencil.generator`,
+a fixed policy, the critical input, ``wig_aircraft``'s input grid (both
+its channels move every offset) and any plan with unequal rates keep the
+scoring loop.
 
 A build keeps only what a step, the monotonicity check and the argmax
 read, and makes one pass over the nodes (:func:`_split_stencil`).  Each
@@ -497,8 +496,8 @@ class _Block:
     ``dynamic`` is what the dynamic candidate compiled for the block.  When
     a step takes one shifted maximum per input channel
     (:meth:`_Stencil._groups`), ``groups`` holds each group's shifted
-    sources, its rate (a float, or the rows whose sum it is) and whether its
-    maximum prefers +0.0; else ``groups`` is empty."""
+    sources and its rate (a float, or the rows whose sum it is); else
+    ``groups`` is empty."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
                  "scores", "better", "tmp", "dynamic", "groups")
@@ -531,7 +530,8 @@ class _Stencil:
     channel moves the state to its own offsets at one rate ``R_g``
     (``_groups``, from ``channels``), a step writes ``sum_g R_g (max_{o in
     O_g} P[o] - P)`` over at most two groups into ``_scores[0]`` instead,
-    with the same bits (module docstring).
+    with the same values, and the step the same bits from a field with no
+    negative entry (module docstring).
 
     Layout: the grid is padded with one ghost layer on each side of every
     periodic dimension and none elsewhere; per-node arrays live on its flat
@@ -687,21 +687,20 @@ class _Stencil:
                 block.scores = None if self._scores is None else self._scores[:, :b - a]
                 block.better = self._better[:b - a]
                 block.groups = [([src[self.offsets[j]][at] for j in sources],
-                                 rate if isinstance(rate, float) else [r[at] for r in rate],
-                                 signed) for sources, rate, signed in groups]
+                                 rate if isinstance(rate, float) else [r[at] for r in rate])
+                                for sources, rate in groups]
                 blocks.append(block)
             self._blocks.append(blocks)
 
     def _groups(self) -> list | None:
         """The groups of a step's shifted maxima, one per input channel
         whose values move the state (module docstring), or None when the
-        plan keeps the scoring loop: ``(sources, rate, signed)`` per group,
-        with the offset indices its maximum runs over, in order, its float
-        rate or the rows whose sum is its rate, and whether its maximum
-        must prefer +0.0 to -0.0.  The candidates must be the product of
-        the channels' values (``channels``), each offset's rows must depend
-        on one channel only, and each group must pass :meth:`_group`; at
-        most two groups."""
+        plan keeps the scoring loop: ``(sources, rate)`` per group, the
+        offset indices its maximum runs over, in order, and its float rate
+        or the rows whose sum is its rate.  The candidates must be the
+        product of the channels' values (``channels``), each offset's rows
+        must depend on one channel only, and each group must pass
+        :meth:`_group`; at most two groups."""
         idx = self.channels
         if idx is None or self.dynamic is not None or len(self._plan) < 2:
             return None
@@ -720,16 +719,15 @@ class _Stencil:
         return groups if len(groups) <= 2 and None not in groups else None
 
     def _group(self, values: list, offsets: list):
-        """One channel's group, ``(sources, rate, signed)`` as
-        :meth:`_groups` returns it, or None: ``values`` holds each value's
-        terms (offset index to coefficient), ``offsets`` the offset indices
-        its rows reach, one per value.  Either every value has one term, all
-        at one float ``c >= 1``, on an offset of its own (the maximum runs
-        in value order); or every value has an array on every offset, the
-        first value's arrays in some order, the values' arrays on each
-        offset distinct, and those arrays are +0.0 or at least 1 at every
-        position, at most one of them nonzero there (the rate is their sum,
-        and the maximum prefers +0.0)."""
+        """One channel's group, ``(sources, rate)`` as :meth:`_groups`
+        returns it, or None: ``values`` holds each value's terms (offset
+        index to coefficient), ``offsets`` the offset indices its rows
+        reach, one per value.  Either every value has one term, all at one
+        float, on an offset of its own (the maximum runs in value order); or
+        every value has an array on every offset, the first value's arrays
+        in some order, the values' arrays on each offset distinct, and at
+        most one of those arrays nonzero at every position (the rate is
+        their sum)."""
         if len(values) != len(offsets):
             return None
         rows = [[t.get(j) for j in offsets] for t in values]
@@ -737,8 +735,8 @@ class _Stencil:
         if all(len(c) == 1 and isinstance(c[0], float) for c in kept):
             rate = kept[0][0]
             sources = [next(j for j, c in zip(offsets, r) if c is not None) for r in rows]
-            if rate >= 1.0 and all(c[0] == rate for c in kept) and len(set(sources)) == len(offsets):
-                return sources, rate, False
+            if all(c[0] == rate for c in kept) and len(set(sources)) == len(offsets):
+                return sources, rate
             return None
         first = sorted(map(id, rows[0]))
         if not (all(isinstance(c, np.ndarray) for c in rows[0])
@@ -747,15 +745,15 @@ class _Stencil:
             return None
         moved = np.zeros(self.span, dtype=np.uint8)
         for c in rows[0]:
-            at_least_one = c >= 1.0
-            if not np.all(at_least_one | (c.view(np.uint64) == 0)):
-                return None
-            moved += at_least_one
-        return (offsets, rows[0], True) if moved.max() <= 1 else None
+            moved += c != 0.0
+        return (offsets, rows[0]) if moved.max() <= 1 else None
 
     def load(self, flat_values: np.ndarray):
-        self._views[self._cur][self._centre][self.pos] = np.where(
-            self._interior_nodes, flat_values, 0.0)
+        """Store ``flat_values`` on the interior nodes and +0.0 elsewhere,
+        -0.0 as +0.0 (module docstring)."""
+        values = np.where(self._interior_nodes, flat_values, 0.0)
+        values += 0.0
+        self._views[self._cur][self._centre][self.pos] = values
 
     def values(self) -> np.ndarray:
         return self._views[self._cur][self._centre][self.pos]
@@ -763,7 +761,8 @@ class _Stencil:
     def fold_step(self, dt: float):
         """Fold ``dt`` and the kill mask into the weights and check the
         off-centre weights of the base and of every fixed candidate; the
-        CFL cap keeps the centre weights nonnegative (module docstring)."""
+        CFL cap keeps the centre weights nonnegative, and ``W0`` is clamped
+        at +0.0 against its roundoff (module docstring)."""
         self.dt_mask, self.W0 = _aligned(self.span), _aligned(self.span)
         np.copyto(self.dt_mask, dt, where=self.interior)
         # W0 = 1 - dt * (sum of base rates) and W_o = dt_mask * rate, built in
@@ -772,6 +771,7 @@ class _Stencil:
             self.W0 += r
         self.W0 *= dt
         np.subtract(1.0, self.W0, out=self.W0)
+        np.maximum(self.W0, 0.0, out=self.W0)
         np.copyto(self.W0, 0.0, where=~self.interior)
         for r in self.base.values():
             r *= self.dt_mask
@@ -864,19 +864,14 @@ class _Stencil:
         """The best candidate's score on ``block``, in its first score row,
         from its groups (:meth:`_groups`): per group, ``R_g (max_{o in O_g}
         P[o] - P)``, the maximum taken in the group's order, into a score row
-        of its own, then the sum of the two rows.  A group whose maximum
-        prefers +0.0 adds ``+0.0`` times each source but the last, so its
-        maximum is -0.0 only where every tied source is.  It has the bits of
-        :meth:`_max_score` (module docstring)."""
+        of its own, then the sum of the two rows.  It has the values of
+        :meth:`_max_score`, and a step from a field with no negative entry
+        its bits (module docstring)."""
         tmp = block.tmp
-        for row, (shifted, rate, signed) in zip(block.scores, block.groups):
+        for row, (shifted, rate) in zip(block.scores, block.groups):
             np.maximum(shifted[0], shifted[1], out=row)
             for source in shifted[2:]:
                 np.maximum(row, source, out=row)
-            if signed:
-                for source in shifted[:-1]:
-                    np.multiply(source, 0.0, out=tmp)
-                    row += tmp
             row -= block.src
             if not isinstance(rate, float):
                 np.add(rate[0], rate[1], out=tmp)
