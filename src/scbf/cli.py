@@ -50,73 +50,47 @@ from .systems import BENCHMARKS, make_benchmark
 # --- config schema ------------------------------------------------------------
 
 
-def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _floats(text: str) -> list[float]:
-    return [_finite(part) for part in text.split(",") if part.strip()]
-
-
-def _tolerance(text: str) -> float:
-    value = _finite(text)
-    if value < 0.0:
-        raise ValueError(text)
-    return value
-
-
-def _finite_positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0.0:
-        raise ValueError(text)
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:  # nan too
-        raise ValueError(text)
-    return value
-
-
 # What a caster reads, for messages (else the caster's name, as for int).
-_EXPECTS = {_ints: "comma-separated integers", _floats: "comma-separated finite numbers",
-            _finite: "a finite number", _tolerance: "a finite nonnegative number",
-            _finite_positive: "a finite positive number", _fraction: "a number in (0, 1]"}
+_EXPECTS = {}
 
 
-def _integer(low: int, high: float, expects: str):
-    """A caster that reads an integer in ``[low, high)``, which messages
-    call ``expects``."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if not low <= value < high:
+def _caster(parse, ok, expects: str):
+    """A caster that reads ``parse(text)`` and accepts the value only where
+    ``ok(value)``; messages call what it reads ``expects``."""
+    def caster(text: str):
+        value = parse(text)
+        if not ok(value):
             raise ValueError(text)
         return value
 
-    _EXPECTS[integer] = expects
-    return integer
+    _EXPECTS[caster] = expects
+    return caster
 
 
-_positive = _integer(1, math.inf, "a positive integer")
+def _integer(low: int, high: float, expects: str):
+    """A caster that reads an integer in ``[low, high)``."""
+    return _caster(int, lambda value: low <= value < high, expects)
 
 
 def _one_of(*choices: str):
     """A caster that reads exactly one of ``choices``."""
-    def choice(text: str) -> str:
-        if text not in choices:
-            raise ValueError(text)
-        return text
+    return _caster(str, choices.__contains__, "one of " + ", ".join(choices))
 
-    _EXPECTS[choice] = "one of " + ", ".join(choices)
-    return choice
+
+def _parts(parse):
+    """A parser of comma-separated parts, each read by ``parse``; blank
+    parts are dropped."""
+    return lambda text: [parse(part) for part in text.split(",") if part.strip()]
+
+
+_ints = _caster(_parts(int), lambda values: True, "comma-separated integers")
+_floats = _caster(_parts(float), lambda values: all(map(math.isfinite, values)),
+                  "comma-separated finite numbers")
+_finite = _caster(float, math.isfinite, "a finite number")
+_tolerance = _caster(float, lambda value: 0.0 <= value < math.inf, "a finite nonnegative number")
+_finite_positive = _caster(float, lambda value: 0.0 < value < math.inf, "a finite positive number")
+_fraction = _caster(float, lambda value: 0.0 < value <= 1.0, "a number in (0, 1]")
+_positive = _integer(1, math.inf, "a positive integer")
 
 
 # Every config key: the caster that reads its value, its default (None
@@ -354,7 +328,9 @@ def _check_grid(got, want, subject: str, expected: str):
                                       if got.counts == want.counts else ""))
 
 
-def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
+def load_result(artifacts: Path, sys_model) -> EigenResult:
+    """The result ``synthesize`` stored in ``artifacts`` (its history
+    empty), its fields checked against ``sys_model``'s grid and inputs."""
     meta_path = artifacts / "metadata.txt"
     if not meta_path.exists():
         raise ConfigError(f"missing metadata file: {meta_path}")
@@ -394,7 +370,7 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         channels.append(channel.values)
     policy = PolicyTable(psi.spec, np.stack(channels, axis=1),
                          sys_model.input_lower, sys_model.input_upper)
-    result = EigenResult(
+    return EigenResult(
         gamma=get("result.gamma"),
         psi=psi,
         policy=policy,
@@ -402,7 +378,6 @@ def load_result(artifacts: Path, sys_model) -> tuple[EigenResult, dict]:
         converged=bool(get("result.converged", 0)),
         horizon=get("result.horizon", _KEYS["propagation.horizon"][1]),
     )
-    return result, {key: value for key, (value, _, _) in meta.items()}
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -500,7 +475,7 @@ def cmd_simulate(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
     artifacts = Path(args.artifacts)
-    result, _ = load_result(artifacts, sys_model)
+    result = load_result(artifacts, sys_model)
     x0 = job.sized_vector("simulation.x0", sys_model.n_x, "n_x")
     if x0 is None:
         raise ConfigError("missing required key 'simulation.x0'")
@@ -539,7 +514,7 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
-    result, _ = load_result(Path(args.artifacts), sys_model)
+    result = load_result(Path(args.artifacts), sys_model)
     spec = _filter_spec(job, sys_model, result)
     queries = Path(args.queries)
     if not queries.exists():
@@ -598,7 +573,7 @@ def _read_queries(path: Path, n_x: int, n_u: int):
 def cmd_verify(args) -> int:
     job = _load_job(args)
     sys_model = _build_system(job)
-    result, meta = load_result(Path(args.artifacts), sys_model)
+    result = load_result(Path(args.artifacts), sys_model)
     cfg = replace(_prop_config(job), horizon=result.horizon)
     checks = []
 

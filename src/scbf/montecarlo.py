@@ -388,7 +388,9 @@ def estimate_safety_curve(sys: SystemModel, cfg: SimConfig, x0: np.ndarray,
 
 
 def wilson_interval(successes, n: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion of ``n >= 1`` trials."""
+    if n < 1:
+        raise ValueError(f"a Wilson interval needs at least one trial, got n = {n}")
     if confidence not in _Z:
         raise ValueError(f"no z-value tabulated for confidence {confidence}")
     z = _Z[confidence]

@@ -438,6 +438,8 @@ def filter_input(spec: FilterSpec, x: np.ndarray, u_ref: np.ndarray):
     if not bool(spec.sys.contains(x)[0]):
         raise OutOfDomain("state is outside the safe set; treat as killed")
     u_ref = np.asarray(u_ref, dtype=float).ravel()
+    if u_ref.size != spec.sys.n_u:
+        raise ValueError(f"reference input has {u_ref.size} entries, expected n_u = {spec.sys.n_u}")
     if not np.all(np.isfinite(u_ref)):
         raise ValueError("reference input must be finite")
     U, codes = _filter_rows(spec, x[None, :], u_ref[None, :])
@@ -449,8 +451,13 @@ def filter_input_batch(spec: FilterSpec, X: np.ndarray, U_ref: np.ndarray):
     ``(B, n_u)``, every structure regime included.
 
     Returns ``(U, codes)`` with ``codes[i]`` indexing ``STATUS_BY_CODE``.
-    States are assumed to lie in the safe set.
+    States are assumed to lie in the safe set; references are checked to
+    be finite, one row of ``n_u`` per state.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U_ref = np.atleast_2d(np.asarray(U_ref, dtype=float))
+    if U_ref.shape != (len(X), spec.sys.n_u):
+        raise ValueError(f"references of shape {U_ref.shape}, expected {(len(X), spec.sys.n_u)}")
+    if not np.isfinite(U_ref).all():
+        raise ValueError("reference input must be finite")
     return _filter_rows(spec, X, U_ref)

@@ -243,7 +243,8 @@ __all__ = [
 
 
 class PolicyTable:
-    """Tabulated feedback inputs on grid nodes, clamped into the input box."""
+    """Tabulated feedback inputs on grid nodes, clamped into the input box
+    (an infinite input to the box's face); a NaN input raises ValueError."""
 
     __slots__ = ("spec", "inputs", "input_lower", "input_upper")
 
@@ -259,6 +260,8 @@ class PolicyTable:
             raise ValueError(
                 f"policy shape {inputs.shape} != (nodes={spec.size}, n_u={self.input_lower.size})"
             )
+        if np.isnan(inputs).any():
+            raise ValueError("policy inputs must not be NaN")
         inputs = np.clip(inputs, self.input_lower, self.input_upper)
         inputs.setflags(write=False)
         self.inputs = inputs
@@ -1015,7 +1018,9 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     block one Gram call and one drift call for all its candidates, and
     forms the CFL load's maximum there; a model whose diffusion declares
     its one matrix (:meth:`~scbf.systems.SystemModel.constant_gram`) has
-    its Gram formed once and broadcast to every block instead.  It keeps
+    its Gram formed once and broadcast to every block instead.  (In the
+    quadratic regime :class:`_QuadraticInput` first fits the Gram in a pass
+    of its own.)  It keeps
     the Gram entries the rates read and, of the drift, one column per
     byte-equality class of each component (:class:`_DriftColumns`).  A candidate's rows are formed one
     offset at a time, each once per drift class, sign and diffusion rate and

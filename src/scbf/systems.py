@@ -68,7 +68,7 @@ class StructureFlags:
 
 @dataclass
 class SystemModel:
-    """Controlled SDE with box input constraints and a gridded safe set."""
+    """Controlled SDE with a finite box of inputs and a gridded safe set."""
 
     name: str
     n_x: int
@@ -89,6 +89,8 @@ class SystemModel:
         self.input_upper = np.asarray(self.input_upper, dtype=float).ravel()
         if self.input_lower.size != self.n_u or self.input_upper.size != self.n_u:
             raise ValueError("input box size does not match n_u")
+        if not (np.isfinite(self.input_lower).all() and np.isfinite(self.input_upper).all()):
+            raise ValueError("input box corners must be finite")
         if np.any(self.input_upper < self.input_lower):
             raise ValueError("input box upper corner below lower corner")
         if self.flags is None:

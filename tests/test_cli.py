@@ -85,6 +85,23 @@ class TestConfigParsing:
         assert defaults == {key: default for key, (_, default, _) in _KEYS.items()
                             if default is not None}
 
+    def test_readme_table_states_what_each_key_accepts(self):
+        # Every key has a row, and the row gives the values the key's caster
+        # accepts in the words of its message (backticks aside), so the
+        # table is the one place that states them; only the text keys have
+        # no such words.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+        rows = {re.findall(r"`([^`]+)`", row.split("|")[1])[0]: row.split("|")[2].replace("`", "")
+                for row in section.splitlines() if row.startswith("| `")}
+        assert set(_KEYS) <= set(rows)
+        casters = {key: caster for key, (caster, _, _) in _KEYS.items()}
+        casters["system.overrides.<name>"] = cli._config_caster("system.overrides.sigma", "")
+        assert {key for key, caster in casters.items()
+                if caster not in cli._EXPECTS} == {"system.id", "iteration.warm_start"}
+        assert {key: cli._EXPECTS[caster] for key, caster in casters.items()
+                if cli._EXPECTS.get(caster, "") not in rows[key]} == {}
+
 
 class TestLocatedValues:
     """A value that cannot be read ends in exit 1 with its origin:
@@ -543,7 +560,7 @@ class TestSimulate:
         assert sorted(stepped) == list(range(50))
 
         sys_model = make_benchmark("di_omni", grid_counts=(21, 41))
-        result, _ = cli.load_result(di_artifacts, sys_model)
+        result = cli.load_result(di_artifacts, sys_model)
         kind = lines[0].split(" = ")[1]
         controller = {
             "fixed_policy": lambda: montecarlo.FixedPolicyController(result.policy),
@@ -1008,7 +1025,7 @@ class TestFilterCommand:
                    "--output", str(out)) == 0
         assert calls == [40]
         sys_model = make_benchmark("di_omni", grid_counts=(21, 41))
-        spec = FilterSpec(sys_model, cli.load_result(di_artifacts, sys_model)[0])
+        spec = FilterSpec(sys_model, cli.load_result(di_artifacts, sys_model))
         expected = ["u1,status"]
         for x, r in zip(X, R):
             u, status = filter_input(spec, x, np.array([r]))

@@ -231,6 +231,14 @@ class TestFilterInput:
         with pytest.raises(ValueError, match="^reference input must be finite$"):
             filter_input(di_filter, np.array([0.0, 0.0]), np.array([u_ref]))
 
+    @pytest.mark.parametrize("u_ref", [[0.0, 0.0], []], ids=["two", "none"])
+    def test_reference_of_wrong_length_rejected(self, di_filter, u_ref):
+        # di_omni has one input; a two-entry reference used to come back as
+        # a two-entry 'unmodified' answer.
+        with pytest.raises(ValueError,
+                           match=r"^reference input has \d entries, expected n_u = 1$"):
+            filter_input(di_filter, np.zeros(2), np.array(u_ref))
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, di, di_result, weight):
         with pytest.raises(ValueError, match="weights must be finite and positive"):
@@ -340,6 +348,20 @@ class TestBatchFilter:
         monkeypatch.setattr(safety_filter, "filter_input", refuse)
         U, codes = filter_input_batch(spec, X, U_ref)
         assert np.array_equal(U, expected[0]) and np.array_equal(codes, expected[1])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (4, 1), (5,)])
+    def test_references_of_wrong_shape_rejected(self, di_filter, shape):
+        # One reference row used to be broadcast to all five states.
+        with pytest.raises(ValueError, match=r"^references of shape .*, expected \(5, 1\)$"):
+            filter_input_batch(di_filter, np.zeros((5, 2)), np.full(shape, 5.0))
+
+    @pytest.mark.parametrize("u_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_references_rejected(self, di_filter, u_ref):
+        # A NaN reference used to come back as a NaN 'unmodified' answer.
+        U_ref = np.zeros((5, 1))
+        U_ref[3] = u_ref
+        with pytest.raises(ValueError, match="^reference input must be finite$"):
+            filter_input_batch(di_filter, np.zeros((5, 2)), U_ref)
 
     def test_empty_batch(self, di, di_filter):
         U, codes = filter_input_batch(di_filter, np.zeros((0, 2)), np.zeros((0, 1)))

@@ -329,6 +329,12 @@ class TestWilson:
         assert lo[0] == 0.0 and hi[0] < 0.5
         assert hi[1] == pytest.approx(1.0, abs=1e-12) and lo[1] > 0.5
 
+    def test_no_trials_rejected(self):
+        # n = 0 used to warn and return NaN bounds.
+        with pytest.raises(ValueError,
+                           match="^a Wilson interval needs at least one trial, got n = 0$"):
+            wilson_interval(np.array([0]), 0)
+
     def test_unknown_confidence(self):
         with pytest.raises(ValueError):
             wilson_interval(np.array([1]), 10, confidence=0.5)

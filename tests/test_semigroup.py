@@ -1279,6 +1279,16 @@ class TestPolicyTable:
         pol = PolicyTable(di_small.grid, inputs, di_small.input_lower, di_small.input_upper)
         assert np.all(pol.inputs == 1.0)
 
+    def test_infinite_inputs_clamp_and_nan_raises(self, di_small):
+        inputs = np.zeros((di_small.grid.size, 1))
+        inputs[:2, 0] = [math.inf, -math.inf]
+        pol = PolicyTable(di_small.grid, inputs, di_small.input_lower, di_small.input_upper)
+        assert pol.inputs[:3, 0].tolist() == [1.0, -1.0, 0.0]
+        # A NaN input used to be stored, and propagate failed on it later.
+        inputs[5, 0] = math.nan
+        with pytest.raises(ValueError, match="^policy inputs must not be NaN$"):
+            PolicyTable(di_small.grid, inputs, di_small.input_lower, di_small.input_upper)
+
     def test_channel_fields_roundtrip(self, di_small):
         rng = np.random.default_rng(1)
         inputs = rng.uniform(-1, 1, size=(di_small.grid.size, 1))

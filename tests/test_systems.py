@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -121,6 +122,14 @@ class TestMakeBenchmark:
                 listed[name] = (params, tuple(int(c) for c in counts[0].split(",")))
         assert listed == {name: (list(entry.defaults), entry.counts)
                           for name, entry in BENCHMARKS.items()}
+
+    @pytest.mark.parametrize("u_max", [math.nan, math.inf])
+    def test_non_finite_input_box_rejected(self, capfd, u_max):
+        # Such a box used to reach the structure probe, which printed LAPACK
+        # parameter errors and raised LinAlgError.
+        with pytest.raises(ValueError, match="^input box corners must be finite$"):
+            make_benchmark("di_omni", {"u_max": u_max}, (11, 21))
+        assert capfd.readouterr().err == ""
 
     def test_override_applies(self):
         sys = make_benchmark("brownian_1d", {"sigma": 2.0})
