@@ -30,7 +30,9 @@ per ``FilterSpec``:
 
 Both input-affine regimes compute their coefficients on one path, in one
 summation order, ``a0 = p . f0 + (1/2) tr(H a) + gamma psi``, which is also
-what ``generator_coefficients`` returns; every Gram matrix ``a`` comes from
+what ``generator_coefficients`` returns: the model's
+``SystemModel.input_coefficients``, which the operator's critical input
+also maximizes, plus ``gamma psi``; every Gram matrix ``a`` comes from
 ``SystemModel.gram``.  ``generator_value`` evaluates the generator directly
 from the drift and the Gram matrix instead, as an independent check.
 
@@ -154,11 +156,6 @@ def _generator(spec: FilterSpec, rows: dict, U: np.ndarray) -> np.ndarray:
             + spec.gamma * rows["psi"][:, None])
 
 
-def _trace(sys: SystemModel, X: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """(1/2) tr(H sigma sigma^T) per row of states ``X`` and inputs ``U``."""
-    return 0.5 * np.einsum("bij,bij->b", H, sys.gram(X, U))
-
-
 # --- the three regimes ------------------------------------------------------------
 #
 # Each regime holds the constants of one FilterSpec (not the spec itself, so
@@ -170,42 +167,20 @@ def _trace(sys: SystemModel, X: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.
 
 
 class _InputAffine:
-    """Drift affine in the input: ``f(x, u) = f0(x) + G(x) u`` from one drift
-    call at the box centre and at centre +- half-width per channel.  Its rows
-    are the coefficients of ``g(u) = a0 + a_lin . u`` and, in the quadratic
-    regime, ``+ a_quad u^2`` (what ``generator_coefficients`` returns)."""
+    """Drift affine in the input.  Its rows are the coefficients of ``g(u) =
+    a0 + a_lin . u`` and, in the quadratic regime, ``+ a_quad u^2`` (what
+    ``generator_coefficients`` returns): the central generator's, from
+    :meth:`~scbf.systems.SystemModel.input_coefficients`, plus ``gamma psi``."""
 
     def __init__(self, spec: FilterSpec):
-        sys = spec.sys
-        self._uc = sys.input_center()
-        width = sys.input_upper - sys.input_lower
-        step = np.where(width > 0.0, 0.5 * width, 1.0)
-        probes = np.tile(self._uc, (1 + 2 * sys.n_u, 1))
-        for j in range(sys.n_u):
-            probes[1 + 2 * j, j] += step[j]
-            probes[2 + 2 * j, j] -= step[j]
-        self._probes = probes
-        self._two_step = 2.0 * step
+        """Nothing to keep: every coefficient comes from the model."""
 
     def rows(self, spec, X, psi_x, p, H):
-        sys = spec.sys
-        K, B = len(self._probes), X.shape[0]
-        U = self._probes.repeat(B, axis=0)
-        F = sys.drift(np.concatenate([X] * K), U).reshape(K, B, sys.n_x)
-        G = np.empty((B, sys.n_x, sys.n_u))
-        for j in range(sys.n_u):
-            G[:, :, j] = (F[1 + 2 * j] - F[2 + 2 * j]) / self._two_step[j]
-        a0 = np.einsum("bi,bi->b", p, F[0] - np.einsum("bij,j->bi", G, self._uc))
-        a_lin = np.einsum("bi,bij->bj", p, G)
-        if sys.regime == "affine":
-            # the noise at the box centre U[:B] serves every input
-            return {"a0": a0 + _trace(sys, X, U[:B], H) + spec.gamma * psi_x, "a_lin": a_lin}
-        # The trace term (1/2) tr(H a(u)) is quadratic in u: fit it exactly
-        # from three inputs, all evaluated in one call.
-        t0, t1, t2 = sys.fit_quadratic(lambda U: _trace(
-            sys, np.concatenate([X] * 3), U.repeat(B, axis=0),
-            np.concatenate([H] * 3)).reshape(3, B))
-        return {"a0": a0 + t0 + spec.gamma * psi_x, "a_lin": a_lin + t1[:, None], "a_quad": t2}
+        b0, b1, b2 = spec.sys.input_coefficients(X, p, H)
+        rows = {"a0": b0 + spec.gamma * psi_x, "a_lin": b1}
+        if b2 is not None:
+            rows["a_quad"] = b2
+        return rows
 
 
 class _Affine(_InputAffine):
@@ -213,7 +188,6 @@ class _Affine(_InputAffine):
     by solving every active set of the box plus the halfspace at once."""
 
     def __init__(self, spec: FilterSpec):
-        super().__init__(spec)
         sys = spec.sys
         lo, hi = sys.input_lower, sys.input_upper
         # Pattern k fixes channel j at its lower bound (-1), its upper bound

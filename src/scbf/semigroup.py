@@ -35,8 +35,8 @@ candidate, which the tests check.  The stencil check owns the rest: a rate
 goes negative only with noise not diagonally dominant in the scaled sense
 ``a_ii/h_i >= sum_j |a_ij|/h_j`` (all built-in benchmarks have diagonal
 ``a``); such a rate plus its base weight is checked when ``dt`` is folded
-in and, for the critical input, after a step, and a violation raises
-:class:`StabilityViolation` naming the node and the offset.
+in and, for the critical input, each time it is taken, and a violation
+raises :class:`StabilityViolation` naming the node and the offset.
 
 The generator ``A^u b = sum_o q_o (b[o] - b)`` (:func:`generator_field`)
 is read from the same stencil: a step without ``dt``, taken on an operator
@@ -55,12 +55,17 @@ quadratic-in-input noise Gram) adds one critical input, the clamped
 stationary point in ``u`` of the central-difference generator, scored with
 the upwind one like every other candidate; it is not the argmax of the
 upwind generator over the input interval, which an interior input can beat.
-Its numerator and denominator are linear in the field, sums of
-coefficients times the differences ``P(x + o_j) - P(x)`` a step forms for
-its scores, so it is formed on each block of a step from those
-differences (:class:`_QuadraticInput`).  One function (:func:`_upwind`)
-forms every upwind drift rate: of the base, of a fixed candidate and, at
-every step, of the critical input.
+It is taken once per application, against the field the application
+starts from, and once before each argmax, against the field the argmax
+reads (:class:`_CriticalInput`), from the same polynomial in ``u`` the
+safety filter projects on
+(:meth:`~scbf.systems.SystemModel.input_coefficients`); every step of an
+application scores the box corners and that held input, as modified
+policy iteration (Puterman & Shin 1978) holds an improved decision over
+several evaluation steps.  On the four quadratic test systems the
+converged ``gamma`` is within 3e-11 of the one with the input taken at
+every step.  One function (:func:`_upwind`) forms every upwind drift
+rate: of the base, of a fixed candidate and of the critical input.
 Rates that no candidate changes form one shared base stencil; each
 candidate keeps rates only on the offsets it changes, and its score
 ``sum_j C[j,k] (P(x + o_j) - P(x))`` is compiled, as the stencil is built,
@@ -70,9 +75,9 @@ moving a state at a constant rate) becomes a Python float; any other row
 becomes one padded array, which every row with the same bytes shares (the
 bicycle's four steering corners turn at ``+-v``, so their eight array terms
 read two arrays).  The critical input keeps its own array per offset,
-since it is rewritten at each step.  One scoring loop serves the step and
-the argmax policy: it scores the candidates one at a time into two score
-rows and keeps their pairwise maximum in candidate order, and for the
+since it is rewritten each time it is taken.  One scoring loop serves the
+step and the argmax policy: it scores the candidates one at a time into two
+score rows and keeps their pairwise maximum in candidate order, and for the
 argmax also a running index that moves only to a strictly greater score,
 so ties resolve to the lowest candidate index.
 
@@ -140,9 +145,11 @@ sign and diffusion rate and shared by every candidate with that key; any
 other row with the bytes of a kept one is found by a sampled fingerprint
 and an exact comparison (:meth:`_Stencil.keep`), so no row is hashed whole.
 A class's column is dropped once its last candidate's rows are compiled,
-and no unpadded copy of a rate lives beside its padded one for long.  The
-quadratic fit of the critical input runs on its own node blocks, an eighth
-of ``_NODE_BLOCK`` (it holds about eight Grams per node).  On the 4-D
+and no unpadded copy of a rate lives beside its padded one for long.  In
+the quadratic regime each block also fits the Gram in ``u``, for the
+critical input's CFL term and for which entries vary with the input; the
+fit holds about eight Grams per node, so those blocks are an eighth of
+``_NODE_BLOCK``.  On the 4-D
 ``bicycle`` (31x31x24x11) the traced build peak is 38.4 MiB and the
 operator 34 MiB (33 and 28 MiB under a fixed policy).
 
@@ -159,12 +166,10 @@ one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
 and cost one more numpy call per array and block.  A span of at most
 ``2**15`` positions (every 2-D benchmark grid and ``wig_aircraft`` 26^3)
 is one block, the whole span: split, those steps ran slower.  Only the
-ghosts are refreshed over the whole span before the blocks; the critical
-input and its rates are formed on each block, just after its differences.
-The difference rows, the score rows, the argmax flags, the multiply
-scratch and the critical input's scratch are one block long, shared by all
-blocks; every other array keeps the whole span, the critical input and its
-rows too.
+ghosts are refreshed over the whole span before the blocks.  The
+difference rows, the score rows, the argmax flags and the multiply scratch
+are one block long, shared by all blocks; every other array keeps the
+whole span, the critical input's rows too.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -229,7 +234,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StabilityViolation
-from .grid import GridSpec, ScalarField, _index
+from .grid import GridSpec, ScalarField, _derivative_table, _index, _unpack_hessian
 from .systems import SystemModel
 
 __all__ = [
@@ -408,22 +413,6 @@ def _node_blocks(spec: GridSpec, block: int):
         yield x.reshape(-1, n), slice(r * per, (r + len(lead[0])) * per)
 
 
-def _node_entries(spec: GridSpec, evaluate, keys, block: int = _NODE_BLOCK) -> list:
-    """Per array that ``evaluate(x, at)`` returns, a dict of its entries
-    ``[:, *key]`` at every node (key ``()``: the whole array), evaluated on
-    the node blocks of :func:`_node_blocks`."""
-    N, entries = spec.size, None
-    for x, at in _node_blocks(spec, block):
-        values = evaluate(x, at)
-        if entries is None:
-            entries = [{key: np.empty((N,) + v.shape[1 + len(key):]) for key in keys}
-                       for v in values]
-        for entry, v in zip(entries, values):
-            for key, e in entry.items():
-                e[at] = v[(slice(None), *key)]
-    return entries
-
-
 def _upwind(f: np.ndarray, s: int, h_d: float, out: np.ndarray | None = None) -> np.ndarray:
     """The upwind rate ``max(s f, 0) / h_d`` towards the neighbor one step
     ``s`` (+-1) along drift component ``f``, into ``out`` when given: the
@@ -495,15 +484,14 @@ class _Block:
     base weight with its shifted source, ``diffs`` each difference row with
     its shifted source, and ``plan`` holds each candidate's terms as
     ``(difference row, coefficient)``; ``scores``, ``better`` (the argmax's
-    flags) and ``tmp`` are scratch rows shared by all blocks, and
-    ``dynamic`` is what the dynamic candidate compiled for the block.  When
+    flags) and ``tmp`` are scratch rows shared by all blocks.  When
     a step takes one shifted maximum per input channel
     (:meth:`_Stencil._groups`), ``groups`` holds each group's shifted
     sources and its rate (a float, or the rows whose sum it is); else
     ``groups`` is empty."""
 
     __slots__ = ("at", "src", "out", "W0", "weights", "dt_mask", "diffs", "plan",
-                 "scores", "better", "tmp", "dynamic", "groups")
+                 "scores", "better", "tmp", "groups")
 
 
 class _Stencil:
@@ -512,9 +500,7 @@ class _Stencil:
     ``base`` holds the rates no candidate input changes; ``fold_step`` makes
     them weights with ``dt`` and the kill mask folded in.  ``C[j, k]`` is
     candidate ``k``'s rate towards ``offsets[j]``, unmasked so the argmax
-    policy is defined on boundary nodes too; ``dynamic`` rewrites the last
-    candidate's rates on every block of every evaluation, from the block's
-    differences.
+    policy is defined on boundary nodes too.
 
     Storage: only what a step, the monotonicity check and the argmax read.
     ``add_candidate`` compiles each candidate's score ``sum_j C[j,k] (P[o_j]
@@ -523,12 +509,13 @@ class _Stencil:
     dropped, a row with one value at every node becomes that float, and any
     other row is one padded array, shared by every term whose row has the
     same bytes (``_rows``, keyed by a fingerprint of sampled bytes and a
-    serial number).  The dynamic candidate keeps one array per offset
-    (``_dynamic_rows``), since it is rewritten at every step.  Only the differences ``P[o_j] - P`` that
-    some term reads are formed.  A step writes the first candidate's score
-    into ``_scores[0]`` and folds each later one, written to ``_scores[1]``,
-    in with ``np.maximum`` while it is still in cache; ``argmax`` does the
-    same with a running index, so two score rows serve any candidate count.
+    serial number).  The critical input passes one array per offset, which
+    it rewrites (:class:`_CriticalInput`).  Only the differences ``P[o_j] -
+    P`` that some term reads are formed.  A step writes the first
+    candidate's score into ``_scores[0]`` and folds each later one, written
+    to ``_scores[1]``, in with ``np.maximum`` while it is still in cache;
+    ``argmax`` does the same with a running index, so two score rows serve
+    any candidate count.
     When the candidates are the product of per-channel values and each
     channel moves the state to its own offsets at one rate ``R_g``
     (``_groups``, from ``channels``), a step writes ``sum_g R_g (max_{o in
@@ -553,11 +540,8 @@ class _Stencil:
     docstring); a span no longer is one block.  The differences, the two
     score rows and ``_tmp`` are one block long and shared by all blocks.
     ``compile`` slices every block's views once, for both buffer parities
-    (``_blocks``), and has the dynamic candidate compile its own per block.
-    Only the ghosts are refreshed over the whole span before the block
-    loop; the dynamic candidate rewrites its rows on each block once its
-    differences are formed, and the check of a rate that went negative runs
-    over the whole span after the loop.
+    (``_blocks``).  Only the ghosts are refreshed over the whole span before
+    the block loop.
 
     Placement (:func:`_aligned`): the centre view of each ping-pong buffer,
     every weight, every candidate row and every scratch array a step reads
@@ -575,11 +559,10 @@ class _Stencil:
     ``_check`` owns the off-centre ones (module docstring).
 
     Build order: ``_Stencil(...)`` pads the base rates, popping each from
-    the caller's dict; ``add_candidate`` once per fixed candidate, in order,
-    with its rows as ``keep`` returns them;
-    ``add_dynamic`` for a dynamic last candidate; ``fold_step`` when the
-    horizon is positive; then ``compile`` allocates the scratch rows and
-    slices the blocks.
+    the caller's dict; ``add_candidate`` once per candidate, in order, with
+    its rows as ``keep`` returns them (the critical input last, with its
+    own rows); ``fold_step`` when the horizon is positive; then ``compile``
+    allocates the scratch rows and slices the blocks.
     """
 
     def __init__(self, spec: GridSpec, interior: np.ndarray, base: dict, offsets):
@@ -598,10 +581,9 @@ class _Stencil:
             if np.any((r != 0.0) & interior):
                 self.base[o] = self.pad(r)
         self.offsets = list(offsets)
-        self._plan, self._rows, self._dynamic_rows = [], {}, None
+        self._plan, self._rows = [], {}
         # Each candidate's value index per input channel (_product_indices).
-        self.dynamic = self.W = self.channels = None
-        self._negative = False
+        self.W = self.channels = None
         self._centre = (0,) * n
         self._bufs = [_aligned(size + 2 * margin, lead=margin + first, phase=phase)
                       for phase in (0, _PAGE // 2)]
@@ -647,16 +629,10 @@ class _Stencil:
                 return kept
 
     def add_candidate(self, terms):
-        """Append a fixed candidate whose rate towards ``offsets[j]`` is
-        ``terms[j]``, as :meth:`keep` returns it."""
+        """Append a candidate whose rate towards ``offsets[j]`` is
+        ``terms[j]``, as :meth:`keep` returns it or a padded row that its
+        owner rewrites."""
         self._plan.append([(j, c) for j, c in enumerate(terms) if c is not None])
-
-    def add_dynamic(self) -> np.ndarray:
-        """Append the dynamic last candidate: one row per offset, returned
-        for its owner to rewrite."""
-        self._dynamic_rows = _aligned((len(self.offsets), self.span))
-        self._plan.append(list(enumerate(self._dynamic_rows)))
-        return self._dynamic_rows
 
     def compile(self):
         """Allocate the block-sized differences the plan reads, the score
@@ -672,15 +648,13 @@ class _Stencil:
         # The plan's terms on each block, shared by both buffer parities.
         plans = [[[(self._diffs[j][:b - a], c if isinstance(c, float) else c[a:b])
                    for j, c in terms] for terms in self._plan] for a, b in ranges]
-        dynamic = (self.dynamic.blocks(ranges, self._diffs) if self.dynamic is not None
-                   else [None] * len(ranges))
         groups = self._groups() or []
         self._blocks = []
         for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
             blocks = []
-            for (a, b), plan, dyn in zip(ranges, plans, dynamic):
+            for (a, b), plan in zip(ranges, plans):
                 block, at = _Block(), slice(a, b)
-                block.at, block.plan, block.tmp, block.dynamic = at, plan, self._tmp[:b - a], dyn
+                block.at, block.plan, block.tmp = at, plan, self._tmp[:b - a]
                 block.src, block.out = src[self._centre][at], out[self._centre][at]
                 block.W0 = self.W0[at] if self.W is not None else None
                 block.dt_mask = self.dt_mask[at] if self.W is not None else None
@@ -705,7 +679,7 @@ class _Stencil:
         must depend on one channel only, and each group must pass
         :meth:`_group`; at most two groups."""
         idx = self.channels
-        if idx is None or self.dynamic is not None or len(self._plan) < 2:
+        if idx is None or len(self._plan) < 2:
             return None
         terms = [dict(t) for t in self._plan]
         # Per channel with two values or more, the first candidate of each.
@@ -780,7 +754,7 @@ class _Stencil:
             r *= self.dt_mask
         self.W, self.base = self.base, None
         self._check(None)
-        for k in range(len(self._plan) - (self.dynamic is not None)):
+        for k in range(len(self._plan)):
             self._check(k)
 
     def _check(self, k):
@@ -810,17 +784,6 @@ class _Stencil:
         for ghost, node in self._ghosts[self._cur]:
             np.copyto(ghost, node)
 
-    def _check_dynamic(self):
-        """After a block loop, :meth:`_check` of the dynamic candidate on its
-        rows of every block, when one went negative on some block.  Its
-        centre weight is the CFL cap's, like every candidate's, and drift
-        rates are nonnegative, so only a negative rate needs the check; a
-        stencil without ``dt`` folded in has no weights to check."""
-        if self._negative:
-            self._negative = False
-            if self.W is not None:
-                self._check(len(self._plan) - 1)
-
     @staticmethod
     def _score(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """A candidate's score into ``out`` from its block terms
@@ -846,12 +809,8 @@ class _Stencil:
         the differences, then a pairwise maximum chain in candidate order,
         the order in which ``np.max(axis=0)`` reduces, folding in each
         score, written to the second row, while it is still in cache.  With
-        ``index``, the argmax too, moved only by a strictly greater score.
-        The dynamic candidate rewrites its rows on the block from the
-        differences first."""
+        ``index``, the argmax too, moved only by a strictly greater score."""
         self._differences(block)
-        if self.dynamic is not None and self.dynamic.update(block):
-            self._negative = True
         best, score = block.scores
         self._score(block.plan[0], best, block.tmp)
         for k in range(1, len(block.plan)):
@@ -901,7 +860,6 @@ class _Stencil:
                 best = self._max_grouped(block) if block.groups else self._max_score(block)
                 best *= block.dt_mask
                 out += best
-        self._check_dynamic()
 
     def argmax(self) -> np.ndarray:
         """Index of the best candidate per node against the current field,
@@ -912,7 +870,6 @@ class _Stencil:
         arg = np.zeros(self.span, dtype=np.int64)
         for block in self._blocks[self._cur]:
             self._max_score(block, arg[block.at])
-        self._check_dynamic()
         return arg[self.pos]
 
     def generator(self) -> np.ndarray:
@@ -928,7 +885,6 @@ class _Stencil:
         if self.offsets:
             for block in self._blocks[self._cur]:
                 out[block.at] += self._max_score(block)
-            self._check_dynamic()
         out[~self.interior] = 0.0
         return out[self.pos]
 
@@ -1005,39 +961,113 @@ class _DriftColumns:
                 if any(not np.array_equal(col, cols[0]) for col in cols[1:])]
 
 
+class _CriticalInput:
+    """The quadratic regime's critical input, the stencil's last candidate:
+    per node, the vertex in ``u`` of the central-difference generator ``p .
+    f(x, u) + 1/2 tr(H a(x, u)) = b0 + b1 u + b2 u^2``
+    (:meth:`~scbf.systems.SystemModel.input_coefficients`, ``p`` and ``H``
+    the field's nodal derivatives, :func:`~scbf.grid._derivative_table`),
+    ``u* = -b1 / (2 b2)`` clamped to the input interval, the lower bound
+    where ``|2 b2| <= 1e-300``.  It is scored with the upwind generator like
+    every other candidate, and it is not that generator's argmax over the
+    interval, which an interior input can beat.
+
+    :meth:`take` takes it against a field and rewrites the candidate's
+    rows, one padded row per offset, from the model at ``u*`` as a fixed
+    candidate's are formed: the upwind drift rate (:func:`_upwind`) on each
+    axis offset of a drift component that varies across the candidates,
+    plus the diffusion rate (:func:`_diffusion_rate`) on each offset whose
+    rate varies.  Between two takes the rows stay as they are."""
+
+    def __init__(self, sys: SystemModel, stencil: "_Stencil", drift_dims, diff_offsets, pairs):
+        n = sys.grid.dims
+        self.sys, self.pos, self.pairs = sys, stencil.pos, pairs
+        self.ustar = np.zeros(sys.grid.size)
+        self.rows = _aligned((len(stencil.offsets), stencil.span))
+        stencil.add_candidate(list(self.rows))
+        # Per offset: its row, the drift component and step it moves along
+        # or None, and its unsigned offset when its diffusion rate varies.
+        self._parts = []
+        for row, o in zip(self.rows, stencil.offsets):
+            moved = [d for d in range(n) if o[d]]
+            d = moved[0]
+            self._parts.append((row, (d, o[d]) if len(moved) == 1 and d in drift_dims else None,
+                                _unsigned(o) if o in diff_offsets else None))
+
+    def take(self, values: np.ndarray):
+        """``u*`` against the node values ``values`` into ``ustar``, and the
+        candidate's rows at ``u*``, on node blocks."""
+        sys, spec = self.sys, self.sys.grid
+        n, h = spec.dims, spec.spacing
+        lo, hi = sys.input_lower[0], sys.input_upper[0]
+        table = _derivative_table(ScalarField(spec, values))
+        for x, at in _node_blocks(spec, _NODE_BLOCK):
+            _, b1, b2 = sys.input_coefficients(x, table[at, 1:1 + n],
+                                               _unpack_hessian(table[at, 1 + n:], n))
+            curve = 2.0 * b2
+            u = np.full(len(x), lo)
+            np.divide(-b1[:, 0], curve, out=u, where=np.abs(curve) > 1e-300)
+            u = np.clip(u, lo, hi)
+            self.ustar[at] = u
+            F, G = sys.drift(x, u[:, None]), sys.gram_entries(x, u[:, None])
+            rates, span = {}, self.pos[at]
+            for row, move, o in self._parts:
+                rate = _upwind(F[:, move[0]], move[1], h[move[0]]) if move else 0.0
+                if o is not None:
+                    if o not in rates:
+                        rates[o] = _diffusion_rate(o, lambda i, j: G[i, j], h, self.pairs,
+                                                   np.empty(len(x)), np.empty(len(x)))
+                    rate = rate + rates[o]
+                row[span] = rate
+
+
+def _interval_max(c0, c1, c2, lo: float, hi: float) -> np.ndarray:
+    """Elementwise maximum of ``|c0 + c1 u + c2 u^2|`` over ``lo <= u <=
+    hi``: at the ends, and at the vertex where it lies inside."""
+    out = []
+    for c0, c1, c2 in ((c0, c1, c2), (-c0, -c1, -c2)):
+        m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
+        crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
+        inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
+        out.append(np.where(inside, np.maximum(m, c0 + c1 * crit + c2 * crit**2), m))
+    return np.maximum(*out)
+
+
 def _split_stencil(sys: SystemModel, inputs: np.ndarray):
-    """CFL load and stencil for the candidate inputs ``inputs`` (candidates,
-    nodes, n_u), the node axis of length one for inputs the same at every
-    node, with the critical-input candidate in the quadratic regime
-    when there is more than one candidate (a fixed policy passes one).  When
-    the noise does not depend on the input, one Gram serves every candidate.
-    Rates no candidate changes go to the base.
+    """CFL load, stencil and critical input for the candidate inputs
+    ``inputs`` (candidates, nodes, n_u), the node axis of length one for
+    inputs the same at every node.  In the quadratic regime with more than
+    one candidate (a fixed policy passes one) the stencil's last candidate
+    is the critical input (:class:`_CriticalInput`), else that is None.
+    When the noise does not depend on the input, one Gram serves every
+    candidate.  Rates no candidate changes go to the base.
 
     One pass over the nodes, in blocks of at most ``_NODE_BLOCK`` nodes and
     ``_CALLBACK_ROWS`` candidate rows (:func:`_node_blocks`), gives each
     block one Gram call and one drift call for all its candidates, and
     forms the CFL load's maximum there; a model whose diffusion declares
     its one matrix (:meth:`~scbf.systems.SystemModel.constant_gram`) has
-    its Gram formed once and broadcast to every block instead.  (In the
-    quadratic regime :class:`_QuadraticInput` first fits the Gram in a pass
-    of its own.)  It keeps
-    the Gram entries the rates read and, of the drift, one column per
-    byte-equality class of each component (:class:`_DriftColumns`).  A candidate's rows are formed one
-    offset at a time, each once per drift class, sign and diffusion rate and
-    shared by every candidate with that key, and a class's column is dropped
-    once its last candidate's rows are compiled, so the peak stays near the
+    its Gram formed once and broadcast to every block instead.  In the
+    quadratic regime each block also fits the Gram in ``u``
+    (:meth:`~scbf.systems.SystemModel.fit_quadratic`) for the critical
+    input's CFL term and for which Gram entries vary with the input; the
+    fit holds about eight Grams per node, so those blocks are an eighth as
+    long.  The pass keeps the Gram entries the rates read and, of the
+    drift, one column per byte-equality class of each component
+    (:class:`_DriftColumns`).  A candidate's rows are formed one offset at a
+    time, each once per drift class, sign and diffusion rate and shared by
+    every candidate with that key, and a class's column is dropped once its
+    last candidate's rows are compiled, so the peak stays near the
     stencil's own size."""
     spec, interior = sys.grid, sys.interior_mask()
     n, h, N, K = spec.dims, spec.spacing, spec.size, len(inputs)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     cross = [(i, j) for i, j in upper if i != j]
     shared = sys.flags.sigma_u_independent or sys.flags.sigma_zero
-    quad = _QuadraticInput(sys, upper) if sys.regime == "quadratic" and K > 1 else None
-    # Affine drift peaks at a box corner, so only the critical candidate's
-    # noise needs its own (interval max) bound; an entry the fit folded to a
-    # float is broadcast to the block.
-    bound = quad.gram_bound() if quad is not None else {}
-    bound_pairs = [key for key in bound if key in cross]
+    quad = sys.regime == "quadratic" and K > 1
+    # The Gram entries whose fit in u is nonzero somewhere, and those whose
+    # u or u^2 coefficient is.
+    fitted, varying = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
     # A cross entry is stored from the first block where it has a byte other
     # than those of +0.0; until then it is +0.0 at every node.
     grams = [{(i, i): np.empty(N) for i in range(n)} for _ in range(1 if shared else K)]
@@ -1045,7 +1075,8 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     # entries: formed once, broadcast to each block.
     const = sys.constant_gram() if shared else None
     drift, peaks = _DriftColumns(n, K, N), []
-    for x, at in _node_blocks(spec, max(1, min(_NODE_BLOCK, _CALLBACK_ROWS // K))):
+    block = max(1, min(_NODE_BLOCK // (8 if quad else 1), _CALLBACK_ROWS // K))
+    for x, at in _node_blocks(spec, block):
         U = inputs[:, at] if inputs.shape[1] > 1 else inputs
         G = (sys.gram_entries(x, U[:1] if shared else U) if const is None  # (n, n, grams, nodes)
              else np.broadcast_to(const[:, :, None, None], (n, n, 1, len(x))))
@@ -1064,17 +1095,26 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
         drift.add(F, at)
         del F
         node_load = np.max(drift_load + noise_load, axis=0)
-        if quad is not None:
+        if quad:
+            # Affine drift peaks at a box corner, so only the critical
+            # candidate's noise needs its own bound, the interval maximum of
+            # |a(u)|; an entry zero at every node adds +0.0.
+            c0, c1, c2 = sys.fit_quadratic(lambda V: [
+                sys.gram(x, np.full((len(x), 1), u)) for u in V[:, 0]])
+            moves = np.any(c1 != 0.0, axis=0) | np.any(c2 != 0.0, axis=0)
+            varying |= moves
+            fitted |= moves | np.any(c0 != 0.0, axis=0)
+            bound = _interval_max(c0, c1, c2, sys.input_lower[0], sys.input_upper[0])
+            del c0, c1, c2
             top = np.max(drift_load, axis=0)
-            np.maximum(node_load, top + _diffusion_load(lambda i, j: np.broadcast_to(
-                bound[(i, j)][at] if np.ndim(bound[(i, j)]) else bound[(i, j)], top.shape),
-                h, bound_pairs), out=node_load)
+            np.maximum(node_load, top + _diffusion_load(lambda i, j: bound[:, i, j], h, cross),
+                       out=node_load)
+            del bound
         inner = interior[at]
         if np.any(inner):
             peaks.append(np.max(node_load[inner]))
-    del bound
     load = float(np.max(peaks)) if peaks else 0.0
-    pairs = [key for key in cross if key in bound_pairs
+    pairs = [key for key in cross if fitted[key]
              or any(key in g and np.any(g[key] != 0.0) for g in grams)]
     diff = []
     while grams:  # each gram's entries are freed once its rates are formed
@@ -1085,8 +1125,12 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     drift_var = drift.varying()
     diff_var = {o for o in diff[0]
                 if any(not np.array_equal(r[o], diff[0][o]) for r in diff[1:])}
-    if quad is not None:
-        diff_var |= quad.touched(n)
+    # The offsets whose diffusion rate an input-dependent Gram entry moves.
+    for i, j in upper:
+        if varying[i, j]:
+            diff_var |= {_offset(n, (d, s)) for d in (i, j) for s in (1, -1)}
+            if i != j:
+                diff_var |= {_offset(n, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1)}
     offsets = sorted({_offset(n, (d, s)) for d in drift_var for s in (1, -1)} | diff_var)
     base = {_offset(n, (d, s)): _upwind(drift.cols[d][0], s, h[d])
             for d in range(n) if d not in drift_var for s in (1, -1)}
@@ -1099,10 +1143,8 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
             cols[d] = None
     diff = [{o: r[o] for o in diff_var} for r in diff]
     stencil = _Stencil(spec, interior, base, offsets)
-    if quad is None and K > 1 and inputs.shape[1] == 1:
+    if not quad and K > 1 and inputs.shape[1] == 1:
         stencil.channels = _product_indices(inputs[:, 0])
-    lo, hi = (({d: cols[d][cls[d][k]] for d in drift_var} for k in (0, -1))
-              if quad is not None else (None, None))
 
     kept = {}
 
@@ -1126,10 +1168,8 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
         for d in drift_var:
             if last[(d, cls[d][k])] == k:
                 cols[d][cls[d][k]] = None
-    if quad is not None:
-        quad.bind(stencil, stencil.add_dynamic(), h, lo, hi, drift_var, diff_var, pairs)
-        stencil.dynamic = quad
-    return load, stencil
+    critical = _CriticalInput(sys, stencil, drift_var, diff_var, pairs) if quad else None
+    return load, stencil, critical
 
 
 class _Operator:
@@ -1137,7 +1177,8 @@ class _Operator:
     ``policy`` the fixed-policy one (0 ``candidates``), built once.  Reuse is
     exact: ``load`` rewrites every node, ghosts are refreshed before each step
     and each argmax, a step writes its whole output span, and the critical
-    input is recomputed from the field at every step.
+    input is taken again from the field at every application and every
+    policy.
 
     A build first empties the idle slot (module docstring), so the last
     one-shot call's operator is freed before this one allocates.  Between
@@ -1152,11 +1193,11 @@ class _Operator:
         if policy is not None:
             _check_specs(policy, sys, "policy")
             self.candidates = 0
-            self.load, self.stencil = _split_stencil(sys, policy.inputs[None])
+            self.load, self.stencil, self.critical = _split_stencil(sys, policy.inputs[None])
         else:
             self.inputs = sys.input_grid(cfg.candidate_points if sys.regime == "nonaffine" else 2)
-            self.load, self.stencil = _split_stencil(sys, self.inputs[:, None])
-            self.candidates = len(self.inputs) + (self.stencil.dynamic is not None)
+            self.load, self.stencil, self.critical = _split_stencil(sys, self.inputs[:, None])
+            self.candidates = len(self.inputs) + (self.critical is not None)
         self.steps, self.dt = 0, 0.0
         if cfg.horizon > 0.0:
             bound = math.inf if self.load <= 0.0 else cfg.cfl_safety / self.load
@@ -1173,20 +1214,36 @@ class _Operator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``T values`` (``values`` itself at a zero horizon), left in the
-        stencil for :meth:`policy`."""
+        stencil for :meth:`policy`.  Every step scores the critical input
+        taken against ``values``."""
         self.stencil.load(values)
+        if not self.steps:
+            return values
+        self._take_critical()
         for _ in range(self.steps):
             self.stencil.step()
-        return self.stencil.values() if self.steps else values
+        return self.stencil.values()
 
     def policy(self) -> PolicyTable:
-        """The winning candidate input per node against the field in the stencil."""
+        """The winning candidate input per node against the field in the
+        stencil, the critical input taken against that field."""
+        self._take_critical()
         arg = self.stencil.argmax()
         out = self.inputs[np.minimum(arg, len(self.inputs) - 1)]
-        if self.stencil.dynamic is not None:
-            dyn = arg == len(self.inputs)
-            out[dyn, 0] = self.stencil.dynamic.ustar[self.stencil.pos][dyn]
+        if self.critical is not None:
+            taken = arg == len(self.inputs)
+            out[taken, 0] = self.critical.ustar[taken]
         return PolicyTable(self.sys.grid, out, self.sys.input_lower, self.sys.input_upper)
+
+    def _take_critical(self):
+        """The critical input against the field in the stencil, when there
+        is one; its rows are checked (:meth:`_Stencil._check`) when ``dt``
+        is folded in.  Its centre weight is the CFL cap's, and drift rates
+        are nonnegative, so only a negative diffusion rate can fail."""
+        if self.critical is not None:
+            self.critical.take(self.stencil.values())
+            if self.stencil.W is not None:
+                self.stencil._check(len(self.inputs))
 
 
 # The last one-shot call's operator while it is idle, with its key:
@@ -1256,229 +1313,6 @@ def generator_field(field: ScalarField, sys: SystemModel, policy: PolicyTable) -
 # --- optimal-control propagation ----------------------------------------------
 
 
-class _QuadraticInput:
-    """The clamped stationary point in ``u`` of the central-difference
-    generator for a scalar input with affine drift ``f0 + g1 u`` and noise
-    Gram ``c0 + c1 u + c2 u^2`` (exact when the Gram is quadratic): one more
-    candidate, recomputed at every node and step and scored with the upwind
-    generator like the others.  The Gram is fitted here; the drift is read
-    from the two corners in :meth:`bind`.
-
-    The stationary point is ``lin / quad`` (the lower bound where ``quad``
-    vanishes), clamped to the input interval.  Both are linear in the
-    field: ``lin = sum_j L_j (P[o_j] - P)`` and ``quad = sum_j Q_j (P[o_j]
-    - P)`` over the stencil's offsets, from the central gradient, the
-    diagonal and the cross Hessian, which read only stencil offsets.  So
-    :meth:`update` forms them on each block of a step or an argmax from the
-    differences the stencil has just formed there, then the Gram entries
-    that depend on ``u`` (Horner), the diffusion rates through
-    :func:`_diffusion_rate`, the drift and the candidate's rows, into
-    block-long scratch and the block's slice of the span-long ``ustar`` and
-    rows.  :meth:`bind` compiles every coefficient once per operator, and
-    :meth:`blocks` slices them per block when the stencil compiles."""
-
-    def __init__(self, sys: SystemModel, upper: list):
-        # The fit at the Gram entries ``upper``, each coefficient folded
-        # (:func:`_fold`), kept for the diagonal and the off-diagonal entries
-        # not zero at every node (the cross pairs).  It holds three Gram
-        # samples and their combinations, about eight Grams per node, so it
-        # runs on an eighth of the usual node block.
-        coefs = _node_entries(sys.grid, lambda x, at: sys.fit_quadratic(
-            lambda U: [sys.gram(x, np.full((len(x), 1), u)) for u in U[:, 0]]), upper,
-            max(1, _NODE_BLOCK // 8))
-        coefs = [{key: _fold(c.pop(key)) for key in upper} for c in coefs]
-        for i, j in upper:
-            if i != j and all(c[(i, j)] is None for c in coefs):
-                for c in coefs:
-                    del c[(i, j)]
-        self.c0, self.c1, self.c2 = coefs
-        self.lo, self.hi = sys.input_lower[0], sys.input_upper[0]
-        self.varying = [key for key in self.c0
-                        if self.c1[key] is not None or self.c2[key] is not None]
-
-    def _coefficients(self, key) -> tuple:
-        """``(c0, c1, c2)`` of Gram entry ``key``, 0.0 for a dropped one."""
-        return tuple(0.0 if c[key] is None else c[key] for c in (self.c0, self.c1, self.c2))
-
-    def gram_bound(self) -> dict:
-        """Entrywise max of ``|a(u)|`` over the input interval (for the CFL
-        bound), for each kept entry."""
-        lo, hi = self.lo, self.hi
-        bound = {}
-        for key in self.c0:
-            out, (c0, c1, c2) = [], self._coefficients(key)
-            for c0, c1, c2 in ((c0, c1, c2), (-c0, -c1, -c2)):
-                m = np.maximum(*[c0 + c1 * u + c2 * u**2 for u in (lo, hi)])
-                crit = np.where(c2 != 0.0, -c1 / (2.0 * np.where(c2 == 0, 1.0, c2)), lo)
-                inside = (crit > lo) & (crit < hi) & (c2 != 0.0)
-                out.append(np.where(inside, np.maximum(m, c0 + c1 * crit + c2 * crit**2), m))
-            bound[key] = np.maximum(*out)
-        return bound
-
-    def touched(self, n: int) -> set:
-        """Offsets whose diffusion rate depends on the input."""
-        return {o for i, j in self.varying for o in
-                [_offset(n, (d, s)) for d in (i, j) for s in (1, -1)]
-                + [_offset(n, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1) if i != j]}
-
-    def bind(self, stencil: "_Stencil", rows: np.ndarray, h, F_lo: dict, F_hi: dict,
-             drift_dims, diff_offsets, pairs):
-        """Compile the per-step work once per operator.  ``rows`` are the
-        candidate's rows on the stencil, ``F_lo`` and ``F_hi`` the drift
-        components ``drift_dims`` at the lower and upper input,
-        ``diff_offsets`` the offsets whose diffusion rate depends on the
-        input.  Every coefficient, ``L_j``, ``Q_j``, the Gram's ``c0``,
-        ``c1``, ``c2`` and the drift's ``f0``, ``g1``, is kept as a stencil
-        keeps a candidate row (:func:`_fold`): dropped where zero at every
-        node, a float where it has one value, else padded."""
-        n, offsets = len(h), stencil.offsets
-
-        def kept(c):
-            """``c`` (None, a float or a per-node row) folded and padded."""
-            c = None if c is None else _fold(np.atleast_1d(c))
-            return stencil.pad(c) if isinstance(c, np.ndarray) else c
-
-        def poly(*coefs):
-            """Coefficients, lowest first, without the zero ones on top."""
-            coefs = [kept(c) for c in coefs]
-            while coefs and coefs[-1] is None:
-                coefs.pop()
-            return tuple(coefs)
-
-        self.h, self.pairs, self.ustar = h, pairs, _aligned(stencil.span)
-        g1 = {i: (F_hi[i] - F_lo[i]) / (self.hi - self.lo) for i in drift_dims}
-        f0 = {i: F_lo[i] - g1[i] * self.lo for i in drift_dims}
-        # u* = lin / quad, the sign of lin and the factor 2 of quad folded in:
-        #   lin  = -(grad.g1 + 1/2 sum_ij H_ij c1_ij),  quad = sum_ij H_ij c2_ij,
-        # with grad_i = (d+ - d-) / 2h_i, H_ii = (d+ + d-) / h_i^2 and
-        # H_ij = (d++ + d-- - d+- - d-+) / 4 h_i h_j, d_o = P[o] - P.
-        # Per offset also the candidate's row, the drift component it moves
-        # along (with the step's sign and the spacing) or None, and its
-        # diffusion rate (unsigned offset) or None.  Only an axis rate of a
-        # dimension in a cross pair can go negative.
-        self._lin, self._quad, self._rows, self._checked = [], [], [], []
-        for j, o in enumerate(offsets):
-            moved = [d for d in range(n) if o[d]]
-            i, lin, quad = moved[0], 0.0, 0.0
-            if len(moved) == 1:
-                if i in g1:
-                    lin = lin - o[i] * g1[i] / (2.0 * h[i])
-                if (i, i) in self.varying:
-                    _, c1, c2 = self._coefficients((i, i))
-                    lin = lin - 0.5 * c1 / h[i] ** 2
-                    quad = quad + c2 / h[i] ** 2
-            elif tuple(moved) in self.varying:
-                k, s = moved[1], o[i] * o[moved[1]]
-                _, c1, c2 = self._coefficients((i, k))
-                lin = lin - s * c1 / (4.0 * h[i] * h[k])
-                quad = quad + s * c2 / (2.0 * h[i] * h[k])
-            for terms, c in ((self._lin, kept(lin)), (self._quad, kept(quad))):
-                if c is not None:
-                    terms.append((j, c))
-            drift = (i, o[i], h[i]) if len(moved) == 1 and i in g1 else None
-            rate = _unsigned(o) if o in diff_offsets else None
-            self._rows.append((rows[j], drift, rate))
-            if len(moved) == 1 and rate is not None and any(i in pair for pair in pairs):
-                self._checked.append(rows[j])
-        # Gram entries: input-dependent ones by Horner in u, the others fixed.
-        self._coefs = {key: poly(self.c0[key], self.c1[key], self.c2[key])
-                       for key in self.varying}
-        self._fixed = {key: 0.0 if c is None else kept(c)
-                       for key, c in self.c0.items() if key not in self._coefs}
-        # One diffusion rate per offset up to sign.
-        self._rates = sorted({_unsigned(o) for o in diff_offsets})
-        # The drift components, by Horner in u.
-        self._drift = {i: poly(f0[i], g1[i]) for i in drift_dims}
-        del self.c0, self.c1, self.c2
-
-    def blocks(self, ranges, diffs: dict) -> list:
-        """Per block ``(start, stop)`` of the span, the views :meth:`update`
-        reads and writes: the stencil's differences ``diffs`` (offset index
-        to a block-long row), the coefficients' and the rows' slices, and
-        scratch rows one block long, shared by all blocks."""
-        length = ranges[0][1]
-        lin, quad, tmp = _aligned((3, length))
-        safe = _aligned(length, bool)
-        grams = {key: _aligned(length) for key in self._coefs}
-        rates = {o: _aligned(length) for o in self._rates}
-        drift = {i: _aligned(length) for i in self._drift}
-        out = []
-        for a, b in ranges:
-            m = b - a
-            cut = lambda c: c[a:b] if isinstance(c, np.ndarray) else c
-            block = _CriticalBlock()
-            block.u, block.lin, block.quad = self.ustar[a:b], lin[:m], quad[:m]
-            block.tmp, block.safe = tmp[:m], safe[:m]
-            block.lin_terms = [(diffs[j][:m], cut(c)) for j, c in self._lin]
-            block.quad_terms = [(diffs[j][:m], cut(c)) for j, c in self._quad]
-            block.grams = [(tuple(cut(c) for c in coefs), grams[key][:m])
-                           for key, coefs in self._coefs.items()]
-            entries = {key: g[:m] for key, g in grams.items()}
-            entries.update({key: cut(c) for key, c in self._fixed.items()})
-            block.gram = lambda i, j, entries=entries: entries[(i, j)]
-            block.rates = [(o, rates[o][:m]) for o in self._rates]
-            block.drift = [(tuple(cut(c) for c in self._drift[i]), f[:m])
-                           for i, f in drift.items()]
-            block.rows = [(row[a:b], None if d is None else (drift[d[0]][:m], *d[1:]),
-                           0.0 if r is None else rates[r][:m]) for row, d, r in self._rows]
-            block.checked = [row[a:b] for row in self._checked]
-            out.append(block)
-        return out
-
-    def update(self, block: "_Block") -> bool:
-        """Write the critical input and its rates into the stencil's last
-        candidate on ``block``, from the differences the step has just
-        formed there; true when a row that can go negative has."""
-        c = block.dynamic
-        u, lin, quad, tmp = c.u, c.lin, c.quad, c.tmp
-        _Stencil._score(c.lin_terms, lin, tmp)
-        _Stencil._score(c.quad_terms, quad, tmp)
-        np.greater(np.abs(quad, out=tmp), 1e-300, out=c.safe)
-        u.fill(self.lo)
-        np.divide(lin, quad, out=u, where=c.safe)
-        np.clip(u, self.lo, self.hi, out=u)
-        for coefs, a in c.grams:
-            _horner(coefs, u, a)
-        for o, rate in c.rates:
-            _diffusion_rate(o, c.gram, self.h, self.pairs, rate, tmp)
-        for coefs, f in c.drift:
-            _horner(coefs, u, f)
-        for row, drift, rate in c.rows:
-            if drift is None:
-                np.add(0.0, rate, out=row)
-                continue
-            _upwind(*drift, out=row)
-            row += rate
-        return any(np.min(row) < 0.0 for row in c.checked)
-
-
-class _CriticalBlock:
-    """What :class:`_QuadraticInput` compiled for one block of the span:
-    ``u``, the block's slice of the critical input; ``lin`` and ``quad``,
-    the stationary point's numerator and denominator, with their terms
-    ``(difference row, coefficient)``; the Gram entries it forms
-    (``(coefficients, out)``) and ``gram(i, j)`` reading every entry; the
-    rates (``(unsigned offset, out)``); the drift components it forms; the
-    candidate's rows with their drift and rate; the rows that can go
-    negative; and the scratch ``tmp`` and ``safe``."""
-
-    __slots__ = ("u", "lin", "quad", "tmp", "safe", "lin_terms", "quad_terms", "grams",
-                 "gram", "rates", "drift", "rows", "checked")
-
-
-def _horner(coefs: tuple, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum_k coefs[k] u**k`` into ``out`` by Horner's rule, from the
-    highest coefficient, which is not ``None``; a lower ``None`` is zero."""
-    *low, top = coefs
-    np.multiply(u, top, out=out)
-    for k in range(len(low) - 1, -1, -1):
-        if low[k] is not None:
-            np.add(low[k], out, out=out)
-        if k:
-            out *= u
-    return out
-
-
 def propagate_optimal(field: ScalarField, sys: SystemModel,
                       cfg: PropagationConfig):
     """Apply the semigroup while choosing the pointwise safest input.
@@ -1487,10 +1321,12 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
     the discrete upwind generator is used.  The candidates are the input
     box corners, a Cartesian input grid, or, for a scalar input with a
     quadratic noise Gram, the corners plus the clamped stationary point of
-    the central-difference generator; that last one is scored with the
-    upwind generator and is not its argmax over the input interval.
-    Returns the final field and the policy of winning candidates evaluated
-    against the final field.
+    the central-difference generator; that last one is taken once against
+    ``field`` and held over every step, and once more against the final
+    field before the policy is read.  It is scored with the upwind
+    generator and is not its argmax over the input interval.  Returns the
+    final field and the policy of winning candidates evaluated against the
+    final field.
     """
     _check_specs(field, sys)
     with _one_shot(sys, cfg) as op:

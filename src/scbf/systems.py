@@ -17,10 +17,12 @@ The numerics read that structure through ``regime`` (``affine``,
 ``quadratic`` or ``nonaffine``), from which power-policy iteration picks its
 candidate inputs and the safety filter its projection; ``gram`` and
 ``gram_entries``, one ``sigma sigma^T`` formula laid out node-major or
-entry-major; ``fit_quadratic``, the one exact fit in a scalar input; and,
-in the operator build, the flags ``sigma_u_independent`` and
-``sigma_zero``, under either of which one noise Gram serves every candidate
-input, whatever the regime.
+entry-major; ``fit_quadratic``, the one exact fit in a scalar input;
+``input_coefficients``, the central generator as a polynomial in the
+input, which the safety filter projects on and the operator's critical
+input maximizes; and, in the operator build, the flags
+``sigma_u_independent`` and ``sigma_zero``, under either of which one noise
+Gram serves every candidate input, whatever the regime.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -165,6 +167,50 @@ class SystemModel:
         c1 = (v_hi - v_lo) / d - c2 * (lo + hi)
         c0 = v_mid - c1 * mid - c2 * mid**2
         return c0, c1, c2
+
+    def input_coefficients(self, x: np.ndarray, p: np.ndarray, H: np.ndarray) -> tuple:
+        """``(b0, b1, b2)`` with ``p . f(x, u) + 1/2 tr(H a(x, u)) = b0 + b1 .
+        u + b2 u^2`` at states ``x`` (B, n_x), for gradients ``p`` (B, n_x)
+        and Hessians ``H`` (B, n_x, n_x): ``b1`` is (B, n_u), ``b2`` (B,),
+        None in the ``affine`` regime.  The drift is read from one call at
+        the box centre and at centre +- half-width per channel (exact for
+        input-affine drift); the trace term is taken at the centre in the
+        ``affine`` regime and fitted by :meth:`fit_quadratic` otherwise."""
+        (uc, probes, two_step), n_u, B = self._input_probes, self.n_u, x.shape[0]
+        U = probes.repeat(B, axis=0)
+        F = self.drift(np.concatenate([x] * len(probes)), U).reshape(len(probes), B, self.n_x)
+        G = np.empty((B, self.n_x, n_u))
+        for j in range(n_u):
+            G[:, :, j] = (F[1 + 2 * j] - F[2 + 2 * j]) / two_step[j]
+        b0 = np.einsum("bi,bi->b", p, F[0] - np.einsum("bij,j->bi", G, uc))
+        b1 = np.einsum("bi,bij->bj", p, G)
+        if self.regime == "affine":
+            # the noise at the box centre U[:B] serves every input
+            return b0 + self._trace(x, U[:B], H), b1, None
+        # The trace term is quadratic in u: fit it exactly from three
+        # inputs, all evaluated in one call.
+        t0, t1, t2 = self.fit_quadratic(lambda V: self._trace(
+            np.concatenate([x] * 3), V.repeat(B, axis=0), np.concatenate([H] * 3)).reshape(3, B))
+        return b0 + t0, b1 + t1[:, None], t2
+
+    @cached_property
+    def _input_probes(self) -> tuple:
+        """The box centre, the drift probes of :meth:`input_coefficients`
+        (the centre, then centre +- half-width per channel; a degenerate
+        channel moves by 1) and each channel's probe distance, formed once:
+        a model is not changed after its first use."""
+        uc = self.input_center()
+        width = self.input_upper - self.input_lower
+        step = np.where(width > 0.0, 0.5 * width, 1.0)
+        probes = np.tile(uc, (1 + 2 * self.n_u, 1))
+        for j in range(self.n_u):
+            probes[1 + 2 * j, j] += step[j]
+            probes[2 + 2 * j, j] -= step[j]
+        return uc, probes, 2.0 * step
+
+    def _trace(self, x: np.ndarray, u: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """(1/2) tr(H sigma sigma^T) per row of states ``x`` and inputs ``u``."""
+        return 0.5 * np.einsum("bij,bij->b", H, self.gram(x, u))
 
     # -- input helpers --------------------------------------------------------
 

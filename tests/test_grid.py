@@ -395,3 +395,41 @@ class TestGridSpec:
         spec = GridSpec([0.0], [1.0], [5])
         assert spec.spacing[0] == pytest.approx(0.25)
         assert spec.coordinates(0)[-1] == pytest.approx(1.0)
+
+
+def _sdf_set(spec, values):
+    return ImplicitSet("sdf", ScalarField(spec, values))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec([0.0, 0.0], [1.0, 1.0], [5]), "lower/upper/counts/periodic lengths disagree"),
+    (lambda: GridSpec([0.0], [1.0], [5], periodic=[False, True]),
+     "lower/upper/counts/periodic lengths disagree"),
+    (lambda: GridSpec([], [], []), "grid needs at least one dimension"),
+    (lambda: GridSpec([-1e308], [1e308], [5]), "non-finite grid spacing"),
+    (lambda: GridSpec([0.0, 0.0], [1.0, 1.0], (3, 3)).locate([0.5, 0.5, 0.5]),
+     "expected 2-dimensional points"),
+    (lambda: ScalarField(GridSpec([0.0], [1.0], [5]), np.zeros(4)),
+     "value count 4 does not match grid size 5"),
+    (lambda: ImplicitSet("disk"), "unknown set kind 'disk'"),
+    (lambda: ImplicitSet("sdf"), "sdf kind requires a signed-distance field"),
+    (lambda: _sdf_set(GridSpec([-1.0], [1.0], [5]), [0.0, -1.0, -1.0, -1.0, -1.0]),
+     "sdf zero level set touches the grid bounding box"),
+    (lambda: classify_nodes(GridSpec([-1.0], [1.0], [7]),
+                            _sdf_set(GridSpec([-1.0], [1.0], [5]), [-1.0] * 5)),
+     "sdf lives on a different grid"),
+])
+def test_grid_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dims 0\n", "{path}:1: need at least one dimension, got 0"),
+    ("dims 1\n0.0 1.0 3 2\n0.0\n0.0\n0.0\n", "{path}:2: periodic flag must be 0 or 1, got 2"),
+])
+def test_field_file_header_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.fld"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        read_field(path)

@@ -21,7 +21,6 @@ from scbf.semigroup import (
     PropagationConfig,
     _aligned,
     _block_ranges,
-    _node_entries,
     _Operator,
     _Stencil,
     argmax_policy,
@@ -349,42 +348,25 @@ def test_step_matches_generator_on_every_layout(seed, dims):
         assert field[node] == pytest.approx(gen, rel=1e-12, abs=1e-12)
 
 
-def _critical_arrays(c):
-    """Every array one block of the critical input reads or writes: its
-    slice of the input, its scratch, coefficients, rates and rows."""
-    found = [c.u, c.lin, c.quad, c.tmp, c.safe]
-    found += [x for terms in (c.lin_terms, c.quad_terms) for pair in terms for x in pair]
-    found += [x for coefs, out in c.grams + c.drift for x in (*coefs, out)]
-    found += [out for _, out in c.rates] + c.checked
-    found += [x for row, drift, rate in c.rows for x in (row, *(drift or ())[:1], rate)]
-    return [x for x in found if isinstance(x, np.ndarray)]
-
-
-def _step_arrays(stencil):
+def _step_arrays(op):
     """Every array a step reads at its own start or writes: weights, candidate
-    rows, scratch (the maximum chain runs in the two score rows), and the
-    critical-input candidate's coefficients and buffers."""
-    arrays = [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
-              *stencil._diffs.values(), *(() if stencil._scores is None else stencil._scores),
-              stencil._better,
-              *stencil._rows.values(),
-              *(() if stencil._dynamic_rows is None else stencil._dynamic_rows),
-              *(views[stencil._centre] for views in stencil._views)]
-    quad = stencil.dynamic
-    if quad is not None:
-        coefs = [c for _, c in quad._lin + quad._quad] + list(quad._fixed.values())
-        coefs += [c for poly in [*quad._coefs.values(), *quad._drift.values()] if poly
-                  for c in poly]
-        arrays += [quad.ustar, *(c for c in coefs if isinstance(c, np.ndarray)),
-                   *_critical_arrays(stencil._blocks[0][0].dynamic)]
-    return arrays
+    rows, the critical input's rows and scratch (the maximum chain runs in
+    the two score rows)."""
+    stencil = op.stencil
+    return [stencil.W0, stencil.dt_mask, stencil._tmp, *stencil.W.values(),
+            *stencil._diffs.values(), *(() if stencil._scores is None else stencil._scores),
+            stencil._better,
+            *stencil._rows.values(),
+            *(() if op.critical is None else op.critical.rows),
+            *(views[stencil._centre] for views in stencil._views)]
 
 
-def _assert_placement(stencil):
+def _assert_placement(op):
     """Every array and every block view a step reads at its own start or
     writes starts on a cache line, and the written centre sits half a page
     from the read one."""
-    arrays = _step_arrays(stencil)
+    stencil = op.stencil
+    arrays = _step_arrays(op)
     assert len(arrays) > 8
     assert all(a.ctypes.data % 64 == 0 for a in arrays)
     centres = [views[stencil._centre].ctypes.data for views in stencil._views]
@@ -396,21 +378,18 @@ def _assert_placement(stencil):
                                          *(() if b.scores is None else b.scores),
                                          *(w for w, _ in b.weights), *(d for d, _ in b.diffs),
                                          *(c for terms in b.plan for pair in terms for c in pair
-                                           if isinstance(c, np.ndarray)),
-                                         *(_critical_arrays(b.dynamic) if b.dynamic else ()))]
+                                           if isinstance(c, np.ndarray)))]
     assert all(v.ctypes.data % 64 == 0 for v in views)
     assert all((b.out.ctypes.data - b.src.ctypes.data) % 4096 == 2048 for b in blocks)
     return blocks
 
 
-def _stepped_stencil(name, counts, optimal):
+def _stepped_operator(name, counts, optimal):
     sys = make_benchmark(name, grid_counts=counts)
     op = _Operator(sys, PropagationConfig(horizon=0.01),
                    None if optimal else PolicyTable.zero(sys))
-    op.stencil.load(interior_random_field(sys, 3).values)
-    op.stencil.step()
-    op.stencil.step()
-    return op.stencil
+    op.apply(interior_random_field(sys, 3).values)
+    return op
 
 
 @pytest.mark.parametrize("name, counts, optimal", [
@@ -423,15 +402,15 @@ def _stepped_stencil(name, counts, optimal):
 def test_step_arrays_start_on_cache_lines(name, counts, optimal):
     # Stores that split a cache line, and loads 4K-aliased with the step's
     # stores, make a step up to 1.5x slower; the layout rules them out.
-    assert len(_assert_placement(_stepped_stencil(name, counts, optimal))) == 2
+    assert len(_assert_placement(_stepped_operator(name, counts, optimal))) == 2
 
 
 def test_block_views_start_on_cache_lines(monkeypatch):
     # Blocks start at whole pages of the span, so on several blocks, the
     # last one short, every view keeps the placement.
     monkeypatch.setattr(semigroup, "_SPAN_BLOCK", 1024)
-    stencil = _stepped_stencil("bicycle", (13, 13, 12, 7), True)
-    assert len(_assert_placement(stencil)) == 2 * 17
+    op = _stepped_operator("bicycle", (13, 13, 12, 7), True)
+    assert len(_assert_placement(op)) == 2 * 17
 
 
 def test_a_span_within_one_block_is_one_block():
@@ -457,10 +436,11 @@ def test_a_span_within_one_block_is_one_block():
         assert block.tmp.shape == stencil._tmp.shape == (stencil.span,)
 
 
-def _assert_distinct_rows(stencil):
+def _assert_distinct_rows(stencil, critical=None):
     """The stencil stores one array per distinct array row of its fixed
-    candidates' plans, and no other candidate row."""
-    fixed = stencil._plan[:len(stencil._plan) - (stencil._dynamic_rows is not None)]
+    candidates' plans, every candidate but a last one whose rows are
+    ``critical``, and no other candidate row."""
+    fixed = stencil._plan[:len(stencil._plan) - (critical is not None)]
     used = {id(c) for terms in fixed for _, c in terms if isinstance(c, np.ndarray)}
     stored = list(stencil._rows.values())
     assert used == {id(row) for row in stored}
@@ -478,18 +458,18 @@ def test_stencil_stores_the_plans_distinct_rows(name, counts, kw, array_terms, d
     # with equal bytes share one array: on the bicycle the steering corners
     # move the heading at +-v, so 8 array terms read 2 rows.
     sys = make_benchmark(name, grid_counts=counts)
-    stencil = _Operator(sys, PropagationConfig(horizon=0.01, **kw)).stencil
-    _assert_distinct_rows(stencil)
-    dynamic = stencil._dynamic_rows
-    fixed = stencil._plan[:len(stencil._plan) - (dynamic is not None)]
+    op = _Operator(sys, PropagationConfig(horizon=0.01, **kw))
+    stencil, critical = op.stencil, None if op.critical is None else op.critical.rows
+    _assert_distinct_rows(stencil, critical)
+    fixed = stencil._plan[:len(stencil._plan) - (critical is not None)]
     terms = [c for plan in fixed for _, c in plan if isinstance(c, np.ndarray)]
     if array_terms is not None:
         assert (len(terms), len(stencil._rows)) == (array_terms, distinct)
-    if dynamic is not None:
+    if critical is not None:
         # The critical input keeps its own row on every offset.
         assert [j for j, _ in stencil._plan[-1]] == list(range(len(stencil.offsets)))
-        assert all(np.shares_memory(c, dynamic) for _, c in stencil._plan[-1])
-        assert not any(np.shares_memory(row, dynamic) for row in stencil._rows.values())
+        assert all(np.shares_memory(c, critical) for _, c in stencil._plan[-1])
+        assert not any(np.shares_memory(row, critical) for row in stencil._rows.values())
 
 
 @pytest.mark.parametrize("block", [1, 5, 30, 4096])
@@ -500,11 +480,9 @@ def test_node_blocks_cover_the_grid_in_order(block):
     for counts in [(7,), (5, 6), (3, 4, 5), (7, 7, 6, 5)]:
         spec = GridSpec([0.0] * len(counts), np.arange(1.0, len(counts) + 1), counts,
                         periodic=[False] * (len(counts) - 1) + [True])
-        seen = []
-        x, total = _node_entries(
-            spec, lambda x, at: seen.append(at) or [x, x.sum(axis=1)], [()], block)
-        np.testing.assert_array_equal(x[()], spec.nodes())
-        np.testing.assert_array_equal(total[()], spec.nodes().sum(axis=1))
+        blocks = list(semigroup._node_blocks(spec, block))
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in blocks]), spec.nodes())
+        seen = [at for _, at in blocks]
         assert [at.start for at in seen] == [0] + [at.stop for at in seen[:-1]]
         assert seen[-1].stop == spec.size and all(at.stop - at.start <= block for at in seen)
 
@@ -589,8 +567,7 @@ def test_one_drift_call_serves_the_candidates_of_a_node_block(name, counts, kw):
 
     cfg = PropagationConfig(horizon=0.05, **kw)
     op = _Operator(replace(sys, drift=drift), cfg)
-    blocks = []
-    _node_entries(sys.grid, lambda x, at: blocks.append(at) or [x], [()])
+    blocks = list(semigroup._node_blocks(sys.grid, semigroup._NODE_BLOCK))
     assert 0 < len(calls) < len(op.inputs) * len(blocks)
     plain = _Operator(sys, cfg)
     assert _build_bytes(op) == _build_bytes(plain)
@@ -670,25 +647,6 @@ def test_aligned_allocation():
     assert buf.flags.c_contiguous and (buf.ctypes.data + 7 * 8) % 4096 == 2048
 
 
-class _FieldRows:
-    """A dynamic last candidate: rewrites its rows from the field on every
-    block of every evaluation, as the critical input does; row ``j`` is
-    ``a[j] + b[j] * P``, so a zero ``b[j]`` gives a node-constant row and a
-    zero pair an all-zero one."""
-
-    def __init__(self, rows, a, b):
-        self.rows, self.a, self.b = rows, a, b
-
-    def blocks(self, ranges, diffs):
-        return [None] * len(ranges)
-
-    def update(self, block):
-        for row, a, b in zip(self.rows, self.a, self.b):
-            row = row[block.at]
-            np.multiply(block.src, b, out=row)
-            row += a
-
-
 def _wide(rng, size):
     """Signed values over 80 binades, so sums of three or more of their
     products round differently in another order."""
@@ -697,20 +655,24 @@ def _wide(rng, size):
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 4), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
+def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, critical):
     # The plan against the arithmetic it replaced, einsum("jkl,jl->kl") and
     # np.max / np.argmax over axis 0, on stencils mixing all-zero,
     # node-constant and varying rows, with exact ties between candidates
-    # and flat patches in the field.  A periodic dimension puts ghost
-    # positions inside the span, where the scalar form differs from the
-    # zero rows; only node positions are compared.
+    # and flat patches in the field; with ``critical``, the last candidate
+    # keeps its own row per offset, written from the field after the build
+    # as the critical input's are: row ``j`` is ``a[j] + b[j] * P``, so a
+    # zero ``b[j]`` gives a node-constant row and a zero pair an all-zero
+    # one.  A periodic dimension puts ghost positions inside the span,
+    # where the scalar form differs from the zero rows; only node positions
+    # are compared.
     rng = np.random.default_rng(seed)
     spec = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 6), periodic=(True, False))
     interior = rng.random(spec.size) < 0.8
     neighbors = [(s1, s2) for s1 in (-1, 0, 1) for s2 in (-1, 0, 1) if s1 or s2]
     offsets = [neighbors[i] for i in rng.choice(len(neighbors), n_off, replace=False)]
     stencil = _Stencil(spec, interior, {}, offsets)
-    pos, fixed = stencil.pos, n_cand - dynamic
+    pos, fixed = stencil.pos, n_cand - critical
     # The rows on the span: zero at ghost positions, as the stencil pads them.
     rows = np.zeros((n_off, n_cand, stencil.span))
     for k in range(fixed):
@@ -722,21 +684,25 @@ def test_score_plan_matches_einsum_bytes(seed, n_cand, n_off, dynamic):
                 rows[j, k, pos] = (0.0 if kind == 0 else _wide(rng, 1)[0] if kind == 1
                                    else _wide(rng, pos.size) * (rng.random(pos.size) < 0.9))
         stencil.add_candidate([stencil.keep(row) for row in rows[:, k, pos]])
-    if dynamic:
+    own = _aligned((n_off, stencil.span)) if critical else None
+    if critical:
         kinds = rng.integers(3, size=n_off)
-        stencil.dynamic = _FieldRows(stencil.add_dynamic(), _wide(rng, n_off) * (kinds > 0),
-                                     _wide(rng, n_off) * (kinds > 1))
+        a, b = _wide(rng, n_off) * (kinds > 0), _wide(rng, n_off) * (kinds > 1)
+        stencil.add_candidate(list(own))
     stencil.compile()
-    _assert_distinct_rows(stencil)
+    _assert_distinct_rows(stencil, own)
     values = _wide(rng, spec.size)
     flat = rng.random(spec.size) < 0.3
     values[flat] = values[flat][:1]
     stencil.load(values)
+    src = stencil._views[stencil._cur]
+    if critical:
+        for row, aj, bj in zip(own, a, b):
+            np.multiply(src[stencil._centre], bj, out=row)
+            row += aj
+        rows[:, -1] = own
 
     arg = stencil.argmax()
-    if dynamic:
-        rows[:, -1] = stencil._dynamic_rows  # as the argmax rewrote them
-    src = stencil._views[stencil._cur]
     diffs = np.array([src[o] - src[stencil._centre] for o in offsets])
     ref = np.einsum("jkl,jl->kl", rows, diffs)[:, pos]
     block, = stencil._blocks[stencil._cur]  # a span this short is one block
@@ -1183,19 +1149,20 @@ def test_generator_field_matches_the_reference(build):
 def test_candidate_generator_is_the_generator_under_its_argmax(name):
     # max_k over the candidates, read from an optimal operator at zero
     # horizon, is the fixed-policy generator under the argmax policy: the
-    # critical input of the quadratic regime too.
+    # critical input of the quadratic regime too, which the policy takes.
     sys = make_benchmark(name, grid_counts=_SMALL_COUNTS.get(name, (21, 41)))
     f = interior_random_field(sys, 13)
     op = _Operator(sys, PropagationConfig(horizon=0.0, candidate_points=5))
     op.apply(f.values)
+    policy = op.policy()
     best = op.stencil.generator()
-    fixed = generator_field(f, sys, op.policy()).values
+    fixed = generator_field(f, sys, policy).values
     assert np.max(np.abs(best - fixed)) <= 1e-12 * np.max(np.abs(fixed))
 
 
 def _smallest_centre_weights(stencil) -> list:
     """Per candidate, the smallest centre weight ``W0 - dt_mask sum_j
-    C[j,k]`` over the interior nodes, the dynamic candidate's as its rows
+    C[j,k]`` over the interior nodes, the critical input's as its rows
     last stood."""
     smallest = []
     for terms in stencil._plan:
@@ -1221,8 +1188,8 @@ def test_cfl_cap_keeps_every_centre_weight_nonnegative(build, pinned):
     # No build or step checks a centre weight: the CFL load is never below
     # a candidate's total rate (base plus own rows), so at cfl_safety = 1,
     # with dt at the bound too, every candidate's centre weight, the
-    # critical input's after a step and a fixed policy's included, stays
-    # above -_WEIGHT_TOL at every interior node.  The base centre weight W0
+    # critical input's as an apply takes it and a fixed policy's included,
+    # stays above -_WEIGHT_TOL at every interior node.  The base centre weight W0
     # is +0.0 or positive at every position (fold_step clamps its roundoff,
     # -2.2e-16 under the random bicycle policy with dt at the bound), as
     # the grouped step's zero-sign argument needs (semigroup module
@@ -1239,8 +1206,7 @@ def test_cfl_cap_keeps_every_centre_weight_nonnegative(build, pinned):
             bound = 1.0 / op.load
             op = _Operator(sys, replace(cfg, horizon=3.0 * bound, dt=bound), policy)
             assert op.steps == 3 and op.dt == pytest.approx(bound, rel=1e-15)
-        op.stencil.load(interior_random_field(sys, 4).values)
-        op.stencil.step()
+        op.apply(interior_random_field(sys, 4).values)
         assert not np.signbit(op.stencil.W0).any()
         smallest = _smallest_centre_weights(op.stencil)
         assert len(smallest) == (1 if policy is not None else op.candidates)
@@ -1256,6 +1222,17 @@ def test_non_finite_horizon_and_dt_rejected(kw):
     # synthesis reported gamma = nan as converged; inf overflowed the step count.
     key = next(iter(kw))
     with pytest.raises(ValueError, match=f"{key} must be finite"):
+        PropagationConfig(**kw)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"cfl_safety": 0.0}, "cfl_safety must lie in (0, 1]"),
+    ({"cfl_safety": 1.5}, "cfl_safety must lie in (0, 1]"),
+    ({"cfl_safety": math.nan}, "cfl_safety must lie in (0, 1]"),
+    ({"scheme": "crank_nicolson"}, "unknown scheme 'crank_nicolson'"),
+])
+def test_cfl_safety_and_scheme_rejected(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PropagationConfig(**kw)
 
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scbf import semigroup, spectral
 from scbf.errors import Collapse
-from scbf.grid import GridSpec, ScalarField, interpolate, sup_norm
+from scbf.grid import GridSpec, ImplicitSet, ScalarField, interpolate, sup_norm
 from scbf.semigroup import PolicyTable, PropagationConfig, propagate
 from scbf.spectral import (
     eigen_residual,
@@ -14,7 +15,7 @@ from scbf.spectral import (
     power_policy_iteration,
     warm_start_field,
 )
-from scbf.systems import BENCHMARKS, make_benchmark
+from scbf.systems import BENCHMARKS, SystemModel, make_benchmark
 
 LAMBDA_1 = math.pi**2 / 8.0  # Dirichlet rate of (1/2) d^2/dx^2 on [-1, 1]
 
@@ -334,3 +335,71 @@ def test_bump_is_the_product_of_axis_bumps_at_every_node(name):
     vals = np.where(sys.interior_mask(), vals, 0.0)
     expected = vals / np.max(np.abs(vals))
     assert initial_field(sys, "bump").values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("bicycle", (31, 31, 24, 11)), ("wig_aircraft", (26, 26, 26)), ("di_omni", (41, 81)),
+    ("brownian_1d", None),
+])
+def test_gauss_exponent_summed_per_axis_at_every_node(name, counts):
+    # The exponent's per-axis terms, added in dimension order and broadcast,
+    # give the bytes of summing them over an array of all node coordinates.
+    sys = make_benchmark(name, grid_counts=counts)
+    spec = sys.grid
+    lo, hi = np.asarray(spec.lower), np.asarray(spec.upper)
+    centre = 0.5 * (lo + hi) + 0.25 * (hi - lo)
+    vals = np.exp(-8.0 * np.sum(((spec.nodes() - centre) / (hi - lo)) ** 2, axis=1))
+    vals = np.where(sys.interior_mask(), vals, 0.0)
+    expected = vals / np.max(np.abs(vals))
+    assert initial_field(sys, "gauss").values.tobytes() == expected.tobytes()
+
+
+def test_gauss_start_forms_no_array_of_all_node_coordinates():
+    # On the 4-D bicycle (31x31x24x11) an array of all node coordinates
+    # holds four values per node, and the exponent formed from it peaked at
+    # eight; per axis it peaks at four (traced, in 8-byte values per node).
+    sys = make_benchmark("bicycle")
+    sys.node_classes()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        initial_field(sys, "gauss")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * sys.grid.size
+
+
+def _periodic_start_system():
+    """A box ``[-1, 1] x [0, 4)``, periodic in the second coordinate, whose
+    sdf removes the nodes at coordinate 2: the interior nodes all sit at
+    coordinate 0, the lower face of the periodic axis, where the bump is 0."""
+    spec = GridSpec([-1.0, 0.0], [1.0, 4.0], (5, 4), periodic=[False, True])
+    sdf = ScalarField(spec, np.where(spec.nodes()[:, 1] == 2.0, 1.0, -1.0))
+
+    def zero(x, u):
+        shape = np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.asarray(u)[..., 0].shape)
+        return np.zeros(shape + (2,))
+
+    return SystemModel(name="periodic_start", n_x=2, n_u=1, n_w=1, drift=zero,
+                       diffusion=lambda x, u: zero(x, u)[..., None],
+                       input_lower=[0.0], input_upper=[0.0], grid=spec,
+                       safe_set=ImplicitSet("sdf", sdf))
+
+
+def test_start_inputs_rejected():
+    di = make_benchmark("di_omni", grid_counts=(9, 17))
+    cfg, zero = PropagationConfig(horizon=0.1), PolicyTable.zero(di)
+    with pytest.raises(ValueError, match=r"^unknown initial field kind 'flat'$"):
+        initial_field(di, "flat")
+    start = _periodic_start_system()
+    assert np.count_nonzero(start.interior_mask()) == 3
+    with pytest.raises(ValueError, match=r"^initial field vanished on the interior$"):
+        initial_field(start, "bump")
+    negative = np.where(di.interior_mask(), -1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^initial field must be nonnegative$"):
+        power_iteration(di, zero, cfg, ScalarField(di.grid, negative))
+    with pytest.raises(Collapse, match=r"^initial field has no mass on the interior$"):
+        power_iteration(di, zero, cfg, ScalarField(di.grid, np.zeros(di.grid.size)))
+    with pytest.raises(ValueError, match=r"^power iteration needs a positive horizon$"):
+        power_iteration(di, zero, PropagationConfig(horizon=0.0), initial_field(di))

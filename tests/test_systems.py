@@ -131,6 +131,16 @@ class TestMakeBenchmark:
             make_benchmark("di_omni", {"u_max": u_max}, (11, 21))
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([-1.0, -1.0], [1.0, 1.0], "input box size does not match n_u"),
+        ([-1.0], [1.0, 1.0], "input box size does not match n_u"),
+        ([1.0], [-1.0], "input box upper corner below lower corner"),
+    ])
+    def test_input_box_rejected(self, lower, upper, message):
+        sys = make_benchmark("di_omni", grid_counts=(11, 21))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(sys, input_lower=lower, input_upper=upper)
+
     def test_override_applies(self):
         sys = make_benchmark("brownian_1d", {"sigma": 2.0})
         assert sys.diffusion(np.array([0.0]), np.array([0.0]))[0, 0] == 2.0
@@ -320,7 +330,7 @@ class TestInputStructure:
             (lo,) if lo == hi else np.linspace(lo, hi, 3) if regime == "nonaffine" else (lo, hi)
             for lo, hi in zip(sys.input_lower, sys.input_upper)])))
         np.testing.assert_array_equal(op.inputs, expected)
-        assert (op.stencil.dynamic is not None) == (regime == "quadratic")
+        assert (op.critical is not None) == (regime == "quadratic")
         assert op.candidates == len(expected) + (regime == "quadratic")
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
