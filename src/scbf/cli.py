@@ -605,6 +605,13 @@ def cmd_verify(args) -> int:
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+    if args.out:
+        lines = [f"verify.{name} = {int(ok)}" for name, ok, _ in checks]
+        lines += [f"verify.checks_passed = {len(checks) - len(failed)}",
+                  f"verify.checks = {len(checks)}"]
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "verify.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     return 3 if failed else 0
 
 

@@ -173,19 +173,20 @@ whole span, the critical input's rows too.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
-application.  The one-shot calls here (:func:`propagate`,
-:func:`propagate_optimal`, :func:`argmax_policy`) share one process-wide
-slot that holds the last such call's operator while it is idle, keyed by
-the model (identity), the :class:`PropagationConfig` (value) and the policy
-(identity; ``None`` for the optimal operator).  A call whose key matches
-takes the operator out of the slot instead of building one, and every call
-puts its operator back on success, replacing what the slot held.  Three
-rules keep the peak memory that of one operator:
+application.  :func:`propagate`, :func:`argmax_policy` and
+:func:`generator_field` build one per call and free it on return.
+:func:`propagate_optimal`, the one call that is repeated with one key
+(a benchmark applies it twice per model), keeps its operator in a
+process-wide slot while it is idle, keyed by the model (identity) and the
+:class:`PropagationConfig` (value).  A call whose key matches takes the
+operator out of the slot instead of building one, and puts it back on
+success, replacing what the slot held.  Three rules keep the peak memory
+that of one operator:
 
-- every build, a synthesis's too, empties the slot first, so an idle
-  operator never lives beside a build;
-- syntheses build without the slot and put nothing in it, so their
-  operators do not outlive them;
+- every build, of every call and synthesis, empties the slot first, so an
+  idle operator never lives beside a build;
+- only :func:`propagate_optimal` puts an operator in the slot, so no other
+  operator outlives its call;
 - a call takes the operator out and never shares it, so two threads never
   step one stencil, and only a call that returns puts it back, so a call
   that raises leaves nothing behind.
@@ -228,7 +229,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1180,11 +1180,11 @@ class _Operator:
     input is taken again from the field at every application and every
     policy.
 
-    A build first empties the idle slot (module docstring), so the last
-    one-shot call's operator is freed before this one allocates.  Between
-    one-shot calls with one key (the model by identity, the config by value,
-    the policy by identity) the operator waits in that slot; a model must
-    not be mutated after its first use."""
+    A build first empties the idle slot (module docstring), so an idle
+    operator of :func:`propagate_optimal` is freed before this one
+    allocates.  Between calls of :func:`propagate_optimal` with one key (the
+    model by identity, the config by value) its operator waits in that slot;
+    a model must not be mutated after its first use."""
 
     def __init__(self, sys: SystemModel, cfg: PropagationConfig,
                  policy: PolicyTable | None = None):
@@ -1246,8 +1246,8 @@ class _Operator:
                 self.stencil._check(len(self.inputs))
 
 
-# The last one-shot call's operator while it is idle, with its key:
-# (model, config, policy, operator), or None.
+# propagate_optimal's operator while it is idle, with its key:
+# (model, config, operator), or None.
 _idle = None
 _idle_lock = threading.Lock()
 
@@ -1258,22 +1258,6 @@ def _take_idle():
     with _idle_lock:
         held, _idle = _idle, None
     return held
-
-
-@contextmanager
-def _one_shot(sys: SystemModel, cfg: PropagationConfig, policy: PolicyTable | None = None):
-    """The operator for this key: the idle one when the slot holds it, else a
-    new build.  It goes back to the slot when the block ends without raising."""
-    global _idle
-    held = _take_idle()
-    if held is not None and held[0] is sys and held[1] == cfg and held[2] is policy:
-        op = held[3]
-    else:
-        held = None  # freed before the build allocates
-        op = _Operator(sys, cfg, policy)
-    yield op
-    with _idle_lock:
-        _idle = (sys, cfg, policy, op)
 
 
 def _check_specs(field, sys: SystemModel, what: str = "field"):
@@ -1290,11 +1274,11 @@ def propagate(field: ScalarField, sys: SystemModel, policy: PolicyTable,
     """Apply the killed semigroup over ``cfg.horizon`` under a fixed policy.
 
     The result is zero outside the interior; a zero horizon returns the
-    input unchanged (the identity operator).
+    input unchanged (the identity operator).  The operator is built for
+    this call and freed on return.
     """
     _check_specs(field, sys)
-    with _one_shot(sys, cfg, policy) as op:
-        return ScalarField(sys.grid, op.apply(field.values))
+    return ScalarField(sys.grid, _Operator(sys, cfg, policy).apply(field.values))
 
 
 def generator_field(field: ScalarField, sys: SystemModel, policy: PolicyTable) -> ScalarField:
@@ -1326,17 +1310,30 @@ def propagate_optimal(field: ScalarField, sys: SystemModel,
     field before the policy is read.  It is scored with the upwind
     generator and is not its argmax over the input interval.  Returns the
     final field and the policy of winning candidates evaluated against the
-    final field.
+    final field.  The operator waits in the idle slot until the next build
+    or call; a call with the same model and an equal config takes it
+    instead of building (module docstring).
     """
+    global _idle
     _check_specs(field, sys)
-    with _one_shot(sys, cfg) as op:
-        return ScalarField(sys.grid, op.apply(field.values)), op.policy()
+    held = _take_idle()
+    if held is not None and held[0] is sys and held[1] == cfg:
+        op = held[2]
+    else:
+        held = None  # freed before the build allocates
+        op = _Operator(sys, cfg)
+    out = ScalarField(sys.grid, op.apply(field.values)), op.policy()
+    with _idle_lock:
+        _idle = (sys, cfg, op)
+    return out
 
 
 def argmax_policy(field: ScalarField, sys: SystemModel,
                   cfg: PropagationConfig) -> PolicyTable:
-    """Pointwise argmax of the discrete generator against a fixed field."""
+    """Pointwise argmax of the discrete generator against a fixed field,
+    from a zero-horizon optimal operator built for this call and freed on
+    return."""
     _check_specs(field, sys)
-    with _one_shot(sys, replace(cfg, horizon=0.0)) as op:
-        op.apply(field.values)
-        return op.policy()
+    op = _Operator(sys, replace(cfg, horizon=0.0))
+    op.apply(field.values)
+    return op.policy()

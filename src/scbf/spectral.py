@@ -21,10 +21,12 @@ comparison.
 
 Power iteration and the accelerated variant build their operator once
 per call; the policy is the argmax against its last application.  The
-two-step variant changes its policy, so it builds one per round.  Neither
-leaves an operator behind: they build without the one-shot calls' idle
-slot (:mod:`scbf.semigroup`), and the result carries the step facts of the
-operator applied last.
+two-step variant changes its policy, so it builds one per round, after the
+zero-horizon build of :func:`~scbf.semigroup.argmax_policy` that improves
+the policy, and one more such build for the final policy.  No synthesis
+leaves an operator behind: every one is freed on return, none enters the
+idle slot of :func:`~scbf.semigroup.propagate_optimal`, and the result
+carries the step facts of the operator applied last.
 
 Convergence is declared on the sup-norm difference of consecutive
 normalized iterates.  A non-converged run is not an error: the result
@@ -34,14 +36,14 @@ carries its residual history and ``converged=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Collapse
 from .grid import ScalarField, _index, interpolate, sup_norm
 from .semigroup import (_NODE_BLOCK, PolicyTable, PropagationConfig, _check_specs,
-                        _node_blocks, _Operator, propagate)
+                        _node_blocks, _Operator, argmax_policy, propagate)
 from .systems import SystemModel
 
 __all__ = [
@@ -172,14 +174,6 @@ def _step_facts(op: _Operator) -> dict:
     return dict(candidates=op.candidates, dt=op.dt, steps_per_apply=op.steps, cfl_load=op.load)
 
 
-def _improved_policy(sys: SystemModel, cfg: PropagationConfig, values) -> PolicyTable:
-    """:func:`~scbf.semigroup.argmax_policy` against ``values``, built
-    without the idle slot; the operator is freed on return."""
-    op = _Operator(sys, replace(cfg, horizon=0.0))
-    op.apply(values)
-    return op.policy()
-
-
 def _iterate(sys, cfg, psi, apply, tol, max_iter):
     """Shared normalize-and-test loop; ``apply`` maps psi's values to T psi's."""
     history = []
@@ -252,13 +246,13 @@ def power_policy_iteration(sys: SystemModel, cfg: PropagationConfig,
         facts = {}
 
         def apply(values):
-            op = _Operator(sys, cfg, _improved_policy(sys, cfg, values))
+            op = _Operator(sys, cfg, argmax_policy(ScalarField(sys.grid, values), sys, cfg))
             facts.update(_step_facts(op))
             return op.apply(values)
 
         psi, gamma, history, converged = _iterate(sys, cfg, psi, apply, tol, max_iter)
         # Against the final field, like the accelerated variant's.
-        policy = _improved_policy(sys, cfg, psi.values)
+        policy = argmax_policy(psi, sys, cfg)
     return EigenResult(gamma=gamma, psi=psi, policy=policy, history=history,
                        converged=converged, horizon=cfg.horizon, **facts)
 

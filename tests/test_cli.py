@@ -401,6 +401,26 @@ class TestSynthesize:
         assert read_meta(out / "metadata.txt")["result.candidates"] == (
             "2" if algorithm == "power_policy" else "0")
 
+    def test_two_step_builds_two_operators_per_iteration(self, tmp_path, monkeypatch):
+        # Each iteration builds a zero-horizon optimal operator for the
+        # argmax and a fixed-policy one for the application; the final policy
+        # takes one more argmax build.
+        real, builds = semigroup._Operator.__init__, []
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup._Operator, "__init__", counted)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("iteration.max_iter = 3\niteration.algorithm = power_policy_two_step\n")
+        out = tmp_path / "out"
+        assert run("synthesize", "--config", str(cfg), "--system", "di_omni",
+                   "--grid", "11,21", "--out", str(out)) in (0, 2)
+        assert read_meta(out / "metadata.txt")["result.iterations"] == "3"
+        assert [(len(args) == 3, args[1].horizon > 0.0) for args in builds] == (
+            [(False, False), (True, True)] * 3 + [(False, False)])
+
     def test_rerun_from_metadata_bit_exact(self, tmp_path, brownian_artifacts):
         out2 = tmp_path / "again"
         code = run("synthesize", "--config", str(brownian_artifacts / "metadata.txt"),
@@ -836,6 +856,30 @@ class TestVerify:
         assert code == 3
         assert "FAIL positivity" in out
 
+    @pytest.mark.parametrize("tol, code, flags", [
+        ("5e-3", 0, "111111"),
+        ("0", 3, "111101"),        # no residual is at or below 0
+    ])
+    def test_out_writes_one_line_per_check(self, tmp_path, brownian_artifacts, capsys,
+                                           monkeypatch, tol, code, flags):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"system.id = brownian_1d\nverify.residual_tol = {tol}\n")
+        args = ("verify", "--config", str(cfg), "--artifacts", str(brownian_artifacts))
+        assert run(*args) == code
+        printed = capsys.readouterr().out
+        # Without --out nothing is written, in the working directory or beside
+        # the artifacts.
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+        assert not (brownian_artifacts / "verify.txt").exists()
+        assert run(*args, "--out", str(tmp_path / "ver")) == code
+        assert capsys.readouterr().out == printed
+        names = ["normalization", "positivity", "boundary_zeros", "policy_in_box",
+                 "eigen_residual", "horizon_invariance"]
+        assert (tmp_path / "ver" / "verify.txt").read_text() == "".join(
+            f"verify.{name} = {flag}\n" for name, flag in zip(names, flags)) + (
+            f"verify.checks_passed = {flags.count('1')}\nverify.checks = 6\n")
+
 
 def _copy_artifacts(src, dst):
     dst.mkdir()
@@ -897,6 +941,23 @@ class TestArtifactReaders:
         assert code == 1
         assert f"{meta}:{line}: " in err and phrase in err, err
         assert "Traceback" not in err
+
+    def test_load_result_defaults(self, tmp_path, brownian_artifacts):
+        # Without result.psi_file, result.converged and result.horizon the
+        # barrier is read from psi.fld, the run counts as not converged and
+        # the horizon is the config default.
+        art = _copy_artifacts(brownian_artifacts, tmp_path / "art")
+        meta = art / "metadata.txt"
+        dropped = ("result.psi_file", "result.converged", "result.horizon")
+        meta.write_text("".join(line + "\n" for line in meta.read_text().splitlines()
+                                if line.split(" =")[0] not in dropped))
+        sys_model = make_benchmark("brownian_1d")
+        full = cli.load_result(brownian_artifacts, sys_model)
+        assert full.converged
+        result = cli.load_result(art, sys_model)
+        assert result.psi.values.tobytes() == full.psi.values.tobytes()
+        assert not result.converged
+        assert result.horizon == _KEYS["propagation.horizon"][1]
 
     def test_policy_channel_count(self, tmp_path, brownian_artifacts, capsys):
         bad = _copy_artifacts(brownian_artifacts, tmp_path / "bad")

@@ -371,6 +371,16 @@ class TestFieldFile:
         with pytest.raises(ValueError):
             read_field(bad)
 
+    def test_blank_line_before_bad_value_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.fld"
+        bad.write_text("dims 1\n0.0 1.0 3 0\n0.0\n\n0.5x\n0.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:5: not a number: '0.5x'$"):
+            read_field(bad)
+
+    def test_repr_names_the_shape(self):
+        spec = GridSpec([0.0, 0.0], [1.0, 1.0], (3, 4))
+        assert repr(ScalarField(spec, np.zeros(spec.size))) == "ScalarField(shape=(3, 4))"
+
 
 class TestGridSpec:
     def test_invariants(self):

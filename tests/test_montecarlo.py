@@ -265,6 +265,13 @@ class TestSafetyCurve:
         for seed in (2**63 + 5, 2**64 - 1):
             assert stream(seed, 3).state["state"]["key"].tolist() == [seed, 3]
 
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint64), (2, np.uint32), (1, np.uint64)])
+    def test_trial_key_is_two_64_bit_words(self, n_words, dtype):
+        key = montecarlo._TrialKey(5, 17)
+        with pytest.raises(ValueError, match="^a trial key is two 64-bit words$"):
+            key.generate_state(n_words, dtype)
+        assert key.generate_state(2, np.uint64).tolist() == [5, 17]
+
     def test_top_seed_has_its_own_stream(self, brownian):
         base = dict(t_end=0.3, trials=200, controller=OpenLoopController([0.0]))
         top = estimate_safety_curve(brownian, SimConfig(seed=2**64 - 1, **base), [0.0])

@@ -872,6 +872,13 @@ def test_other_plans_keep_the_general_scorer(build):
     assert all(not block.groups for blocks in op.stencil._blocks for block in blocks)
 
 
+def test_product_indices_only_of_a_product_set():
+    corners = np.array([[-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]])
+    assert semigroup._product_indices(corners).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert semigroup._product_indices(corners[[0, 3]]) is None      # a diagonal
+    assert semigroup._product_indices(corners[[1, 0, 2, 3]]) is None  # another order
+
+
 def test_load_stores_negative_zero_as_positive_zero(di_small):
     # A field holding -0.0 is stepped as its canonical copy, so no step
     # starts from a -0.0 entry.
@@ -1290,7 +1297,7 @@ class TestPolicyTable:
                         di_small.input_upper)
 
 
-# --- the idle operator of the one-shot calls --------------------------------------
+# --- propagate_optimal's idle operator ----------------------------------------------
 
 
 @pytest.fixture
@@ -1325,36 +1332,38 @@ def _one_shot(call, f, sys, cfg, policy=None):
     ("bicycle", (13, 13, 12, 7), PropagationConfig(horizon=0.02)),        # periodic ghosts
 ])
 def test_repeated_one_shot_call_reuses_its_operator(builds, call, name, counts, cfg):
-    # The second call with one key builds nothing and gives the bits of a
-    # call made on an empty slot, whatever the first call left in the
-    # stencil; an equal config object is the same key.
+    # Only propagate_optimal reuses its operator: its second call with one
+    # key builds nothing and gives the bits of a call made on an empty
+    # slot, whatever the first call left in the stencil, and an equal
+    # config object is the same key.  propagate and argmax_policy build on
+    # every call and leave the slot empty.
     sys = make_benchmark(name, grid_counts=counts)
     policy = PolicyTable.constant(sys, 0.5 * (sys.input_lower + sys.input_upper))
     first, second = (interior_random_field(sys, seed) for seed in (7, 8))
+    reused = call == "propagate_optimal"
     _one_shot(call, first, sys, cfg, policy)
     assert len(builds) == 1
-    reused = _one_shot(call, second, sys, cfg, policy)
+    assert (semigroup._idle is not None) == reused
+    in_turn = _one_shot(call, second, sys, cfg, policy)
     again = _one_shot(call, first, sys, replace(cfg), policy)
-    assert len(builds) == 1
+    assert len(builds) == (1 if reused else 3)
+    assert (semigroup._idle is not None) == reused
     semigroup._take_idle()
-    assert _one_shot(call, second, sys, cfg, policy) == reused
+    assert _one_shot(call, second, sys, cfg, policy) == in_turn
     semigroup._take_idle()
     assert _one_shot(call, first, sys, cfg, policy) == again
-    assert len(builds) == 3
+    assert len(builds) == (3 if reused else 5)
 
 
 def test_other_keys_build(builds, di_small):
     cfg = PropagationConfig(horizon=0.01)
     f = interior_random_field(di_small, 4)
-    policy = PolicyTable.zero(di_small)
-    propagate(f, di_small, policy, cfg)
-    propagate(f, di_small, PolicyTable.zero(di_small), cfg)           # equal inputs, another object
-    propagate(f, di_small, PolicyTable.zero(di_small), replace(cfg, cfl_safety=0.5))
-    propagate_optimal(f, di_small, cfg)                                # the optimal operator
-    propagate_optimal(f, di_small, replace(cfg, horizon=0.02))         # another config
+    propagate_optimal(f, di_small, cfg)
+    propagate_optimal(f, di_small, replace(cfg, cfl_safety=0.5))       # another config
+    propagate_optimal(f, di_small, replace(cfg, horizon=0.02))
     other = make_benchmark("di_omni", grid_counts=(21, 41))            # an equal model
     propagate_optimal(ScalarField(other.grid, f.values), other, replace(cfg, horizon=0.02))
-    assert len(builds) == 6
+    assert len(builds) == 4
 
 
 def test_build_frees_the_idle_operator_first(monkeypatch, di_small):
@@ -1362,7 +1371,7 @@ def test_build_frees_the_idle_operator_first(monkeypatch, di_small):
     # build allocates: an idle operator never lives beside a build.
     semigroup._take_idle()
     propagate_optimal(interior_random_field(di_small, 1), di_small, PropagationConfig(horizon=0.01))
-    idle = weakref.ref(semigroup._idle[3])
+    idle = weakref.ref(semigroup._idle[2])
     real, alive = semigroup._split_stencil, []
 
     def split(*args, **kwargs):
@@ -1389,20 +1398,20 @@ def test_syntheses_leave_the_slot_empty(builds, di_small, synthesis):
     assert semigroup._idle is None
 
 
-def test_failed_call_leaves_nothing(builds, monkeypatch, brownian):
-    f, zero, cfg = sine_mode(brownian), PolicyTable.zero(brownian), PropagationConfig(horizon=0.01)
-    propagate(f, brownian, zero, cfg)
+def test_failed_call_leaves_nothing(builds, monkeypatch, di_small):
+    f, cfg = interior_random_field(di_small, 5), PropagationConfig(horizon=0.01)
+    propagate_optimal(f, di_small, cfg)
     with pytest.raises(StabilityViolation):                      # a failed build
-        propagate(f, brownian, zero, PropagationConfig(horizon=0.1, dt=1.0))
+        propagate_optimal(f, di_small, PropagationConfig(horizon=0.1, dt=1.0))
     assert semigroup._idle is None
-    propagate(f, brownian, zero, cfg)
+    propagate_optimal(f, di_small, cfg)
 
     def fail(self, values):
         raise FloatingPointError("stopped")
 
     monkeypatch.setattr(_Operator, "apply", fail)
     with pytest.raises(FloatingPointError):                      # a reused operator that fails
-        propagate(f, brownian, zero, cfg)
+        propagate_optimal(f, di_small, cfg)
     assert semigroup._idle is None and len(builds) == 3
 
 
