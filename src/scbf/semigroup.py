@@ -128,28 +128,31 @@ scoring loop.
 A build keeps only what a step, the monotonicity check and the argmax
 read, and makes one pass over the nodes (:func:`_split_stencil`).  Each
 block of the pass (:func:`_node_blocks`) forms its node coordinates once
-and evaluates there the noise Gram (formed once instead when the diffusion
-declares one constant matrix) and, in one call, the drift of every
+and evaluates there the noise Gram and, in one call, the drift of every
 candidate, the inputs stacked ahead of the nodes as the ``(..., n_x)``
 broadcasting contract of the models allows; a block holds at most
 ``_NODE_BLOCK`` nodes and ``_CALLBACK_ROWS`` candidate rows, so no array of
 all node coordinates is formed and a callback's scratch stays a few MB.
-The CFL load is reduced to the block's maximum while the block is in
-cache.  Every model value and load is formed per node, so the pass has the
-bits of evaluating each candidate over the whole grid however the grid is
-cut into blocks; the tests check blocks down to one node.  Of the Gram the pass keeps the entries the rates read, a cross
-entry from the first block where it is not +0.0; of the drift, one column
-per byte-equality class of each component, the classes refined block by
-block (:class:`_DriftColumns`).  A rate row is formed once per drift class,
-sign and diffusion rate and shared by every candidate with that key; any
-other row with the bytes of a kept one is found by a sampled fingerprint
-and an exact comparison (:meth:`_Stencil.keep`), so no row is hashed whole.
-A class's column is dropped once its last candidate's rows are compiled,
-and no unpadded copy of a rate lives beside its padded one for long.  In
-the quadratic regime each block also fits the Gram in ``u``, for the
-critical input's CFL term and for which entries vary with the input; the
-fit holds about eight Grams per node, so those blocks are an eighth of
-``_NODE_BLOCK``.  On the 4-D
+When the diffusion declares one constant matrix, the Gram entries and
+their part of the CFL load are formed once per build instead, not on each
+block (the ``bicycle`` pass has 65).  The CFL load is reduced to the
+block's maximum while the block is in cache.  Every model value and load
+is formed per node, so the pass has the bits of evaluating each candidate
+over the whole grid however the grid is cut into blocks; the tests check
+blocks down to one node.  Of the Gram the pass keeps the entries the rates
+read, a cross entry from the first block where it is not +0.0; of the
+drift, one column per byte-equality class of each component, the classes
+refined block by block, each candidate's row compared with its class's
+representative one row at a time (:class:`_DriftColumns`).  A rate row is
+formed once per drift class, sign and diffusion rate and shared by every
+candidate with that key; any other row with the bytes of a kept one is
+found by a sampled fingerprint and an exact comparison
+(:meth:`_Stencil.keep`), so no row is hashed whole.  A class's column is
+dropped once its last candidate's rows are compiled, and no unpadded copy
+of a rate lives beside its padded one for long.  In the quadratic regime
+each block also fits the Gram in ``u``, for the critical input's CFL term
+and for which entries vary with the input; the fit holds about eight Grams
+per node, so those blocks are an eighth of ``_NODE_BLOCK``.  On the 4-D
 ``bicycle`` (31x31x24x11) the traced build peak is 38.4 MiB and the
 operator 34 MiB (33 and 28 MiB under a fixed policy).
 
@@ -160,16 +163,29 @@ and the blocked step gives the bits of the unblocked one.  Blocking is
 for the cache: on the ``bicycle`` grid above (span 274,824) a step makes
 about 29 passes over some 22 arrays of 2.2 MB each (45 over 27 with the
 scoring loop), about 50 MB per step, so over the whole span each pass
-streams from L3 and the step is bound by bandwidth.  With blocks of ``2**15`` positions, 256 KiB per array, what
-one block of the step touches stays near a 2 MiB L2 (Datta et al., SC
-2008, on blocking bandwidth-bound stencils).  Shorter blocks gained little
-and cost one more numpy call per array and block.  A span of at most
-``2**15`` positions (every 2-D benchmark grid and ``wig_aircraft`` 26^3)
-is one block, the whole span: split, those steps ran slower.  Only the
-ghosts are refreshed over the whole span before the blocks.  The
-difference rows, the score rows, the argmax flags and the multiply scratch
-are one block long, shared by all blocks; every other array keeps the
-whole span, the critical input's rows too.
+streams from L3 and the step is bound by bandwidth.  With blocks of
+``2**15`` positions, 256 KiB per array, what one block of the step
+touches stays near a 2 MiB L2 (Datta et al., SC 2008, on blocking
+bandwidth-bound stencils).  Shorter blocks gained little and cost one more
+numpy call per array and block.  A span of at most ``2**15`` positions
+(every 2-D benchmark grid and ``wig_aircraft`` 26^3) is one block: split,
+those steps ran slower.  Only the ghosts are refreshed over the whole span
+before the blocks.  The difference rows, the score rows, the argmax flags
+and the multiply scratch are one block long, shared by all blocks; every
+other array keeps the whole span, the critical input's rows too.
+
+A step's blocks are cut to the live stretch of the span, from the page
+that holds the first interior position to the last interior position:
+the killed outer layer of a non-periodic first dimension is a whole slab
+at each end of the span, and a step skips the two (on the ``bicycle``
+grid 17,857 of 274,824 positions, 6.5%).  Every node outside the stretch
+is killed: the buffers start zeroed, :meth:`_Stencil.load` stores +0.0
+there, and no step writes there, so both buffers read +0.0 there, the
+value a step writes at a killed node (zero weights times finite values,
+added to +0.0).  A ghost outside the stretch is refreshed before each step
+like every ghost.  The argmax and :meth:`_Stencil.generator` keep the
+whole span, because the policy is read at every node, the killed ones
+too.
 
 An operator (:class:`_Operator`) is built once per power iteration run,
 which applies it at every iteration and reads its policy after the last
@@ -249,7 +265,16 @@ __all__ = [
 
 class PolicyTable:
     """Tabulated feedback inputs on grid nodes, clamped into the input box
-    (an infinite input to the box's face); a NaN input raises ValueError."""
+    (an infinite input to the box's face); a NaN input, or a box with a
+    lower bound above its upper one, raises ValueError.
+
+    The clamp runs column by column against the channel's two scalar
+    bounds, ``np.clip``'s fast loop (0.7 against 3.0 ms for the broadcast
+    ``np.clip(inputs, lower, upper)`` on 253,704 x 2), and gives the
+    broadcast clamp's bytes.  Where an input equals a bound the broadcast
+    loop writes the bound's bits and the fast one may keep the input's,
+    which differ only in the sign of a zero; so a zero bound, the lower
+    one first, is written over every zero of its column."""
 
     __slots__ = ("spec", "inputs", "input_lower", "input_upper")
 
@@ -267,9 +292,16 @@ class PolicyTable:
             )
         if np.isnan(inputs).any():
             raise ValueError("policy inputs must not be NaN")
-        inputs = np.clip(inputs, self.input_lower, self.input_upper)
-        inputs.setflags(write=False)
-        self.inputs = inputs
+        if not np.all(self.input_lower <= self.input_upper):
+            raise ValueError("input box needs lower <= upper bounds")
+        clamped = np.empty(inputs.shape)
+        for j, bounds in enumerate(zip(self.input_lower, self.input_upper)):
+            col = np.clip(inputs[:, j], *bounds, out=clamped[:, j])
+            for bound in bounds:
+                if bound == 0.0:
+                    np.copyto(col, bound, where=col == 0.0)
+        clamped.setflags(write=False)
+        self.inputs = clamped
 
     @classmethod
     def constant(cls, sys: SystemModel, u) -> "PolicyTable":
@@ -537,11 +569,15 @@ class _Stencil:
     Blocks: a step and an argmax run over the span one block at a time
     (:func:`_block_ranges`), up to ``2**15`` positions, 256 KiB per array,
     so that what one block of a step touches stays near a 2 MiB L2 (module
-    docstring); a span no longer is one block.  The differences, the two
-    score rows and ``_tmp`` are one block long and shared by all blocks.
-    ``compile`` slices every block's views once, for both buffer parities
-    (``_blocks``).  Only the ghosts are refreshed over the whole span before
-    the block loop.
+    docstring); a span no longer is one block.  A step's blocks are cut to
+    the live stretch, from the page that holds the first interior position
+    to the last interior position (``_live``); outside it every node is
+    killed and reads +0.0 in both buffers.  The argmax and ``generator``
+    keep the whole span (``_blocks``), since the policy is read at every
+    node.  The differences, the two score rows and ``_tmp`` are one block
+    long and shared by all blocks.  ``compile`` slices every block's views
+    once, for both buffer parities.  Only the ghosts are refreshed over the
+    whole span before the block loop.
 
     Placement (:func:`_aligned`): the centre view of each ping-pong buffer,
     every weight, every candidate row and every scratch array a step reads
@@ -636,20 +672,39 @@ class _Stencil:
 
     def compile(self):
         """Allocate the block-sized differences the plan reads, the score
-        rows and ``_tmp``, and slice every block's views for both buffer
-        parities."""
+        rows and ``_tmp``, and slice the views of the blocks for both buffer
+        parities: ``_blocks`` cover the whole span, for the argmax and the
+        generator, and ``_live`` the live stretch, for a step."""
         ranges = _block_ranges(self.span)
+        live = self._live_ranges(ranges)
         length = ranges[0][1]
         used = sorted({j for terms in self._plan for j, _ in terms})
         self._diffs = dict(zip(used, _aligned((len(used), length)))) if used else {}
         self._scores = _aligned((2, length)) if self.offsets else None
         self._better = _aligned(length, bool)
         self._tmp = _aligned(length)
+        groups = self._groups() or []
+        self._blocks = self._slice(ranges, groups)
+        self._live = self._blocks if live == ranges else self._slice(live, groups)
+
+    def _live_ranges(self, ranges: list) -> list:
+        """The blocks ``ranges`` of the span cut to its live stretch, the
+        blocks a step runs over: from the page that holds the first interior
+        position to the last interior position.  Every node outside it is
+        killed and stays +0.0 in both buffers (module docstring)."""
+        if not self._interior_nodes.any():
+            return []
+        per_page = _PAGE // 8
+        start = int(np.argmax(self.interior)) // per_page * per_page
+        stop = self.span - int(np.argmax(self.interior[::-1]))
+        return [(max(a, start), min(b, stop)) for a, b in ranges if a < stop and b > start]
+
+    def _slice(self, ranges: list, groups: list) -> list:
+        """The views of the blocks ``ranges`` for both buffer parities."""
         # The plan's terms on each block, shared by both buffer parities.
         plans = [[[(self._diffs[j][:b - a], c if isinstance(c, float) else c[a:b])
                    for j, c in terms] for terms in self._plan] for a, b in ranges]
-        groups = self._groups() or []
-        self._blocks = []
+        parities = []
         for src, out in ((self._views[0], self._views[1]), (self._views[1], self._views[0])):
             blocks = []
             for (a, b), plan in zip(ranges, plans):
@@ -667,7 +722,8 @@ class _Stencil:
                                  rate if isinstance(rate, float) else [r[at] for r in rate])
                                 for sources, rate in groups]
                 blocks.append(block)
-            self._blocks.append(blocks)
+            parities.append(blocks)
+        return parities
 
     def _groups(self) -> list | None:
         """The groups of a step's shifted maxima, one per input channel
@@ -848,7 +904,7 @@ class _Stencil:
 
     def step(self):
         self._refresh()
-        blocks = self._blocks[self._cur]
+        blocks = self._live[self._cur]
         self._cur ^= 1
         for block in blocks:
             out, tmp = block.out, block.tmp
@@ -863,11 +919,13 @@ class _Stencil:
 
     def argmax(self) -> np.ndarray:
         """Index of the best candidate per node against the current field,
-        the lowest on a tie (:meth:`_max_score`)."""
+        the lowest on a tie (:meth:`_max_score`), over the whole span; an
+        ``int8`` below 128 candidates."""
+        dtype = np.int8 if len(self._plan) < 128 else np.int64
         if not self.offsets:
-            return np.zeros(self.pos.size, dtype=np.int64)
+            return np.zeros(self.pos.size, dtype=dtype)
         self._refresh()
-        arg = np.zeros(self.span, dtype=np.int64)
+        arg = np.zeros(self.span, dtype=dtype)
         for block in self._blocks[self._cur]:
             self._max_score(block, arg[block.at])
         return arg[self.pos]
@@ -915,8 +973,10 @@ class _DriftColumns:
     class of each component: candidate ``k`` is in class ``cls[d][k]`` along
     component ``d``, whose column is ``cols[d][c]``.  A class's first
     candidate is its representative, so class 0 is candidate 0's.  A block
-    is compared laid out as rows ``(d, k)``; ``rep`` holds each row's
-    representative row and ``others`` the rows that are not their own."""
+    is compared laid out as rows ``(d, k)``, each row's bytes with its
+    representative's, one row at a time, so no gathered copy of the rows
+    is made; ``rep`` holds each row's representative row and ``others``
+    the rows that are not their own."""
 
     def __init__(self, n: int, K: int, N: int):
         self.cls = [np.zeros(K, dtype=np.intp) for _ in range(n)]
@@ -936,9 +996,8 @@ class _DriftColumns:
         for Fd, first, cols in zip(F, self.first, self.cols):
             for c, k in enumerate(first):
                 cols[c][at] = Fd[k]
-        rows, others = F.reshape(self.rep.size, -1), self.others
-        bits = rows.view(np.uint64)
-        moved = others[~np.all(bits[others] == bits[self.rep[others]], axis=1)]
+        rows = F.reshape(self.rep.size, -1)
+        moved = [i for i in self.others if rows[i].tobytes() != rows[self.rep[i]].tobytes()]
         split = {}
         for i in moved:
             d, k = divmod(i, K)
@@ -952,7 +1011,7 @@ class _DriftColumns:
                 cols.append(col)
             cls[k] = split[key]
             self.rep[i] = d * K + first[cls[k]]
-        if moved.size:
+        if moved:
             self.others = np.flatnonzero(self.rep != np.arange(self.rep.size))
 
     def varying(self) -> list:
@@ -1047,7 +1106,7 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     block one Gram call and one drift call for all its candidates, and
     forms the CFL load's maximum there; a model whose diffusion declares
     its one matrix (:meth:`~scbf.systems.SystemModel.constant_gram`) has
-    its Gram formed once and broadcast to every block instead.  In the
+    its Gram entries and their CFL load formed once instead.  In the
     quadratic regime each block also fits the Gram in ``u``
     (:meth:`~scbf.systems.SystemModel.fit_quadratic`) for the critical
     input's CFL term and for which Gram entries vary with the input; the
@@ -1071,25 +1130,30 @@ def _split_stencil(sys: SystemModel, inputs: np.ndarray):
     # A cross entry is stored from the first block where it has a byte other
     # than those of +0.0; until then it is +0.0 at every node.
     grams = [{(i, i): np.empty(N) for i in range(n)} for _ in range(1 if shared else K)]
-    # A diffusion that declares its one matrix gives every block the same
-    # entries: formed once, broadcast to each block.
+    # A diffusion that declares its one matrix gives every node the same
+    # entries: stored, and their CFL load formed, once.
     const = sys.constant_gram() if shared else None
+    if const is not None:
+        grams[0] = {(i, j): np.full(N, const[i, j]) for i, j in upper
+                    if i == j or const[i, j:j + 1].view(np.uint64).any()}
+        noise_load = _diffusion_load(lambda i, j: const[i, j], h,
+                                     [key for key in cross if key in grams[0]])
     drift, peaks = _DriftColumns(n, K, N), []
     block = max(1, min(_NODE_BLOCK // (8 if quad else 1), _CALLBACK_ROWS // K))
     for x, at in _node_blocks(spec, block):
         U = inputs[:, at] if inputs.shape[1] > 1 else inputs
-        G = (sys.gram_entries(x, U[:1] if shared else U) if const is None  # (n, n, grams, nodes)
-             else np.broadcast_to(const[:, :, None, None], (n, n, 1, len(x))))
-        for k, g in enumerate(grams):
-            for i, j in upper:
-                if (i, j) not in g and G[i, j, k].view(np.uint64).any():
-                    g[(i, j)] = np.zeros(N)
-                if (i, j) in g:
-                    g[(i, j)][at] = G[i, j, k]
-        # A cross entry not stored yet is +0.0 here and would add +0.0.
-        noise_load = _diffusion_load(lambda i, j: G[i, j], h,
-                                     [key for key in cross if any(key in g for g in grams)])
-        del G
+        if const is None:
+            G = sys.gram_entries(x, U[:1] if shared else U)  # (n, n, grams, nodes)
+            for k, g in enumerate(grams):
+                for i, j in upper:
+                    if (i, j) not in g and G[i, j, k].view(np.uint64).any():
+                        g[(i, j)] = np.zeros(N)
+                    if (i, j) in g:
+                        g[(i, j)][at] = G[i, j, k]
+            # A cross entry not stored yet is +0.0 here and would add +0.0.
+            noise_load = _diffusion_load(lambda i, j: G[i, j], h,
+                                         [key for key in cross if any(key in g for g in grams)])
+            del G
         F = np.broadcast_to(np.asarray(sys.drift(x, U), dtype=float), (K, len(x), n))
         drift_load = np.abs(F, order="C") @ (1.0 / h)
         drift.add(F, at)
@@ -1176,9 +1240,9 @@ class _Operator:
     """The optimal-control operator over ``cfg.horizon``, or under a fixed
     ``policy`` the fixed-policy one (0 ``candidates``), built once.  Reuse is
     exact: ``load`` rewrites every node, ghosts are refreshed before each step
-    and each argmax, a step writes its whole output span, and the critical
-    input is taken again from the field at every application and every
-    policy.
+    and each argmax, a step writes its whole live stretch and no node
+    outside it holds anything but +0.0, and the critical input is taken
+    again from the field at every application and every policy.
 
     A build first empties the idle slot (module docstring), so an idle
     operator of :func:`propagate_optimal` is freed before this one
@@ -1229,7 +1293,7 @@ class _Operator:
         stencil, the critical input taken against that field."""
         self._take_critical()
         arg = self.stencil.argmax()
-        out = self.inputs[np.minimum(arg, len(self.inputs) - 1)]
+        out = np.take(self.inputs, np.minimum(arg, len(self.inputs) - 1), axis=0)
         if self.critical is not None:
             taken = arg == len(self.inputs)
             out[taken, 0] = self.critical.ustar[taken]

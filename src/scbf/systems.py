@@ -441,7 +441,8 @@ def _make_wig(params, counts):
         F, L, D = wig_forces(x, u, params)
         V = x[..., 1]
         Gam = x[..., 2]
-        alpha = np.broadcast_to(u[..., 0], F.shape)
+        # The angle terms on the inputs alone: states broadcast the result.
+        alpha = u[..., 0]
         out = np.empty(F.shape + (3,))
         out[..., 0] = V * np.sin(Gam)
         out[..., 1] = (F * np.cos(alpha) - D - m * g * np.sin(Gam)) / m

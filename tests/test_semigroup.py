@@ -372,15 +372,17 @@ def _assert_placement(op):
     centres = [views[stencil._centre].ctypes.data for views in stencil._views]
     assert (centres[1] - centres[0]) % 4096 == 2048
     # Every block view but the shifted sources, which start where a
-    # neighbor's position does.
+    # neighbor's position does; a step's blocks, cut to the live stretch,
+    # start at whole pages too.
     blocks = [b for parity in stencil._blocks for b in parity]
-    views = [v for b in blocks for v in (b.src, b.out, b.W0, b.dt_mask, b.tmp,
+    steps = [b for parity in stencil._live for b in parity]
+    views = [v for b in blocks + steps for v in (b.src, b.out, b.W0, b.dt_mask, b.tmp,
                                          *(() if b.scores is None else b.scores),
                                          *(w for w, _ in b.weights), *(d for d, _ in b.diffs),
                                          *(c for terms in b.plan for pair in terms for c in pair
                                            if isinstance(c, np.ndarray)))]
     assert all(v.ctypes.data % 64 == 0 for v in views)
-    assert all((b.out.ctypes.data - b.src.ctypes.data) % 4096 == 2048 for b in blocks)
+    assert all((b.out.ctypes.data - b.src.ctypes.data) % 4096 == 2048 for b in blocks + steps)
     return blocks
 
 
@@ -434,6 +436,83 @@ def test_a_span_within_one_block_is_one_block():
         assert np.shares_memory(block.src, views[stencil._centre])
         assert block.src.shape == views[stencil._centre].shape == (stencil.span,)
         assert block.tmp.shape == stencil._tmp.shape == (stencil.span,)
+
+
+def _assert_killed_outside_the_live_stretch(stencil):
+    """A step's blocks run from the page that holds the first interior
+    position to the last interior position, and every node outside them
+    reads +0.0 in both ping-pong buffers.  (A ghost outside them holds its
+    node's value once refreshed, as every ghost does.)"""
+    live = [b.at for b in stencil._live[0]]
+    assert [b.at for b in stencil._live[1]] == live
+    assert all(a.stop == b.start for a, b in zip(live, live[1:]))
+    start, stop = live[0].start, live[-1].stop
+    inner = np.flatnonzero(stencil.interior)
+    assert start % 512 == 0 and start <= inner[0] < start + 512 and stop == inner[-1] + 1
+    outside = stencil.pos[(stencil.pos < start) | (stencil.pos >= stop)]
+    assert outside.size
+    for views in stencil._views:
+        assert not views[stencil._centre][outside].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("span_block", [1024, None])
+@pytest.mark.parametrize("name, counts, kw, fixed", [
+    ("bicycle", (13, 13, 12, 7), {}, False),              # periodic heading ghosts
+    ("bicycle", (13, 13, 12, 7), {}, True),
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 5}, False),
+    ("di_input_noise", (21, 41), {}, False),               # plus the critical input
+    ("di_omni", (21, 41), {}, True),
+])
+def test_a_step_runs_over_the_live_stretch(monkeypatch, name, counts, kw, fixed, span_block):
+    # A step skips the killed slabs at both ends of the span; the argmax
+    # keeps the whole span.  The applies, and the policy read after them,
+    # have the bytes of steps over the whole span.
+    if span_block is not None:
+        monkeypatch.setattr(semigroup, "_SPAN_BLOCK", span_block)
+    sys = make_benchmark(name, grid_counts=counts)
+    cfg = PropagationConfig(horizon=0.05, **kw)
+    policy = PolicyTable.zero(sys) if fixed else None
+    fields = [interior_random_field(sys, seed).values for seed in (4, 5)]
+    op = _Operator(sys, cfg, policy)
+    assert op.stencil._live is not op.stencil._blocks
+    assert [b.at for b in op.stencil._blocks[0]] == [
+        slice(a, b) for a, b in _block_ranges(op.stencil.span)]
+    cut = []
+    for values in fields:
+        cut.append(op.apply(values).tobytes())
+        _assert_killed_outside_the_live_stretch(op.stencil)
+        if not fixed:
+            cut.append(op.policy().inputs.tobytes())
+    monkeypatch.setattr(_Stencil, "_live_ranges", lambda self, ranges: ranges)
+    whole = _Operator(sys, cfg, policy)
+    assert whole.stencil._live is whole.stencil._blocks
+    spanned = []
+    for values in fields:
+        spanned.append(whole.apply(values).tobytes())
+        if not fixed:
+            spanned.append(whole.policy().inputs.tobytes())
+    assert cut == spanned
+
+
+def test_reused_operator_keeps_the_killed_stretch_zero():
+    # The idle operator of propagate_optimal is reused with whatever its
+    # last call left in the buffers; outside the live stretch that is +0.0.
+    sys = make_benchmark("bicycle", grid_counts=(13, 13, 12, 7))
+    cfg = PropagationConfig(horizon=0.05)
+    semigroup._take_idle()
+    try:
+        held = []
+        for seed in (6, 7):
+            field = interior_random_field(sys, seed)
+            out, policy = propagate_optimal(field, sys, cfg)
+            held.append(semigroup._idle[2])
+            _assert_killed_outside_the_live_stretch(held[-1].stencil)
+        assert held[0] is held[1]  # the second call reused the operator
+    finally:
+        semigroup._take_idle()
+    fresh = _Operator(sys, cfg)
+    assert fresh.apply(field.values).tobytes() == out.values.tobytes()
+    assert fresh.policy().inputs.tobytes() == policy.inputs.tobytes()
 
 
 def _assert_distinct_rows(stencil, critical=None):
@@ -601,6 +680,43 @@ def test_declared_constant_noise_forms_the_gram_once(monkeypatch, name, counts):
     results = [(op.load, op.dt, op.apply(field.values).tobytes(), op.policy().inputs.tobytes())
                for op in ops]
     assert results[0] == results[1]
+
+
+def _noise_declared(sys, declare: bool) -> SystemModel:
+    """``sys`` behind a diffusion that calls its own and declares, or not,
+    the one matrix it returns everywhere (``constant_gram``)."""
+
+    def diffusion(x, u):
+        return sys.diffusion(x, u)
+
+    if declare:
+        diffusion.matrix = sys.diffusion(sys.grid.lower, sys.input_lower)
+    model = replace(sys, diffusion=diffusion)
+    assert (model.constant_gram() is not None) == declare
+    return model
+
+
+@pytest.mark.parametrize("block", [64, None])
+@pytest.mark.parametrize("name", ["di_omni", "brownian_1d", "bicycle",
+                                  "correlated_0.4", "correlated_-0.4"])
+def test_declared_noise_matrix_builds_the_per_block_operator(monkeypatch, name, block):
+    # A declared matrix has its Gram entries and their CFL load formed once
+    # per build; the same sigma undeclared goes through the per-block path.
+    # Both give the same load, dt, weights and plan rows, and the same apply
+    # and policy; the correlated noise stores a cross entry.
+    if block is not None:
+        monkeypatch.setattr(semigroup, "_NODE_BLOCK", block)
+    sys = (correlated_noise_system(float(name.split("_")[1])) if name.startswith("correlated")
+           else make_benchmark(name, grid_counts=(13, 13, 12, 7) if name == "bicycle" else None))
+    cfg = PropagationConfig(horizon=0.05)
+    field = interior_random_field(sys, 8).values
+    results = []
+    for declare in (True, False):
+        op = _Operator(_noise_declared(sys, declare), cfg)
+        results.append((_build_bytes(op), op.apply(field).tobytes(), op.policy().inputs.tobytes()))
+    assert results[0] == results[1]
+    if name.startswith("correlated"):
+        assert any(all(o) for o in op.stencil.W)  # a diagonal offset's weight
 
 
 def _assert_build_peak_near_operator_size(sys, policy=None):
@@ -1295,6 +1411,66 @@ class TestPolicyTable:
                            match=re.escape(f"policy shape {shown} != (nodes=861, n_u=1)")):
             PolicyTable(di_small.grid, np.zeros(shape), di_small.input_lower,
                         di_small.input_upper)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1.0, 0.0], [1.0, 2.0]), ([0.0, -2.0], [0.5, -0.0]), ([-0.0, 0.0], [0.0, 0.0]),
+        ([0.0, -0.0], [0.0, -0.0]), ([-math.inf, 0.25], [math.inf, 0.25]),
+    ])
+    def test_clamp_has_the_bytes_of_the_broadcast_clip(self, lower, upper):
+        # The clamp runs column by column with scalar bounds; it gives the
+        # broadcast clip's bytes on the values where the two loops can
+        # differ: zeros of either sign against zero bounds, infinities, and
+        # values on or just past a bound.
+        spec = GridSpec([0.0], [1.0], (4001,))
+        rng = np.random.default_rng(3)
+        special = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0, -1.0,
+                            2.0, -2.0, 0.25, 0.5, 1e300, -1e300])
+        inputs = np.where(rng.random((spec.size, 2)) < 0.6,
+                          special[rng.integers(len(special), size=(spec.size, 2))],
+                          rng.normal(scale=2.0, size=(spec.size, 2)))
+        table = PolicyTable(spec, inputs, lower, upper)
+        assert table.inputs.tobytes() == np.clip(inputs, lower, upper).tobytes()
+        assert table.inputs.flags.c_contiguous and not table.inputs.flags.writeable
+
+    def test_box_upside_down_raises(self, di_small):
+        with pytest.raises(ValueError, match="^input box needs lower <= upper bounds$"):
+            PolicyTable(di_small.grid, np.zeros(di_small.grid.size), [1.0], [-1.0])
+
+
+def _broadcast_policy_read(op) -> np.ndarray:
+    """The policy read as a fancy index of the candidate inputs by an
+    ``int64`` argmax, the critical input written over its winners, then the
+    broadcast clip into the input box."""
+    arg = op.stencil.argmax().astype(np.int64)
+    K = len(op.inputs)
+    out = op.inputs[np.minimum(arg, K - 1)]
+    if op.critical is not None:
+        taken = arg == K
+        out[taken, 0] = op.critical.ustar[taken]
+    return np.clip(out, op.sys.input_lower, op.sys.input_upper)
+
+
+@pytest.mark.parametrize("name, counts, kw", [
+    *[(name, (9, 9, 9) if name == "wig_aircraft" else (13, 13, 12, 7) if name == "bicycle"
+       else None, {}) for name in sorted(BENCHMARKS)],
+    ("wig_aircraft", (9, 9, 9), {"candidate_points": 12}),  # 144 candidates
+])
+def test_policy_read_matches_the_broadcast_read(name, counts, kw):
+    # The argmax index is an int8 below 128 candidates and the inputs are
+    # gathered with np.take, then clamped column by column; the policy has
+    # the bytes of the fancy index and broadcast clip it replaced, the
+    # critical input (di_input_noise) and the int64 index of 144 candidates
+    # included.
+    sys = make_benchmark(name, grid_counts=counts)
+    op = _Operator(sys, PropagationConfig(horizon=0.05, **kw))
+    op.apply(interior_random_field(sys, 9).values)
+    policy = op.policy()
+    assert op.stencil.argmax().dtype == (np.int8 if op.candidates < 128 else np.int64)
+    assert policy.inputs.tobytes() == _broadcast_policy_read(op).tobytes()
+    if op.critical is not None:
+        assert np.any(op.stencil.argmax() == len(op.inputs))
+    if op.candidates >= 128:
+        assert op.stencil.argmax().max() >= 128
 
 
 # --- propagate_optimal's idle operator ----------------------------------------------

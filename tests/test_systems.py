@@ -179,6 +179,40 @@ class TestWigForces:
             wig_forces(np.array([1.0, 0.0, 0.0]), np.array([0.1, 100.0]))
 
 
+def _wig_drift_broadcast_angle(x, u, params=WIG_DEFAULTS):
+    """The aircraft drift with the angle of attack broadcast to every state
+    before its cosine and sine are taken."""
+    F, L, D = wig_forces(x, u, params)
+    V, Gam = x[..., 1], x[..., 2]
+    alpha = np.broadcast_to(u[..., 0], F.shape)
+    m, g = params["m"], params["g"]
+    out = np.empty(F.shape + (3,))
+    out[..., 0] = V * np.sin(Gam)
+    out[..., 1] = (F * np.cos(alpha) - D - m * g * np.sin(Gam)) / m
+    out[..., 2] = (F * np.sin(alpha) + L - m * g * np.cos(Gam)) / (m * V)
+    return out
+
+
+@pytest.mark.parametrize("points", [2, 5, 12])
+def test_wig_drift_takes_the_angle_terms_on_the_inputs(points):
+    # The drift takes cos and sin of the angle of attack at the inputs' own
+    # shape, not after broadcasting it to every state: the bytes of the
+    # broadcast form on the shape of an operator build, (K, nodes) from
+    # states (nodes, 3) and inputs (K, 1, 2), and on the filter's (B K,).
+    sys = make_benchmark("wig_aircraft", grid_counts=(9, 9, 9))
+    x, U = sys.grid.nodes(), sys.input_grid(points)
+    build = sys.drift(x, U[:, None])
+    assert build.shape == (len(U), len(x), 3)
+    assert build.tobytes() == _wig_drift_broadcast_angle(x, U[:, None]).tobytes()
+    rng = np.random.default_rng(points)
+    X = np.repeat(x[rng.choice(len(x), 37)], len(U), axis=0)
+    Uf = np.tile(U, (37, 1))
+    Uf[::5, 0] = rng.uniform(0.0, 0.2, len(Uf[::5]))
+    rows = sys.drift(X, Uf)
+    assert rows.shape == (37 * len(U), 3)
+    assert rows.tobytes() == _wig_drift_broadcast_angle(X, Uf).tobytes()
+
+
 class TestStructureFlags:
     def test_omni_full_rank(self):
         assert make_benchmark("di_omni").flags.noise_rank == 2
